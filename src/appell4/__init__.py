@@ -7,7 +7,6 @@ from .catalog import (AuditSummary, Composition, Constraints, ExpectedStatus,
                       builtin_catalog, catalog_by_id, point_to_dict,
                       select_identities, verify_identity,
                       verify_recursion_sum)
-from .cli import RunConfig, main
 from .errors import (Appell4Error, ConstraintError, InvalidOperatorError,
                      MarginError, OverflowSignalError, PoleError,
                      QuadratureConvergenceError, RegimeError,
@@ -21,7 +20,7 @@ from .series import (EVAL_POLICY, CoefficientGrid, DivergenceReport,
                      EvaluationResult, F41Params, F42Params, KdfParams,
                      TruncationPolicy, coefficient_grid, convergence_region,
                      divergence_diagnostic, eval_f4_classic, eval_f41,
-                     eval_f42, eval_kdf, reduce_to_kdf,
+                     eval_f42, eval_kdf, evaluate, reduce_to_kdf,
                      scratch_coefficient_f41, scratch_coefficient_f42)
 
 __version__ = "0.1.0"
@@ -34,13 +33,13 @@ __all__ = [
     "LaguerreRule", "MarginError", "OperatorExpr", "OpKind",
     "OverflowSignalError", "ParamPoint", "ParamSampler", "PoleError",
     "PrimitiveOp", "QuadratureConvergenceError", "RegimeError",
-    "RelationReport", "RepKind", "RunConfig", "Target", "TruncationPolicy",
+    "RelationReport", "RepKind", "Target", "TruncationPolicy",
     "UnsupportedKError", "VerificationMode", "apply_expr_to_params",
     "audit_catalog", "builtin_catalog", "catalog_by_id", "coefficient_grid",
     "convergence_region", "divergence_diagnostic", "eval_f4_classic",
-    "eval_f41", "eval_f42", "eval_kdf", "factorial", "gamma",
+    "eval_f41", "eval_f42", "eval_kdf", "evaluate", "factorial", "gamma",
     "identity_expr", "integral_rep_check", "integrand_kdf", "laguerre_rule",
-    "log_gamma", "log_pochhammer", "main", "pochhammer", "point_to_dict",
+    "log_gamma", "log_pochhammer", "pochhammer", "point_to_dict",
     "reduce_to_kdf", "scratch_coefficient_f41", "scratch_coefficient_f42",
     "select_identities", "verify_identity", "verify_recursion_sum",
     "__version__",

@@ -31,20 +31,21 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConstraintError, InvalidOperatorError, MarginError
+from .errors import ConstraintError, InvalidOperatorError
 from .kernels import pochhammer
 from .operators import (
     OperatorExpr,
-    OpKind,
     apply_expr_to_params,
     big_theta_t1,
     big_theta_t2,
+    compile_expr,
     delta_t1,
     delta_t2,
     identity_expr,
     mul_x,
     mul_y,
     phi_y,
+    require_margin,
     rho_t,
     rho_t1,
     rho_t2,
@@ -53,7 +54,6 @@ from .operators import (
     scaled_big_theta_t1,
     scaled_big_theta_t2,
     theta_x,
-    _index_shift_requirement,
 )
 from .series import F41Params, F42Params, coefficient_grid
 
@@ -935,44 +935,22 @@ def _compose_grid(arr: np.ndarray, comp: Composition) -> np.ndarray:
     return out
 
 
-_DIAGONAL_SAFE = (OpKind.THETA_X, OpKind.PHI_Y, OpKind.SCALE)
-
-
-def _apply_composite(e: OperatorExpr, params: Params, comp: Composition,
-                     M: int, N: int) -> np.ndarray:
-    base = np.asarray(coefficient_grid(params, M, N).coeffs)
-    grid = _compose_grid(base, comp)
-    ms = np.arange(M + 1, dtype=np.complex128)[:, None]
-    ns = np.arange(N + 1, dtype=np.complex128)[None, :]
-    acc = np.zeros_like(grid)
-    for coeff, factors in e.terms:
-        cur = grid
-        for f in reversed(factors):
-            if f.kind is OpKind.THETA_X:
-                cur = cur * ms
-            elif f.kind is OpKind.PHI_Y:
-                cur = cur * ns
-            elif f.kind is OpKind.SCALE:
-                cur = f.constant * cur
-            else:
-                raise InvalidOperatorError(
-                    "only index-diagonal factors act on composed-argument "
-                    f"grids, got {f.kind.value}")
-        acc = acc + coeff * cur
-    return acc
-
-
 def _term_grid(term: SideTerm, M: int, N: int) -> np.ndarray:
-    dm, dn = _index_shift_requirement(term.expr)
-    if dm > M or dn > N:
-        raise MarginError(f"rectangle ({M}, {N}) cannot absorb index shifts "
-                          f"({dm}, {dn})")
     spec = term.instance
     if spec.composition is Composition.NONE:
         arr = apply_expr_to_params(term.expr, spec.params, M, N)
-    else:
-        arr = _apply_composite(term.expr, spec.params, spec.composition, M, N)
-    return complex(term.coeff) * arr
+        return complex(term.coeff) * arr
+    # a composed-argument grid is no series instance of its own: only the
+    # index-diagonal factors (theta_x, phi_y, scale) act on it
+    compiled = compile_expr(term.expr, spec.params, M, N)
+    require_margin(compiled, M, N)
+    diagonal = (spec.params, 0, 0)
+    if any(key != diagonal for key in compiled):
+        raise InvalidOperatorError("only index-diagonal factors act on "
+                                   "composed-argument grids")
+    base = np.asarray(coefficient_grid(spec.params, M, N).coeffs)
+    grid = _compose_grid(base, spec.composition)
+    return complex(term.coeff) * (compiled.get(diagonal, 0.0) * grid)
 
 
 def _poly_value(grid: np.ndarray, x: complex, y: complex) -> complex:

@@ -89,20 +89,6 @@ class RunConfig:
     command: str
     options: dict
 
-    def as_dict(self) -> dict:
-        return {"command": self.command, "options": dict(self.options)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(str(d["command"]), dict(d["options"]))
-
-    def to_json(self) -> str:
-        return dump_json(self.as_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
-
 
 _DEFAULTS = {
     "eval": {
@@ -359,9 +345,5 @@ def main(argv=None) -> int:
         return _EVAL_ERROR
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

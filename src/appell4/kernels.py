@@ -166,11 +166,6 @@ def pochhammer(a: complex, l: int) -> complex:
     return cmath.exp(lp.log)
 
 
-def pochhammer_step(a: complex, l: int) -> complex:
-    """Recurrence factor: (a)_{l+1} = (a)_l * pochhammer_step(a, l) = (a)_l * (a + l)."""
-    return complex(a) + l
-
-
 def factorial(m: int) -> complex:
     """m! through the same product machinery ((1)_m)."""
     return pochhammer(1.0, m)

@@ -6,24 +6,24 @@ the Euler operators theta_x = x d/dx and phi_y = y d/dy, parameter shifts,
 scalar multiples, and multiplication by x or y.  The scaled primitives
 (1/k) big_theta exist separately so that k = 0 callers never build them.
 
-Each primitive has two interchangeable realizations: numeric (re-evaluation
-at shifted arguments, finite differences for theta/phi) and exact termwise
-action on coefficient grids.  Termwise t-operator weights hold on pure
-series instances, where big_theta_t1 acts diagonally with eigenvalue m*k1
-on the factor (-1)^{m k1} (-t1)_{m k1}.
+An operator expression applied to a series instance is compiled into a
+combination of shifted instances: each parameter-shifted coefficient grid,
+moved by the index shifts of mul_x and mul_y, enters once with a weight
+array that carries the theta/phi index factors and the t-operator scalars.
+Applying the expression is one multiply-add per shifted instance, so every
+operator acts exactly (no finite differences).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
-from .errors import InvalidOperatorError, MarginError, PoleError
-from .series import (CoefficientGrid, F41Params, F42Params, GridProvenance,
-                     _grid_coeffs)
+from .errors import InvalidOperatorError, MarginError
+from .series import _grid_coeffs
 
 
 class OpKind(str, Enum):
@@ -123,16 +123,12 @@ class OperatorExpr:
                                   for ca, fa in self.terms
                                   for cb, fb in other.terms))
 
-    @property
-    def depth(self) -> int:
-        return max((len(fa) for _, fa in self.terms), default=0)
-
 
 identity_expr = OperatorExpr.of()
 
 
 # ---------------------------------------------------------------------------
-# numeric realization
+# compilation to shifted instances
 # ---------------------------------------------------------------------------
 
 _T_FIELD = {
@@ -145,235 +141,127 @@ _T_FIELD = {
 }
 
 _K_FIELD = {
-    OpKind.SCALED_BIG_THETA_T1: "k1", OpKind.DELTA_T1: "k1",
-    OpKind.SCALED_BIG_THETA_T2: "k2", OpKind.DELTA_T2: "k2",
-    OpKind.SCALED_BIG_THETA_T: "k", OpKind.DELTA_T: "k",
+    OpKind.SCALED_BIG_THETA_T1: "k1",
+    OpKind.SCALED_BIG_THETA_T2: "k2",
+    OpKind.SCALED_BIG_THETA_T: "k",
 }
 
-
-def _scaled_divisor(op: PrimitiveOp, p) -> int:
-    k = int(getattr(p, _K_FIELD[op.kind]))
-    if k < 1:
-        raise InvalidOperatorError(
-            f"{op.kind.value} is undefined at k = {k}; needs k >= 1")
-    return k
+_DELTAS = (OpKind.DELTA_T1, OpKind.DELTA_T2, OpKind.DELTA_T)
+_RHOS = (OpKind.RHO_T1, OpKind.RHO_T2, OpKind.RHO_T)
+_BIG_THETAS = (OpKind.BIG_THETA_T1, OpKind.BIG_THETA_T2, OpKind.BIG_THETA_T)
 
 
-def apply_numeric(op: PrimitiveOp, f: Callable[[complex], complex], p) -> complex:
-    """Apply one primitive numerically.
+class _Instances:
+    """The shifted instances met while compiling one expression, numbered
+    by value.  Entries are keyed by these numbers: hashing the parameter
+    dataclasses on every merge made compilation markedly slower."""
 
-    f is a closure over the single params field the primitive acts on
-    (t1/t2/t for the difference operators, x for theta_x, y for phi_y,
-    op.name for shift_param); p supplies the base field values.  scale and
-    mul evaluate f at the unshifted base (x, or y for mul_y).
+    def __init__(self, p):
+        self.params = [p]
+        self._number = {p: 0}
+        self._shifts = {}
+
+    def shift(self, i: int, name: str, offset) -> int:
+        key = (i, name, offset)
+        j = self._shifts.get(key)
+        if j is None:
+            q = self.params[i]
+            q = q.replace(**{name: getattr(q, name) + offset})
+            j = self._number.setdefault(q, len(self.params))
+            if j == len(self.params):
+                self.params.append(q)
+            self._shifts[key] = j
+        return j
+
+
+def _add(entries: dict, key, w) -> None:
+    prev = entries.get(key)
+    entries[key] = w if prev is None else prev + w
+
+
+def _step(op: PrimitiveOp, entries: dict, inst: _Instances, ms, ns) -> dict:
+    """Entries after one more factor, the next one inward."""
+    out = {}
+    kind = op.kind
+    for (i, dm, dn), w in entries.items():
+        if kind is OpKind.SCALE:
+            _add(out, (i, dm, dn), op.constant * w)
+        elif kind is OpKind.THETA_X:
+            _add(out, (i, dm, dn), w * (ms - dm))
+        elif kind is OpKind.PHI_Y:
+            _add(out, (i, dm, dn), w * (ns - dn))
+        elif kind is OpKind.MUL_X:
+            _add(out, (i, dm + 1, dn), w)
+        elif kind is OpKind.MUL_Y:
+            _add(out, (i, dm, dn + 1), w)
+        elif kind is OpKind.SHIFT_PARAM:
+            _add(out, (inst.shift(i, op.name, op.offset), dm, dn), w)
+        elif kind in _RHOS:
+            _add(out, (inst.shift(i, _T_FIELD[kind], -1), dm, dn), w)
+        elif kind in _DELTAS:
+            _add(out, (inst.shift(i, _T_FIELD[kind], 1), dm, dn), w)
+            _add(out, (i, dm, dn), -w)
+        elif kind in _BIG_THETAS or kind in _K_FIELD:
+            fld = _T_FIELD[kind]
+            q = inst.params[i]
+            t = getattr(q, fld)
+            if kind in _K_FIELD:
+                k = int(getattr(q, _K_FIELD[kind]))
+                if k < 1:
+                    raise InvalidOperatorError(
+                        f"{kind.value} is undefined at k = {k}; needs k >= 1")
+                t = t / k
+            _add(out, (i, dm, dn), t * w)
+            _add(out, (inst.shift(i, fld, -1), dm, dn), -t * w)
+        else:
+            raise InvalidOperatorError(f"unknown primitive kind {kind!r}")
+    return out
+
+
+def compile_expr(e: OperatorExpr, p, M: int, N: int) -> dict:
+    """The expression applied to the series instance p, as a combination of
+    shifted instances: {(q, dm, dn): weight}, where q are the shifted
+    parameters, (dm, dn) the index shift and weight an (M+1, N+1) array in
+    output coordinates.  The applied grid is the sum over keys of weight
+    times the grid of q moved down by dm rows and right by dn columns.
+
+    Factors are read outermost first.  theta_x and phi_y weigh a cell by the
+    index of the function they act on, which is the output index minus the
+    mul_x / mul_y shifts met so far; delta and big_theta split an entry into
+    two instances with t and k read from the instance they act on.  Equal
+    keys are merged, so each distinct shifted grid appears once.
     """
-    kind = op.kind
-    if kind in (OpKind.DELTA_T1, OpKind.DELTA_T2, OpKind.DELTA_T):
-        t = getattr(p, _T_FIELD[kind])
-        return f(t + 1) - f(t)
-    if kind in (OpKind.RHO_T1, OpKind.RHO_T2, OpKind.RHO_T):
-        return f(getattr(p, _T_FIELD[kind]) - 1)
-    if kind in (OpKind.BIG_THETA_T1, OpKind.BIG_THETA_T2, OpKind.BIG_THETA_T):
-        t = getattr(p, _T_FIELD[kind])
-        return t * (f(t) - f(t - 1))
-    if kind in (OpKind.SCALED_BIG_THETA_T1, OpKind.SCALED_BIG_THETA_T2,
-                OpKind.SCALED_BIG_THETA_T):
-        t = getattr(p, _T_FIELD[kind])
-        return t * (f(t) - f(t - 1)) / _scaled_divisor(op, p)
-    if kind is OpKind.THETA_X:
-        x = p.x
-        h = 1e-5 * max(1.0, abs(x))
-        return x * (f(x + h) - f(x - h)) / (2 * h)
-    if kind is OpKind.PHI_Y:
-        y = p.y
-        h = 1e-5 * max(1.0, abs(y))
-        return y * (f(y + h) - f(y - h)) / (2 * h)
-    if kind is OpKind.SHIFT_PARAM:
-        return f(getattr(p, op.name) + op.offset)
-    if kind is OpKind.SCALE:
-        return op.constant * f(p.x)
-    if kind is OpKind.MUL_X:
-        return p.x * f(p.x)
-    if kind is OpKind.MUL_Y:
-        return p.y * f(p.y)
-    raise InvalidOperatorError(f"unknown primitive kind {kind!r}")
+    ms = np.arange(M + 1, dtype=np.complex128)[:, None]
+    ns = np.arange(N + 1, dtype=np.complex128)[None, :]
+    inst = _Instances(p)
+    total = {}
+    for coeff, factors in e.terms:
+        entries = {(0, 0, 0): coeff}
+        for op in factors:
+            entries = _step(op, entries, inst, ms, ns)
+        for key, w in entries.items():
+            _add(total, key, w)
+    return {(inst.params[i], dm, dn): np.full((M + 1, N + 1), w,
+                                             dtype=np.complex128)
+            for (i, dm, dn), w in total.items()}
 
 
-# ---------------------------------------------------------------------------
-# termwise realization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShiftDescriptor:
-    """Parameter and index shifts accompanying a termwise weight."""
-
-    params: Tuple[Tuple[str, int], ...] = ()
-    dm: int = 0
-    dn: int = 0
-
-
-_NO_SHIFT = ShiftDescriptor()
-
-
-def shifted_params(p, desc: ShiftDescriptor):
-    if not desc.params:
-        return p
-    return p.replace(**{name: getattr(p, name) + off
-                        for name, off in desc.params})
-
-
-def termwise_weight(op: PrimitiveOp, m: int, n: int, p):
-    """(diagonal weight, shift descriptor) of a primitive on term (m, n) of
-    a pure series instance; delta is diagonal only at k = 1."""
-    kind = op.kind
-    if kind is OpKind.THETA_X:
-        return complex(m), _NO_SHIFT
-    if kind is OpKind.PHI_Y:
-        return complex(n), _NO_SHIFT
-    if kind is OpKind.BIG_THETA_T1:
-        return complex(m * p.k1), _NO_SHIFT
-    if kind is OpKind.BIG_THETA_T2:
-        return complex(n * p.k2), _NO_SHIFT
-    if kind is OpKind.BIG_THETA_T:
-        return complex((m + n) * p.k), _NO_SHIFT
-    if kind is OpKind.SCALED_BIG_THETA_T1:
-        _scaled_divisor(op, p)
-        return complex(m), _NO_SHIFT
-    if kind is OpKind.SCALED_BIG_THETA_T2:
-        _scaled_divisor(op, p)
-        return complex(n), _NO_SHIFT
-    if kind is OpKind.SCALED_BIG_THETA_T:
-        _scaled_divisor(op, p)
-        return complex(m + n), _NO_SHIFT
-    if kind is OpKind.RHO_T1:
-        return 1.0 + 0j, ShiftDescriptor(params=(("t1", -1),))
-    if kind is OpKind.RHO_T2:
-        return 1.0 + 0j, ShiftDescriptor(params=(("t2", -1),))
-    if kind is OpKind.RHO_T:
-        return 1.0 + 0j, ShiftDescriptor(params=(("t", -1),))
-    if kind in (OpKind.DELTA_T1, OpKind.DELTA_T2, OpKind.DELTA_T):
-        k = int(getattr(p, _K_FIELD[kind]))
-        if k != 1:
-            raise InvalidOperatorError(
-                f"{kind.value} has no diagonal termwise action at k = {k}")
-        t = getattr(p, _T_FIELD[kind])
-        idx = {OpKind.DELTA_T1: m, OpKind.DELTA_T2: n,
-               OpKind.DELTA_T: m + n}[kind]
-        den = t - idx + 1
-        if den == 0:
-            raise PoleError(f"termwise {kind.value} weight pole at "
-                            f"index {idx}, t = {t}")
-        return idx / den, _NO_SHIFT
-    if kind is OpKind.SHIFT_PARAM:
-        return 1.0 + 0j, ShiftDescriptor(params=((op.name, op.offset),))
-    if kind is OpKind.SCALE:
-        return complex(op.constant), _NO_SHIFT
-    if kind is OpKind.MUL_X:
-        return 1.0 + 0j, ShiftDescriptor(dm=1)
-    if kind is OpKind.MUL_Y:
-        return 1.0 + 0j, ShiftDescriptor(dn=1)
-    raise InvalidOperatorError(f"unknown primitive kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# exact grid application
-# ---------------------------------------------------------------------------
-
-def _index_grids(M: int, N: int):
-    return (np.arange(M + 1, dtype=np.complex128)[:, None],
-            np.arange(N + 1, dtype=np.complex128)[None, :])
-
-
-def apply_ops(factors: Tuple[PrimitiveOp, ...], p, M: int, N: int) -> np.ndarray:
-    """Exact coefficient grid of the factor product (right factor first)
-    applied to the series instance p, on the rectangle [0..M] x [0..N].
-
-    Recursive: parameter-shifting primitives re-enter with shifted params,
-    and each delta/big_theta doubles the evaluations beneath it.  Grid
-    construction is cached, so repeated shifted instances are cheap.
-    """
-    if not factors:
-        return np.asarray(_grid_coeffs(p, M, N))
-    op, rest = factors[0], factors[1:]
-    kind = op.kind
-    if kind is OpKind.SCALE:
-        return op.constant * apply_ops(rest, p, M, N)
-    if kind is OpKind.THETA_X:
-        ms, _ = _index_grids(M, N)
-        return ms * apply_ops(rest, p, M, N)
-    if kind is OpKind.PHI_Y:
-        _, ns = _index_grids(M, N)
-        return ns * apply_ops(rest, p, M, N)
-    if kind is OpKind.MUL_X:
-        inner = apply_ops(rest, p, M, N)
-        out = np.zeros_like(inner)
-        out[1:, :] = inner[:-1, :]
-        return out
-    if kind is OpKind.MUL_Y:
-        inner = apply_ops(rest, p, M, N)
-        out = np.zeros_like(inner)
-        out[:, 1:] = inner[:, :-1]
-        return out
-    if kind is OpKind.SHIFT_PARAM:
-        q = p.replace(**{op.name: getattr(p, op.name) + op.offset})
-        return apply_ops(rest, q, M, N)
-    if kind in (OpKind.RHO_T1, OpKind.RHO_T2, OpKind.RHO_T):
-        fld = _T_FIELD[kind]
-        q = p.replace(**{fld: getattr(p, fld) - 1})
-        return apply_ops(rest, q, M, N)
-    if kind in (OpKind.DELTA_T1, OpKind.DELTA_T2, OpKind.DELTA_T):
-        fld = _T_FIELD[kind]
-        up = p.replace(**{fld: getattr(p, fld) + 1})
-        return apply_ops(rest, up, M, N) - apply_ops(rest, p, M, N)
-    if kind in (OpKind.BIG_THETA_T1, OpKind.BIG_THETA_T2, OpKind.BIG_THETA_T,
-                OpKind.SCALED_BIG_THETA_T1, OpKind.SCALED_BIG_THETA_T2,
-                OpKind.SCALED_BIG_THETA_T):
-        fld = _T_FIELD[kind]
-        t = getattr(p, fld)
-        down = p.replace(**{fld: t - 1})
-        out = t * (apply_ops(rest, p, M, N) - apply_ops(rest, down, M, N))
-        if kind in (OpKind.SCALED_BIG_THETA_T1, OpKind.SCALED_BIG_THETA_T2,
-                    OpKind.SCALED_BIG_THETA_T):
-            out = out / _scaled_divisor(op, p)
-        return out
-    raise InvalidOperatorError(f"unknown primitive kind {kind!r}")
+def require_margin(compiled: dict, M: int, N: int) -> None:
+    """MarginError unless the rectangle absorbs every index shift."""
+    dm = max((key[1] for key in compiled), default=0)
+    dn = max((key[2] for key in compiled), default=0)
+    if dm > M or dn > N:
+        raise MarginError(f"rectangle ({M}, {N}) cannot absorb index shifts "
+                          f"({dm}, {dn})")
 
 
 def apply_expr_to_params(e: OperatorExpr, p, M: int, N: int) -> np.ndarray:
+    """Exact coefficient grid of the expression applied to the series
+    instance p, on the rectangle [0..M] x [0..N]."""
+    compiled = compile_expr(e, p, M, N)
+    require_margin(compiled, M, N)
     acc = np.zeros((M + 1, N + 1), dtype=np.complex128)
-    for coeff, factors in e.terms:
-        acc += coeff * apply_ops(factors, p, M, N)
+    for (q, dm, dn), w in compiled.items():
+        g = _grid_coeffs(q, M, N)
+        acc[dm:, dn:] += w[dm:, dn:] * g[:M + 1 - dm, :N + 1 - dn]
     return acc
-
-
-def _index_shift_requirement(e: OperatorExpr):
-    dm = dn = 0
-    for _, factors in e.terms:
-        dm = max(dm, sum(1 for f in factors if f.kind is OpKind.MUL_X))
-        dn = max(dn, sum(1 for f in factors if f.kind is OpKind.MUL_Y))
-    return dm, dn
-
-
-def apply_expr_grid(e: OperatorExpr, g: CoefficientGrid) -> CoefficientGrid:
-    """Apply an operator expression exactly to a coefficient grid.
-
-    Parameter shifts regenerate the shifted-parameter grid; index shifts
-    fill from lower rows, so all output cells on the same rectangle stay
-    exact.  Grids derived here carry (expression, base params) provenance
-    so further applications can keep regenerating.
-    """
-    dm, dn = _index_shift_requirement(e)
-    if dm > g.max_m or dn > g.max_n:
-        raise MarginError(f"rectangle {g.coeffs.shape} cannot absorb index "
-                          f"shifts ({dm}, {dn})")
-    prov = g.provenance
-    if prov.kind == "derived":
-        base_expr, base_params = prov.params
-        effective = e @ base_expr
-    else:
-        base_expr, base_params = None, prov.params
-        effective = e
-    coeffs = apply_expr_to_params(effective, base_params, g.max_m, g.max_n)
-    coeffs.flags.writeable = False
-    return CoefficientGrid(coeffs, GridProvenance(
-        "derived", (effective, base_params), g.max_m, g.max_n))

@@ -158,7 +158,6 @@ class TruncationPolicy:
             raise ValueError("truncation bounds must be nonnegative")
 
 
-AUDIT_POLICY = TruncationPolicy(max_m=20, max_n=20)
 EVAL_POLICY = TruncationPolicy(max_m=40, max_n=40)
 
 
@@ -222,31 +221,19 @@ def _sign_pow(e: int) -> float:
 # scratch (direct Pochhammer) term coefficients: the drift-control oracle
 # ---------------------------------------------------------------------------
 
-def _scratch_parts(parts) -> complex:
-    """Multiply (numerator..., 1/denominator...) parts given as
-    (value, invert) pairs; falls back to nothing fancier because callers keep
-    magnitudes inside the double range at anchor scales."""
-    acc = 1.0 + 0.0j
-    for value, invert in parts:
-        acc = acc / value if invert else acc * value
-    return acc
-
-
 def scratch_coefficient_f41(p: F41Params, m: int, n: int) -> complex:
     num = (pochhammer(p.a, m + n) * pochhammer(p.b, m + n)
            * _sign_pow(m * p.k1) * pochhammer(-p.t1, m * p.k1)
            * _sign_pow(n * p.k2) * pochhammer(-p.t2, n * p.k2))
-    return _scratch_parts([(num, False), (pochhammer(p.c1, m), True),
-                           (pochhammer(p.c2, n), True), (factorial(m), True),
-                           (factorial(n), True)])
+    return (num / pochhammer(p.c1, m) / pochhammer(p.c2, n) / factorial(m)
+            / factorial(n))
 
 
 def scratch_coefficient_f42(p: F42Params, m: int, n: int) -> complex:
     num = (pochhammer(p.a, m + n) * pochhammer(p.b, m + n)
            * _sign_pow((m + n) * p.k) * pochhammer(-p.t, (m + n) * p.k))
-    return _scratch_parts([(num, False), (pochhammer(p.c1, m), True),
-                           (pochhammer(p.c2, n), True), (factorial(m), True),
-                           (factorial(n), True)])
+    return (num / pochhammer(p.c1, m) / pochhammer(p.c2, n) / factorial(m)
+            / factorial(n))
 
 
 def scratch_coefficient_kdf(p: KdfParams, m: int, n: int) -> complex:
@@ -264,20 +251,6 @@ def scratch_coefficient_kdf(p: KdfParams, m: int, n: int) -> complex:
     for v in p.F:
         acc /= pochhammer(v, n)
     return acc / (factorial(m) * factorial(n))
-
-
-def term_f41(p: F41Params, m: int, n: int) -> complex:
-    """Full series term A_{m,n} x^m y^n of the first analogue."""
-    if m < 0 or n < 0:
-        raise ValueError("term indices must be nonnegative")
-    return scratch_coefficient_f41(p, m, n) * p.x ** m * p.y ** n
-
-
-def term_f42(p: F42Params, m: int, n: int) -> complex:
-    """Full series term of the second analogue."""
-    if m < 0 or n < 0:
-        raise ValueError("term indices must be nonnegative")
-    return scratch_coefficient_f42(p, m, n) * p.x ** m * p.y ** n
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +559,16 @@ def _sum_terms(coeffs: np.ndarray, x: complex, y: complex,
                             max_term_ratio=float(max_term_ratio))
 
 
-def eval_f41(p: F41Params, pol: TruncationPolicy = EVAL_POLICY) -> EvaluationResult:
-    """Truncated sum of the first analogue with growth diagnostics."""
+def evaluate(p: SeriesParams,
+             pol: TruncationPolicy = EVAL_POLICY) -> EvaluationResult:
+    """Truncated sum of either analogue or a Kampe de Feriet series, with
+    growth diagnostics."""
     coeffs = _grid_coeffs(p, pol.max_m, pol.max_n)
     return _sum_terms(coeffs, p.x, p.y, pol)
 
 
-def eval_f42(p: F42Params, pol: TruncationPolicy = EVAL_POLICY) -> EvaluationResult:
-    """Truncated sum of the second analogue with growth diagnostics."""
-    coeffs = _grid_coeffs(p, pol.max_m, pol.max_n)
-    return _sum_terms(coeffs, p.x, p.y, pol)
+# the documented per-function names of the one evaluator
+eval_f41 = eval_f42 = eval_kdf = evaluate
 
 
 def eval_f4_classic(a, b, c1, c2, x, y,
@@ -608,13 +581,7 @@ def eval_f4_classic(a, b, c1, c2, x, y,
             "guarantee; returning the flagged partial sum",
             ConvergenceRegionWarning, stacklevel=2)
     p = F41Params(a=a, b=b, c1=c1, c2=c2, t1=0.0, t2=0.0, k1=0, k2=0, x=x, y=y)
-    return eval_f41(p, pol)
-
-
-def eval_kdf(p: KdfParams, pol: TruncationPolicy = EVAL_POLICY) -> EvaluationResult:
-    """Truncated Kampe de Feriet double sum."""
-    coeffs = _grid_coeffs(p, pol.max_m, pol.max_n)
-    return _sum_terms(coeffs, p.x, p.y, pol)
+    return evaluate(p, pol)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ schemas, and the determinism contract (same flags, same bytes).
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from appell4.cli import RunConfig, dump_json, main
+import appell4
+from appell4.cli import dump_json, main
 from appell4.series import (F41Params, KdfParams, TruncationPolicy, eval_f41,
                             eval_kdf)
 
@@ -91,6 +95,18 @@ class TestEvalCommand:
         _, first = run(capsys, *argv)
         _, second = run(capsys, *argv)
         assert first == second
+
+    def test_module_run_is_warning_free(self):
+        src = os.path.dirname(os.path.dirname(appell4.__file__))
+        path = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "appell4.cli", "eval", "--fn", "F4",
+             "--x", "0.1", "--y", "0.1"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 class TestAuditCommand:
@@ -275,13 +291,6 @@ class TestConfigHandling:
     def test_missing_config_exits_two(self, capsys, tmp_path):
         assert run(capsys, "eval", "--config",
                    str(tmp_path / "absent.json"))[0] == 2
-
-    def test_run_config_round_trips(self):
-        cfg = RunConfig("audit", {"seed": 7, "draws": 20, "m_max": 12,
-                                  "n_max": 12, "tolerance": 1e-10,
-                                  "family": "A", "target": None,
-                                  "include_suspected": False, "out": None})
-        assert RunConfig.from_json(cfg.to_json()) == cfg
 
     def test_dump_json_formats(self):
         text = dump_json({"z": complex(1, -2), "flag": True, "s": "hi",

@@ -1,27 +1,24 @@
-"""Operator calculus tests: numeric and termwise realizations, grid
-application, composition order, and the difference-differential equations
-that must annihilate the series."""
+"""Operator calculus tests: the finite-difference reference, the compiled
+shifted-instance form, exact grid application, composition order, and the
+difference-differential equations that must annihilate the series."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import appell4.operators as operators
 from appell4.errors import InvalidOperatorError, MarginError
 from appell4.kernels import pochhammer
 from appell4.operators import (
     OperatorExpr,
     OpKind,
-    apply_expr_grid,
     apply_expr_to_params,
-    apply_numeric,
-    apply_ops,
     big_theta_t,
     big_theta_t1,
     big_theta_t2,
-    delta_t,
+    compile_expr,
     delta_t1,
-    delta_t2,
     identity_expr,
     mul_x,
     mul_y,
@@ -34,12 +31,57 @@ from appell4.operators import (
     scaled_big_theta_t1,
     scaled_big_theta_t2,
     shift_param,
-    shifted_params,
-    termwise_weight,
     theta_x,
 )
 from appell4.series import (F41Params, F42Params, TruncationPolicy,
                             coefficient_grid, eval_f41)
+
+
+def apply_numeric(op, f, p) -> complex:
+    """Apply one primitive numerically: the reference the exact grid
+    application is checked against.
+
+    f is a closure over the single params field the primitive acts on
+    (t1/t2/t for the difference operators, x for theta_x, y for phi_y,
+    op.name for shift_param); p supplies the base field values.  scale and
+    mul evaluate f at the unshifted base (x, or y for mul_y).
+    """
+    kind = op.kind
+    # a t-operator's name ends in the field it acts on: delta_t1 -> t1
+    fld = kind.value.rsplit("_", 1)[1]
+    if kind in (OpKind.DELTA_T1, OpKind.DELTA_T2, OpKind.DELTA_T):
+        t = getattr(p, fld)
+        return f(t + 1) - f(t)
+    if kind in (OpKind.RHO_T1, OpKind.RHO_T2, OpKind.RHO_T):
+        return f(getattr(p, fld) - 1)
+    if kind in (OpKind.BIG_THETA_T1, OpKind.BIG_THETA_T2, OpKind.BIG_THETA_T):
+        t = getattr(p, fld)
+        return t * (f(t) - f(t - 1))
+    if kind in (OpKind.SCALED_BIG_THETA_T1, OpKind.SCALED_BIG_THETA_T2,
+                OpKind.SCALED_BIG_THETA_T):
+        t = getattr(p, fld)
+        k = int(getattr(p, "k" + fld[1:]))
+        if k < 1:
+            raise InvalidOperatorError(
+                f"{kind.value} is undefined at k = {k}; needs k >= 1")
+        return t * (f(t) - f(t - 1)) / k
+    if kind is OpKind.THETA_X:
+        x = p.x
+        h = 1e-5 * max(1.0, abs(x))
+        return x * (f(x + h) - f(x - h)) / (2 * h)
+    if kind is OpKind.PHI_Y:
+        y = p.y
+        h = 1e-5 * max(1.0, abs(y))
+        return y * (f(y + h) - f(y - h)) / (2 * h)
+    if kind is OpKind.SHIFT_PARAM:
+        return f(getattr(p, op.name) + op.offset)
+    if kind is OpKind.SCALE:
+        return op.constant * f(p.x)
+    if kind is OpKind.MUL_X:
+        return p.x * f(p.x)
+    if kind is OpKind.MUL_Y:
+        return p.y * f(p.y)
+    raise InvalidOperatorError(f"unknown primitive kind {kind!r}")
 
 
 def rel(actual, expected):
@@ -133,88 +175,100 @@ class TestApplyNumeric:
         assert apply_numeric(mul_y, lambda y: 2.0, ns) == 1.0
 
 
+def applied(op, p, M=8, N=8):
+    return apply_expr_to_params(OperatorExpr.of(op), p, M, N)
+
+
+def grid_err(actual, expected):
+    """Largest cell error relative to the largest expected cell."""
+    return (float(np.abs(actual - expected).max())
+            / float(np.abs(expected).max()))
+
+
 class TestTermwise:
+    """Index weights of single primitives on pure series instances."""
+
     def test_spec_weights(self):
-        w, sh = termwise_weight(theta_x, 4, 7, P)
-        assert w == 4 and sh.params == () and sh.dm == sh.dn == 0
-        w, _ = termwise_weight(phi_y, 4, 7, P)
-        assert w == 7
+        g = coefficient_grid(P, 8, 8).coeffs
+        ms, ns = np.arange(9)[:, None], np.arange(9)[None, :]
+        assert np.array_equal(applied(theta_x, P), ms * g)
+        assert np.array_equal(applied(phi_y, P), ns * g)
         p42 = F42Params(1, 1, 2, 2, 1.5, 2, 0.1, 0.1)
-        w, _ = termwise_weight(scaled_big_theta_t, 2, 3, p42)
-        assert w == 5
+        g42 = coefficient_grid(p42, 8, 8).coeffs
+        assert grid_err(applied(scaled_big_theta_t, p42), (ms + ns) * g42) \
+            < 1e-12
 
     def test_big_theta_eigen_weights(self):
+        # big_theta_t1 acts on a pure instance with eigenvalue m * k1
         p = F41Params(1, 1, 2, 2, 1.5, 2.5, 3, 2, 0.1, 0.1)
-        assert termwise_weight(big_theta_t1, 4, 1, p)[0] == 12
-        assert termwise_weight(big_theta_t2, 4, 5, p)[0] == 10
-        assert termwise_weight(scaled_big_theta_t1, 4, 1, p)[0] == 4
-        assert termwise_weight(scaled_big_theta_t2, 4, 5, p)[0] == 5
+        g = coefficient_grid(p, 8, 8).coeffs
+        ms, ns = np.arange(9)[:, None], np.arange(9)[None, :]
+        assert grid_err(applied(big_theta_t1, p), 3 * ms * g) < 1e-12
+        assert grid_err(applied(big_theta_t2, p), 2 * ns * g) < 1e-12
+        assert grid_err(applied(scaled_big_theta_t1, p), ms * g) < 1e-12
+        assert grid_err(applied(scaled_big_theta_t2, p), ns * g) < 1e-12
 
     def test_rho_shift_descriptor(self):
-        w, sh = termwise_weight(rho_t1, 3, 3, P)
-        assert w == 1 and sh.params == (("t1", -1),)
-        q = shifted_params(P, sh)
-        assert q.t1 == P.t1 - 1 and q.t2 == P.t2
+        compiled = compile_expr(OperatorExpr.of(rho_t1), P, 3, 3)
+        (q, dm, dn), = compiled
+        assert q.t1 == P.t1 - 1 and q.t2 == P.t2 and (dm, dn) == (0, 0)
+        assert np.all(compiled[q, 0, 0] == 1)
 
     def test_mul_x_index_shift(self):
-        w, sh = termwise_weight(mul_x, 3, 3, P)
-        assert w == 1 and sh.dm == 1 and sh.dn == 0
+        compiled = compile_expr(OperatorExpr.of(mul_x), P, 3, 3)
+        assert list(compiled) == [(P, 1, 0)]
 
     def test_delta_weight_k1(self):
-        w, sh = termwise_weight(delta_t1, 3, 0, P)
-        assert rel(w, 3 / (P.t1 - 3 + 1)) < 1e-15
-        assert sh.params == ()
-
-    def test_delta_rejected_for_k_not_1(self):
-        p = F41Params(1, 1, 2, 2, 1.5, 2.5, 2, 1, 0.1, 0.1)
-        with pytest.raises(InvalidOperatorError):
-            termwise_weight(delta_t1, 3, 0, p)
-        with pytest.raises(InvalidOperatorError):
-            termwise_weight(delta_t, 1, 1,
-                            F42Params(1, 1, 2, 2, 1.5, 0, 0.1, 0.1))
+        # at k1 = 1, delta_t1 is diagonal with weight m / (t1 - m + 1)
+        g = coefficient_grid(P, 8, 8).coeffs
+        ms = np.arange(9)[:, None]
+        assert grid_err(applied(delta_t1, P), ms / (P.t1 - ms + 1) * g) \
+            < 1e-12
 
 
 class TestApplyGrid:
     def test_identity_expression(self):
         g = coefficient_grid(P, 8, 8)
-        out = apply_expr_grid(identity_expr, g)
-        assert np.array_equal(out.coeffs, g.coeffs)
+        out = apply_expr_to_params(identity_expr, P, 8, 8)
+        assert np.array_equal(out, g.coeffs)
 
     def test_theta_scales_by_m(self):
         g = coefficient_grid(P, 8, 8)
-        out = apply_expr_grid(OperatorExpr.of(theta_x), g)
-        assert np.array_equal(out.coeffs, g.coeffs * np.arange(9)[:, None])
+        out = apply_expr_to_params(OperatorExpr.of(theta_x), P, 8, 8)
+        assert np.array_equal(out, g.coeffs * np.arange(9)[:, None])
 
     def test_mul_x_shifts_rows(self):
         g = coefficient_grid(P, 8, 8)
-        out = apply_expr_grid(OperatorExpr.of(mul_x), g)
-        assert np.all(out.coeffs[0, :] == 0)
-        assert np.array_equal(out.coeffs[1:, :], g.coeffs[:-1, :])
+        out = apply_expr_to_params(OperatorExpr.of(mul_x), P, 8, 8)
+        assert np.all(out[0, :] == 0)
+        assert np.array_equal(out[1:, :], g.coeffs[:-1, :])
 
     def test_margin_error(self):
-        g = coefficient_grid(P, 1, 1)
         deep = OperatorExpr.of(mul_x, mul_x, mul_x)
         with pytest.raises(MarginError):
-            apply_expr_grid(deep, g)
-
-    def test_composition_matches_chaining(self):
-        g = coefficient_grid(P, 8, 8)
-        prims = [big_theta_t1, delta_t1, rho_t2, theta_x, mul_y,
-                 shift_param("a", 1)]
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            A = OperatorExpr.of(prims[rng.integers(0, len(prims))])
-            B = OperatorExpr.of(prims[rng.integers(0, len(prims))])
-            g1 = apply_expr_grid(A @ B, g).coeffs
-            g2 = apply_expr_grid(A, apply_expr_grid(B, g)).coeffs
-            scale_ = max(float(np.abs(g1).max()), 1e-300)
-            assert float(np.abs(g1 - g2).max()) / scale_ < 1e-13
+            apply_expr_to_params(deep, P, 1, 1)
 
     def test_order_matters(self):
-        g = coefficient_grid(P, 8, 8)
-        AB = apply_expr_grid(OperatorExpr.of(big_theta_t1, delta_t1), g).coeffs
-        BA = apply_expr_grid(OperatorExpr.of(delta_t1, big_theta_t1), g).coeffs
+        AB = apply_expr_to_params(OperatorExpr.of(big_theta_t1, delta_t1),
+                                  P, 8, 8)
+        BA = apply_expr_to_params(OperatorExpr.of(delta_t1, big_theta_t1),
+                                  P, 8, 8)
         assert float(np.abs(AB - BA).max()) > 1e-8
+
+    def test_big_theta_cube_requests_each_shift_once(self, monkeypatch):
+        # the recursive realization requested 8 grids (one per leaf)
+        requested = []
+        grid = operators._grid_coeffs
+
+        def counting(q, M, N):
+            requested.append(q.t1)
+            return grid(q, M, N)
+
+        monkeypatch.setattr(operators, "_grid_coeffs", counting)
+        cube = OperatorExpr.of(big_theta_t1, big_theta_t1, big_theta_t1)
+        apply_expr_to_params(cube, P, 6, 6)
+        assert sorted(requested, key=lambda t: t.real) == \
+            [P.t1 - j for j in (3, 2, 1, 0)]
 
     def test_exact_vs_numeric_on_terminating(self):
         pol = TruncationPolicy(10, 10)
@@ -232,7 +286,7 @@ class TestApplyGrid:
         ]
         for op, closure in cases:
             numeric = apply_numeric(op, closure, PT)
-            exact = (apply_ops((op,), PT, 10, 10) * xp * yp).sum()
+            exact = (applied(op, PT, 10, 10) * xp * yp).sum()
             assert rel(numeric, exact) < 1e-9, op.kind
 
     def test_theta_fd_matches_termwise(self):
