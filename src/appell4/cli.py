@@ -282,17 +282,14 @@ def cmd_audit(cfg: RunConfig) -> int:
 
 def cmd_quadcheck(cfg: RunConfig) -> int:
     o = cfg.options
-    order = int(o["order"])
-    if not 2 <= order <= 256:
-        raise ValueError(f"order must lie in [2, 256], got {order}")
+    rule = laguerre_rule(int(o["order"]))
     k = int(o["k"])
     p = F41Params(_cplx(o["a"]), _cplx(o["b"]), _cplx(o["c1"]), _cplx(o["c2"]),
                   _cplx(o["t1"]), _cplx(o["t2"]), k, k,
                   _cplx(o["x"]), _cplx(o["y"]))
     spec = IntegralRepSpec(RepKind(o["which"]), k, p)
     pol = TruncationPolicy(int(o["m_max"]), int(o["n_max"]))
-    report = integral_rep_check(spec, laguerre_rule(order), pol,
-                                float(o["tolerance"]))
+    report = integral_rep_check(spec, rule, pol, float(o["tolerance"]))
     _emit(dump_json(report.as_dict()), o["out"])
     return _OK if report.passed else _CHECK_FAILED
 

@@ -98,11 +98,14 @@ def _christoffel_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def laguerre_rule(order: int) -> LaguerreRule:
-    """Golub-Welsch construction from the Laguerre recurrence coefficients."""
+    """Golub-Welsch construction from the Laguerre recurrence coefficients.
+
+    An order that is not an integer in [2, 256] is a ValueError (exit 2 in
+    the CLI)."""
     if not isinstance(order, int) or isinstance(order, bool) or \
             not 2 <= order <= _MAX_ORDER:
-        raise ConstraintError(f"order must be an integer in [2, {_MAX_ORDER}], "
-                              f"got {order!r}")
+        raise ValueError(f"order must be an integer in [2, {_MAX_ORDER}], "
+                         f"got {order!r}")
     j = np.arange(order, dtype=np.float64)
     jacobi = np.diag(2.0 * j + 1.0) + np.diag(j[1:], 1) + np.diag(j[1:], -1)
     try:

@@ -17,6 +17,7 @@ as drift control.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -139,6 +140,14 @@ SeriesParams = Union[F41Params, F42Params, KdfParams]
 
 
 class TruncationMode(str, Enum):
+    """How much of the truncation rectangle is summed.
+
+    FIXED_RECTANGLE sums every anti-diagonal.  ADAPTIVE stops after three
+    consecutive anti-diagonals whose absolute block sum falls below
+    tail_tol times the partial sum; it still builds the full rectangle and
+    computes every block sum, and only shortens the sum.
+    """
+
     FIXED_RECTANGLE = "fixed_rectangle"
     ADAPTIVE = "adaptive"
 
@@ -482,6 +491,132 @@ def coefficient_grid(p: SeriesParams, M: int, N: int) -> CoefficientGrid:
 # evaluation with anti-diagonal block diagnostics
 # ---------------------------------------------------------------------------
 
+# numpy sums a run of n reals pairwise (Higham, Accuracy and Stability of
+# Numerical Algorithms, sec. 4.2): below 8 reals one by one from zero; up to
+# 128 in 8 interleaved accumulators seeded with the first block, folded as a
+# tree, then the leftover reals one by one; above 128 as the sum of the two
+# halves split at n/2 rounded down to a multiple of 8.  The plans below replay
+# that order for every anti-diagonal at once, so each block sum is bit for bit
+# the np.trace of its diagonal and reports do not move in the last digit.
+_PW_UNROLL = 8
+_PW_BLOCKSIZE = 128
+
+
+class _PairwiseRows:
+    """Sums of ragged rows in numpy's pairwise order.
+
+    `rows` holds one array of flat source indices per row; `unit` is the
+    number of reals per entry (2 for complex).  Calling the plan on a flat
+    source array whose last entry is zero returns the row sums.  Zero
+    padding is exact: x + 0 == x, and the final + 0.0 gives an all-zero row
+    numpy's +0 sign.
+    """
+
+    def __init__(self, rows, unit: int, zero: int):
+        width = _PW_UNROLL // unit          # entries per block
+        leaves, joins = [], []              # joins: (left, right, height)
+
+        def node(idx):
+            """(reference, height); leaves are numbered 0, 1, ..., joins
+            -1, -2, ..."""
+            n = len(idx) * unit
+            if n <= _PW_BLOCKSIZE:
+                leaves.append(idx)
+                return len(leaves) - 1, 0
+            half = n // 2 - n // 2 % _PW_UNROLL
+            (left, hl), (right, hr) = (node(idx[:half // unit]),
+                                       node(idx[half // unit:]))
+            joins.append((left, right, 1 + max(hl, hr)))
+            return -len(joins), joins[-1][2]
+
+        roots = [node(np.asarray(idx, dtype=np.intp))[0] for idx in rows]
+        nblocks = max([len(idx) // width for idx in leaves
+                       if len(idx) >= width] + [1])
+        self.blocks = np.full((len(leaves), nblocks, width), zero, np.intp)
+        self.rest = np.full((len(leaves), width - 1), zero, np.intp)
+        for i, idx in enumerate(leaves):
+            # a run shorter than one block is all rest, summed from zero
+            cut = len(idx) - len(idx) % width if len(idx) >= width else 0
+            self.blocks[i].flat[:cut] = idx[:cut]
+            self.rest[i, :len(idx) - cut] = idx[cut:]
+
+        def number(ref: int) -> int:
+            return ref if ref >= 0 else len(leaves) - 1 - ref
+
+        self.levels = []
+        for h in sorted({j[2] for j in joins}):
+            level = [(number(-1 - i), number(left), number(right))
+                     for i, (left, right, height) in enumerate(joins)
+                     if height == h]
+            self.levels.append(tuple(np.array(v, dtype=np.intp)
+                                     for v in zip(*level)))
+        self.nodes = len(leaves) + len(joins)
+        self.roots = np.array([number(r) for r in roots], dtype=np.intp)
+
+    def __call__(self, src: np.ndarray) -> np.ndarray:
+        blocks = src[self.blocks]
+        acc = blocks[:, 0].copy()
+        for j in range(1, blocks.shape[1]):
+            acc += blocks[:, j]
+        while acc.shape[1] > 1:
+            acc = acc[:, 0::2] + acc[:, 1::2]
+        leaf = acc[:, 0]
+        rest = src[self.rest]
+        for j in range(rest.shape[1]):
+            leaf += rest[:, j]
+        sums = np.empty(self.nodes, dtype=src.dtype)
+        sums[:len(leaf)] = leaf
+        for out, left, right in self.levels:
+            sums[out] = sums[left] + sums[right]
+        return sums[self.roots] + 0.0
+
+
+@dataclass(frozen=True)
+class _DiagonalPlan:
+    """Anti-diagonal layout of an (M+1) x (N+1) grid, read through
+    np.fliplr: flat index m (N+1) + N - n of term (m, n), the zero appended
+    at flat index (M+1)(N+1).  Row d of `gather` is diagonal d in
+    np.diagonal order (m increasing), padded with that zero."""
+
+    gather: np.ndarray
+    complex_sums: _PairwiseRows
+    real_sums: _PairwiseRows
+
+
+@lru_cache(maxsize=16)
+def _diagonal_plan(M: int, N: int) -> _DiagonalPlan:
+    zero = (M + 1) * (N + 1)
+    rows = []
+    for d in range(M + N + 1):
+        ms = np.arange(max(0, d - N), min(d, M) + 1)
+        rows.append(ms * (N + 1) + N - (d - ms))
+    gather = np.full((len(rows), min(M, N) + 1), zero, np.intp)
+    for d, idx in enumerate(rows):
+        gather[d, :len(idx)] = idx
+    return _DiagonalPlan(gather, _PairwiseRows(rows, 2, zero),
+                         _PairwiseRows(rows, 1, zero))
+
+
+def _with_zero(a: np.ndarray) -> np.ndarray:
+    """Flat copy of a (any strides, C order) with a zero appended."""
+    out = np.zeros(a.size + 1, dtype=a.dtype)
+    out[:-1].reshape(a.shape)[...] = a
+    return out
+
+
+def _diagonal_stats(terms: np.ndarray):
+    """Per anti-diagonal d = m + n: the sum of terms, the sum of their
+    absolute values and the count of nonzero terms, as arrays, with the
+    rounding of np.trace on the diagonals of np.fliplr(terms)."""
+    plan = _diagonal_plan(terms.shape[0] - 1, terms.shape[1] - 1)
+    flipped = np.fliplr(terms)
+    # np.abs rounds differently on contiguous and on strided complex input
+    # in the last bit; the flipped view is what the block sums always read
+    abs_src = _with_zero(np.abs(flipped))
+    return (plan.complex_sums(_with_zero(flipped)), plan.real_sums(abs_src),
+            np.count_nonzero(abs_src[plan.gather], axis=1))
+
+
 def _final_quartile(seq):
     if not seq:
         return []
@@ -507,13 +642,9 @@ def _sum_terms(coeffs: np.ndarray, x: complex, y: complex,
     terms = coeffs * xp[:, None] * yp[None, :]
 
     # anti-diagonal block sums in increasing total degree
-    flipped = np.fliplr(terms)
-    block_sums = [np.trace(flipped, offset=N - d) for d in range(M + N + 1)]
-    abs_flipped = np.abs(flipped)
-    abs_blocks = [float(np.trace(abs_flipped, offset=N - d))
-                  for d in range(M + N + 1)]
-    nonzero_counts = [int(np.count_nonzero(
-        np.diagonal(abs_flipped, offset=N - d))) for d in range(M + N + 1)]
+    block_sums, abs_blocks, nonzero_counts = _diagonal_stats(terms)
+    abs_blocks = abs_blocks.tolist()
+    nonzero_counts = nonzero_counts.tolist()
 
     total = 0.0 + 0.0j
     terms_used = 0
@@ -559,11 +690,17 @@ def _sum_terms(coeffs: np.ndarray, x: complex, y: complex,
                             max_term_ratio=float(max_term_ratio))
 
 
+def _without_args(p: SeriesParams) -> SeriesParams:
+    """p with x = y = 0: the grid cache key, since coefficients do not
+    depend on the arguments."""
+    return dataclasses.replace(p, x=0j, y=0j)
+
+
 def evaluate(p: SeriesParams,
              pol: TruncationPolicy = EVAL_POLICY) -> EvaluationResult:
     """Truncated sum of either analogue or a Kampe de Feriet series, with
     growth diagnostics."""
-    coeffs = _grid_coeffs(p, pol.max_m, pol.max_n)
+    coeffs = _grid_coeffs(_without_args(p), pol.max_m, pol.max_n)
     return _sum_terms(coeffs, p.x, p.y, pol)
 
 
@@ -632,30 +769,28 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     """Anti-diagonal growth report on the square rectangle [0..M]^2."""
     if M < 8:
         raise ValueError("divergence diagnostic needs M >= 8")
-    coeffs = _grid_coeffs(p, M, M)
+    coeffs = _grid_coeffs(_without_args(p), M, M)
     xp = np.power(complex(p.x), np.arange(M + 1), dtype=np.complex128)
     yp = np.power(complex(p.y), np.arange(M + 1), dtype=np.complex128)
     terms = coeffs * xp[:, None] * yp[None, :]
-    abs_terms = np.abs(terms)
     abs_coeffs = np.abs(coeffs)
-    ax, ay = abs(p.x), abs(p.y)
+    plan = _diagonal_plan(M, M)
+    abs_blocks = plan.real_sums(_with_zero(np.fliplr(np.abs(terms)))).tolist()
 
-    abs_blocks = []
-    directional = []
-    for d in range(2 * M + 1):
-        ms = np.arange(max(0, d - M), min(d, M) + 1)
-        ns = d - ms
-        abs_blocks.append(float(abs_terms[ms, ns].sum()))
-        best = 0.0
-        for m, n in zip(ms, ns):
-            base = abs_coeffs[m, n]
-            if base == 0.0:
-                continue
-            if m + 1 <= M:
-                best = max(best, abs_coeffs[m + 1, n] / base * ax)
-            if n + 1 <= M:
-                best = max(best, abs_coeffs[m, n + 1] / base * ay)
-        directional.append(best)
+    # largest term ratio one step along m or n, over cells with a nonzero
+    # coefficient; fmax drops the NaN of an overflowed ratio times a zero
+    # argument, as the scalar max over cells did
+    with np.errstate(over="ignore", invalid="ignore"):
+        down = np.divide(abs_coeffs[1:, :], abs_coeffs[:-1, :],
+                         out=np.zeros((M, M + 1)),
+                         where=abs_coeffs[:-1, :] != 0.0) * abs(p.x)
+        right = np.divide(abs_coeffs[:, 1:], abs_coeffs[:, :-1],
+                          out=np.zeros((M + 1, M)),
+                          where=abs_coeffs[:, :-1] != 0.0) * abs(p.y)
+    best = np.zeros((M + 1, M + 1))
+    np.fmax(best[:-1, :], down, out=best[:-1, :])
+    np.fmax(best[:, :-1], right, out=best[:, :-1])
+    directional = _with_zero(np.fliplr(best))[plan.gather].max(axis=1)
 
     # ratios over complete anti-diagonals only (d <= M on the square)
     ratios = _block_ratios(abs_blocks[:M + 1])
@@ -664,6 +799,6 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     monotone = (divergence_flag and len(tail) >= 2
                 and all(b > a for a, b in zip(tail, tail[1:])))
     return DivergenceReport(block_ratios=tuple(ratios),
-                            directional_max_ratios=tuple(directional),
+                            directional_max_ratios=tuple(directional.tolist()),
                             divergence_flag=divergence_flag,
                             monotone_growth=monotone)

@@ -4,6 +4,7 @@ Each test drives main(argv) in-process and checks exit codes, report
 schemas, and the determinism contract (same flags, same bytes).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import appell4
+import appell4.series as series
 from appell4.cli import dump_json, main
 from appell4.series import (F41Params, KdfParams, TruncationPolicy, eval_f41,
                             eval_kdf)
@@ -299,3 +301,58 @@ class TestConfigHandling:
         assert parsed == {"z": [1, -2], "flag": True, "s": "hi",
                           "n": None, "seq": [0.1]}
         assert text.index('"z"') < text.index('"flag"') < text.index('"s"')
+
+
+class TestGridReuse:
+    """A command evaluates one coefficient set at many arguments; the grid
+    cache is keyed without (x, y), so each set is built once."""
+
+    def misses(self, capsys, *argv):
+        series._grid_coeffs.cache_clear()
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        return series._grid_coeffs.cache_info().misses
+
+    def test_sweep_builds_one_grid(self, capsys):
+        assert self.misses(capsys, "sweep", "--step", "0.1") == 1
+
+    def test_quadcheck_builds_inner_and_direct_grid(self, capsys):
+        # the KdF integrand grid, shared by all 64 nodes, and the F41 grid
+        assert self.misses(capsys, "quadcheck", "--order", "64",
+                           "--x", "0.04", "--y", "0.03") == 2
+
+
+# SHA-256 of the stdout of each command, recorded at the commit before grids
+# were keyed without (x, y) and block sums computed in one pass; both changes
+# must leave every report byte-identical
+GOLDEN = [
+    (["eval", "--fn", "F41", "--a", "1.1", "--b", "0.9", "--c1", "1.6",
+      "--c2", "2.1", "--t1", "3.7", "--t2", "2.2", "--k1", "1", "--k2", "1",
+      "--x", "0.05+0.02j", "--y", "0.03"],
+     "508dfd7e7e7a57447877f930e6b8157ff260cfe8a69b73e23b1a7058c1ab532f"),
+    # k = 1 with non-terminating t: the grid takes the log-space path
+    (["eval", "--fn", "F42", "--a", "1.5", "--b", "2.5", "--c1", "3.1",
+      "--c2", "2.7", "--t", "2.9+1.9j", "--k", "1", "--x", "0.2",
+      "--y", "0.1-0.05j"],
+     "c5847188d0e3596848e3c234fcc2ac5ecee26e2e2d936c1298cf8a43e8ce6409"),
+    (["eval", "--fn", "KdF", "--A", "1.2,0.9", "--B", "0.7", "--C", "0.4",
+      "--D", "2.2", "--E", "1.4", "--F", "1.6", "--x", "0.15", "--y", "0.2"],
+     "25dc7cd9e351f44dab7c6687e10dd138a2471ada8cd98466b06b3c833677c4f6"),
+    (["quadcheck", "--k", "1", "--order", "64", "--a", "3", "--b", "2",
+      "--c1", "1.7", "--c2", "2.3", "--t1", "3", "--t2", "3", "--x", "0.3",
+      "--y", "0.2"],
+     "23b7a126e3ba1d4f97e14efa9e8e7923d0ccaacc48d565dc94f38b1787492dc4"),
+    (["sweep", "--step", "0.1", "--k", "0"],
+     "5e5a88d4be09a0416dafa185a51ff757158a9a131185dde85f09367a68c6c002"),
+    (["sweep", "--step", "0.1", "--k", "1"],
+     "707e62f1af74e979b586b0deaaf134907eb045dcab93e3b75b1c7d689e61621f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN,
+                         ids=["eval-F41", "eval-F42-log", "eval-KdF",
+                              "quadcheck-k1", "sweep-k0", "sweep-k1"])
+def test_golden_stdout(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from appell4.errors import (ConstraintError, QuadratureConvergenceError,
-                            RegimeError)
+from appell4.errors import (Appell4Error, ConstraintError,
+                            QuadratureConvergenceError, RegimeError)
 from appell4.quadrature import (
     IntegralRepSpec,
     LaguerreRule,
@@ -65,8 +65,16 @@ class TestLaguerreRule:
 
     @pytest.mark.parametrize("order", [1, 257, 2.5, "8"])
     def test_order_bounds(self, order):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ValueError):
             laguerre_rule(order)
+
+    def test_bad_order_is_a_value_error_only(self):
+        # one check with one exit code: the CLI maps ValueError to 2, and a
+        # package error (exit 3) must not be raised for a bad order
+        for order in (1, 257, True):
+            with pytest.raises(ValueError) as info:
+                laguerre_rule(order)
+            assert not isinstance(info.value, Appell4Error)
 
     def test_rule_type_rejects_bad_data(self):
         good = laguerre_rule(4)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import appell4.series as series
 from appell4.errors import OverflowSignalError, PoleError, UnsupportedKError
 from appell4.series import (
     ConvergenceRegionWarning,
@@ -356,3 +357,76 @@ class TestRegionAndDivergence:
         r = eval_f41(p, TruncationPolicy(40, 40))
         assert r.divergence_flag
         assert r.max_term_ratio > 1
+
+
+def diagonal_stats_loop(terms):
+    """Reference anti-diagonal statistics: one np.trace / np.diagonal call
+    per diagonal of the flipped grid, the loop series._sum_terms ran before
+    the statistics were computed in one pass."""
+    M = terms.shape[0] - 1
+    N = terms.shape[1] - 1
+    flipped = np.fliplr(terms)
+    block_sums = [np.trace(flipped, offset=N - d) for d in range(M + N + 1)]
+    abs_flipped = np.abs(flipped)
+    abs_blocks = [float(np.trace(abs_flipped, offset=N - d))
+                  for d in range(M + N + 1)]
+    nonzero_counts = [int(np.count_nonzero(
+        np.diagonal(abs_flipped, offset=N - d))) for d in range(M + N + 1)]
+    return block_sums, abs_blocks, nonzero_counts
+
+
+def random_terms(rng, rows, cols):
+    """Complex grid with magnitudes 1e-30..1e30, random phases and 30%
+    exact zeros."""
+    mag = 10.0 ** rng.uniform(-30, 30, size=(rows, cols))
+    phase = np.exp(2j * np.pi * rng.random((rows, cols)))
+    terms = mag * phase
+    terms[rng.random((rows, cols)) < 0.3] = 0.0
+    return terms
+
+
+class TestDiagonalStats:
+    """The one-pass statistics must equal the per-diagonal loop exactly: the
+    block sums feed every value report, which must not move in the last
+    digit."""
+
+    def assert_matches_loop(self, terms):
+        block_sums, abs_blocks, counts = series._diagonal_stats(terms)
+        ref_sums, ref_abs, ref_counts = diagonal_stats_loop(terms)
+        assert block_sums.dtype == np.complex128
+        assert np.array_equal(block_sums, np.array(ref_sums))
+        assert abs_blocks.tolist() == ref_abs
+        assert counts.tolist() == ref_counts
+
+    def test_random_grids_bitwise(self):
+        rng = np.random.default_rng(2024)
+        fixed = [(1, 1), (1, 41), (41, 1), (1, 2), (3, 1), (41, 41),
+                 (13, 13), (7, 30), (30, 7), (65, 9)]
+        shapes = fixed + [tuple(int(v) for v in rng.integers(1, 50, size=2))
+                          for _ in range(500)]
+        for rows, cols in shapes:
+            self.assert_matches_loop(random_terms(rng, rows, cols))
+
+    def test_long_diagonals_take_the_split(self):
+        # diagonals of 140 entries hold 280 (complex) and 140 (float) reals,
+        # past the 128-real block: both sums split into halves
+        rng = np.random.default_rng(7)
+        for shape in ((140, 140), (140, 80), (80, 140)):
+            self.assert_matches_loop(random_terms(rng, *shape))
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        # np.trace starts from +0, so a diagonal of -0 entries sums to +0
+        terms = np.full((7, 12), complex(-0.0, -0.0))
+        block_sums, abs_blocks, counts = series._diagonal_stats(terms)
+        assert not np.signbit(block_sums.real).any()
+        assert not np.signbit(block_sums.imag).any()
+        assert not abs_blocks.any() and not counts.any()
+
+
+class TestGridCacheKey:
+    def test_arguments_share_one_grid(self):
+        series._grid_coeffs.cache_clear()
+        eval_f41(P41)
+        eval_f41(P41.replace(x=-0.2 + 0.1j, y=0.05))
+        info = series._grid_coeffs.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
