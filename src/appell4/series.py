@@ -12,6 +12,18 @@ two t-factors by (-1)^{(m+n) k} (-t)_{(m+n) k}.  Both reduce to classical F4
 at k = 0.  Coefficients factor as W[m+n] * U[m] * V[n]; grids are built from
 ratio recurrences on the three 1-D arrays with periodic from-scratch anchors
 as drift control.
+
+One engine builds the arrays of every family, Kampe de Feriet (KdF) series
+included, from `_chains`: each array is a length, numerator symbols and
+denominator groups.  A symbol, the rising factorial (v)_i or the t-factor
+(-1)^{ik} (-t)_{ik}, gives its ratios, scratch values (`pochhammer`) and logs
+with exact zero flags (`log_pochhammer`).  The fold order fixes every grid's
+rounding, signed zeros included: numerators multiply left to right from the
+first symbol (a t-factor's sign is a factor of its own); each denominator
+group is multiplied out and divided by once (F41/F42: (c)_m m! together;
+KdF: each D, E, F entry and the factorial alone); logs add the numerator
+logs from the first and subtract each denominator log in turn; only KdF
+products start from 1.
 """
 
 from __future__ import annotations
@@ -22,25 +34,23 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from operator import add, mul, neg, sub, truediv
 from typing import Union
 
 import numpy as np
 
 from .errors import OverflowSignalError, PoleError, UnsupportedKError
-from .kernels import factorial, log_pochhammer, pochhammer
+from .kernels import (_is_exact_nonpositive_int, factorial, log_pochhammer,
+                      pochhammer)
 
 
 class ConvergenceRegionWarning(UserWarning):
     """Evaluation requested outside the guaranteed convergence region."""
 
 
-def _as_complex(v) -> complex:
-    return complex(v)
-
-
 def _require_off_pole(name: str, c: complex) -> None:
-    if c.imag == 0.0 and c.real <= 0.0 and c.real == math.floor(c.real):
+    if _is_exact_nonpositive_int(c):
         raise PoleError(f"{name} = {c} is a nonpositive integer (pole lattice)")
 
 
@@ -67,17 +77,13 @@ class F41Params:
 
     def __post_init__(self):
         for name in ("a", "b", "c1", "c2", "t1", "t2", "x", "y"):
-            object.__setattr__(self, name, _as_complex(getattr(self, name)))
+            object.__setattr__(self, name, complex(getattr(self, name)))
         object.__setattr__(self, "k1", _require_k("k1", self.k1))
         object.__setattr__(self, "k2", _require_k("k2", self.k2))
         _require_off_pole("c1", self.c1)
         _require_off_pole("c2", self.c2)
 
-    def replace(self, **kw) -> "F41Params":
-        vals = {f: getattr(self, f) for f in
-                ("a", "b", "c1", "c2", "t1", "t2", "k1", "k2", "x", "y")}
-        vals.update(kw)
-        return F41Params(**vals)
+    replace = dataclasses.replace
 
 
 @dataclass(frozen=True)
@@ -95,16 +101,12 @@ class F42Params:
 
     def __post_init__(self):
         for name in ("a", "b", "c1", "c2", "t", "x", "y"):
-            object.__setattr__(self, name, _as_complex(getattr(self, name)))
+            object.__setattr__(self, name, complex(getattr(self, name)))
         object.__setattr__(self, "k", _require_k("k", self.k))
         _require_off_pole("c1", self.c1)
         _require_off_pole("c2", self.c2)
 
-    def replace(self, **kw) -> "F42Params":
-        vals = {f: getattr(self, f) for f in
-                ("a", "b", "c1", "c2", "t", "k", "x", "y")}
-        vals.update(kw)
-        return F42Params(**vals)
+    replace = dataclasses.replace
 
 
 @dataclass(frozen=True)
@@ -127,13 +129,15 @@ class KdfParams:
 
     def __post_init__(self):
         for name in ("A", "B", "C", "D", "E", "F"):
-            seq = tuple(_as_complex(v) for v in getattr(self, name))
+            seq = tuple(complex(v) for v in getattr(self, name))
             object.__setattr__(self, name, seq)
-        object.__setattr__(self, "x", _as_complex(self.x))
-        object.__setattr__(self, "y", _as_complex(self.y))
+        object.__setattr__(self, "x", complex(self.x))
+        object.__setattr__(self, "y", complex(self.y))
         for name in ("D", "E", "F"):
             for v in getattr(self, name):
                 _require_off_pole(f"{name} entry", v)
+
+    replace = dataclasses.replace
 
 
 SeriesParams = Union[F41Params, F42Params, KdfParams]
@@ -263,7 +267,7 @@ def scratch_coefficient_kdf(p: KdfParams, m: int, n: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# separable 1-D factor arrays with ratio recurrences and scratch anchors
+# one coefficient engine: separable factor arrays read from symbol tables
 # ---------------------------------------------------------------------------
 
 # distance between from-scratch anchors in each 1-D factor array; one anchor
@@ -271,202 +275,194 @@ def scratch_coefficient_kdf(p: KdfParams, m: int, n: int) -> complex:
 # grid cell of the separable product
 _ANCHOR_STRIDE = 4
 
-
-@dataclass(frozen=True)
-class _ChainSpec:
-    """One separable factor array: value and log-space generators."""
-
-    length: int
-    ratio_at: object     # i -> arr[i+1] / arr[i]
-    scratch_at: object   # i -> arr[i] by direct Pochhammer products
-    log_scratch_at: object  # i -> (log arr[i], is_zero)
-
-
-def _segments(length: int):
-    for start in range(0, length + 1, _ANCHOR_STRIDE):
-        stop = min(start + _ANCHOR_STRIDE - 1, length)
-        yield start, stop
-
-
-def _chain_linear(spec: _ChainSpec) -> np.ndarray:
-    """arr[i+1] = arr[i] * ratio_at(i), re-anchored from scratch every
-    _ANCHOR_STRIDE entries; may contain inf/nan at extreme scales."""
-    arr = np.empty(spec.length + 1, dtype=np.complex128)
-    for start, stop in _segments(spec.length):
-        arr[start] = spec.scratch_at(start)
-        for i in range(start, stop):
-            arr[i + 1] = arr[i] * spec.ratio_at(i)
-    return arr
-
-
-def _chain_log(spec: _ChainSpec):
-    """Log-space variant for scales beyond the double range; returns
-    (logs, zero_mask)."""
-    logs = np.zeros(spec.length + 1, dtype=np.complex128)
-    zero = np.zeros(spec.length + 1, dtype=bool)
-    for start, stop in _segments(spec.length):
-        lg, is_zero = spec.log_scratch_at(start)
-        logs[start], zero[start] = lg, is_zero
-        for i in range(start, stop):
-            if zero[i]:
-                zero[i + 1] = True
-                continue
-            r = spec.ratio_at(i)
-            if r == 0:
-                zero[i + 1] = True
-            else:
-                logs[i + 1] = logs[i] + cmath.log(r)
-    return logs, zero
-
-
-def _t_factor_ratio(t: complex, k: int, i: int) -> complex:
-    """Ratio ((-1)^{(i+1)k} (-t)_{(i+1)k}) / ((-1)^{ik} (-t)_{ik})."""
-    acc = _sign_pow(k)
-    for j in range(k):
-        acc *= -t + i * k + j
-    return acc
-
-
 _IPI = 1j * math.pi
 
 
-def _log_t_factor(t: complex, k: int, i: int):
-    """(log, is_zero) of (-1)^{ik} (-t)_{ik}."""
-    lp = log_pochhammer(-t, i * k)
-    return lp.log + _IPI * ((i * k) % 2), lp.is_zero
+# A symbol gives, over a list of indices i, its ratios (value at i + 1 over
+# value at i), its scratch values as factor columns multiplied in order, and
+# its logs with exact zero flags.
+
+class _Rising:
+    """The rising factorial (v)_i."""
+
+    def __init__(self, v: complex):
+        self.v = v
+
+    def ratios(self, idx):
+        return [[self.v + i for i in idx]]
+
+    def values(self, idx):
+        return [[pochhammer(self.v, i) for i in idx]]
+
+    def logs(self, idx):
+        lps = [log_pochhammer(self.v, i) for i in idx]
+        return [lp.log for lp in lps], [lp.is_zero for lp in lps]
 
 
-def _f41_specs(p: F41Params, M: int, N: int):
-    def w_ratio(l):
-        return (p.a + l) * (p.b + l)
+class _Factorial(_Rising):
+    """i! = (1)_i, its scratch values through factorial()."""
 
-    def w_scratch(l):
-        return pochhammer(p.a, l) * pochhammer(p.b, l)
-
-    def w_log(l):
-        la, lb = log_pochhammer(p.a, l), log_pochhammer(p.b, l)
-        return la.log + lb.log, la.is_zero or lb.is_zero
-
-    def u_like(t, k, c):
-        def ratio(m):
-            return _t_factor_ratio(t, k, m) / ((c + m) * (m + 1))
-
-        def scratch(m):
-            return (_sign_pow(m * k) * pochhammer(-t, m * k)
-                    / (pochhammer(c, m) * factorial(m)))
-
-        def log_scratch(m):
-            lt, is_zero = _log_t_factor(t, k, m)
-            return (lt - log_pochhammer(c, m).log
-                    - log_pochhammer(1.0, m).log, is_zero)
-
-        return ratio, scratch, log_scratch
-
-    return (_ChainSpec(M + N, w_ratio, w_scratch, w_log),
-            _ChainSpec(M, *u_like(p.t1, p.k1, p.c1)),
-            _ChainSpec(N, *u_like(p.t2, p.k2, p.c2)))
+    def values(self, idx):
+        return [[factorial(i) for i in idx]]
 
 
-def _f42_specs(p: F42Params, M: int, N: int):
-    def w_ratio(l):
-        return (p.a + l) * (p.b + l) * _t_factor_ratio(p.t, p.k, l)
+class _TFactor:
+    """The t-factor (-1)^{ik} (-t)_{ik}; the sign is its own column."""
 
-    def w_scratch(l):
-        return (pochhammer(p.a, l) * pochhammer(p.b, l)
-                * _sign_pow(l * p.k) * pochhammer(-p.t, l * p.k))
+    def __init__(self, t: complex, k: int):
+        self.t, self.k = t, k
 
-    def w_log(l):
-        la, lb = log_pochhammer(p.a, l), log_pochhammer(p.b, l)
-        lt, t_zero = _log_t_factor(p.t, p.k, l)
-        return la.log + lb.log + lt, la.is_zero or lb.is_zero or t_zero
+    def ratios(self, idx):
+        # (-1)^k (-t + ik + 0) ... (-t + ik + k - 1); the + 0 stays, as it
+        # turns a -0.0 part into +0.0
+        k, t, sign = self.k, -self.t, _sign_pow(self.k)
+        out = []
+        for i in idx:
+            r = sign
+            for j in range(k):
+                r *= t + i * k + j
+            out.append(r)
+        return [out]
 
-    def u_like(c):
-        def ratio(m):
-            return 1.0 / ((c + m) * (m + 1))
+    def values(self, idx):
+        k = self.k
+        return [[_sign_pow(i * k) for i in idx],
+                [pochhammer(-self.t, i * k) for i in idx]]
 
-        def scratch(m):
-            return 1.0 / (pochhammer(c, m) * factorial(m))
-
-        def log_scratch(m):
-            return -log_pochhammer(c, m).log - log_pochhammer(1.0, m).log, False
-
-        return ratio, scratch, log_scratch
-
-    return (_ChainSpec(M + N, w_ratio, w_scratch, w_log),
-            _ChainSpec(M, *u_like(p.c1)),
-            _ChainSpec(N, *u_like(p.c2)))
+    def logs(self, idx):
+        k = self.k
+        lps = [log_pochhammer(-self.t, i * k) for i in idx]
+        return ([lp.log + _IPI * ((i * k) % 2) for lp, i in zip(lps, idx)],
+                [lp.is_zero for lp in lps])
 
 
-def _kdf_specs(p: KdfParams, M: int, N: int):
-    def seq_spec(length, num_seq, den_seq, index_factorial):
-        def ratio(i):
-            acc = 1.0 + 0.0j
-            for v in num_seq:
-                acc *= v + i
-            for v in den_seq:
-                acc /= v + i
-            if index_factorial:
-                acc /= i + 1
-            return acc
+class _One:
+    """The leading 1 of the Kampe de Feriet products."""
 
-        def scratch(i):
-            acc = 1.0 + 0.0j
-            for v in num_seq:
-                acc *= pochhammer(v, i)
-            for v in den_seq:
-                acc /= pochhammer(v, i)
-            if index_factorial:
-                acc /= factorial(i)
-            return acc
+    def ratios(self, idx):
+        return [[1.0 + 0.0j] * len(idx)]
 
-        def log_scratch(i):
-            acc = 0.0 + 0.0j
-            is_zero = False
-            for v in num_seq:
-                lp = log_pochhammer(v, i)
-                acc += lp.log
-                is_zero = is_zero or lp.is_zero
-            for v in den_seq:
-                acc -= log_pochhammer(v, i).log
-            if index_factorial:
-                acc -= log_pochhammer(1.0, i).log
-            return acc, is_zero
+    values = ratios
 
-        return _ChainSpec(length, ratio, scratch, log_scratch)
+    def logs(self, idx):
+        return [0.0 + 0.0j] * len(idx), [False] * len(idx)
 
-    return (seq_spec(M + N, p.A, p.D, False),
-            seq_spec(M, p.B, p.E, True),
-            seq_spec(N, p.C, p.F, True))
+
+_FACTORIAL, _ONE = _Factorial(1.0), _One()
+
+
+def _chains(p: SeriesParams, M: int, N: int):
+    """Factor arrays W (over m + n), U (over m) and V (over n) of p, each
+    (length, numerator symbols, denominator groups)."""
+    if type(p) is F41Params:
+        return ((M + N, (_Rising(p.a), _Rising(p.b)), ()),
+                (M, (_TFactor(p.t1, p.k1),), ((_Rising(p.c1), _FACTORIAL),)),
+                (N, (_TFactor(p.t2, p.k2),), ((_Rising(p.c2), _FACTORIAL),)))
+    if type(p) is F42Params:
+        return ((M + N, (_Rising(p.a), _Rising(p.b), _TFactor(p.t, p.k)), ()),
+                (M, (), ((_Rising(p.c1), _FACTORIAL),)),
+                (N, (), ((_Rising(p.c2), _FACTORIAL),)))
+    if type(p) is KdfParams:
+        def chain(length, nums, dens, *factorial):
+            return (length, (_ONE, *map(_Rising, nums)),
+                    tuple((_Rising(v),) for v in dens) + factorial)
+
+        return (chain(M + N, p.A, p.D),
+                chain(M, p.B, p.E, (_FACTORIAL,)),
+                chain(N, p.C, p.F, (_FACTORIAL,)))
+    raise TypeError(f"unsupported parameter type {type(p)!r}")
+
+
+@lru_cache(maxsize=128)
+def _indices(length: int):
+    """Anchor indices, and the indices i whose ratio steps to entry i + 1."""
+    return (range(0, length + 1, _ANCHOR_STRIDE),
+            tuple(i for i in range(length) if (i + 1) % _ANCHOR_STRIDE))
+
+
+def _fold(chain, kind: str, idx) -> list:
+    """Ratios or scratch values of a factor array at idx: the numerator
+    columns multiplied left to right from the first (1.0 if none), then
+    divided once by the product of each denominator group."""
+    _, nums, dens = chain
+    acc = _product(nums, kind, idx) or [1.0] * len(idx)
+    for group in dens:
+        acc = map(truediv, acc, _product(group, kind, idx))
+    return list(acc)
+
+
+def _product(symbols, kind: str, idx):
+    """Elementwise product of the symbols' columns, left to right (None for
+    no symbol)."""
+    acc = None
+    for s in symbols:
+        for col in getattr(s, kind)(idx):
+            acc = col if acc is None else map(mul, acc, col)
+    return acc
+
+
+def _fold_logs(chain, idx):
+    """(logs, zero flags) of a factor array at idx: the numerator logs added
+    from the first (the first denominator log negated if none), then each
+    denominator symbol's log subtracted in turn."""
+    _, nums, dens = chain
+    num = [s.logs(idx) for s in nums]
+    den = [s.logs(idx)[0] for group in dens for s in group]
+    if num:
+        acc = reduce(partial(map, add), [logs for logs, _ in num])
+        zero = [any(z) for z in zip(*[flags for _, flags in num])]
+    else:
+        acc, zero = map(neg, den.pop(0)), [False] * len(idx)
+    for logs in den:
+        acc = map(sub, acc, logs)
+    return list(acc), zero
+
+
+def _chain_linear(chain) -> np.ndarray:
+    """arr[i+1] = arr[i] * ratio(i), re-anchored from scratch every
+    _ANCHOR_STRIDE entries; may contain inf/nan at extreme scales."""
+    anchors, steps = _indices(chain[0])
+    arr = np.empty(chain[0] + 1, dtype=np.complex128)
+    arr[::_ANCHOR_STRIDE] = _fold(chain, "values", anchors)
+    for i, r in zip(steps, _fold(chain, "ratios", steps)):
+        arr[i + 1] = arr[i] * r
+    return arr
+
+
+def _chain_log(chain):
+    """Log-space variant for scales beyond the double range; returns
+    (logs, zero_mask)."""
+    anchors, steps = _indices(chain[0])
+    logs = np.zeros(chain[0] + 1, dtype=np.complex128)
+    zero = np.zeros(chain[0] + 1, dtype=bool)
+    logs[::_ANCHOR_STRIDE], zero[::_ANCHOR_STRIDE] = _fold_logs(chain, anchors)
+    for i, r in zip(steps, _fold(chain, "ratios", steps)):
+        if zero[i] or r == 0:
+            zero[i + 1] = True
+        else:
+            logs[i + 1] = logs[i] + cmath.log(r)
+    return logs, zero
 
 
 _KIND = {F41Params: "F41", F42Params: "F42", KdfParams: "KdF"}
-_SPECS = {F41Params: _f41_specs, F42Params: _f42_specs, KdfParams: _kdf_specs}
 
 
 @lru_cache(maxsize=4096)
 def _grid_coeffs(p: SeriesParams, M: int, N: int) -> np.ndarray:
-    try:
-        specs = _SPECS[type(p)]
-    except KeyError:
-        raise TypeError(f"unsupported parameter type {type(p)!r}") from None
-    wspec, uspec, vspec = specs(p, M, N)
+    chains = _chains(p, M, N)
     idx = np.arange(M + 1)[:, None] + np.arange(N + 1)[None, :]
 
     # linear assembly first; its intermediates can overflow even when the
     # final coefficients are representable, so fall back to log space then
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            W = _chain_linear(wspec)
-            U = _chain_linear(uspec)
-            V = _chain_linear(vspec)
+            W, U, V = map(_chain_linear, chains)
             coeffs = W[idx] * U[:, None] * V[None, :]
         ok = bool(np.isfinite(coeffs).all())
     except OverflowSignalError:
         ok = False
     if not ok:
-        Wl, Wz = _chain_log(wspec)
-        Ul, Uz = _chain_log(uspec)
-        Vl, Vz = _chain_log(vspec)
+        (Wl, Wz), (Ul, Uz), (Vl, Vz) = map(_chain_log, chains)
         logs = Wl[idx] + Ul[:, None] + Vl[None, :]
         zero = Wz[idx] | Uz[:, None] | Vz[None, :]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -693,7 +689,7 @@ def _sum_terms(coeffs: np.ndarray, x: complex, y: complex,
 def _without_args(p: SeriesParams) -> SeriesParams:
     """p with x = y = 0: the grid cache key, since coefficients do not
     depend on the arguments."""
-    return dataclasses.replace(p, x=0j, y=0j)
+    return p.replace(x=0j, y=0j)
 
 
 def evaluate(p: SeriesParams,

@@ -1,7 +1,9 @@
 """Series engine tests: frozen oracles, grid recurrence vs scratch, the six
 Kampe de Feriet reductions, truncation policies, and growth diagnostics."""
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -430,3 +432,93 @@ class TestGridCacheKey:
         eval_f41(P41.replace(x=-0.2 + 0.1j, y=0.05))
         info = series._grid_coeffs.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+def golden_grid_requests(count=360):
+    """Seeded (params, M, N) grid requests over F41, F42 and KdF: real (with
+    either sign of zero) and complex parameters, k from 0 to 3, terminating
+    t, numerators on the nonpositive integers (KdF B and C entries
+    included), large parameters that take the log-space path or overflow
+    it, and shapes from 0 x N to 40 x 40."""
+    rng = random.Random(4)
+
+    def value(real):
+        v = rng.choice((
+            lambda: complex(rng.randint(-6, 6)),
+            lambda: complex(-rng.randint(0, 6)),
+            lambda: complex(rng.randint(-6, 6) + 0.5),
+            lambda: complex(rng.uniform(10.0, 60.0) * rng.choice((1, -1))),
+            lambda: complex(rng.choice((1e-200, 1e60, -1e60, 1e120))),
+            lambda: complex(rng.uniform(-3.0, 3.0)),
+        ))()
+        return complex(v.real, rng.choice((0.0, -0.0)) if real
+                       else rng.uniform(-3.0, 3.0))
+
+    def off_pole(real):
+        while True:
+            v = value(real)
+            if not (v.imag == 0.0 and v.real <= 0.0 and v.real.is_integer()):
+                return v
+
+    def t_value(k, real):
+        return (complex(rng.randint(0, 8)) if k and rng.random() < 0.4
+                else value(real))
+
+    def seq(make, most=3):
+        return tuple(make() for _ in range(rng.randint(0, most)))
+
+    shapes = ((0, 0), (0, 7), (9, 0), (0, 40), (1, 1), (5, 3), (12, 12),
+              (20, 20), (40, 40), (40, 6))
+    for i in range(count):
+        real = rng.random() < 0.5
+        M, N = (rng.choice(shapes) if rng.random() < 0.5
+                else (rng.randint(0, 24), rng.randint(0, 24)))
+        if i % 3 == 0:
+            k1, k2 = rng.randint(0, 3), rng.randint(0, 3)
+            p = F41Params(value(real), value(real), off_pole(real),
+                          off_pole(real), t_value(k1, real),
+                          t_value(k2, real), k1, k2, 0.0, 0.0)
+        elif i % 3 == 1:
+            k = rng.randint(0, 3)
+            p = F42Params(value(real), value(real), off_pole(real),
+                          off_pole(real), t_value(k, real), k, 0.0, 0.0)
+        else:
+            def numerator():
+                return (complex(-rng.randint(0, 8)) if rng.random() < 0.4
+                        else value(real))
+
+            p = KdfParams(A=seq(lambda: value(real)), B=seq(numerator),
+                          C=seq(numerator), D=seq(lambda: off_pole(real), 2),
+                          E=seq(lambda: off_pole(real), 2),
+                          F=seq(lambda: off_pole(real), 2))
+        yield p, M, N
+
+
+class TestGridBits:
+    """Every grid keeps its bytes, signed zeros included: value reports and
+    the benchmark's references pin the engine's rounding."""
+
+    # SHA-256 of the coefficient bytes (b"overflow" for a grid that raises
+    # OverflowSignalError) of golden_grid_requests(), in order
+    GOLDEN = "5090e8606740c9a3713c16542af1cd1c9a52a1701bab6fa70ca40f35c7bc97c1"
+
+    def test_grid_bytes(self, monkeypatch):
+        log_calls = []
+        log_pochhammer = series.log_pochhammer
+        monkeypatch.setattr(
+            series, "log_pochhammer",
+            lambda *a: log_calls.append(a) or log_pochhammer(*a))
+        build = series._grid_coeffs.__wrapped__   # no cache in between
+        digest = hashlib.sha256()
+        paths = {"linear": 0, "log": 0, "overflow": 0}
+        for p, M, N in golden_grid_requests():
+            before = len(log_calls)
+            try:
+                digest.update(build(p, M, N).tobytes())
+            except OverflowSignalError:
+                digest.update(b"overflow")
+                paths["overflow"] += 1
+            else:
+                paths["log" if len(log_calls) > before else "linear"] += 1
+        assert min(paths.values()) >= 20, paths
+        assert digest.hexdigest() == self.GOLDEN
