@@ -10,6 +10,7 @@ parse/config error, 3 evaluation or precondition error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -116,6 +117,9 @@ _DEFAULTS = {
 }
 
 
+# built on first use and kept: building costs more than a cold eval, and
+# parse_args leaves the parser unchanged
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="appell4",
@@ -294,16 +298,33 @@ def cmd_quadcheck(cfg: RunConfig) -> int:
     return _OK if report.passed else _CHECK_FAILED
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    o = cfg.options
-    lo, hi, step = float(o["lo"]), float(o["hi"]), float(o["step"])
+# points per sweep axis; the grid evaluates the square of this many
+_SWEEP_MAX_POINTS = 201
+
+
+def _sweep_axis(lo: float, hi: float, step: float) -> list:
+    """|x| (and |y|) values of a sweep: lo, lo + step, ... up to hi.
+
+    Raises ValueError for bad bounds or more than _SWEEP_MAX_POINTS points,
+    before any list is built."""
     if step <= 0 or hi < lo or lo < 0:
         raise ValueError(f"bad sweep bounds: lo={lo}, hi={hi}, step={step}")
+    span = (hi - lo) / step
+    # the first test also rejects an infinite or NaN span, which round()
+    # cannot take
+    if not span < _SWEEP_MAX_POINTS or round(span) + 1 > _SWEEP_MAX_POINTS:
+        raise ValueError(f"sweep from {lo} to {hi} by {step} exceeds "
+                         f"{_SWEEP_MAX_POINTS} points per axis")
+    count = int(round(span)) + 1
+    return [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
+
+
+def cmd_sweep(cfg: RunConfig) -> int:
+    o = cfg.options
+    values = _sweep_axis(float(o["lo"]), float(o["hi"]), float(o["step"]))
     pol = TruncationPolicy(int(o["m_max"]), int(o["n_max"]))
     a, b, c1, c2, t = (_cplx(o[n]) for n in ("a", "b", "c1", "c2", "t"))
     k = int(o["k"])
-    count = int(round((hi - lo) / step)) + 1
-    values = [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
     lines = ["abs_x,abs_y,inside,margin,divergence"]
     for ax in values:
         for ay in values:

@@ -4,7 +4,10 @@ Everything here is plain double precision.  The shifted factorial
 (Pochhammer symbol) (a)_l = a (a+1) ... (a+l-1) is computed by a direct
 product for short lengths and through the complex log-gamma for long ones,
 with an explicit fallback near the negative-integer lattice where the
-log-gamma difference loses meaning.
+log-gamma difference loses meaning.  `pochhammer_prefixes` gives (a)_l for
+a nondecreasing list of lengths from one running product, each value bit
+for bit the one-length result; `pochhammer` is its one-length case, so the
+direct-product policy lives in one place.
 """
 
 from __future__ import annotations
@@ -139,31 +142,58 @@ def log_pochhammer(a: complex, l: int) -> LogPochhammer:
     return LogPochhammer(log_gamma(a + l) - log_gamma(a), False)
 
 
+def pochhammer_prefixes(a: complex, lengths) -> list:
+    """[pochhammer(a, l) for l in lengths] from one running product.
+
+    lengths must be nonnegative and must not decrease.  The direct product
+    (a+0) (a+1) ... is carried from one length to the next, so each value is
+    the prefix that a product started from 1 computes, bit for bit, and the
+    whole list costs O(max length) multiplies.  An exact zero of (a)_l
+    short-circuits; once a partial product leaves the renormalised range,
+    that length and every longer one take the log route, as does every
+    length beyond _DIRECT_LIMIT.  Raises OverflowSignalError when a value
+    exceeds the double range.
+    """
+    a = complex(a)
+    out = []
+    acc, done, direct, last = 1.0 + 0.0j, 0, True, 0
+    for l in lengths:
+        if l < last:
+            raise ValueError("pochhammer lengths must be nonnegative and "
+                             "nondecreasing")
+        last = l
+        if l == 0:
+            out.append(1.0 + 0.0j)
+            continue
+        if _poch_is_zero(a, l):
+            out.append(0.0 + 0.0j)
+            continue
+        if direct and l <= _DIRECT_LIMIT:
+            while done < l:
+                acc *= a + done
+                done += 1
+                if not (abs(acc.real) < _RENORM_LIMIT
+                        and abs(acc.imag) < _RENORM_LIMIT):
+                    direct = False
+                    break
+            if direct:
+                out.append(acc)
+                continue
+        lp = log_pochhammer(a, l)
+        if lp.log.real > 709.0:
+            raise OverflowSignalError(
+                f"pochhammer({a}, {l}) exceeds double range")
+        out.append(cmath.exp(lp.log))
+    return out
+
+
 def pochhammer(a: complex, l: int) -> complex:
     """Shifted factorial (a)_l = a (a+1) ... (a+l-1), with (a)_0 = 1.
 
     Direct product for l <= 64; exp(log_pochhammer) beyond that.  Raises
     OverflowSignalError when the value exceeds the double range.
     """
-    a = complex(a)
-    if l < 0:
-        raise ValueError("pochhammer length must be nonnegative")
-    if l == 0:
-        return 1.0 + 0.0j
-    if _poch_is_zero(a, l):
-        return 0.0 + 0.0j
-    if l <= _DIRECT_LIMIT:
-        acc = 1.0 + 0.0j
-        for j in range(l):
-            acc *= a + j
-            if not (abs(acc.real) < _RENORM_LIMIT and abs(acc.imag) < _RENORM_LIMIT):
-                break
-        else:
-            return acc
-    lp = log_pochhammer(a, l)
-    if lp.log.real > 709.0:
-        raise OverflowSignalError(f"pochhammer({a}, {l}) exceeds double range")
-    return cmath.exp(lp.log)
+    return pochhammer_prefixes(a, (l,))[0]
 
 
 def factorial(m: int) -> complex:

@@ -11,7 +11,9 @@ The second analogue couples them through a single pair (t, k), replacing the
 two t-factors by (-1)^{(m+n) k} (-t)_{(m+n) k}.  Both reduce to classical F4
 at k = 0.  Coefficients factor as W[m+n] * U[m] * V[n]; grids are built from
 ratio recurrences on the three 1-D arrays with periodic from-scratch anchors
-as drift control.
+as drift control.  The anchors of a symbol are prefixes of one running
+product (`pochhammer_prefixes`); each equals its scratch value bit for bit,
+so the drift control is that of separate `pochhammer` calls.
 
 One engine builds the arrays of every family, Kampe de Feriet (KdF) series
 included, from `_chains`: each array is a length, numerator symbols and
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import OverflowSignalError, PoleError, UnsupportedKError
 from .kernels import (_is_exact_nonpositive_int, factorial, log_pochhammer,
-                      pochhammer)
+                      pochhammer, pochhammer_prefixes)
 
 
 class ConvergenceRegionWarning(UserWarning):
@@ -52,6 +54,11 @@ class ConvergenceRegionWarning(UserWarning):
 def _require_off_pole(name: str, c: complex) -> None:
     if _is_exact_nonpositive_int(c):
         raise PoleError(f"{name} = {c} is a nonpositive integer (pole lattice)")
+
+
+def _require_finite(name: str, v: complex) -> None:
+    if not cmath.isfinite(v):
+        raise ValueError(f"{name} = {v} is not finite")
 
 
 def _require_k(name: str, k) -> int:
@@ -78,6 +85,8 @@ class F41Params:
     def __post_init__(self):
         for name in ("a", "b", "c1", "c2", "t1", "t2", "x", "y"):
             object.__setattr__(self, name, complex(getattr(self, name)))
+        for name in ("a", "b", "c1", "c2", "t1", "t2"):
+            _require_finite(name, getattr(self, name))
         object.__setattr__(self, "k1", _require_k("k1", self.k1))
         object.__setattr__(self, "k2", _require_k("k2", self.k2))
         _require_off_pole("c1", self.c1)
@@ -102,6 +111,8 @@ class F42Params:
     def __post_init__(self):
         for name in ("a", "b", "c1", "c2", "t", "x", "y"):
             object.__setattr__(self, name, complex(getattr(self, name)))
+        for name in ("a", "b", "c1", "c2", "t"):
+            _require_finite(name, getattr(self, name))
         object.__setattr__(self, "k", _require_k("k", self.k))
         _require_off_pole("c1", self.c1)
         _require_off_pole("c2", self.c2)
@@ -130,6 +141,8 @@ class KdfParams:
     def __post_init__(self):
         for name in ("A", "B", "C", "D", "E", "F"):
             seq = tuple(complex(v) for v in getattr(self, name))
+            for v in seq:
+                _require_finite(f"{name} entry", v)
             object.__setattr__(self, name, seq)
         object.__setattr__(self, "x", complex(self.x))
         object.__setattr__(self, "y", complex(self.y))
@@ -272,7 +285,8 @@ def scratch_coefficient_kdf(p: KdfParams, m: int, n: int) -> complex:
 
 # distance between from-scratch anchors in each 1-D factor array; one anchor
 # per 4 entries of W, U and V bounds recurrence drift on roughly every 16th
-# grid cell of the separable product
+# grid cell of the separable product.  An anchor read from a running product
+# is still its scratch value, bit for bit, so the bound is unchanged
 _ANCHOR_STRIDE = 4
 
 _IPI = 1j * math.pi
@@ -292,18 +306,11 @@ class _Rising:
         return [[self.v + i for i in idx]]
 
     def values(self, idx):
-        return [[pochhammer(self.v, i) for i in idx]]
+        return [pochhammer_prefixes(self.v, idx)]
 
     def logs(self, idx):
         lps = [log_pochhammer(self.v, i) for i in idx]
         return [lp.log for lp in lps], [lp.is_zero for lp in lps]
-
-
-class _Factorial(_Rising):
-    """i! = (1)_i, its scratch values through factorial()."""
-
-    def values(self, idx):
-        return [[factorial(i) for i in idx]]
 
 
 class _TFactor:
@@ -327,7 +334,7 @@ class _TFactor:
     def values(self, idx):
         k = self.k
         return [[_sign_pow(i * k) for i in idx],
-                [pochhammer(-self.t, i * k) for i in idx]]
+                pochhammer_prefixes(-self.t, [i * k for i in idx])]
 
     def logs(self, idx):
         k = self.k
@@ -348,7 +355,8 @@ class _One:
         return [0.0 + 0.0j] * len(idx), [False] * len(idx)
 
 
-_FACTORIAL, _ONE = _Factorial(1.0), _One()
+# i! = (1)_i
+_FACTORIAL, _ONE = _Rising(1.0), _One()
 
 
 def _chains(p: SeriesParams, M: int, N: int):
@@ -422,11 +430,13 @@ def _chain_linear(chain) -> np.ndarray:
     """arr[i+1] = arr[i] * ratio(i), re-anchored from scratch every
     _ANCHOR_STRIDE entries; may contain inf/nan at extreme scales."""
     anchors, steps = _indices(chain[0])
-    arr = np.empty(chain[0] + 1, dtype=np.complex128)
+    arr = [0j] * (chain[0] + 1)
     arr[::_ANCHOR_STRIDE] = _fold(chain, "values", anchors)
+    # Python complex products round as numpy's scalar ones; numpy's array
+    # complex multiply does not always
     for i, r in zip(steps, _fold(chain, "ratios", steps)):
         arr[i + 1] = arr[i] * r
-    return arr
+    return np.array(arr, dtype=np.complex128)
 
 
 def _chain_log(chain):

@@ -4,7 +4,9 @@ Each test drives main(argv) in-process and checks exit codes, report
 schemas, and the determinism contract (same flags, same bytes).
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import sys
 import pytest
 
 import appell4
+import appell4.cli as cli
 import appell4.series as series
 from appell4.cli import dump_json, main
 from appell4.series import (F41Params, KdfParams, TruncationPolicy, eval_f41,
@@ -23,6 +26,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's appell4."""
+    src = os.path.dirname(os.path.dirname(appell4.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestEvalCommand:
@@ -99,16 +111,35 @@ class TestEvalCommand:
         assert first == second
 
     def test_module_run_is_warning_free(self):
-        src = os.path.dirname(os.path.dirname(appell4.__file__))
-        path = os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "appell4.cli", "eval", "--fn", "F4",
-             "--x", "0.1", "--y", "0.1"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path})
+        proc = run_python("-m", "appell4.cli", "eval", "--fn", "F4",
+                          "--x", "0.1", "--y", "0.1")
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    def test_import_builds_no_parser(self):
+        # the parser is built on the first main call; importing the package
+        # and building the catalog load neither the CLI nor argparse
+        proc = run_python("-c", "import sys, appell4; "
+                          "appell4.builtin_catalog(); "
+                          "print('appell4.cli' in sys.modules, "
+                          "'argparse' in sys.modules)")
+        assert proc.returncode == 0
+        assert proc.stdout.split() == ["False", "False"]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("fn,field", [
+        ("F41", "a"), ("F41", "b"), ("F41", "c1"), ("F41", "c2"),
+        ("F41", "t1"), ("F41", "t2"), ("F42", "t"), ("F4", "c2"),
+        ("KdF", "A"), ("KdF", "B"), ("KdF", "C"), ("KdF", "D"), ("KdF", "E"),
+        ("KdF", "F")])
+    def test_non_finite_parameter_exits_two(self, capsys, fn, field, value):
+        # the lattice predicates would raise OverflowError on +-inf
+        code = main(["eval", "--fn", fn, "--k1", "1", "--k", "1",
+                     f"--{field}={value}", "--x", "0.1", "--y", "0.1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error")
+        assert "Traceback" not in err
 
 
 class TestAuditCommand:
@@ -256,11 +287,61 @@ class TestSweepCommand:
         assert run(capsys, "sweep", "--step", "0")[0] == 2
         assert run(capsys, "sweep", "--lo", "-0.1")[0] == 2
 
+    def test_axis_point_cap(self):
+        # the guard's arithmetic only: an oversized sweep is never run
+        assert len(cli._sweep_axis(0.0, 200.0, 1.0)) == 201
+        assert len(cli._sweep_axis(0.0, 200.4, 1.0)) == 201
+        # without the guard none of these would allocate much
+        for lo, hi, step in ((0.0, 200.6, 1.0), (0.0, 201.0, 1.0),
+                             (0.0, 1e4, 1.0), (0.0, float("inf"), 0.1),
+                             (float("nan"), 0.5, 0.1),
+                             (0.0, float("nan"), 0.1)):
+            with pytest.raises(ValueError, match="201 points per axis"):
+                cli._sweep_axis(lo, hi, step)
+
+    def test_infinite_bound_exits_two(self, capsys):
+        code = main(["sweep", "--hi", "inf"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error")
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         _, out = run(capsys, "sweep", "--lo", "0", "--hi", "0.2",
                      "--step", "0.1", "--out", str(path))
         assert path.read_text() == out
+
+
+class TestParserReuse:
+    """main builds the parser once per process; a reused parser parses,
+    fails and prints help exactly as a fresh one did."""
+
+    def call(self, *argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    def test_one_parser_across_calls(self):
+        first = cli._build_parser()
+        assert self.call("eval", "--fn", "F4", "--x", "0.1")[0] == 0
+        assert self.call("sweep", "--step", "0.25")[0] == 0
+        assert cli._build_parser() is first
+
+    def test_errors_and_help_after_a_successful_eval(self, monkeypatch):
+        # recorded with a parser built per call, at COLUMNS=80
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.call("eval", "--fn", "F4", "--x", "0.1")[0] == 0
+        assert self.call("eval", "--bogus", "1") == (
+            2, "", "usage: appell4 [-h] {eval,audit,quadcheck,sweep} ...\n"
+                   "appell4: error: unrecognized arguments: --bogus 1\n")
+        code, out, err = self.call("eval", "--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "95968a8cb1916ddbc1754f0613b2cdcdbb6831548a8296df4276ef6c63de885f")
+        code, out, err = self.call("--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4988c814653764b08a9832e296f29fbcfb438ec04bce1c4bdfe73405ab226877")
 
 
 class TestConfigHandling:
@@ -346,12 +427,17 @@ GOLDEN = [
      "5e5a88d4be09a0416dafa185a51ff757158a9a131185dde85f09367a68c6c002"),
     (["sweep", "--step", "0.1", "--k", "1"],
      "707e62f1af74e979b586b0deaaf134907eb045dcab93e3b75b1c7d689e61621f"),
+    # 13 x 13 grids of every catalog family; recorded at the commit before
+    # grid anchors became prefixes of one running product per symbol
+    (["audit", "--draws", "3", "--include-suspected", "--seed", "0"],
+     "03055b1c72249e856134e44101e70024d058cdf43f0b1bbe18c0db38920b7e44"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN,
                          ids=["eval-F41", "eval-F42-log", "eval-KdF",
-                              "quadcheck-k1", "sweep-k0", "sweep-k1"])
+                              "quadcheck-k1", "sweep-k0", "sweep-k1",
+                              "audit-3"])
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

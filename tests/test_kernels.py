@@ -8,11 +8,12 @@ direct product loops.
 import cmath
 import math
 import random
+import struct
 
 import mpmath as mp
 import pytest
 
-from appell4.errors import PoleError
+from appell4.errors import OverflowSignalError, PoleError
 from appell4.kernels import (
     LogPochhammer,
     factorial,
@@ -20,6 +21,7 @@ from appell4.kernels import (
     log_gamma,
     log_pochhammer,
     pochhammer,
+    pochhammer_prefixes,
 )
 
 
@@ -185,3 +187,96 @@ class TestFactorial:
 
     def test_large_matches_math(self):
         assert rel(factorial(120), math.factorial(120)) < 1e-11
+
+
+def scalar_pochhammer(a, l):
+    """The one-length direct-product loop that pochhammer_prefixes replaced,
+    kept as its reference: exact zero first, a fresh product for l <= 64
+    that gives up past 1e250, the log route otherwise."""
+    a = complex(a)
+    if l == 0:
+        return 1.0 + 0.0j
+    if a.imag == 0.0 and a.real == math.floor(a.real) \
+            and -(l - 1) <= a.real <= 0.0:
+        return 0.0 + 0.0j
+    if l <= 64:
+        acc = 1.0 + 0.0j
+        for j in range(l):
+            acc *= a + j
+            if not (abs(acc.real) < 1e250 and abs(acc.imag) < 1e250):
+                break
+        else:
+            return acc
+    lp = log_pochhammer(a, l)
+    if lp.log.real > 709.0:
+        raise OverflowSignalError(f"pochhammer({a}, {l}) exceeds double range")
+    return cmath.exp(lp.log)
+
+
+def exact(z):
+    """The bytes of a complex value, so that signed zeros and NaN payloads
+    count."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def prefix_corpus(count=4000):
+    """Seeded (a, nondecreasing lengths): lattice integers with either zero
+    sign, values near the lattice, magnitudes up to 1e120 whose products
+    pass 1e250, and lengths up to 140 on both sides of 64."""
+    rng = random.Random(20261018)
+    for _ in range(count):
+        a = rng.choice((
+            lambda: complex(-rng.randint(0, 70), rng.choice((0.0, -0.0))),
+            lambda: complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0))),
+            lambda: complex(-rng.randint(0, 70)
+                            + rng.choice((1e-12, -1e-12, 1e-9, 0.5)),
+                            rng.choice((0.0, -0.0, 1e-300, -1e-13))),
+            lambda: complex(rng.choice((1e60, -1e60, 1e80, 3e83, 1e120))
+                            * rng.uniform(0.5, 2.0),
+                            rng.choice((0.0, -0.0, rng.uniform(-1e100, 1e100)))),
+            lambda: complex(rng.uniform(-90, 90), rng.uniform(-40, 40)),
+            lambda: complex(rng.uniform(-3, 3), rng.choice((0.0, -0.0))),
+        ))()
+        top = rng.choice((8, 64, 70, 140))
+        lengths = sorted(rng.randint(0, top) for _ in range(rng.randint(1, 12)))
+        yield a, lengths
+
+
+class TestPochhammerPrefixes:
+    def test_equals_the_scalar_loop_bit_for_bit(self):
+        seen = {"zero": 0, "direct": 0, "renorm": 0, "long": 0,
+                "overflow": 0}
+        for a, lengths in prefix_corpus():
+            want = []
+            try:
+                for l in lengths:
+                    want.append(exact(scalar_pochhammer(a, l)))
+            except OverflowSignalError:
+                seen["overflow"] += 1
+                with pytest.raises(OverflowSignalError):
+                    pochhammer_prefixes(a, lengths)
+                continue
+            assert [exact(v) for v in pochhammer_prefixes(a, lengths)] == want
+            assert [exact(pochhammer(a, l)) for l in lengths] == want
+            seen["zero"] += exact(0j) in want
+            seen["direct"] += max(lengths) <= 64
+            # |a| >= 5e59 passes 1e250 within five factors
+            seen["renorm"] += abs(a) >= 5e59 and any(5 <= l <= 64
+                                                      for l in lengths)
+            seen["long"] += max(lengths) > 64
+        # the corpus reaches every branch
+        assert min(seen.values()) >= 50, seen
+
+    def test_renorm_break_takes_every_longer_length_to_logs(self):
+        # the product leaves the direct range at length 3; a later factor
+        # near zero cannot bring length 4 back to the direct product
+        a = complex(1e90)
+        values = pochhammer_prefixes(a, [1, 2, 3, 4])
+        assert [exact(v) for v in values] == \
+            [exact(scalar_pochhammer(a, l)) for l in (1, 2, 3, 4)]
+
+    def test_lengths_must_not_decrease(self):
+        with pytest.raises(ValueError):
+            pochhammer_prefixes(1.5, [3, 2])
+        with pytest.raises(ValueError):
+            pochhammer_prefixes(1.5, [-1])

@@ -434,6 +434,24 @@ class TestGridCacheKey:
         assert (info.misses, info.hits) == (1, 1)
 
 
+class TestAnchors:
+    def test_linear_build_makes_no_scalar_pochhammer_call(self, monkeypatch):
+        # every anchor is a prefix of one running product per symbol; none
+        # is a scalar call of its own, and the linear path takes no log
+        calls = []
+        for name in ("pochhammer", "log_pochhammer"):
+            fn = getattr(series, name)
+            monkeypatch.setattr(series, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        p = F41Params(1.3 + 0.2j, 0.7, 2.1, 1.6 - 0.3j, 2.4, 5.5, 3, 3,
+                      0.0, 0.0)
+        coeffs = series._grid_coeffs.__wrapped__(p, 12, 12)
+        assert calls == []
+        assert np.isfinite(coeffs).all()
+        for m, n in ((0, 0), (4, 8), (12, 12), (7, 3)):
+            assert rel(coeffs[m, n], scratch_coefficient_f41(p, m, n)) < 1e-13
+
+
 def golden_grid_requests(count=360):
     """Seeded (params, M, N) grid requests over F41, F42 and KdF: real (with
     either sign of zero) and complex parameters, k from 0 to 3, terminating
