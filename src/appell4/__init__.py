@@ -20,8 +20,9 @@ from .series import (EVAL_POLICY, CoefficientGrid, DivergenceReport,
                      EvaluationResult, F41Params, F42Params, KdfParams,
                      TruncationPolicy, coefficient_grid, convergence_region,
                      divergence_diagnostic, eval_f4_classic, eval_f41,
-                     eval_f42, eval_kdf, evaluate, reduce_to_kdf,
-                     scratch_coefficient_f41, scratch_coefficient_f42)
+                     eval_f42, eval_kdf, evaluate, evaluate_many,
+                     reduce_to_kdf, scratch_coefficient_f41,
+                     scratch_coefficient_f42)
 
 __version__ = "0.1.0"
 
@@ -37,9 +38,10 @@ __all__ = [
     "UnsupportedKError", "VerificationMode", "apply_expr_to_params",
     "audit_catalog", "builtin_catalog", "catalog_by_id", "coefficient_grid",
     "convergence_region", "divergence_diagnostic", "eval_f4_classic",
-    "eval_f41", "eval_f42", "eval_kdf", "evaluate", "factorial", "gamma",
-    "identity_expr", "integral_rep_check", "integrand_kdf", "laguerre_rule",
-    "log_gamma", "log_pochhammer", "pochhammer", "point_to_dict",
+    "eval_f41", "eval_f42", "eval_kdf", "evaluate", "evaluate_many",
+    "factorial", "gamma", "identity_expr", "integral_rep_check",
+    "integrand_kdf", "laguerre_rule", "log_gamma", "log_pochhammer",
+    "pochhammer", "point_to_dict",
     "reduce_to_kdf", "scratch_coefficient_f41", "scratch_coefficient_f42",
     "select_identities", "verify_identity", "verify_recursion_sum",
     "__version__",

@@ -23,10 +23,12 @@ import numpy as np
 from .catalog import (Family, ParamPoint, ParamSampler, Target, audit_catalog,
                       point_to_dict, select_identities)
 from .errors import Appell4Error
-from .quadrature import IntegralRepSpec, RepKind, integral_rep_check, laguerre_rule
+from .quadrature import (IntegralRepSpec, RepKind, _require_order,
+                         _require_terminating, integral_rep_check,
+                         laguerre_rule)
 from .series import (F41Params, F42Params, KdfParams, TruncationPolicy,
-                     convergence_region, eval_f4_classic, eval_f41, eval_f42,
-                     eval_kdf)
+                     _require_rectangle, convergence_region, eval_f4_classic,
+                     eval_f41, eval_f42, eval_kdf, evaluate_many)
 
 _OK, _CHECK_FAILED, _CONFIG_ERROR, _EVAL_ERROR = 0, 1, 2, 3
 _ENV_SEED = "APPELL4_SEED"
@@ -277,8 +279,9 @@ def cmd_audit(cfg: RunConfig) -> int:
     idents = select_identities(family=family, target=target,
                                include_suspected=bool(o["include_suspected"]))
     sampler = ParamSampler(seed=int(seed), draws=int(o["draws"]))
-    summary = audit_catalog(sampler, int(o["m_max"]), int(o["n_max"]),
-                            float(o["tolerance"]), idents)
+    M, N = int(o["m_max"]), int(o["n_max"])
+    _require_rectangle(M, N)
+    summary = audit_catalog(sampler, M, N, float(o["tolerance"]), idents)
     _emit(dump_json(list(summary.rows)), o["out"])
     bad = [row for row in summary.rows if row["status"] in ("fail", "mixed")]
     return _CHECK_FAILED if bad else _OK
@@ -286,14 +289,20 @@ def cmd_audit(cfg: RunConfig) -> int:
 
 def cmd_quadcheck(cfg: RunConfig) -> int:
     o = cfg.options
-    rule = laguerre_rule(int(o["order"]))
+    # a bad order (exit 2) wins over every other error, and a bad spec or
+    # non-terminating t (exit 3) is found before the rule is built
+    order = int(o["order"])
+    _require_order(order)
     k = int(o["k"])
     p = F41Params(_cplx(o["a"]), _cplx(o["b"]), _cplx(o["c1"]), _cplx(o["c2"]),
                   _cplx(o["t1"]), _cplx(o["t2"]), k, k,
                   _cplx(o["x"]), _cplx(o["y"]))
     spec = IntegralRepSpec(RepKind(o["which"]), k, p)
     pol = TruncationPolicy(int(o["m_max"]), int(o["n_max"]))
-    report = integral_rep_check(spec, rule, pol, float(o["tolerance"]))
+    if k >= 1:
+        _require_terminating(spec)
+    report = integral_rep_check(spec, laguerre_rule(order), pol,
+                                float(o["tolerance"]))
     _emit(dump_json(report.as_dict()), o["out"])
     return _OK if report.passed else _CHECK_FAILED
 
@@ -325,15 +334,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
     pol = TruncationPolicy(int(o["m_max"]), int(o["n_max"]))
     a, b, c1, c2, t = (_cplx(o[n]) for n in ("a", "b", "c1", "c2", "t"))
     k = int(o["k"])
+    xs = [ax for ax in values for _ in values]
+    ys = values * len(values)
+    results = evaluate_many(F41Params(a, b, c1, c2, t, t, k, k, 0, 0),
+                            xs, ys, pol)
     lines = ["abs_x,abs_y,inside,margin,divergence"]
-    for ax in values:
-        for ay in values:
-            inside, margin = convergence_region(ax, ay)
-            res = eval_f41(F41Params(a, b, c1, c2, t, t, k, k, ax, ay), pol)
-            lines.append(",".join((
-                format(ax, ".17g"), format(ay, ".17g"),
-                str(inside).lower(), format(margin, ".17g"),
-                str(res.divergence_flag).lower())))
+    for ax, ay, res in zip(xs, ys, results):
+        inside, margin = convergence_region(ax, ay)
+        lines.append(",".join((
+            format(ax, ".17g"), format(ay, ".17g"),
+            str(inside).lower(), format(margin, ".17g"),
+            str(res.divergence_flag).lower())))
     _emit("\n".join(lines), o["out"])
     return _OK
 

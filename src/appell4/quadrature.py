@@ -17,6 +17,11 @@ For k >= 1 the check is restricted to terminating t (nonnegative integers):
 the inner series is then a polynomial in u and the Gauss rule integrates it
 exactly.  For non-integer t the inner series diverges as u grows, so the
 printed representation is formal and is not checked numerically.
+
+`laguerre_rule` builds each order once per process; the shared rule's node
+and weight arrays are read-only.  The inner series at a node is one value of
+`series.evaluate_values` over the one inner grid, built once per check: the
+value of `evaluate` bit for bit, without its growth diagnostics.
 """
 
 from __future__ import annotations
@@ -25,14 +30,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .catalog import ParamPoint, RelationReport, VerificationMode, point_to_dict
 from .errors import ConstraintError, QuadratureConvergenceError, RegimeError
 from .kernels import gamma
+# eval_kdf stays a module name although integrand_kdf sums through
+# evaluate_values: the perfbench layer tracer wraps it by name
 from .series import (EVAL_POLICY, F41Params, KdfParams, TruncationPolicy,
-                     eval_f41, eval_kdf)
+                     eval_f41, eval_kdf, evaluate_values)
 
 _MAX_ORDER = 256
 _MOMENT_SPOTS = (1, 2, 5, 10)
@@ -97,15 +105,28 @@ def _christoffel_weights(nodes: np.ndarray) -> np.ndarray:
     return np.exp(-log_sum)
 
 
-def laguerre_rule(order: int) -> LaguerreRule:
-    """Golub-Welsch construction from the Laguerre recurrence coefficients.
-
-    An order that is not an integer in [2, 256] is a ValueError (exit 2 in
-    the CLI)."""
+def _require_order(order) -> None:
+    """ValueError (exit 2 in the CLI) for an order that is not an integer in
+    [2, 256]."""
     if not isinstance(order, int) or isinstance(order, bool) or \
             not 2 <= order <= _MAX_ORDER:
         raise ValueError(f"order must be an integer in [2, {_MAX_ORDER}], "
                          f"got {order!r}")
+
+
+def laguerre_rule(order: int) -> LaguerreRule:
+    """Golub-Welsch construction from the Laguerre recurrence coefficients.
+
+    An order that is not an integer in [2, 256] is a ValueError (exit 2 in
+    the CLI).  Each order is built once per process and shared: its node
+    and weight arrays are read-only."""
+    # checked before the cache, which would take 64.0 or True for 64 or 1
+    _require_order(order)
+    return _build_rule(order)
+
+
+@lru_cache(maxsize=_MAX_ORDER)
+def _build_rule(order: int) -> LaguerreRule:
     j = np.arange(order, dtype=np.float64)
     jacobi = np.diag(2.0 * j + 1.0) + np.diag(j[1:], 1) + np.diag(j[1:], -1)
     try:
@@ -120,6 +141,7 @@ def laguerre_rule(order: int) -> LaguerreRule:
             f"weight mass {total} too far from 1 at order {order}")
     # the exact weights sum to the zeroth moment 1; remove the summation drift
     weights = weights / total
+    nodes.flags.writeable = weights.flags.writeable = False
     return LaguerreRule(nodes=nodes, weights=weights, order=order)
 
 
@@ -164,22 +186,32 @@ def _require_terminating(spec: IntegralRepSpec) -> None:
                 f"inner series must terminate), got {t}")
 
 
-def integrand_kdf(spec: IntegralRepSpec, u: float,
-                  pol: TruncationPolicy = EVAL_POLICY) -> complex:
-    """Inner Kampe de Feriet value at integration variable u."""
+# cached because integral_rep_check asks once per node: building the
+# parameters costs 14-20 us, a fifth of a value-only integrand call
+@lru_cache(maxsize=16)
+def _inner_kdf(spec: IntegralRepSpec):
+    """The inner Kampe de Feriet parameters (at x = y = 0) and the factor
+    s that makes its arguments s u x and s u y at integration variable u."""
     p = spec.params
     coupled = p.b if spec.which is RepKind.REP_A else p.a
     if spec.k >= 1:
         _require_terminating(spec)
         B = tuple((-p.t1 + i) / spec.k for i in range(spec.k))
         C = tuple((-p.t2 + i) / spec.k for i in range(spec.k))
-        arg = (-spec.k) ** spec.k * u
+        scale = (-spec.k) ** spec.k
     else:
         B = C = ()
-        arg = u
-    kdf = KdfParams(A=(coupled,), B=B, C=C, D=(), E=(p.c1,), F=(p.c2,),
-                    x=arg * p.x, y=arg * p.y)
-    return eval_kdf(kdf, pol).value
+        scale = 1
+    return KdfParams(A=(coupled,), B=B, C=C, D=(), E=(p.c1,), F=(p.c2,)), scale
+
+
+def integrand_kdf(spec: IntegralRepSpec, u: float,
+                  pol: TruncationPolicy = EVAL_POLICY) -> complex:
+    """Inner Kampe de Feriet value at integration variable u."""
+    p = spec.params
+    kdf, scale = _inner_kdf(spec)
+    arg = scale * u
+    return evaluate_values(kdf, (arg * p.x,), (arg * p.y,), pol)[0]
 
 
 def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,

@@ -26,6 +26,16 @@ group is multiplied out and divided by once (F41/F42: (c)_m m! together;
 KdF: each D, E, F entry and the factorial alone); logs add the numerator
 logs from the first and subtract each denominator log in turn; only KdF
 products start from 1.
+
+`evaluate` sums one point; `evaluate_many` sums one grid at many arguments
+(x, y), as the CLI sweep needs, and `evaluate_values` gives the same values
+without the growth diagnostics, as `quadrature` needs.  Both request the grid
+keyed without x and y, and sum the terms of a stack of points, shape
+(P, M+1, N+1), in one pass: each anti-diagonal's block sum, absolute sum and
+nonzero count replays numpy's pairwise summation per point, so every result
+equals that of the point summed alone, bit for bit.  A stack holds at most
+_CHUNK_CELLS term cells (one point at least), and a truncation rectangle at
+most _MAX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache, partial, reduce
 from operator import add, mul, neg, sub, truediv
 from typing import Union
@@ -156,32 +165,35 @@ class KdfParams:
 SeriesParams = Union[F41Params, F42Params, KdfParams]
 
 
-class TruncationMode(str, Enum):
-    """How much of the truncation rectangle is summed.
+# cells one truncation rectangle may hold: 2**18 complex cells (512 x 512)
+# are 4 MiB per array, and an evaluation holds a few arrays of that size.  On
+# a 2-core x86-64 host one 512 x 512 eval took 0.13 s of CPU and peaked at
+# 67 MB, against 31 MB at the default 41 x 41; every test and benchmark
+# workload stays at or below 61 x 61
+_MAX_CELLS = 2 ** 18
 
-    FIXED_RECTANGLE sums every anti-diagonal.  ADAPTIVE stops after three
-    consecutive anti-diagonals whose absolute block sum falls below
-    tail_tol times the partial sum; it still builds the full rectangle and
-    computes every block sum, and only shortens the sum.
-    """
 
-    FIXED_RECTANGLE = "fixed_rectangle"
-    ADAPTIVE = "adaptive"
+def _require_rectangle(M: int, N: int) -> None:
+    """ValueError for a rectangle [0..M] x [0..N] with a negative bound or
+    more than _MAX_CELLS cells, checked before anything is allocated (exit
+    2 in the CLI)."""
+    if M < 0 or N < 0:
+        raise ValueError("truncation bounds must be nonnegative")
+    if (M + 1) * (N + 1) > _MAX_CELLS:
+        raise ValueError(f"truncation rectangle {M + 1} x {N + 1} exceeds "
+                         f"{_MAX_CELLS} cells")
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Truncation rectangle [0..max_m] x [0..max_n] and stopping mode."""
+    """Truncation rectangle [0..max_m] x [0..max_n]; every anti-diagonal is
+    summed."""
 
     max_m: int = 40
     max_n: int = 40
-    tail_tol: float = 1e-12
-    mode: TruncationMode = TruncationMode.FIXED_RECTANGLE
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", TruncationMode(self.mode))
-        if self.max_m < 0 or self.max_n < 0:
-            raise ValueError("truncation bounds must be nonnegative")
+        _require_rectangle(self.max_m, self.max_n)
 
 
 EVAL_POLICY = TruncationPolicy(max_m=40, max_n=40)
@@ -512,8 +524,9 @@ class _PairwiseRows:
     """Sums of ragged rows in numpy's pairwise order.
 
     `rows` holds one array of flat source indices per row; `unit` is the
-    number of reals per entry (2 for complex).  Calling the plan on a flat
-    source array whose last entry is zero returns the row sums.  Zero
+    number of reals per entry (2 for complex).  Calling the plan on a source
+    array whose first axis is flat and ends in a zero returns the row sums;
+    trailing axes (one per point of a stack) are summed alongside.  Zero
     padding is exact: x + 0 == x, and the final + 0.0 gives an all-zero row
     numpy's +0 sign.
     """
@@ -538,13 +551,14 @@ class _PairwiseRows:
         roots = [node(np.asarray(idx, dtype=np.intp))[0] for idx in rows]
         nblocks = max([len(idx) // width for idx in leaves
                        if len(idx) >= width] + [1])
-        self.blocks = np.full((len(leaves), nblocks, width), zero, np.intp)
-        self.rest = np.full((len(leaves), width - 1), zero, np.intp)
+        # leaves last, so that every add below runs over all leaves at once
+        self.blocks = np.full((nblocks, width, len(leaves)), zero, np.intp)
+        self.rest = np.full((width - 1, len(leaves)), zero, np.intp)
         for i, idx in enumerate(leaves):
             # a run shorter than one block is all rest, summed from zero
             cut = len(idx) - len(idx) % width if len(idx) >= width else 0
-            self.blocks[i].flat[:cut] = idx[:cut]
-            self.rest[i, :len(idx) - cut] = idx[cut:]
+            self.blocks[:cut // width, :, i] = idx[:cut].reshape(-1, width)
+            self.rest[:len(idx) - cut, i] = idx[cut:]
 
         def number(ref: int) -> int:
             return ref if ref >= 0 else len(leaves) - 1 - ref
@@ -560,17 +574,17 @@ class _PairwiseRows:
         self.roots = np.array([number(r) for r in roots], dtype=np.intp)
 
     def __call__(self, src: np.ndarray) -> np.ndarray:
-        blocks = src[self.blocks]
-        acc = blocks[:, 0].copy()
-        for j in range(1, blocks.shape[1]):
-            acc += blocks[:, j]
-        while acc.shape[1] > 1:
-            acc = acc[:, 0::2] + acc[:, 1::2]
-        leaf = acc[:, 0]
-        rest = src[self.rest]
-        for j in range(rest.shape[1]):
-            leaf += rest[:, j]
-        sums = np.empty(self.nodes, dtype=src.dtype)
+        # numpy reduces over a leading axis in order, from 0 (its pairwise
+        # order is only along the fast axis); the zero's sign is immaterial
+        # under the final + 0.0
+        acc = np.add.reduce(src.take(self.blocks, axis=0), axis=0)
+        while len(acc) > 1:
+            acc = acc[0::2] + acc[1::2]
+        leaf = np.add.reduce(np.concatenate(
+            (acc, src.take(self.rest, axis=0))), axis=0)
+        if not self.levels:
+            return leaf + 0.0
+        sums = np.empty((self.nodes,) + src.shape[1:], dtype=src.dtype)
         sums[:len(leaf)] = leaf
         for out, left, right in self.levels:
             sums[out] = sums[left] + sums[right]
@@ -604,8 +618,11 @@ def _diagonal_plan(M: int, N: int) -> _DiagonalPlan:
 
 
 def _with_zero(a: np.ndarray) -> np.ndarray:
-    """Flat copy of a (any strides, C order) with a zero appended."""
-    out = np.zeros(a.size + 1, dtype=a.dtype)
+    """Flat copy of a grid (any strides, C order) with a zero appended; a
+    (P, M+1, N+1) stack of grids gives one such column per point."""
+    if a.ndim == 3:
+        a = a.transpose(1, 2, 0)
+    out = np.zeros((a.shape[0] * a.shape[1] + 1,) + a.shape[2:], dtype=a.dtype)
     out[:-1].reshape(a.shape)[...] = a
     return out
 
@@ -613,14 +630,52 @@ def _with_zero(a: np.ndarray) -> np.ndarray:
 def _diagonal_stats(terms: np.ndarray):
     """Per anti-diagonal d = m + n: the sum of terms, the sum of their
     absolute values and the count of nonzero terms, as arrays, with the
-    rounding of np.trace on the diagonals of np.fliplr(terms)."""
-    plan = _diagonal_plan(terms.shape[0] - 1, terms.shape[1] - 1)
-    flipped = np.fliplr(terms)
-    # np.abs rounds differently on contiguous and on strided complex input
-    # in the last bit; the flipped view is what the block sums always read
-    abs_src = _with_zero(np.abs(flipped))
-    return (plan.complex_sums(_with_zero(flipped)), plan.real_sums(abs_src),
-            np.count_nonzero(abs_src[plan.gather], axis=1))
+    rounding of np.trace on the diagonals of np.fliplr(terms).
+
+    terms is one (M+1) x (N+1) grid, or a (P, M+1, N+1) stack of the grids
+    of P points; each statistic then has a trailing axis of P, and each
+    point's column is what its grid alone gives, bit for bit."""
+    rows, cols = terms.shape[-2:]
+    if rows == 1 and cols > 1:
+        # np.abs rounds complex input in the last bit one way in its SIMD
+        # loop and another in its scalar loop.  np.abs(np.fliplr(grid)) takes
+        # the SIMD loop, except for a single row of two or more terms: numpy
+        # reads that flipped view as 1-D with a negative stride, which only
+        # the scalar loop takes.  Every point of a stack is read the same way
+        row = np.ascontiguousarray(terms).reshape(-1)
+        abs_terms = np.abs(row[::-1])[::-1].reshape(terms.shape)
+    else:
+        abs_terms = np.abs(terms)
+    plan = _diagonal_plan(rows - 1, cols - 1)
+    return (_diagonal_sums(terms),
+            plan.real_sums(_with_zero(abs_terms[..., ::-1])),
+            _diagonal_counts(abs_terms != 0.0))
+
+
+def _diagonal_counts(nonzero: np.ndarray) -> np.ndarray:
+    """Per anti-diagonal, the count of true cells of a boolean grid, or of
+    each grid of a stack along a trailing axis."""
+    if nonzero.shape[-2] > nonzero.shape[-1]:
+        # m + n is the same in the transpose; shearing the shorter axis keeps
+        # the buffer under twice the grid's cells however thin the rectangle
+        nonzero = nonzero.swapaxes(-1, -2)
+    rows, cols = nonzero.shape[-2:]
+    stack = nonzero.shape[:-2]
+    # row m shifted to start at column m: written with rows + cols columns,
+    # read with one column fewer
+    sheared = np.zeros(stack + (rows * (rows + cols),), dtype=np.intp)
+    sheared.reshape(stack + (rows, rows + cols))[..., :cols] = nonzero
+    counts = sheared[..., :rows * (rows + cols - 1)].reshape(
+        stack + (rows, rows + cols - 1)).sum(axis=-2)
+    return counts.T
+
+
+def _diagonal_sums(terms: np.ndarray) -> np.ndarray:
+    """The first statistic of _diagonal_stats(terms) alone: the sum of the
+    terms on each anti-diagonal."""
+    rows, cols = terms.shape[-2:]
+    plan = _diagonal_plan(rows - 1, cols - 1)
+    return plan.complex_sums(_with_zero(terms[..., ::-1]))
 
 
 def _final_quartile(seq):
@@ -630,53 +685,16 @@ def _final_quartile(seq):
 
 
 def _block_ratios(abs_blocks):
-    ratios = []
-    for prev, cur in zip(abs_blocks, abs_blocks[1:]):
-        if prev == 0.0:
-            ratios.append(0.0 if cur == 0.0 else math.inf)
-        else:
-            ratios.append(cur / prev)
-    return ratios
+    return [cur / prev if prev != 0.0 else 0.0 if cur == 0.0 else math.inf
+            for prev, cur in zip(abs_blocks, abs_blocks[1:])]
 
 
-def _sum_terms(coeffs: np.ndarray, x: complex, y: complex,
-               pol: TruncationPolicy) -> EvaluationResult:
-    M = coeffs.shape[0] - 1
-    N = coeffs.shape[1] - 1
-    xp = np.power(complex(x), np.arange(M + 1), dtype=np.complex128)
-    yp = np.power(complex(y), np.arange(N + 1), dtype=np.complex128)
-    terms = coeffs * xp[:, None] * yp[None, :]
-
-    # anti-diagonal block sums in increasing total degree
-    block_sums, abs_blocks, nonzero_counts = _diagonal_stats(terms)
-    abs_blocks = abs_blocks.tolist()
-    nonzero_counts = nonzero_counts.tolist()
-
-    total = 0.0 + 0.0j
-    terms_used = 0
-    last_d = M + N
-    if pol.mode is TruncationMode.ADAPTIVE:
-        quiet = 0
-        for d in range(M + N + 1):
-            total += block_sums[d]
-            terms_used += nonzero_counts[d]
-            if d > 0 and abs_blocks[d] < pol.tail_tol * max(abs(total), 1e-300):
-                quiet += 1
-            else:
-                quiet = 0
-            if quiet >= 3:
-                last_d = d
-                break
-    else:
-        total = sum(block_sums)
-        terms_used = sum(nonzero_counts)
-
-    if not (np.isfinite(total.real) and np.isfinite(total.imag)):
-        raise OverflowSignalError("partial sum exceeds the floating range")
-
+def _summary(total: complex, abs_blocks: list, terms_used: int, M: int,
+             N: int) -> EvaluationResult:
+    """One point's result from its sum and absolute block sums."""
     # growth statistics only over complete anti-diagonals: past d = min(M, N)
     # the rectangle clips diagonals, which would fake decaying block sums
-    included_abs = abs_blocks[:min(last_d, M, N) + 1]
+    included_abs = abs_blocks[:min(M, N) + 1]
     ratios = _block_ratios(included_abs)
     tail_q = _final_quartile(ratios)
     divergence_flag = bool(tail_q) and all(r > 1.0 for r in tail_q)
@@ -690,24 +708,98 @@ def _sum_terms(coeffs: np.ndarray, x: complex, y: complex,
     else:
         tail_estimate = math.inf
 
-    return EvaluationResult(value=complex(total), terms_used=terms_used,
+    return EvaluationResult(value=total, terms_used=terms_used,
                             tail_estimate=float(tail_estimate),
                             divergence_flag=divergence_flag,
                             max_term_ratio=float(max_term_ratio))
 
 
+def _sum_terms(coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+               diagnostics: bool) -> list:
+    """Results (values alone without diagnostics) of the terms
+    coeffs[m, n] x^m y^n at each pair of the 1-D complex arrays xs and ys,
+    summed as one (P, M+1, N+1) stack."""
+    M = coeffs.shape[0] - 1
+    N = coeffs.shape[1] - 1
+    # a point outside the floating range overflows its powers, terms and
+    # sums; it raises below, and no point warns on its own or another's
+    # behalf
+    with np.errstate(over="ignore", invalid="ignore"):
+        xp = np.power(xs[:, None], np.arange(M + 1), dtype=np.complex128)
+        yp = np.power(ys[:, None], np.arange(N + 1), dtype=np.complex128)
+        terms = coeffs * xp[:, :, None] * yp[:, None, :]
+        # anti-diagonal block sums in increasing total degree
+        if diagnostics:
+            block_sums, abs_blocks, nonzero_counts = _diagonal_stats(terms)
+        else:
+            block_sums = _diagonal_sums(terms)
+        # the blocks added left to right, as Python's sum adds them from 0
+        # (no block sum is -0.0, so starting from the first is the same)
+        totals = np.cumsum(block_sums, axis=0)[-1]
+    if not np.isfinite(totals).all():
+        raise OverflowSignalError("partial sum exceeds the floating range")
+    if not diagnostics:
+        return totals.tolist()
+    return [_summary(*stats, M, N) for stats in zip(
+        totals.tolist(), abs_blocks.T.tolist(),
+        nonzero_counts.sum(axis=0).tolist())]
+
+
 def _without_args(p: SeriesParams) -> SeriesParams:
-    """p with x = y = 0: the grid cache key, since coefficients do not
-    depend on the arguments."""
-    return p.replace(x=0j, y=0j)
+    """p with x = y = 0 (p itself if so already): the grid cache key, since
+    coefficients do not depend on the arguments."""
+    return p if p.x == 0 and p.y == 0 else p.replace(x=0j, y=0j)
+
+
+# term cells evaluate_many sums as one stack: 8 points of the default 41 x 41
+# rectangle, whatever the number of points.  A stack holds a few complex
+# arrays of this many cells (215 KB each).  On a 2-core x86-64 host an 11 x 11
+# sweep took 15 ms one point at a time, 8.5 ms in stacks of 6 or 8 points,
+# and 14 ms in stacks of 12 or 16, which also grew the peak memory
+_CHUNK_CELLS = 8 * 41 * 41
+
+
+def _sum_stacks(p: SeriesParams, xs, ys, pol: TruncationPolicy,
+                diagnostics: bool) -> list:
+    xs = np.asarray(xs, dtype=np.complex128)
+    ys = np.asarray(ys, dtype=np.complex128)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("xs and ys must be sequences of equal length")
+    if not len(xs):
+        return []
+    coeffs = _grid_coeffs(_without_args(p), pol.max_m, pol.max_n)
+    step = max(1, _CHUNK_CELLS // coeffs.size)
+    results = []
+    for i in range(0, len(xs), step):
+        results += _sum_terms(coeffs, xs[i:i + step], ys[i:i + step],
+                              diagnostics)
+    return results
+
+
+def evaluate_many(p: SeriesParams, xs, ys,
+                  pol: TruncationPolicy = EVAL_POLICY) -> list:
+    """evaluate(p.replace(x=x, y=y), pol) for each pair of xs and ys, bit
+    for bit, from one grid request; p's own arguments are not used.
+
+    The points are summed in stacks of at most _CHUNK_CELLS term cells (one
+    point at least), each reduced in one pass.  A point whose partial sum
+    leaves the floating range raises OverflowSignalError, as in evaluate."""
+    return _sum_stacks(p, xs, ys, pol, True)
+
+
+def evaluate_values(p: SeriesParams, xs, ys,
+                    pol: TruncationPolicy = EVAL_POLICY) -> list:
+    """The values of evaluate_many(p, xs, ys, pol), bit for bit, without
+    the growth diagnostics: no absolute block sums, term counts or ratios,
+    which take about half of a point's time."""
+    return _sum_stacks(p, xs, ys, pol, False)
 
 
 def evaluate(p: SeriesParams,
              pol: TruncationPolicy = EVAL_POLICY) -> EvaluationResult:
     """Truncated sum of either analogue or a Kampe de Feriet series, with
     growth diagnostics."""
-    coeffs = _grid_coeffs(_without_args(p), pol.max_m, pol.max_n)
-    return _sum_terms(coeffs, p.x, p.y, pol)
+    return evaluate_many(p, (p.x,), (p.y,), pol)[0]
 
 
 # the documented per-function names of the one evaluator

@@ -16,6 +16,7 @@ import pytest
 
 import appell4
 import appell4.cli as cli
+import appell4.quadrature as quadrature
 import appell4.series as series
 from appell4.cli import dump_json, main
 from appell4.series import (F41Params, KdfParams, TruncationPolicy, eval_f41,
@@ -109,6 +110,13 @@ class TestEvalCommand:
         _, first = run(capsys, *argv)
         _, second = run(capsys, *argv)
         assert first == second
+
+    def test_overflowing_argument_prints_only_the_error(self):
+        proc = run_python("-m", "appell4.cli", "eval", "--fn", "F41",
+                          "--x=inf")
+        assert proc.returncode == 3
+        assert proc.stderr == ("evaluation error: partial sum exceeds the "
+                               "floating range\n")
 
     def test_module_run_is_warning_free(self):
         proc = run_python("-m", "appell4.cli", "eval", "--fn", "F4",
@@ -252,6 +260,19 @@ class TestQuadcheckCommand:
         code, _ = run(capsys, "quadcheck", "--order", "500")
         assert code == 2
 
+    def test_bad_order_wins_over_a_bad_regime(self, capsys):
+        code, _ = run(capsys, "quadcheck", "--order", "500", "--k", "1",
+                      "--t1", "0.5")
+        assert code == 2
+
+    def test_regime_is_checked_before_the_rule_is_built(self, capsys):
+        before = quadrature._build_rule.cache_info()
+        code, _ = run(capsys, "quadcheck", "--order", "256", "--k", "1",
+                      "--t1", "0.5")
+        assert code == 3
+        after = quadrature._build_rule.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
 
 class TestSweepCommand:
     def test_default_grid_shape(self, capsys):
@@ -298,6 +319,17 @@ class TestSweepCommand:
                              (0.0, float("nan"), 0.1)):
             with pytest.raises(ValueError, match="201 points per axis"):
                 cli._sweep_axis(lo, hi, step)
+
+    def test_rectangle_over_the_cell_budget_exits_two(self, capsys):
+        # rejected before any grid is built
+        for argv in (("eval", "--M", "1000", "--N", "1000"),
+                     ("sweep", "--M", "600", "--N", "600"),
+                     ("quadcheck", "--M", "100000", "--N", "3"),
+                     ("audit", "--M", "600", "--N", "600")):
+            code = main(list(argv))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "exceeds 262144 cells" in err
 
     def test_infinite_bound_exits_two(self, capsys):
         code = main(["sweep", "--hi", "inf"])
@@ -431,13 +463,18 @@ GOLDEN = [
     # grid anchors became prefixes of one running product per symbol
     (["audit", "--draws", "3", "--include-suspected", "--seed", "0"],
      "03055b1c72249e856134e44101e70024d058cdf43f0b1bbe18c0db38920b7e44"),
+    # 256 nodes at k = 0; recorded at the commit before points were summed
+    # in stacks and rules were cached
+    (["quadcheck", "--order", "256", "--a", "2", "--b", "0.7+0.1j",
+      "--c1", "1.2", "--c2", "0.9-0.2j", "--x", "0.05+0.01j", "--y", "0.04"],
+     "e48a7360ac230223cf53598c5671b9e06d01822e1b5c2d187f6b41298aeb14bb"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN,
                          ids=["eval-F41", "eval-F42-log", "eval-KdF",
                               "quadcheck-k1", "sweep-k0", "sweep-k1",
-                              "audit-3"])
+                              "audit-3", "quadcheck-256-k0"])
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0

@@ -76,6 +76,27 @@ class TestLaguerreRule:
                 laguerre_rule(order)
             assert not isinstance(info.value, Appell4Error)
 
+    def test_rule_is_built_once_per_order(self):
+        assert laguerre_rule(64) is laguerre_rule(64)
+        assert laguerre_rule(8) is not laguerre_rule(9)
+
+    def test_cache_does_not_widen_the_accepted_orders(self):
+        # an untyped cache would answer 64.0 or np.int64(64) with the
+        # cached order-64 rule, and True with an order-1 rule
+        laguerre_rule(64)
+        laguerre_rule(2)
+        for order in (64.0, np.int64(64), True, 1.0):
+            with pytest.raises(ValueError):
+                laguerre_rule(order)
+
+    def test_shared_rule_is_read_only(self):
+        rule = laguerre_rule(16)
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 1.0
+        with pytest.raises(ValueError):
+            rule.weights[:] = 0.0
+        assert laguerre_rule(16).nodes[0] == rule.nodes[0] > 0
+
     def test_rule_type_rejects_bad_data(self):
         good = laguerre_rule(4)
         with pytest.raises(QuadratureConvergenceError):
@@ -125,6 +146,23 @@ class TestIntegrandKdf:
                                       x=-u * p.x, y=-u * p.y)).value
         assert vb == pytest.approx(direct_b, rel=1e-14)
         assert va != pytest.approx(vb, rel=1e-3)
+
+    @pytest.mark.parametrize("k,p", [(0, P_K0), (1, P_K1),
+                                     (2, F41Params(2.0, 0.8 + 0.3j, 1.7, 2.3,
+                                                   6, 4, 2, 2, 0.25j, 0.15))])
+    def test_value_is_the_evaluated_series_bit_for_bit(self, k, p):
+        # the KdF series at each node, built and summed one node at a time
+        for which in RepKind:
+            spec = IntegralRepSpec(which, k, p)
+            coupled = p.b if which is RepKind.REP_A else p.a
+            B = tuple((-p.t1 + i) / k for i in range(k))
+            C = tuple((-p.t2 + i) / k for i in range(k))
+            for u in (0.0, 0.3, 7.5, float(RULE64.nodes[-1])):
+                arg = (-k) ** k * u if k else u
+                direct = eval_kdf(KdfParams(A=(coupled,), B=B, C=C,
+                                            E=(p.c1,), F=(p.c2,),
+                                            x=arg * p.x, y=arg * p.y))
+                assert repr(integrand_kdf(spec, u)) == repr(direct.value)
 
     def test_nonterminating_t_rejected(self):
         spec = IntegralRepSpec(RepKind.REP_A, 1, P_K1.replace(t1=2.5))

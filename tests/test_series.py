@@ -4,6 +4,8 @@ Kampe de Feriet reductions, truncation policies, and growth diagnostics."""
 import hashlib
 import math
 import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from appell4.series import (
     F41Params,
     F42Params,
     KdfParams,
-    TruncationMode,
     TruncationPolicy,
     coefficient_grid,
     convergence_region,
@@ -25,6 +26,9 @@ from appell4.series import (
     eval_f42,
     eval_f4_classic,
     eval_kdf,
+    evaluate,
+    evaluate_many,
+    evaluate_values,
     reduce_to_kdf,
     scratch_coefficient_f41,
     scratch_coefficient_f42,
@@ -231,18 +235,6 @@ class TestEval:
         pol = TruncationPolicy(24, 24)
         assert rel(eval_f41(p, pol).value, eval_f41(q, pol).value) < 1e-13
 
-    def test_adaptive_stops_early(self):
-        pol_f = TruncationPolicy(40, 40)
-        pol_a = TruncationPolicy(40, 40, 1e-12, TruncationMode.ADAPTIVE)
-        p = F41Params(1.1, 0.8, 1.7, 2.3, 0, 0, 0, 0, 0.08, 0.05)
-        rf, ra = eval_f41(p, pol_f), eval_f41(p, pol_a)
-        assert ra.terms_used < rf.terms_used
-        assert rel(ra.value, rf.value) < 1e-11
-
-    def test_adaptive_mode_accepts_string(self):
-        pol = TruncationPolicy(10, 10, 1e-10, "adaptive")
-        assert pol.mode is TruncationMode.ADAPTIVE
-
     def test_tail_estimate_bounds_remainder(self):
         p = F41Params(1.1, 0.8, 1.7, 2.3, 0, 0, 0, 0, 0.15, 0.1)
         small = eval_f41(p, TruncationPolicy(18, 18))
@@ -423,6 +415,211 @@ class TestDiagonalStats:
         assert not np.signbit(block_sums.real).any()
         assert not np.signbit(block_sums.imag).any()
         assert not abs_blocks.any() and not counts.any()
+
+
+class TestStackedDiagonalStats:
+    def test_each_point_of_a_stack_sums_as_alone(self):
+        # single rows take numpy's scalar abs loop, every other shape its
+        # SIMD loop; a stack must keep each point's rounding either way
+        rng = np.random.default_rng(99)
+        shapes = [(1, 1), (1, 2), (1, 41), (41, 1), (2, 2), (41, 41),
+                  (7, 30), (30, 7), (70, 3)]
+        for rows, cols in shapes:
+            for points in (1, 2, 5):
+                stack = np.stack([random_terms(rng, rows, cols)
+                                  for _ in range(points)])
+                sums, abs_sums, counts = series._diagonal_stats(stack)
+                assert sums.shape == abs_sums.shape == counts.shape == (
+                    rows + cols - 1, points)
+                for j, terms in enumerate(stack):
+                    one = series._diagonal_stats(terms)
+                    ref_sums, ref_abs, ref_counts = diagonal_stats_loop(terms)
+                    assert sums[:, j].tobytes() == one[0].tobytes() == \
+                        np.array(ref_sums).tobytes()
+                    assert abs_sums[:, j].tolist() == one[1].tolist() == \
+                        ref_abs
+                    assert counts[:, j].tolist() == one[2].tolist() == \
+                        ref_counts
+
+    def test_thin_rectangles_stay_small(self):
+        # the nonzero count shears the shorter axis: a 3000 x 1 stack must
+        # not allocate a buffer that grows with 3000 squared
+        rng = np.random.default_rng(3)
+        for rows, cols in ((3000, 1), (1, 3000), (3000, 2), (2, 3000)):
+            stack = np.stack([random_terms(rng, rows, cols)
+                              for _ in range(2)])
+            tracemalloc.start()
+            try:
+                sums, abs_sums, counts = series._diagonal_stats(stack)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 40 * stack.nbytes
+            for j, terms in enumerate(stack):
+                ref_sums, ref_abs, ref_counts = diagonal_stats_loop(terms)
+                assert sums[:, j].tobytes() == np.array(ref_sums).tobytes()
+                assert abs_sums[:, j].tolist() == ref_abs
+                assert counts[:, j].tolist() == ref_counts
+
+
+def reference_evaluate(p, pol):
+    """One point as the evaluator summed it before points were stacked:
+    np.trace per anti-diagonal and Python's sum of the blocks."""
+    coeffs = series._grid_coeffs(series._without_args(p), pol.max_m,
+                                 pol.max_n)
+    M, N = pol.max_m, pol.max_n
+    with np.errstate(all="ignore"):
+        xp = np.power(complex(p.x), np.arange(M + 1), dtype=np.complex128)
+        yp = np.power(complex(p.y), np.arange(N + 1), dtype=np.complex128)
+        terms = coeffs * xp[:, None] * yp[None, :]
+        block_sums, abs_blocks, counts = diagonal_stats_loop(terms)
+        total = sum(block_sums)
+    if not (np.isfinite(total.real) and np.isfinite(total.imag)):
+        raise OverflowSignalError("partial sum exceeds the floating range")
+    included = abs_blocks[:min(M, N) + 1]
+    ratios = [0.0 if prev == 0.0 and cur == 0.0 else
+              math.inf if prev == 0.0 else cur / prev
+              for prev, cur in zip(included, included[1:])]
+    quartile = ratios[-max(1, math.ceil(len(ratios) / 4)):] if ratios else []
+    if included[-1] == 0.0:
+        tail = 0.0
+    elif ratios and ratios[-1] < 1.0:
+        tail = included[-1] * ratios[-1] / (1.0 - ratios[-1])
+    else:
+        tail = math.inf
+    return series.EvaluationResult(
+        complex(total), sum(counts), float(tail),
+        bool(quartile) and all(r > 1.0 for r in quartile),
+        float(max(ratios, default=0.0)))
+
+
+def argument_corpus(rng, count):
+    def one():
+        return rng.choice((
+            lambda: 0.0, lambda: -0.0, lambda: complex(-0.0, -0.0),
+            lambda: complex(0.0, -0.0), lambda: rng.uniform(-0.6, 0.6),
+            lambda: complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)),
+            lambda: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+            lambda: rng.choice((1e-300, 5.0, -40.0)),
+        ))()
+
+    return [one() for _ in range(count)], [one() for _ in range(count)]
+
+
+class TestEvaluateMany:
+    """A stack of points gives each point's result bit for bit, compared by
+    repr: per-point evaluate, and the per-diagonal np.trace reference."""
+
+    def corpus(self, seed=17):
+        rng = random.Random(seed)
+        shapes = ((0, 0), (0, 9), (9, 0), (1, 12), (12, 1), (5, 17),
+                  (17, 5), (12, 12), (40, 40))
+        requests = [(p, M, N) for p, M, N in golden_grid_requests(90)
+                    if M <= 24 and N <= 24]
+        for i, (p, _, _) in enumerate(requests):
+            yield p, TruncationPolicy(*shapes[i % len(shapes)]), rng
+
+    def assert_matches(self, p, pol, xs, ys):
+        def outcome(results):
+            try:
+                return [repr(r) for r in results()]
+            except OverflowSignalError:
+                return "overflow"
+
+        points = [p.replace(x=x, y=y) for x, y in zip(xs, ys)]
+        many = outcome(lambda: evaluate_many(p, xs, ys, pol))
+        assert many == outcome(lambda: [evaluate(q, pol) for q in points])
+        assert many == outcome(lambda: [reference_evaluate(q, pol)
+                                        for q in points])
+        assert outcome(lambda: evaluate_values(p, xs, ys, pol)) == outcome(
+            lambda: [r.value for r in evaluate_many(p, xs, ys, pol)])
+
+    def test_seeded_corpus(self):
+        results = set()
+        for p, pol, rng in self.corpus():
+            try:
+                series._grid_coeffs(series._without_args(p), pol.max_m,
+                                    pol.max_n)
+            except OverflowSignalError:
+                continue
+            xs, ys = argument_corpus(rng, rng.choice((1, 2, 7, 30)))
+            self.assert_matches(p, pol, xs, ys)
+            results.add(pol.max_m * 100 + pol.max_n)
+        assert len(results) >= 8
+
+    def test_point_counts_around_the_stack_size(self):
+        rng = random.Random(5)
+        p = F41Params(1.1 + 0.2j, 0.9, 1.3, 1.7, 2.6, 1.4, 1, 1, 0.0, 0.0)
+        for pol in (TruncationPolicy(40, 40), TruncationPolicy(3, 25)):
+            chunk = series._CHUNK_CELLS // ((pol.max_m + 1) * (pol.max_n + 1))
+            for count in sorted({0, 1, chunk - 1, chunk, chunk + 1, 256}):
+                xs, ys = argument_corpus(rng, count)
+                self.assert_matches(p, pol, xs, ys)
+
+    def test_small_stacks_on_every_shape(self, monkeypatch):
+        # three points' cells per stack at 13 x 13 cuts the corpus into
+        # stacks of every size on each rectangle
+        monkeypatch.setattr(series, "_CHUNK_CELLS", 3 * 13 * 13)
+        for p, pol, rng in self.corpus(seed=18):
+            try:
+                series._grid_coeffs(series._without_args(p), pol.max_m,
+                                    pol.max_n)
+            except OverflowSignalError:
+                continue
+            xs, ys = argument_corpus(rng, rng.choice((4, 9)))
+            self.assert_matches(p, pol, xs, ys)
+
+    def test_no_points_requests_no_grid(self):
+        series._grid_coeffs.cache_clear()
+        assert evaluate_many(P41, [], []) == []
+        assert series._grid_coeffs.cache_info().misses == 0
+
+    def test_one_grid_for_all_points(self):
+        series._grid_coeffs.cache_clear()
+        results = evaluate_many(P41.replace(x=0.3), [0.1, 0.2, -0.1j],
+                                [0.05, 0.0, 0.1])
+        assert len(results) == 3
+        assert series._grid_coeffs.cache_info().misses == 1
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_many(P41, [0.1, 0.2], [0.1])
+
+    def test_overflowing_point_raises_without_warnings(self):
+        p = F41Params(1.1, 0.8, 1.7, 2.3, 0, 0, 0, 0, 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowSignalError):
+                evaluate_many(p, [0.1, math.inf, 0.2], [0.1, 0.0, 0.1])
+            with pytest.raises(OverflowSignalError):
+                evaluate(p.replace(x=math.nan, y=math.inf))
+            # the finite points of a stack alone are fine
+            assert len(evaluate_many(p, [0.1, 0.2], [0.1, 0.1])) == 2
+
+
+class TestCellBudget:
+    """Only the guard's arithmetic: no rectangle near the budget is
+    allocated."""
+
+    def test_budget_boundary(self):
+        assert series._MAX_CELLS == 512 * 512
+        series._require_rectangle(511, 511)
+        series._require_rectangle(0, series._MAX_CELLS - 1)
+        series._require_rectangle(series._MAX_CELLS - 1, 0)
+        for M, N in ((512, 511), (511, 512), (0, series._MAX_CELLS),
+                     (10 ** 12, 10 ** 12), (10 ** 30, 0)):
+            with pytest.raises(ValueError, match="exceeds"):
+                series._require_rectangle(M, N)
+
+    def test_negative_bounds(self):
+        for M, N in ((-1, 0), (0, -1), (-5, 10 ** 12)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                series._require_rectangle(M, N)
+
+    def test_policy_checks_the_budget(self):
+        TruncationPolicy(511, 511)
+        with pytest.raises(ValueError, match="exceeds"):
+            TruncationPolicy(1000, 1000)
 
 
 class TestGridCacheKey:
