@@ -17,6 +17,12 @@ minimal one-symbol correction, cross-linked through twin ids.  Verification
 compares both sides cellwise on a truncation rectangle; every operator is
 applied exactly (no finite differences), so residuals are pure floating
 round-off when a relation holds.
+
+`audit_catalog` runs its draws in chunks bounded by grid cells: it plans a
+chunk (draws, side terms, compiled operators), puts every grid the chunk
+requests into the grid cache at once (`series.cache_grids`), then compares
+draw by draw from the cache, so rows, residuals and errors are those of one
+draw after another.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .errors import ConstraintError, InvalidOperatorError
 from .kernels import pochhammer
 from .operators import (
     OperatorExpr,
+    apply_compiled,
     apply_expr_to_params,
     big_theta_t1,
     big_theta_t2,
@@ -55,7 +62,8 @@ from .operators import (
     scaled_big_theta_t2,
     theta_x,
 )
-from .series import F41Params, F42Params, coefficient_grid
+from .series import (_GRID_CACHE_BYTES, F41Params, F42Params, cache_grids,
+                     coefficient_grid)
 
 Params = Union[F41Params, F42Params]
 
@@ -926,28 +934,44 @@ def _compose_grid(arr: np.ndarray, comp: Composition) -> np.ndarray:
     out = np.zeros_like(arr)
     if comp is Composition.SECOND_IS_XY:
         # F(x, x y): cell (u, v) collects the source cell (u - v, v)
-        for v in range(N + 1):
+        for v in range(min(M, N) + 1):
             out[v:M + 1, v] = arr[:M + 1 - v, v]
     else:
         # F(x y, y): cell (u, v) collects the source cell (u, v - u)
-        for u in range(M + 1):
+        for u in range(min(M, N) + 1):
             out[u, u:N + 1] = arr[u, :N + 1 - u]
     return out
 
 
-def _term_grid(term: SideTerm, M: int, N: int) -> np.ndarray:
+def _compile_term(term: SideTerm, M: int, N: int) -> dict:
+    """compile_expr of the term's operator on its instance, with the checks
+    that _term_grid makes before it requests a grid."""
     spec = term.instance
-    if spec.composition is Composition.NONE:
-        arr = apply_expr_to_params(term.expr, spec.params, M, N)
-        return complex(term.coeff) * arr
-    # a composed-argument grid is no series instance of its own: only the
-    # index-diagonal factors (theta_x, phi_y, scale) act on it
     compiled = compile_expr(term.expr, spec.params, M, N)
     require_margin(compiled, M, N)
+    if spec.composition is not Composition.NONE:
+        # a composed-argument grid is no series instance of its own: only
+        # the index-diagonal factors (theta_x, phi_y, scale) act on it
+        diagonal = (spec.params, 0, 0)
+        if any(key != diagonal for key in compiled):
+            raise InvalidOperatorError("only index-diagonal factors act on "
+                                       "composed-argument grids")
+    return compiled
+
+
+def _term_grid(term: SideTerm, M: int, N: int,
+               compiled: Optional[dict] = None) -> np.ndarray:
+    """The term's grid; compiled, if given, is _compile_term(term, M, N)."""
+    spec = term.instance
+    if spec.composition is Composition.NONE:
+        if compiled is None:
+            arr = apply_expr_to_params(term.expr, spec.params, M, N)
+        else:
+            arr = apply_compiled(compiled, M, N)
+        return complex(term.coeff) * arr
+    if compiled is None:
+        compiled = _compile_term(term, M, N)
     diagonal = (spec.params, 0, 0)
-    if any(key != diagonal for key in compiled):
-        raise InvalidOperatorError("only index-diagonal factors act on "
-                                   "composed-argument grids")
     base = np.asarray(coefficient_grid(spec.params, M, N).coeffs)
     grid = _compose_grid(base, spec.composition)
     return complex(term.coeff) * (compiled.get(diagonal, 0.0) * grid)
@@ -994,27 +1018,55 @@ def point_to_dict(point: ParamPoint) -> dict:
     return out
 
 
-def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
-                    N: int = 12, tolerance: float = 1e-10,
-                    mode: VerificationMode = VerificationMode.COEFFICIENTWISE,
-                    ) -> RelationReport:
-    """Build both sides on the truncation rectangle and report residuals.
-
-    Cellwise comparison is exact up to floating round-off; summed mode
-    additionally compares the two sides' numeric sums, which requires every
-    instance to terminate inside the rectangle.
-    """
-    mode = VerificationMode(mode)
+def _check_point(ident: Identity, point: ParamPoint) -> None:
     if not isinstance(point.params, _TARGET_PARAMS[ident.target]):
         raise ConstraintError(f"identity {ident.id} targets "
                               f"{ident.target.value}, got "
                               f"{type(point.params).__name__}")
     ident.constraints.validate(point)
 
-    lhs_terms = ident.lhs(point)
-    rhs_terms = ident.rhs(point)
-    lhs_grids = [_term_grid(t, M, N) for t in lhs_terms]
-    rhs_grids = [_term_grid(t, M, N) for t in rhs_terms]
+
+@dataclass(frozen=True)
+class _PlannedDraw:
+    """One audit draw with both sides built and every term compiled, as
+    (term, compiled) pairs per side."""
+
+    point: ParamPoint
+    lhs: tuple
+    rhs: tuple
+
+    def grid_keys(self, M: int, N: int) -> list:
+        """The (params, M, N) grid requests of the comparison, in order."""
+        keys = []
+        for term, compiled in self.lhs + self.rhs:
+            if term.instance.composition is Composition.NONE:
+                keys += [(q, M, N) for q, _, _ in compiled]
+            else:
+                keys.append((term.instance.params, M, N))
+        return keys
+
+
+def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
+                    N: int = 12, tolerance: float = 1e-10,
+                    mode: VerificationMode = VerificationMode.COEFFICIENTWISE,
+                    *, _planned: Optional[_PlannedDraw] = None,
+                    ) -> RelationReport:
+    """Build both sides on the truncation rectangle and report residuals.
+
+    Cellwise comparison is exact up to floating round-off; summed mode
+    additionally compares the two sides' numeric sums, which requires every
+    instance to terminate inside the rectangle.  audit_catalog passes the
+    draw it planned for point, whose sides are already built and compiled.
+    """
+    mode = VerificationMode(mode)
+    if _planned is None:
+        _check_point(ident, point)
+        lhs = [(t, None) for t in ident.lhs(point)]
+        rhs = [(t, None) for t in ident.rhs(point)]
+    else:
+        lhs, rhs = _planned.lhs, _planned.rhs
+    lhs_grids = [_term_grid(t, M, N, c) for t, c in lhs]
+    rhs_grids = [_term_grid(t, M, N, c) for t, c in rhs]
     zero = np.zeros((M + 1, N + 1), dtype=np.complex128)
     lhs_total = sum(lhs_grids, zero)
     rhs_total = sum(rhs_grids, zero)
@@ -1024,7 +1076,7 @@ def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
     max_abs = float(np.abs(lhs_total - rhs_total).max())
 
     if mode is VerificationMode.SUMMED_TERMINATING:
-        specs = [t.instance.params for t in lhs_terms + rhs_terms]
+        specs = [t.instance.params for t, _ in lhs + rhs]
         if not all(_summed_supported(p, M, N) for p in specs):
             raise ConstraintError(
                 "summed mode needs terminating t with support (plus shift "
@@ -1167,28 +1219,88 @@ def _row_status(ident: Identity, draws: int, passes: int) -> str:
     return "mixed"
 
 
+def _plan_draw(sampler: ParamSampler, ident: Identity, j: int, M: int,
+               N: int) -> Optional[_PlannedDraw]:
+    """Draw j of ident with its sides built and compiled, or None when any
+    of that raises: verify_identity then repeats it and raises there."""
+    try:
+        point = sampler.draw(ident, j)
+        _check_point(ident, point)
+        sides = ident.lhs(point), ident.rhs(point)
+        lhs, rhs = (tuple((t, _compile_term(t, M, N)) for t in terms)
+                    for terms in sides)
+    except Exception:
+        return None
+    return _PlannedDraw(point, lhs, rhs)
+
+
+# grid cells one audit chunk plans before it compares: 775 grids of 13 x 13,
+# 2.6 MB with their cache entries, so that a chunk fits the grid cache and
+# no planned grid is evicted before its comparison reads it.  A chunk's plan
+# holds about 9 KB per draw besides its grids; on a 2-core x86-64 host,
+# chunks of 256 to 1,024 grids cut the seed-3 acceptance audit alike
+_PLAN_CELLS = _GRID_CACHE_BYTES // 16 // 2
+
+
 def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
                   tolerance: float = 1e-10,
                   identities: Optional[Sequence[Identity]] = None,
                   ) -> AuditSummary:
-    """Run every identity at the sampler's draws and summarize the outcomes."""
+    """Run every identity at the sampler's draws and summarize the outcomes.
+
+    The draws are taken in catalog order, in chunks of at most _PLAN_CELLS
+    grid cells (one draw at least), each in three phases:
+      plan     draw the point, build both sides and compile every term;
+      build    put every grid the chunk requests into the grid cache, as
+               lanes where they are many (series.cache_grids);
+      compare  verify_identity on the planned sides, from cached grids.
+    Plan and build raise nothing: a draw whose plan raises is verified from
+    scratch in its turn and raises there, as a grid build that raises does
+    when its grid is requested.  A draw too large for a chunk alone requests
+    its grids as it compares.
+    """
     if identities is None:
         identities = builtin_catalog()
     if sampler.draws <= 0:
         return AuditSummary((), (), ())
+    worst = [0.0] * len(identities)
+    passes = [0] * len(identities)
+    # a planned draw also holds a few KB of sides and weights whatever the
+    # rectangle, so a grid counts as at least 13 x 13 cells
+    per_chunk = _PLAN_CELLS // max((M + 1) * (N + 1), 13 * 13)
+
+    def compare(chunk, keys):
+        if len(keys) <= per_chunk:
+            cache_grids(keys)
+        for i, ident, j, planned in chunk:
+            if planned is None:
+                report = verify_identity(ident, sampler.draw(ident, j), M, N,
+                                         tolerance)
+            else:
+                report = verify_identity(ident, planned.point, M, N,
+                                         tolerance, _planned=planned)
+            worst[i] = max(worst[i], report.rel_residual)
+            passes[i] += int(report.passed)
+
+    chunk, keys = [], {}
+    for i, ident in enumerate(identities):
+        for j in range(sampler.draws):
+            planned = _plan_draw(sampler, ident, j, M, N)
+            mine = dict.fromkeys(planned.grid_keys(M, N) if planned else ())
+            fresh = sum(key not in keys for key in mine)
+            if chunk and len(keys) + fresh > per_chunk:
+                compare(chunk, list(keys))
+                chunk, keys = [], {}
+            chunk.append((i, ident, j, planned))
+            keys.update(mine)
+    compare(chunk, list(keys))
+
     rows = []
     failing = []
     contradictions = []
-    for ident in identities:
-        worst = 0.0
-        passes = 0
-        for j in range(sampler.draws):
-            point = sampler.draw(ident, j)
-            report = verify_identity(ident, point, M, N, tolerance)
-            worst = max(worst, report.rel_residual)
-            passes += int(report.passed)
-        status = _row_status(ident, sampler.draws, passes)
-        if passes == 0:
+    for i, ident in enumerate(identities):
+        status = _row_status(ident, sampler.draws, passes[i])
+        if passes[i] == 0:
             failing.append(ident.id)
         if status == "status_contradiction":
             contradictions.append(ident.id)
@@ -1196,8 +1308,8 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
             "id": ident.id,
             "paper_anchor": ident.anchor,
             "draws": sampler.draws,
-            "passes": passes,
-            "worst_rel_residual": worst,
+            "passes": passes[i],
+            "worst_rel_residual": worst[i],
             "status": status,
         })
     return AuditSummary(tuple(rows), tuple(failing), tuple(contradictions))

@@ -8,6 +8,15 @@ log-gamma difference loses meaning.  `pochhammer_prefixes` gives (a)_l for
 a nondecreasing list of lengths from one running product, each value bit
 for bit the one-length result; `pochhammer` is its one-length case, so the
 direct-product policy lives in one place.
+
+`Lanes` carries one Python number per lane as float64 arrays of real and
+imaginary parts, and computes with CPython's scalar complex rules, so that a
+batch of lanes gives each lane's scalar result bit for bit (numpy's own
+complex multiply and divide round differently).  `pochhammer_prefix_lanes`
+is `pochhammer_prefixes` over lanes; a lane whose scalar routine would leave
+the direct product is marked for the scalar routine instead.  One exact
+lattice predicate, `_is_exact_nonpositive_int`, has an array form
+(`_nonpositive_int_lanes`) and underlies both zero tests of (a)_l.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import OverflowSignalError, PoleError
 
@@ -48,6 +59,12 @@ def _is_exact_nonpositive_int(z: complex) -> bool:
         return False
     re = z.real
     return re <= 0.0 and re == math.floor(re)
+
+
+def _nonpositive_int_lanes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """_is_exact_nonpositive_int elementwise over the real and imaginary
+    parts of finite values."""
+    return (im == 0.0) & (re <= 0.0) & (re == np.floor(re))
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -101,14 +118,14 @@ class LogPochhammer:
 
 
 def _poch_is_zero(a: complex, l: int) -> bool:
-    """Exact zero test: (a)_l = 0 iff a is a real exact integer in
-    {0, -1, ..., -(l-1)}."""
-    if l == 0 or a.imag != 0.0:
-        return False
-    re = a.real
-    if re != math.floor(re):
-        return False
-    return -(l - 1) <= re <= 0.0
+    """Exact zero test: (a)_l = 0 iff a is one of 0, -1, ..., -(l-1)."""
+    return l != 0 and _is_exact_nonpositive_int(a) and -(l - 1) <= a.real
+
+
+def _poch_is_zero_lanes(re: np.ndarray, im: np.ndarray, l: int) -> np.ndarray:
+    """_poch_is_zero elementwise over the real and imaginary parts of finite
+    values."""
+    return (l != 0) & _nonpositive_int_lanes(re, im) & (-(l - 1) <= re)
 
 
 def _near_nonpositive_lattice(z: complex) -> bool:
@@ -199,3 +216,149 @@ def pochhammer(a: complex, l: int) -> complex:
 def factorial(m: int) -> complex:
     """m! through the same product machinery ((1)_m)."""
     return pochhammer(1.0, m)
+
+
+# ---------------------------------------------------------------------------
+# lanes: CPython's scalar complex arithmetic over float64 arrays
+# ---------------------------------------------------------------------------
+
+class Lanes:
+    """One Python number per lane, with CPython's scalar rounding.
+
+    `re` and `im` hold the real and imaginary parts of a complex value per
+    lane; `im` None holds a Python float per lane.  Arrays broadcast, so a
+    lane's values may run along a second axis.  A float meeting a complex
+    counts as complex(f, 0.0), as CPython before 3.14 computes it
+    (`_LANES_EXACT` says whether the running interpreter does).  `bad` (None
+    for none) marks, per lane along the first axis, the lanes whose scalar
+    computation raises or takes another route: an exact zero divisor, a NaN
+    divisor, or a pochhammer_prefix_lanes lane that the scalar routine does
+    not compute by the direct product.  Their values are meaningless.
+    """
+
+    __slots__ = ("re", "im", "bad")
+
+    def __init__(self, re, im=None, bad=None):
+        self.re, self.im, self.bad = re, im, bad
+
+    @classmethod
+    def of(cls, values) -> "Lanes":
+        """The lanes of a sequence of floats or complex numbers, one per lane,
+        as a column."""
+        arr = np.array(values)
+        if arr.dtype.kind == "c":
+            return cls(arr.real[:, None], arr.imag[:, None])
+        return cls(arr.astype(np.float64)[:, None])
+
+    def _bad(self, other, new=None):
+        marks = [m for m in (self.bad, other.bad, new) if m is not None]
+        return None if not marks else marks[0] if len(marks) == 1 else \
+            np.logical_or.reduce(np.broadcast_arrays(*marks))
+
+    def complex(self) -> "Lanes":
+        """complex(z) of each lane: a float f becomes (f, 0.0)."""
+        if self.im is not None:
+            return self
+        return Lanes(self.re, np.zeros_like(self.re), self.bad)
+
+    def __neg__(self) -> "Lanes":
+        return Lanes(-self.re, None if self.im is None else -self.im, self.bad)
+
+    def add_int(self, ints) -> "Lanes":
+        """z + i for integers i: the real parts add i, and an imaginary part
+        adds 0.0, which turns -0.0 into +0.0."""
+        im = None if self.im is None else self.im + 0.0
+        return Lanes(self.re + ints, im, self.bad)
+
+    def __mul__(self, other: "Lanes") -> "Lanes":
+        bad = self._bad(other)
+        if self.im is None and other.im is None:
+            return Lanes(self.re * other.re, None, bad)
+        ar, ai = self.re, 0.0 if self.im is None else self.im
+        br, bi = other.re, 0.0 if other.im is None else other.im
+        return Lanes(ar * br - ai * bi, ar * bi + ai * br, bad)
+
+    def __truediv__(self, other: "Lanes") -> "Lanes":
+        """_Py_c_quot: Smith's two branches, chosen by |br| >= |bi|; a zero
+        divisor (ZeroDivisionError) and a NaN divisor (a NaN quotient) mark
+        their lanes."""
+        if self.im is None and other.im is None:
+            bad = (other.re == 0.0).any(axis=-1)
+            return Lanes(self.re / other.re, None, self._bad(other, bad))
+        ar, ai = self.re, 0.0 if self.im is None else self.im
+        br, bi = other.re, 0.0 if other.im is None else other.im
+        first = np.abs(br) >= np.abs(bi)
+        second = np.abs(bi) >= np.abs(br)
+        ratio = bi / br
+        denom = br + bi * ratio
+        re1, im1 = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+        ratio = br / bi
+        denom = br * ratio + bi
+        re2, im2 = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+        bad = ((first & (br == 0.0)) | ~(first | second)).any(axis=-1)
+        return Lanes(np.where(first, re1, re2), np.where(first, im1, im2),
+                     self._bad(other, bad))
+
+
+def _interpreter_promotes_floats() -> bool:
+    """True when this interpreter computes a float meeting a complex as
+    complex(f, 0.0), as Lanes does (CPython 3.14 changed these rules)."""
+    zs = (complex(1.0, -0.0), complex(-0.0, math.inf), complex(math.inf, 1.0),
+          complex(-2.5, 0.0))
+    fs = (2.0, -0.0, -1.5, math.inf)
+    same = [repr(z + 1) == repr(z + complex(1.0, 0.0)) for z in zs]
+    for z in zs:
+        for f in fs:
+            c = complex(f, 0.0)
+            same += [repr(f * z) == repr(c * z), repr(z * f) == repr(z * c)]
+            if f != 0.0:
+                same += [repr(f / z) == repr(c / z),
+                         repr(z / f) == repr(z / c)]
+    return all(same)
+
+
+_LANES_EXACT = _interpreter_promotes_floats()
+
+
+def pochhammer_prefix_lanes(a: Lanes, lengths) -> Lanes:
+    """pochhammer_prefixes(a, lengths) of every lane of the column a, as
+    columns in the order of lengths.
+
+    Lengths up to _DIRECT_LIMIT come from one running product over all
+    lanes; a longer length takes the scalar log route lane by lane.  Marked
+    bad are the lanes where (a)_l is an exact zero, where a partial product
+    leaves the renormalised range, and where a log-route value raises: the
+    scalar routine short-circuits, switches route or raises there.
+    """
+    a = a.complex()
+    re, im = a.re[:, 0], a.im[:, 0]
+    lanes = len(re)
+    top = lengths[-1] if lengths else 0
+    bad = _poch_is_zero_lanes(re, im, top)
+    if a.bad is not None:
+        bad |= a.bad
+    direct = max([l for l in lengths if l <= _DIRECT_LIMIT], default=0)
+    # the running product after 0, 1, ..., direct factors (a + 0) (a + 1) ...
+    acc_re = np.empty((lanes, direct + 1))
+    acc_im = np.empty((lanes, direct + 1))
+    acc_re[:, 0], acc_im[:, 0] = 1.0, 0.0
+    f_im = im + 0.0
+    for done in range(direct):
+        pr, pi, f_re = acc_re[:, done], acc_im[:, done], re + done
+        acc_re[:, done + 1] = pr * f_re - pi * f_im
+        acc_im[:, done + 1] = pr * f_im + pi * f_re
+    bad |= ~((np.abs(acc_re[:, 1:]) < _RENORM_LIMIT)
+             & (np.abs(acc_im[:, 1:]) < _RENORM_LIMIT)).all(axis=1)
+    direct_cols = [min(l, direct) for l in lengths]
+    out_re, out_im = acc_re[:, direct_cols], acc_im[:, direct_cols]
+    for col, l in enumerate(lengths):
+        if l <= _DIRECT_LIMIT:
+            continue
+        for lane in np.flatnonzero(~bad):
+            try:
+                v = pochhammer(complex(re[lane], im[lane]), l)
+            except Exception:
+                bad[lane] = True
+            else:
+                out_re[lane, col], out_im[lane, col] = v.real, v.imag
+    return Lanes(out_re, out_im, bad)

@@ -260,6 +260,12 @@ def apply_expr_to_params(e: OperatorExpr, p, M: int, N: int) -> np.ndarray:
     instance p, on the rectangle [0..M] x [0..N]."""
     compiled = compile_expr(e, p, M, N)
     require_margin(compiled, M, N)
+    return apply_compiled(compiled, M, N)
+
+
+def apply_compiled(compiled: dict, M: int, N: int) -> np.ndarray:
+    """The applied grid of a compile_expr result that passed
+    require_margin: one multiply-add per shifted instance, in its order."""
     acc = np.zeros((M + 1, N + 1), dtype=np.complex128)
     for (q, dm, dn), w in compiled.items():
         g = _grid_coeffs(q, M, N)

@@ -27,6 +27,15 @@ KdF: each D, E, F entry and the factorial alone); logs add the numerator
 logs from the first and subtract each denominator log in turn; only KdF
 products start from 1.
 
+Grids are cached by (params, M, N) in one least-recently-used cache bounded
+by bytes (_GRID_CACHE_BYTES), shared by single requests and batch builds.
+`cache_grids` fills it for many requests at once: grids of one rectangle,
+when there are _LANE_MIN or more, are built as lanes (`kernels.Lanes`), with
+the chains of one structure batched across grids and families, each lane
+bit for bit the grid that the scalar engine builds alone (`_build_grid`);
+a lane that meets an exact zero, a renormalisation break, a zero or NaN
+divisor or a non-finite grid is built by the scalar engine instead.
+
 `evaluate` sums one point; `evaluate_many` sums one grid at many arguments
 (x, y), as the CLI sweep needs, and `evaluate_values` gives the same values
 without the growth diagnostics, as `quadrature` needs.  Both request the grid
@@ -44,6 +53,7 @@ import cmath
 import dataclasses
 import math
 import warnings
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import add, mul, neg, sub, truediv
@@ -52,8 +62,9 @@ from typing import Union
 import numpy as np
 
 from .errors import OverflowSignalError, PoleError, UnsupportedKError
-from .kernels import (_is_exact_nonpositive_int, factorial, log_pochhammer,
-                      pochhammer, pochhammer_prefixes)
+from .kernels import (_LANES_EXACT, Lanes, _is_exact_nonpositive_int,
+                      factorial, log_pochhammer, pochhammer,
+                      pochhammer_prefix_lanes, pochhammer_prefixes)
 
 
 class ConvergenceRegionWarning(UserWarning):
@@ -324,6 +335,17 @@ class _Rising:
         lps = [log_pochhammer(self.v, i) for i in idx]
         return [lp.log for lp in lps], [lp.is_zero for lp in lps]
 
+    def lane_key(self):
+        return _Rising, type(self.v)
+
+    @staticmethod
+    def lane_ratios(symbols, idx):
+        return [Lanes.of([s.v for s in symbols]).add_int(np.array(idx))]
+
+    @staticmethod
+    def lane_values(symbols, idx):
+        return [pochhammer_prefix_lanes(Lanes.of([s.v for s in symbols]), idx)]
+
 
 class _TFactor:
     """The t-factor (-1)^{ik} (-t)_{ik}; the sign is its own column."""
@@ -354,6 +376,25 @@ class _TFactor:
         return ([lp.log + _IPI * ((i * k) % 2) for lp, i in zip(lps, idx)],
                 [lp.is_zero for lp in lps])
 
+    def lane_key(self):
+        return _TFactor, self.k
+
+    @staticmethod
+    def lane_ratios(symbols, idx):
+        k = symbols[0].k
+        t, ik = -Lanes.of([s.t for s in symbols]), np.array(idx) * k
+        r = Lanes(np.full((1, len(idx)), _sign_pow(k)))
+        for j in range(k):
+            r = r * t.add_int(ik).add_int(j)
+        return [r]
+
+    @staticmethod
+    def lane_values(symbols, idx):
+        k = symbols[0].k
+        signs = Lanes(np.array([[_sign_pow(i * k) for i in idx]]))
+        t = -Lanes.of([s.t for s in symbols])
+        return [signs, pochhammer_prefix_lanes(t, [i * k for i in idx])]
+
 
 class _One:
     """The leading 1 of the Kampe de Feriet products."""
@@ -365,6 +406,15 @@ class _One:
 
     def logs(self, idx):
         return [0.0 + 0.0j] * len(idx), [False] * len(idx)
+
+    def lane_key(self):
+        return _One
+
+    @staticmethod
+    def lane_ratios(symbols, idx):
+        return [Lanes(np.ones((1, len(idx))), np.zeros((1, len(idx))))]
+
+    lane_values = lane_ratios
 
 
 # i! = (1)_i
@@ -469,8 +519,9 @@ def _chain_log(chain):
 _KIND = {F41Params: "F41", F42Params: "F42", KdfParams: "KdF"}
 
 
-@lru_cache(maxsize=4096)
-def _grid_coeffs(p: SeriesParams, M: int, N: int) -> np.ndarray:
+def _build_grid(p: SeriesParams, M: int, N: int) -> np.ndarray:
+    """The grid of p on [0..M] x [0..N], built alone: the reference that
+    lanes reproduce, and the route of every lane they cannot."""
     chains = _chains(p, M, N)
     idx = np.arange(M + 1)[:, None] + np.arange(N + 1)[None, :]
 
@@ -495,6 +546,235 @@ def _grid_coeffs(p: SeriesParams, M: int, N: int) -> np.ndarray:
                 "coefficient grid exceeds the floating range")
     coeffs.flags.writeable = False
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# lanes: many grids built at once, each bit for bit as _build_grid builds it
+# ---------------------------------------------------------------------------
+
+def _product_lanes(positions, kind: str, idx):
+    """_product over lanes: positions hold one symbol per lane each."""
+    acc = None
+    for symbols in positions:
+        for col in getattr(symbols[0], "lane_" + kind)(symbols, idx):
+            acc = col if acc is None else acc * col
+    return acc
+
+
+def _fold_lanes(chains, kind: str, idx) -> Lanes:
+    """_fold of chains of one structure, one chain per lane, in its order."""
+    nums = list(zip(*(c[1] for c in chains)))
+    dens = [list(zip(*group)) for group in zip(*(c[2] for c in chains))]
+    acc = _product_lanes(nums, kind, idx) or Lanes(np.ones((1, len(idx))))
+    for group in dens:
+        acc = acc / _product_lanes(group, kind, idx)
+    return acc
+
+
+def _chain_lanes(chains):
+    """_chain_linear of chains of one structure, one chain per lane: the
+    arrays as rows, and the lanes _chain_linear must compute itself."""
+    length = chains[0][0]
+    anchors, steps = _indices(length)
+    values = _fold_lanes(chains, "values", anchors)
+    ratios = _fold_lanes(chains, "ratios", steps)
+    shape = (len(chains), length + 1)
+    re, im = np.empty(shape), np.empty(shape)
+    re[:, ::_ANCHOR_STRIDE] = values.re
+    im[:, ::_ANCHOR_STRIDE] = 0.0 if values.im is None else values.im
+    # a step i + 1 = (i mod stride) + 1 follows its predecessor: the steps at
+    # one offset from their anchors run together, offset after offset
+    per_block = _ANCHOR_STRIDE - 1
+    for o in range(per_block):
+        r_re = ratios.re[:, o::per_block]
+        r_im = None if ratios.im is None else ratios.im[:, o::per_block]
+        nxt = (Lanes(re[:, o:length:_ANCHOR_STRIDE],
+                     im[:, o:length:_ANCHOR_STRIDE]) * Lanes(r_re, r_im))
+        re[:, o + 1::_ANCHOR_STRIDE] = nxt.re
+        im[:, o + 1::_ANCHOR_STRIDE] = nxt.im
+    arr = np.empty(shape, dtype=np.complex128)
+    arr.real, arr.imag = re, im
+    bad = np.zeros(len(chains), dtype=bool)
+    for marks in (values.bad, ratios.bad):
+        if marks is not None:
+            bad |= marks
+    # a float anchor would multiply as a float; no chain of _chains has one
+    bad |= values.im is None
+    return arr, bad
+
+
+def _chain_key(chain):
+    length, nums, dens = chain
+    return (length, tuple(s.lane_key() for s in nums),
+            tuple(tuple(s.lane_key() for s in group) for group in dens))
+
+
+def _structure(p: SeriesParams):
+    """What fixes the structure of p's chains besides the rectangle: its
+    type, its integer steps and the lengths of its sequences."""
+    return (type(p),) + tuple(v if type(v) is int else len(v)
+                              for v in vars(p).values()
+                              if type(v) is not complex)
+
+
+# grids whose final product numpy forms as one stack: its temporaries take
+# about 8 KB per 13 x 13 grid
+_PRODUCT_LANES = 128
+
+
+def _factor_lanes(params, M: int, N: int):
+    """_chain_linear of the three chains of every p of params: W, U and V
+    with one row per p, and the rows that _build_grid must build instead.
+
+    Chains of one structure (length, symbol kinds, t-factor steps) run as
+    one batch of lanes, across grids and families."""
+    arrays = [np.empty((len(params), length + 1), dtype=np.complex128)
+              for length in (M + N, M, N)]
+    bad = np.zeros(len(params), dtype=bool)
+    alike = {}
+    for g, p in enumerate(params):
+        alike.setdefault(_structure(p), []).append(g)
+    batches = {}
+    for rows in alike.values():
+        chains = [_chains(params[g], M, N) for g in rows]
+        for part, chain in enumerate(chains[0]):
+            batch = batches.setdefault(_chain_key(chain), ([], [], []))
+            batch[0].extend(rows)
+            batch[1].extend([part] * len(rows))
+            batch[2].extend(c[part] for c in chains)
+    for rows, parts, chains in batches.values():
+        rows, parts = np.array(rows), np.array(parts)
+        arr, chain_bad = _chain_lanes(chains)
+        for part in set(parts.tolist()):
+            sel = parts == part
+            arrays[part][rows[sel]] = arr[sel]
+            bad[rows[sel]] |= chain_bad[sel]
+    return arrays, bad
+
+
+def _grid_lanes(params, M: int, N: int):
+    """(p, grid) for every p of params on [0..M] x [0..N], grid None where
+    _build_grid must build it instead.  The final product is numpy's,
+    stacked, as _build_grid forms it grid by grid."""
+    with np.errstate(all="ignore"):
+        (W, U, V), bad = _factor_lanes(params, M, N)
+    idx = np.arange(M + 1)[:, None] + np.arange(N + 1)[None, :]
+    for lo in range(0, len(params), _PRODUCT_LANES):
+        hi = lo + _PRODUCT_LANES
+        with np.errstate(all="ignore"):
+            coeffs = W[lo:hi, idx] * U[lo:hi, :, None] * V[lo:hi, None, :]
+        ok = ~bad[lo:hi] & np.isfinite(coeffs).all(axis=(1, 2))
+        for p, grid, good in zip(params[lo:hi], coeffs, ok):
+            yield p, grid.copy() if good else None
+
+
+# fewest grids of one rectangle worth building as lanes: a batch costs a
+# fixed number of numpy calls whatever its width.  On a 2-core x86-64 host,
+# mixed F41/F42 13 x 13 grids took 246 us each in batches of 32, 130 us in
+# batches of 64 and 49 us in batches of 775, against 150-180 us alone
+_LANE_MIN = 64
+
+
+def cache_grids(keys) -> None:
+    """Put the grid of every (p, M, N) of keys into the grid cache, as the
+    most recently used entries; raises nothing.
+
+    Missing grids of one rectangle are built as lanes when there are at
+    least _LANE_MIN of them, the others alone.  A grid whose build raises
+    is left out, so that its request raises the same error."""
+    missing = {}
+    for key in dict.fromkeys(keys):
+        if not _GRIDS.touch(key):
+            missing.setdefault(key[1:], []).append(key[0])
+    for (M, N), params in missing.items():
+        built = ((p, None) for p in params)
+        if _LANES_EXACT and len(params) >= _LANE_MIN:
+            built = _grid_lanes(params, M, N)
+        for p, grid in built:
+            if grid is None:
+                try:
+                    grid = _build_grid(p, M, N)
+                except Exception:
+                    continue
+            grid.flags.writeable = False
+            _GRIDS.add((p, M, N), grid)
+
+
+# ---------------------------------------------------------------------------
+# the grid cache
+# ---------------------------------------------------------------------------
+
+GridCacheInfo = namedtuple("GridCacheInfo",
+                           "hits misses currsize nbytes max_bytes")
+
+
+class _GridCache:
+    """Least-recently-used cache of read-only grids keyed by (p, M, N),
+    bounded by bytes: each entry costs its grid's bytes and _ENTRY_BYTES.
+
+    Calling it requests a grid: a hit returns the cached array, a miss
+    builds it with _build_grid.  cache_grids fills it through `add` and
+    `touch`, which count as neither."""
+
+    def __init__(self, build, max_bytes: int):
+        self.__wrapped__ = build
+        self.max_bytes = max_bytes
+        self.cache_clear()
+
+    def __call__(self, p: SeriesParams, M: int, N: int) -> np.ndarray:
+        key = (p, M, N)
+        grid = self._grids.get(key)
+        if grid is None:
+            self.misses += 1
+            grid = self.__wrapped__(p, M, N)
+            self.add(key, grid)
+        else:
+            self.hits += 1
+            self._grids.move_to_end(key)
+        return grid
+
+    def touch(self, key) -> bool:
+        """Whether key is cached; if so it becomes the most recently used."""
+        if key not in self._grids:
+            return False
+        self._grids.move_to_end(key)
+        return True
+
+    def add(self, key, grid: np.ndarray) -> None:
+        """Cache grid under key, evicting the least recently used grids
+        until the bytes fit the bound (grid too, if it alone exceeds it)."""
+        old = self._grids.pop(key, None)
+        if old is not None:
+            self.nbytes -= old.nbytes + _ENTRY_BYTES
+        self._grids[key] = grid
+        self.nbytes += grid.nbytes + _ENTRY_BYTES
+        while self.nbytes > self.max_bytes:
+            self.nbytes -= self._grids.popitem(last=False)[1].nbytes + \
+                _ENTRY_BYTES
+
+    def cache_info(self) -> GridCacheInfo:
+        return GridCacheInfo(self.hits, self.misses, len(self._grids),
+                             self.nbytes, self.max_bytes)
+
+    def cache_clear(self) -> None:
+        self._grids = OrderedDict()
+        self.hits = self.misses = self.nbytes = 0
+
+
+# bytes the grid cache holds: 1,254 grids of 13 x 13 (an audit chunk and a
+# half), 152 of 41 x 41, 6,393 of 1 x 1, none of 512 x 512 (4 MiB alone).
+# Its 4,096-entry predecessor could hold 16 GiB of 512 x 512 grids.  On a
+# 2-core x86-64 host the seed-3 acceptance audit peaked at 57-62 MB with
+# room for 4,096 grids of 13 x 13 (11 MB), against 47.7 MB before batching
+_GRID_CACHE_BYTES = 2 ** 22
+
+# bytes an entry holds besides its grid's: key, parameters, array header;
+# 579 bytes measured for an F41 entry with a 1 x 1 grid
+_ENTRY_BYTES = 640
+
+# every grid request goes through this name, which a tracer may wrap;
+# cache_grids fills the cache through _GRIDS
+_GRIDS = _grid_coeffs = _GridCache(_build_grid, _GRID_CACHE_BYTES)
 
 
 def coefficient_grid(p: SeriesParams, M: int, N: int) -> CoefficientGrid:

@@ -31,6 +31,7 @@ from appell4.catalog import (
     verify_identity,
     verify_recursion_sum,
 )
+from appell4 import catalog, series
 from appell4.errors import ConstraintError, InvalidOperatorError, MarginError
 from appell4.operators import OperatorExpr, apply_expr_to_params, mul_x, theta_x
 from appell4.series import F41Params, F42Params, coefficient_grid, eval_f41
@@ -459,3 +460,88 @@ class TestErrorPaths:
         with pytest.raises(ConstraintError):
             verify_identity(BYID["F41.ddeq.1"], ParamPoint(p), M=6, N=6,
                             mode=VerificationMode.SUMMED_TERMINATING)
+
+
+class TestAuditPhases:
+    """audit_catalog plans a chunk of draws, builds its grids, then
+    compares; the rows and the errors are those of one draw after another."""
+
+    IDS = [ident.id for ident in builtin_catalog()[:40:3]]
+
+    def idents(self):
+        return [BYID[i] for i in self.IDS]
+
+    def test_chunking_and_lanes_leave_the_rows_alone(self, monkeypatch):
+        sampler = ParamSampler(seed=11, draws=6)
+        want = audit_catalog(sampler, identities=self.idents()).to_json()
+        # one draw per chunk and no grid built ahead
+        monkeypatch.setattr(catalog, "_PLAN_CELLS", 1)
+        assert audit_catalog(sampler, identities=self.idents()).to_json() \
+            == want
+        # chunks of about 40 grids, built without lanes
+        monkeypatch.setattr(catalog, "_PLAN_CELLS", 40 * 13 * 13)
+        monkeypatch.setattr(series, "_LANE_MIN", 10 ** 9)
+        assert audit_catalog(sampler, identities=self.idents()).to_json() \
+            == want
+
+    def test_comparisons_make_no_miss(self, monkeypatch):
+        builds = []
+        cache_grids = catalog.cache_grids
+        monkeypatch.setattr(catalog, "cache_grids",
+                            lambda keys: builds.append(len(keys))
+                            or cache_grids(keys))
+        series._grid_coeffs.cache_clear()
+        summary = audit_catalog(ParamSampler(seed=5, draws=4))
+        assert len(builds) >= 3 and max(builds) * 13 * 13 \
+            <= catalog._PLAN_CELLS
+        info = series._grid_coeffs.cache_info()
+        assert info.misses == 0 and info.hits >= sum(builds)
+        assert {row["status"] for row in summary.rows} == \
+            {"ok", "typo_confirmed"}
+
+    def test_side_builder_error_is_raised_at_its_draw(self, monkeypatch):
+        # the sixth entry's left side fails at the first draw with Re a > 1;
+        # entries after it are planned in the same chunk but never compared
+        idents = self.idents()
+        target = idents[5]
+        sampler = ParamSampler(seed=3, draws=8)
+
+        def lhs(pt):
+            if pt.params.a.real > 1.0:
+                raise ZeroDivisionError(f"no left side at a = {pt.params.a}")
+            return target.lhs(pt)
+
+        idents[5] = dataclasses.replace(target, lhs=lhs)
+        first = next(j for j in range(sampler.draws)
+                     if sampler.draw(target, j).params.a.real > 1.0)
+        a = sampler.draw(target, first).params.a
+        compared = []
+        verify = catalog.verify_identity
+        monkeypatch.setattr(catalog, "verify_identity",
+                            lambda ident, point, *args, **kw:
+                            compared.append((ident.id, point_to_dict(point)))
+                            or verify(ident, point, *args, **kw))
+        with pytest.raises(ZeroDivisionError) as err:
+            audit_catalog(sampler, identities=idents)
+        assert str(err.value) == f"no left side at a = {a}"
+        assert compared == [(ident.id, point_to_dict(sampler.draw(ident, j)))
+                            for ident in idents[:5]
+                            for j in range(sampler.draws)] + \
+            [(target.id, point_to_dict(sampler.draw(target, j)))
+             for j in range(first + 1)]
+        assert len(idents) > 6
+
+
+class TestComposeGrid:
+    @pytest.mark.parametrize("shape", [(21, 17), (17, 21), (3, 9), (9, 3),
+                                       (13, 13), (1, 5)])
+    def test_thin_rectangles(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows, cols = shape
+        second = _compose_grid(arr, Composition.SECOND_IS_XY)
+        first = _compose_grid(arr, Composition.FIRST_IS_XY)
+        for u in range(rows):
+            for v in range(cols):
+                assert second[u, v] == (arr[u - v, v] if u >= v else 0)
+                assert first[u, v] == (arr[u, v - u] if v >= u else 0)

@@ -468,14 +468,33 @@ GOLDEN = [
     (["quadcheck", "--order", "256", "--a", "2", "--b", "0.7+0.1j",
       "--c1", "1.2", "--c2", "0.9-0.2j", "--x", "0.05+0.01j", "--y", "0.04"],
      "e48a7360ac230223cf53598c5671b9e06d01822e1b5c2d187f6b41298aeb14bb"),
+    # a 14 x 13 rectangle, its grids built as lanes; recorded at the commit
+    # before audits built their grids in batches
+    (["audit", "--draws", "2", "--include-suspected", "--M", "13", "--N",
+      "12", "--seed", "4"],
+     "c027514107bcef8bf7ef33930f9fc32adc9e5bcc3b0507865318aa9fd8ea657a"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN,
                          ids=["eval-F41", "eval-F42-log", "eval-KdF",
                               "quadcheck-k1", "sweep-k0", "sweep-k1",
-                              "audit-3", "quadcheck-256-k0"])
+                              "audit-3", "quadcheck-256-k0", "audit-2-13x12"])
 def test_golden_stdout(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_audit_on_a_thin_rectangle_with_and_without_lanes(capsys,
+                                                          monkeypatch):
+    # composed-argument grids once failed on rectangles whose sides differ
+    # by more than one (exit 2)
+    argv = ("audit", "--draws", "2", "--include-suspected", "--M", "20",
+            "--N", "16", "--seed", "4")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert {row["status"] for row in json.loads(out)} == \
+        {"ok", "typo_confirmed"}
+    monkeypatch.setattr(series, "_LANE_MIN", 10 ** 9)
+    assert run(capsys, *argv) == (code, out)

@@ -9,18 +9,24 @@ import cmath
 import math
 import random
 import struct
+from operator import mul as operator_mul, truediv as operator_truediv
 
 import mpmath as mp
 import pytest
 
+import numpy as np
+
+from appell4 import kernels
 from appell4.errors import OverflowSignalError, PoleError
 from appell4.kernels import (
+    Lanes,
     LogPochhammer,
     factorial,
     gamma,
     log_gamma,
     log_pochhammer,
     pochhammer,
+    pochhammer_prefix_lanes,
     pochhammer_prefixes,
 )
 
@@ -280,3 +286,210 @@ class TestPochhammerPrefixes:
             pochhammer_prefixes(1.5, [3, 2])
         with pytest.raises(ValueError):
             pochhammer_prefixes(1.5, [-1])
+
+
+def lane_operands(count=20000):
+    """Seeded floats: signed zeros, subnormals, magnitudes from 1e-300 to
+    1e300 of either sign, inf, NaN and ordinary values."""
+    rng = random.Random(271828)
+    special = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf,
+               -math.inf, math.nan, 1.0, -1.0)
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.3:
+            out.append(rng.choice(special))
+        elif kind < 0.65:
+            out.append(rng.choice((1.0, -1.0)) * rng.uniform(1.0, 10.0)
+                       * 10.0 ** rng.randint(-300, 299))
+        else:
+            out.append(rng.uniform(-8.0, 8.0))
+    return out
+
+
+def lane_values(z: Lanes):
+    """The lanes of a column as Python numbers."""
+    re = z.re[:, 0].tolist()
+    if z.im is None:
+        return re
+    return [complex(r, i) for r, i in zip(re, z.im[:, 0].tolist())]
+
+
+def lane_bad(z: Lanes, count):
+    return [False] * count if z.bad is None else \
+        np.broadcast_to(z.bad, (count,)).tolist()
+
+
+def python_op(op, x, y):
+    try:
+        return op(x, y)
+    except ZeroDivisionError:
+        return None
+
+
+@pytest.mark.skipif(not kernels._LANES_EXACT,
+                    reason="this interpreter does not treat a float meeting "
+                    "a complex as complex(f, 0.0)")
+class TestLanesAgainstTheInterpreter:
+    """Each lane op against the running interpreter's scalar op, by repr:
+    CPython 3.14 changed the mixed float/complex rules, so a stored table
+    would not do."""
+
+    def operands(self):
+        f = lane_operands()
+        zs = [complex(a, b) for a, b in zip(f[0::4], f[1::4])]
+        ws = [complex(a, b) for a, b in zip(f[2::4], f[3::4])]
+        return zs, ws, f[:len(zs)]
+
+    def check(self, op, xs, ys):
+        """Lanes equal the interpreter's results by repr; for a quotient, a
+        lane is marked exactly where the divisor is zero (ZeroDivisionError)
+        or has a NaN part (_Py_c_quot's NaN branch).  The number of lanes
+        compared."""
+        with np.errstate(all="ignore"):
+            got = op(Lanes.of(xs), Lanes.of(ys))
+        bad = lane_bad(got, len(xs))
+        compared = 0
+        for x, y, g, b in zip(xs, ys, lane_values(got), bad):
+            want = python_op(op, x, y)
+            d = complex(y)
+            if op is operator_truediv and (
+                    want is None or math.isnan(d.real) or math.isnan(d.imag)):
+                assert b, (x, y)
+                continue
+            assert not b and repr(g) == repr(want), (x, y, g, want)
+            compared += 1
+        return compared
+
+    def test_mul(self):
+        zs, ws, _ = self.operands()
+        assert self.check(operator_mul, zs, ws) == len(zs)
+
+    def test_div(self):
+        zs, ws, _ = self.operands()
+        ws[::50] = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                    complex(-0.0, -0.0)] * (len(ws[::50]) // 4) + \
+            [0j] * (len(ws[::50]) % 4)
+        assert self.check(operator_truediv, zs, ws) > len(zs) // 2
+
+    def test_float_operands(self):
+        zs, _, fs = self.operands()
+        for op in (operator_mul, operator_truediv):
+            assert self.check(op, fs, zs) > len(zs) // 2
+            assert self.check(op, zs, fs) > len(zs) // 2
+        assert self.check(operator_mul, fs, fs[::-1]) == len(fs)
+
+    def test_add_int(self):
+        zs, _, fs = self.operands()
+        ints = np.array([(i % 201) - 100 for i in range(len(zs))])
+        for values in (zs, fs):
+            with np.errstate(all="ignore"):
+                got = Lanes.of(values).add_int(ints[:, None])
+            assert [repr(g) for g in lane_values(got)] == \
+                [repr(v + int(i)) for v, i in zip(values, ints)]
+
+    def test_zero_divisor_marks_exactly_its_lanes(self):
+        num = Lanes.of([1 + 2j, 3.0 - 1j, 0j, -2.5 + 0j])
+        den = Lanes.of([0j, complex(-0.0, 0.0), 2.0 + 0j, complex(0.0, -0.0)])
+        with np.errstate(all="ignore"):
+            assert (num / den).bad.tolist() == [True, True, False, True]
+            # a float divisor too, as float division raises on it
+            q = Lanes.of([1.0, 2.0, 3.0]) / Lanes.of([0.0, -0.0, 4.0])
+        assert q.bad.tolist() == [True, True, False]
+
+    def test_negation(self):
+        zs, _, fs = self.operands()
+        for values in (zs, fs):
+            with np.errstate(all="ignore"):
+                negated = -Lanes.of(values)
+            assert [repr(g) for g in lane_values(negated)] == \
+                [repr(-v) for v in values]
+
+
+def leaves_the_direct_route(a, lengths):
+    """Whether pochhammer_prefixes(a, lengths) takes anything but the
+    direct product up to _DIRECT_LIMIT: an exact zero, a partial product
+    out of the renormalised range, or a longer length that raises."""
+    if kernels._poch_is_zero(a, lengths[-1]):
+        return True
+    acc = 1.0 + 0.0j
+    for d in range(max([l for l in lengths if l <= kernels._DIRECT_LIMIT],
+                       default=0)):
+        acc *= a + d
+        if not (abs(acc.real) < kernels._RENORM_LIMIT
+                and abs(acc.imag) < kernels._RENORM_LIMIT):
+            return True
+    try:
+        pochhammer_prefixes(a, lengths)
+    except OverflowSignalError:
+        return True
+    return False
+
+
+class TestPochhammerPrefixLanes:
+    def test_equals_the_scalar_routine_or_marks_the_lane(self):
+        corpus = list(prefix_corpus(1500))
+        values = [a for a, _ in corpus]
+        seen = {"lane": 0, "marked": 0, "long": 0}
+        for _, lengths in corpus[:16]:
+            with np.errstate(all="ignore"):
+                got = pochhammer_prefix_lanes(Lanes.of(values), lengths)
+            for lane, a in enumerate(values):
+                marked = leaves_the_direct_route(a, lengths)
+                assert got.bad[lane] == marked, (a, lengths)
+                if marked:
+                    seen["marked"] += 1
+                    continue
+                seen["lane"] += 1
+                seen["long"] += lengths[-1] > kernels._DIRECT_LIMIT
+                assert [exact(complex(r, i)) for r, i in
+                        zip(got.re[lane], got.im[lane])] == \
+                    [exact(v) for v in pochhammer_prefixes(a, lengths)]
+        assert min(seen.values()) >= 1000, seen
+
+
+def lattice_corpus(count=20000):
+    """Seeded values: the nonpositive integers with either zero sign in
+    either part, large negative integers, values within 1e-12 of the
+    lattice, subnormal parts and ordinary values."""
+    rng = random.Random(314159)
+    signed_zero = (0.0, -0.0)
+    for _ in range(count):
+        yield rng.choice((
+            lambda: complex(-rng.randint(0, 40), rng.choice(signed_zero)),
+            lambda: complex(rng.choice(signed_zero), rng.choice(signed_zero)),
+            lambda: complex(-float(rng.randint(1, 2 ** 60)),
+                            rng.choice(signed_zero)),
+            lambda: complex(-rng.randint(0, 40) + rng.choice(
+                (1e-12, -1e-12, 5e-324, -5e-324, 2.0 ** -40)),
+                rng.choice(signed_zero)),
+            lambda: complex(-rng.randint(0, 40), rng.choice(
+                (5e-324, -5e-324, 1e-300, 1e-12))),
+            lambda: complex(rng.choice((5e-324, -5e-324, 2.2e-308)),
+                            rng.choice(signed_zero)),
+            lambda: complex(rng.randint(1, 40), rng.choice(signed_zero)),
+            lambda: complex(rng.uniform(-40.0, 40.0), rng.uniform(-1.0, 1.0)),
+        ))()
+
+
+class TestLatticePredicate:
+    """The scalar predicates and their array forms are one predicate."""
+
+    def test_array_form_agrees(self):
+        zs = list(lattice_corpus())
+        re = np.array([z.real for z in zs])
+        im = np.array([z.imag for z in zs])
+        mask = kernels._nonpositive_int_lanes(re, im).tolist()
+        assert mask == [kernels._is_exact_nonpositive_int(z) for z in zs]
+        assert 2000 < sum(mask) < len(zs) - 2000
+        for l in (0, 1, 2, 7, 41, 10 ** 6, 2 ** 62):
+            got = np.broadcast_to(kernels._poch_is_zero_lanes(re, im, l),
+                                  re.shape).tolist()
+            assert got == [kernels._poch_is_zero(z, l) for z in zs], l
+
+    def test_zero_test_is_the_lattice_test_bounded_by_the_length(self):
+        for z in lattice_corpus(4000):
+            for l in (0, 1, 3, 40):
+                want = (l > 0 and z.imag == 0.0 and z.real <= 0.0
+                        and z.real.is_integer() and z.real > -l)
+                assert kernels._poch_is_zero(z, l) == want, (z, l)

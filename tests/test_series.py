@@ -737,3 +737,204 @@ class TestGridBits:
                 paths["log" if len(log_calls) > before else "linear"] += 1
         assert min(paths.values()) >= 20, paths
         assert digest.hexdigest() == self.GOLDEN
+
+
+LANE_SHAPES = ((12, 12), (0, 7), (9, 0), (40, 40), (5, 3), (20, 16),
+               (16, 20), (1, 1), (40, 6))
+LANE_KINDS = ("generic", "signed-zero", "lattice", "large")
+
+
+def lane_grid_corpus(count, seed=7):
+    """Seeded (kind, params, M, N) over F41, F42 and KdF, with k from 0 to
+    4 and the shapes of LANE_SHAPES.  Kinds: generic complex parameters;
+    signed-zero, real parameters with either sign of zero; lattice, a
+    numerator on the nonpositive integers (an exact zero of its symbol);
+    large, magnitudes from 1e60 to 1e200 that take the log-space path or
+    overflow it."""
+    rng = random.Random(seed)
+
+    def value(kind):
+        if kind == "signed-zero":
+            return complex(rng.choice((rng.randint(-6, 6),
+                                       rng.randint(-6, 6) + 0.5,
+                                       rng.uniform(-3.0, 3.0))),
+                           rng.choice((0.0, -0.0)))
+        if kind == "large" and rng.random() < 0.5:
+            return complex(rng.choice((1, -1)) * 10.0 ** rng.randint(60, 200),
+                           rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))))
+        return complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+
+    def off_pole(kind):
+        while True:
+            v = value(kind)
+            if not (v.imag == 0.0 and v.real <= 0.0 and v.real.is_integer()):
+                return v
+
+    def lattice():
+        return complex(-rng.randint(0, 6), rng.choice((0.0, -0.0)))
+
+    for i in range(count):
+        kind = LANE_KINDS[i % len(LANE_KINDS)]
+        M, N = rng.choice(LANE_SHAPES)
+        num = [value(kind) for _ in range(3)]
+        if kind == "lattice":
+            num[rng.randrange(3)] = lattice()
+        family = rng.randrange(3)
+        if family == 0:
+            k1, k2 = rng.randint(0, 4), rng.randint(0, 4)
+            t2 = -lattice() if kind == "lattice" and rng.random() < 0.3 \
+                else value(kind)
+            p = F41Params(num[0], num[1], off_pole(kind), off_pole(kind),
+                          -num[2], t2, k1, k2, 0.0, 0.0)
+        elif family == 1:
+            p = F42Params(num[0], num[1], off_pole(kind), off_pole(kind),
+                          -num[2], rng.randint(0, 4), 0.0, 0.0)
+        else:
+            def seq(make, most):
+                return tuple(make() for _ in range(rng.randint(0, most)))
+
+            lead = rng.randrange(3)
+            parts = [seq(lambda: value(kind), 2) for _ in range(3)]
+            parts[lead] = (num[lead],) + parts[lead]
+            p = KdfParams(A=parts[0], B=parts[1], C=parts[2],
+                          D=seq(lambda: off_pole(kind), 1),
+                          E=seq(lambda: off_pole(kind), 2),
+                          F=seq(lambda: off_pole(kind), 2))
+        yield kind, p, M, N
+
+
+def has_lattice_numerator(p):
+    """Whether a numerator symbol of p has an exact zero somewhere."""
+    if isinstance(p, KdfParams):
+        nums = p.A + p.B + p.C
+    elif isinstance(p, F41Params):
+        nums = (p.a, p.b, -p.t1, -p.t2)
+    else:
+        nums = (p.a, p.b, -p.t)
+    return any(series._is_exact_nonpositive_int(v) for v in nums)
+
+
+def check_lane_corpus(count, seed=7):
+    """Build lane_grid_corpus(count, seed) as lanes, one batch per shape,
+    and check every lane against _build_grid, bytes and signed zeros
+    included; a lane left to _build_grid must be one that _build_grid
+    builds some other way.  Returns the count of each kind and outcome."""
+    by_shape = {}
+    for kind, p, M, N in lane_grid_corpus(count, seed):
+        by_shape.setdefault((M, N), []).append((kind, p))
+    log_calls = []
+    log_pochhammer = series.log_pochhammer
+    series.log_pochhammer = \
+        lambda *a: log_calls.append(a) or log_pochhammer(*a)
+    seen = dict.fromkeys(LANE_KINDS + ("lane", "log-path", "overflow"), 0)
+    try:
+        for (M, N), requests in by_shape.items():
+            built = series._grid_lanes([p for _, p in requests], M, N)
+            for (kind, p), (q, grid) in zip(requests, built):
+                assert q is p
+                seen[kind] += 1
+                before = len(log_calls)
+                try:
+                    want = series._build_grid(p, M, N)
+                except OverflowSignalError:
+                    seen["overflow"] += 1
+                    assert grid is None, (p, M, N)
+                    continue
+                seen["log-path"] += len(log_calls) > before
+                if grid is not None:
+                    seen["lane"] += 1
+                    assert grid.tobytes() == want.tobytes(), (p, M, N)
+                else:
+                    # only a lane the direct route cannot build falls back
+                    assert (len(log_calls) > before or kind == "large"
+                            or has_lattice_numerator(p)), (p, M, N)
+    finally:
+        series.log_pochhammer = log_pochhammer
+    return seen
+
+
+class TestGridLanes:
+    """Grids built as lanes are _build_grid's, bit for bit.  The full
+    60,000-grid corpus is check_lane_corpus(60000); this slice keeps a few
+    seconds."""
+
+    def test_corpus_slice(self):
+        seen = check_lane_corpus(2400)
+        assert min(seen.values()) >= 50, seen
+
+    def test_cache_grids_fills_the_cache_with_the_scalar_bytes(self):
+        requests = [(p, M, N) for kind, p, M, N in lane_grid_corpus(600, 8)
+                    if (M + 1) * (N + 1) <= 13 * 13]
+        series._grid_coeffs.cache_clear()
+        series.cache_grids(requests + requests[:5])
+        info = series._grid_coeffs.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+        cached = 0
+        for key in requests:
+            try:
+                want = series._build_grid(*key)
+            except OverflowSignalError:
+                assert not series._GRIDS.touch(key)
+                with pytest.raises(OverflowSignalError):
+                    series._grid_coeffs(*key)
+                continue
+            got = series._grid_coeffs(*key)
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+            cached += 1
+        assert cached > 100
+        assert series._grid_coeffs.cache_info().hits == cached
+
+    def test_narrow_batches_take_the_scalar_route(self, monkeypatch):
+        monkeypatch.setattr(series, "_grid_lanes", None)
+        keys = [(p, M, N) for _, p, M, N in
+                lane_grid_corpus(series._LANE_MIN - 1, 9)]
+        series._grid_coeffs.cache_clear()
+        series.cache_grids([(p, 12, 12) for p, _, _ in keys])
+        assert series._grid_coeffs.cache_info().currsize > 0
+
+
+def fake_grid(p, M, N):
+    return np.zeros((M + 1, N + 1), dtype=np.complex128)
+
+
+class TestGridCache:
+    def test_bytes_bound_evicts_the_least_recently_used(self):
+        def cost(cells):
+            return cells * 16 + series._ENTRY_BYTES
+
+        bound = 5 * cost(20)
+        cache = series._GridCache(fake_grid, bound)
+        for i in range(8):
+            cache(i, 3, 4)                       # 20 cells each
+            assert cache.cache_info().nbytes <= bound
+        assert list(cache._grids) == [(i, 3, 4) for i in range(3, 8)]
+        assert cache.cache_info().nbytes == bound
+        cache(4, 3, 4)                           # a hit makes 4 the newest
+        cache(8, 9, 0)                           # 10 cells evict 3 alone
+        assert [k[0] for k in cache._grids] == [5, 6, 7, 4, 8]
+        assert cache.cache_info().nbytes == 4 * cost(20) + cost(10)
+        cache(9, 10, 23)                         # 264 cells: kept nowhere
+        assert cache.cache_info().nbytes == 0 and not cache._grids
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.max_bytes) == (1, 10, bound)
+        cache.cache_clear()
+        assert cache.cache_info() == (0, 0, 0, 0, bound)
+
+    def test_tiny_grids_are_bounded_by_their_entries(self):
+        cache = series._GridCache(fake_grid, 100 * series._ENTRY_BYTES)
+        for i in range(1000):
+            cache(i, 0, 0)
+        assert cache.cache_info().currsize < 100
+
+    def test_touch_and_add_count_neither_hit_nor_miss(self):
+        cache = series._GridCache(fake_grid, 10 ** 6)
+        cache.add(("p", 1, 1), fake_grid("p", 1, 1))
+        assert cache.touch(("p", 1, 1)) and not cache.touch(("q", 1, 1))
+        assert cache.cache_info()[:2] == (0, 0)
+
+    def test_one_audit_chunk_fits(self):
+        # a chunk counts every grid as 13 x 13 cells at least
+        from appell4 import catalog
+        grids = catalog._PLAN_CELLS // (13 * 13)
+        assert catalog._PLAN_CELLS * 16 + grids * series._ENTRY_BYTES \
+            <= series._GRID_CACHE_BYTES
