@@ -11,6 +11,9 @@ Families:
      and scaled t-difference weights);
   F  second-order contiguous ledgers combining pairs of family-E relations.
 
+Families A and B are one builder per formula over the axis rows `_AXES`:
+the t, k and c fields, index weight and multiplier of each variable.
+
 Entries whose printed text is internally inconsistent are registered twice:
 once exactly as printed (expected to fail everywhere) and once with the
 minimal one-symbol correction, cross-linked through twin ids.  Verification
@@ -29,11 +32,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, fields, replace as _dc_replace
 from enum import Enum
 from functools import lru_cache
 from math import pi
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,27 +44,25 @@ from .errors import ConstraintError, InvalidOperatorError
 from .kernels import pochhammer
 from .operators import (
     OperatorExpr,
+    OpKind,
+    PrimitiveOp,
     apply_compiled,
-    apply_expr_to_params,
-    big_theta_t1,
-    big_theta_t2,
     compile_expr,
-    delta_t1,
-    delta_t2,
     identity_expr,
     mul_x,
     mul_y,
     phi_y,
     require_margin,
-    rho_t,
-    rho_t1,
-    rho_t2,
     scale,
     scaled_big_theta_t,
     scaled_big_theta_t1,
     scaled_big_theta_t2,
+    shift_param,
     theta_x,
 )
+# not called here since every term is compiled before its grid is built, but
+# kept as a module name: the layer tracer in perfbench wraps it
+from .operators import apply_expr_to_params  # noqa: F401
 from .series import (_GRID_CACHE_BYTES, F41Params, F42Params, cache_grids,
                      coefficient_grid)
 
@@ -266,24 +267,27 @@ def _falling_power(op, r: int) -> OperatorExpr:
 _TARGET_PARAMS = {Target.F41: F41Params, Target.F42: F42Params}
 _WHICH = {Target.F41: "first", Target.F42: "second"}
 
+
+def _target_of(p: Params) -> Target:
+    return Target.F41 if isinstance(p, F41Params) else Target.F42
+
+
 # realization of the abstract weights used by families E and F
 _PSI, _TH, _PH = "psi", "th", "ph"
 
+_DIFFERENTIAL = {
+    _PSI: OperatorExpr.of(theta_x) + OperatorExpr.of(phi_y),
+    _TH: OperatorExpr.of(theta_x),
+    _PH: OperatorExpr.of(phi_y),
+}
+
 _REALIZATIONS = {
-    (Target.F41, "differential"): {
-        _PSI: OperatorExpr.of(theta_x) + OperatorExpr.of(phi_y),
-        _TH: OperatorExpr.of(theta_x),
-        _PH: OperatorExpr.of(phi_y),
-    },
+    (Target.F41, "differential"): _DIFFERENTIAL,
+    (Target.F42, "differential"): _DIFFERENTIAL,
     (Target.F41, "difference"): {
         _PSI: OperatorExpr.of(scaled_big_theta_t1) + OperatorExpr.of(scaled_big_theta_t2),
         _TH: OperatorExpr.of(scaled_big_theta_t1),
         _PH: OperatorExpr.of(scaled_big_theta_t2),
-    },
-    (Target.F42, "differential"): {
-        _PSI: OperatorExpr.of(theta_x) + OperatorExpr.of(phi_y),
-        _TH: OperatorExpr.of(theta_x),
-        _PH: OperatorExpr.of(phi_y),
     },
     (Target.F42, "difference"): {
         # the c-parameter rows keep the index weights even in the
@@ -321,185 +325,157 @@ def _ledger_side(tokens, shift, realization) -> SideBuilder:
 
 
 # ---------------------------------------------------------------------------
+# axis rows: the fields and operators of each variable of each analogue
+# ---------------------------------------------------------------------------
+
+class _Axis(NamedTuple):
+    """One variable of one analogue: the t, k and c fields that carry it,
+    its index weight and its multiplier."""
+
+    var: str
+    t: str
+    k: str
+    c: str
+    weight: PrimitiveOp
+    mul: PrimitiveOp
+
+
+_AXES = {
+    Target.F41: (_Axis("x", "t1", "k1", "c1", theta_x, mul_x),
+                 _Axis("y", "t2", "k2", "c2", phi_y, mul_y)),
+    Target.F42: (_Axis("x", "t", "k", "c1", theta_x, mul_x),
+                 _Axis("y", "t", "k", "c2", phi_y, mul_y)),
+}
+
+
+# ---------------------------------------------------------------------------
 # family A: difference-differential equations
 # ---------------------------------------------------------------------------
 
+def _ddeq_rhs(axis: _Axis, target: Target, by_k: bool) -> SideBuilder:
+    # [k] (-1)^k (-t)_k mul rho_t^k (psi + a)(psi + b), psi the analogue's
+    # scaled t-difference weight; the first analogue carries the factor k
+    psi = _REALIZATIONS[(target, "difference")][_PSI]
+
+    def rhs(pt):
+        p = pt.params
+        t, k = getattr(p, axis.t), getattr(p, axis.k)
+        e = OperatorExpr.of(axis.mul, *[shift_param(axis.t, -1)] * k) @ \
+            (psi + _const(p.a)) @ (psi + _const(p.b))
+        c = (k if by_k else 1) * (-1.0) ** k * pochhammer(-t, k)
+        return (SideTerm(c, e, InstanceSpec(p)),)
+    return rhs
+
+
+def _ddeq_f41(axis: _Axis):
+    # big_theta_t (scaled_big_theta_t + c - 1) on the left
+    big = OperatorExpr.of(PrimitiveOp(OpKind.BIG_THETA, axis.t))
+    scaled = OperatorExpr.of(PrimitiveOp(OpKind.SCALED_BIG_THETA, axis.t))
+
+    def lhs(pt):
+        p = pt.params
+        e = big @ (scaled + _const(getattr(p, axis.c) - 1))
+        return (SideTerm(1.0, e, InstanceSpec(p)),)
+    return lhs, _ddeq_rhs(axis, Target.F41, by_k=True)
+
+
+def _ddeq_f42(axis: _Axis):
+    # the index weight w (w + c - 1) on the left
+    w = OperatorExpr.of(axis.weight)
+
+    def lhs(pt):
+        p = pt.params
+        e = w @ (w + _const(getattr(p, axis.c) - 1))
+        return (SideTerm(1.0, e, InstanceSpec(p)),)
+    return lhs, _ddeq_rhs(axis, Target.F42, by_k=False)
+
+
 def _a_entries():
-    def f41_x_lhs(pt):
-        p = pt.params
-        e = OperatorExpr.of(big_theta_t1) @ \
-            (OperatorExpr.of(scaled_big_theta_t1) + _const(p.c1 - 1))
-        return (SideTerm(1.0, e, InstanceSpec(p)),)
-
-    def f41_x_rhs(pt):
-        p = pt.params
-        sig = OperatorExpr.of(scaled_big_theta_t1) + OperatorExpr.of(scaled_big_theta_t2)
-        e = OperatorExpr.of(mul_x, *[rho_t1] * p.k1) @ \
-            (sig + _const(p.a)) @ (sig + _const(p.b))
-        c = p.k1 * (-1.0) ** p.k1 * pochhammer(-p.t1, p.k1)
-        return (SideTerm(c, e, InstanceSpec(p)),)
-
-    def f41_y_lhs(pt):
-        p = pt.params
-        e = OperatorExpr.of(big_theta_t2) @ \
-            (OperatorExpr.of(scaled_big_theta_t2) + _const(p.c2 - 1))
-        return (SideTerm(1.0, e, InstanceSpec(p)),)
-
-    def f41_y_rhs(pt):
-        p = pt.params
-        sig = OperatorExpr.of(scaled_big_theta_t1) + OperatorExpr.of(scaled_big_theta_t2)
-        e = OperatorExpr.of(mul_y, *[rho_t2] * p.k2) @ \
-            (sig + _const(p.a)) @ (sig + _const(p.b))
-        c = p.k2 * (-1.0) ** p.k2 * pochhammer(-p.t2, p.k2)
-        return (SideTerm(c, e, InstanceSpec(p)),)
-
-    def f42_x_lhs(pt):
-        p = pt.params
-        tx = OperatorExpr.of(theta_x)
-        return (SideTerm(1.0, tx @ (tx + _const(p.c1 - 1)), InstanceSpec(p)),)
-
-    def f42_x_rhs(pt):
-        p = pt.params
-        th = OperatorExpr.of(scaled_big_theta_t)
-        e = OperatorExpr.of(mul_x, *[rho_t] * p.k) @ \
-            (th + _const(p.a)) @ (th + _const(p.b))
-        c = (-1.0) ** p.k * pochhammer(-p.t, p.k)
-        return (SideTerm(c, e, InstanceSpec(p)),)
-
-    def f42_y_lhs(pt):
-        p = pt.params
-        ph = OperatorExpr.of(phi_y)
-        return (SideTerm(1.0, ph @ (ph + _const(p.c2 - 1)), InstanceSpec(p)),)
-
-    def f42_y_rhs(pt):
-        p = pt.params
-        th = OperatorExpr.of(scaled_big_theta_t)
-        e = OperatorExpr.of(mul_y, *[rho_t] * p.k) @ \
-            (th + _const(p.a)) @ (th + _const(p.b))
-        c = (-1.0) ** p.k * pochhammer(-p.t, p.k)
-        return (SideTerm(c, e, InstanceSpec(p)),)
-
-    guard = Constraints(min_k=1)
-    return [
-        Identity("F41.ddeq.1", Family.A_DDEQ, Target.F41, f41_x_lhs, f41_x_rhs,
-                 guard, anchor="first analogue: difference-differential "
-                 "equation list, item 1 (x variable)"),
-        Identity("F41.ddeq.2", Family.A_DDEQ, Target.F41, f41_y_lhs, f41_y_rhs,
-                 guard, anchor="first analogue: difference-differential "
-                 "equation list, item 2 (y variable)"),
-        Identity("F42.ddeq.1", Family.A_DDEQ, Target.F42, f42_x_lhs, f42_x_rhs,
-                 guard, anchor="second analogue: difference-differential "
-                 "equation list, item 1 (x variable)"),
-        Identity("F42.ddeq.2", Family.A_DDEQ, Target.F42, f42_y_lhs, f42_y_rhs,
-                 guard, anchor="second analogue: difference-differential "
-                 "equation list, item 2 (y variable)",
-                 notes="one scaled t-difference factor is printed without its "
-                 "variable subscript; read as the same t operator"),
-    ]
+    out = []
+    for target, builder in ((Target.F41, _ddeq_f41),
+                            (Target.F42, _ddeq_f42)):
+        for i, axis in enumerate(_AXES[target], start=1):
+            ident_id = f"{target.value}.ddeq.{i}"
+            lhs, rhs = builder(axis)
+            out.append(Identity(
+                ident_id, Family.A_DDEQ, target, lhs, rhs,
+                Constraints(min_k=1),
+                anchor=f"{_WHICH[target]} analogue: difference-differential "
+                f"equation list, item {i} ({axis.var} variable)",
+                notes="one scaled t-difference factor is printed without "
+                "its variable subscript; read as the same t operator"
+                if ident_id == "F42.ddeq.2" else ""))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # family B: difference and differential formulas
 # ---------------------------------------------------------------------------
 
+def _difference_power(axis: _Axis):
+    # delta_t^r F = (a)_r (b)_r / (c)_r mul^r F(a + r, b + r, c + r), k = 1
+    delta = PrimitiveOp(OpKind.DELTA, axis.t)
+
+    def lhs(pt):
+        return (SideTerm(1.0, _pow_expr(delta, pt.r),
+                         InstanceSpec(pt.params)),)
+
+    def rhs(pt):
+        p, r = pt.params, pt.r
+        cv = getattr(p, axis.c)
+        c = pochhammer(p.a, r) * pochhammer(p.b, r) / pochhammer(cv, r)
+        inst = p.replace(a=p.a + r, b=p.b + r, **{axis.c: cv + r})
+        return (SideTerm(c, _pow_expr(axis.mul, r), InstanceSpec(inst)),)
+    return lhs, rhs
+
+
+def _weight_power(axis: _Axis):
+    # the r-th falling index-weight power against mul^r of the instance
+    # with a, b, c raised by r and t lowered by r k
+    def lhs(pt):
+        return (SideTerm(1.0, _falling_power(axis.weight, pt.r),
+                         InstanceSpec(pt.params)),)
+
+    def rhs(pt):
+        p, r = pt.params, pt.r
+        t, k, cv = (getattr(p, f) for f in (axis.t, axis.k, axis.c))
+        c = (-1.0) ** (r * k) * pochhammer(p.a, r) * pochhammer(p.b, r) * \
+            pochhammer(-t, r * k) / pochhammer(cv, r)
+        inst = p.replace(a=p.a + r, b=p.b + r,
+                         **{axis.c: cv + r, axis.t: t - r * k})
+        return (SideTerm(c, _pow_expr(axis.mul, r), InstanceSpec(inst)),)
+    return lhs, rhs
+
+
 def _b_entries():
-    def f41_delta_x_lhs(pt):
-        return (SideTerm(1.0, _pow_expr(delta_t1, pt.r), InstanceSpec(pt.params)),)
-
-    def f41_delta_x_rhs(pt):
-        p, r = pt.params, pt.r
-        c = pochhammer(p.a, r) * pochhammer(p.b, r) / pochhammer(p.c1, r)
-        inst = p.replace(a=p.a + r, b=p.b + r, c1=p.c1 + r)
-        return (SideTerm(c, _pow_expr(mul_x, r), InstanceSpec(inst)),)
-
-    def f41_delta_y_lhs(pt):
-        return (SideTerm(1.0, _pow_expr(delta_t2, pt.r), InstanceSpec(pt.params)),)
-
-    def f41_delta_y_rhs(pt):
-        p, r = pt.params, pt.r
-        c = pochhammer(p.a, r) * pochhammer(p.b, r) / pochhammer(p.c2, r)
-        inst = p.replace(a=p.a + r, b=p.b + r, c2=p.c2 + r)
-        return (SideTerm(c, _pow_expr(mul_y, r), InstanceSpec(inst)),)
-
-    def f41_theta_lhs(pt):
-        return (SideTerm(1.0, _falling_power(theta_x, pt.r), InstanceSpec(pt.params)),)
-
-    def f41_theta_rhs(pt):
-        p, r = pt.params, pt.r
-        c = (-1.0) ** (r * p.k1) * pochhammer(p.a, r) * pochhammer(p.b, r) * \
-            pochhammer(-p.t1, r * p.k1) / pochhammer(p.c1, r)
-        inst = p.replace(a=p.a + r, b=p.b + r, c1=p.c1 + r, t1=p.t1 - r * p.k1)
-        return (SideTerm(c, _pow_expr(mul_x, r), InstanceSpec(inst)),)
-
-    def f41_phi_lhs(pt):
-        return (SideTerm(1.0, _falling_power(phi_y, pt.r), InstanceSpec(pt.params)),)
-
-    def f41_phi_rhs(pt):
-        p, r = pt.params, pt.r
-        c = (-1.0) ** (r * p.k2) * pochhammer(p.a, r) * pochhammer(p.b, r) * \
-            pochhammer(-p.t2, r * p.k2) / pochhammer(p.c2, r)
-        inst = p.replace(a=p.a + r, b=p.b + r, c2=p.c2 + r, t2=p.t2 - r * p.k2)
-        return (SideTerm(c, _pow_expr(mul_y, r), InstanceSpec(inst)),)
-
-    def f42_theta_lhs(pt):
-        return (SideTerm(1.0, _falling_power(theta_x, pt.r), InstanceSpec(pt.params)),)
-
-    def f42_theta_rhs(pt):
-        p, r = pt.params, pt.r
-        c = (-1.0) ** (r * p.k) * pochhammer(p.a, r) * pochhammer(p.b, r) * \
-            pochhammer(-p.t, r * p.k) / pochhammer(p.c1, r)
-        inst = p.replace(a=p.a + r, b=p.b + r, c1=p.c1 + r, t=p.t - r * p.k)
-        return (SideTerm(c, _pow_expr(mul_x, r), InstanceSpec(inst)),)
-
-    def f42_phi_lhs(pt):
-        return (SideTerm(1.0, _falling_power(phi_y, pt.r), InstanceSpec(pt.params)),)
-
-    def f42_phi_rhs(pt):
-        p, r = pt.params, pt.r
-        c = (-1.0) ** (r * p.k) * pochhammer(p.a, r) * pochhammer(p.b, r) * \
-            pochhammer(-p.t, r * p.k) / pochhammer(p.c2, r)
-        inst = p.replace(a=p.a + r, b=p.b + r, c2=p.c2 + r, t=p.t - r * p.k)
-        return (SideTerm(c, _pow_expr(mul_y, r), InstanceSpec(inst)),)
-
+    (x1, y1), (x2, y2) = _AXES[Target.F41], _AXES[Target.F42]
     theta_note = ("the r-th index-weight power is read as the falling product "
                   "weight m (m - 1) ... (m - r + 1), the exact image of the "
                   "r-th plain derivative scaled by x^r")
-    return [
-        Identity("F41.thm3.1.a", Family.B_DIFF_FORMULAS, Target.F41,
-                 f41_delta_x_lhs, f41_delta_x_rhs,
-                 Constraints(k1=1, uses_r=True),
-                 anchor="first analogue: difference/differential formula "
-                 "theorem, part a"),
-        Identity("F41.thm3.1.b", Family.B_DIFF_FORMULAS, Target.F41,
-                 f41_delta_y_lhs, f41_delta_y_rhs,
-                 Constraints(k2=1, uses_r=True),
-                 anchor="first analogue: difference/differential formula "
-                 "theorem, part b"),
-        Identity("F41.thm3.1.c", Family.B_DIFF_FORMULAS, Target.F41,
-                 f41_theta_lhs, f41_theta_rhs, Constraints(uses_r=True),
-                 anchor="first analogue: difference/differential formula "
-                 "theorem, part c", notes=theta_note),
-        Identity("F41.thm3.1.d", Family.B_DIFF_FORMULAS, Target.F41,
-                 f41_phi_lhs, f41_phi_rhs, Constraints(uses_r=True),
-                 anchor="first analogue: difference/differential formula "
-                 "theorem, part d", notes=theta_note),
-        Identity("F42.thm5.1.a", Family.B_DIFF_FORMULAS, Target.F42,
-                 f42_theta_lhs, f42_theta_rhs, Constraints(uses_r=True),
-                 anchor="second analogue: difference/differential formula "
-                 "list, part a", notes=theta_note),
-        Identity("F42.thm5.1.b", Family.B_DIFF_FORMULAS, Target.F42,
-                 f42_phi_lhs, f42_phi_rhs, Constraints(uses_r=True),
-                 anchor="second analogue: difference/differential formula "
-                 "list, part b", notes=theta_note),
-        Identity("F42.thm5.1.c", Family.B_DIFF_FORMULAS, Target.F42,
-                 f42_theta_lhs, f42_theta_rhs, Constraints(k=1, uses_r=True),
-                 anchor="second analogue: difference/differential formula "
-                 "list, particular case a", notes=theta_note),
-        Identity("F42.thm5.1.d", Family.B_DIFF_FORMULAS, Target.F42,
-                 f42_phi_lhs, f42_phi_rhs, Constraints(k=1, uses_r=True),
-                 anchor="second analogue: difference/differential formula "
-                 "list, particular case b", notes=theta_note),
+    first = "first analogue: difference/differential formula theorem, part "
+    second = "second analogue: difference/differential formula list, "
+    # id, builder, axis, whether the entry pins the axis's k to 1, anchor
+    rows = [
+        ("F41.thm3.1.a", _difference_power, x1, True, first + "a"),
+        ("F41.thm3.1.b", _difference_power, y1, True, first + "b"),
+        ("F41.thm3.1.c", _weight_power, x1, False, first + "c"),
+        ("F41.thm3.1.d", _weight_power, y1, False, first + "d"),
+        ("F42.thm5.1.a", _weight_power, x2, False, second + "part a"),
+        ("F42.thm5.1.b", _weight_power, y2, False, second + "part b"),
+        ("F42.thm5.1.c", _weight_power, x2, True,
+         second + "particular case a"),
+        ("F42.thm5.1.d", _weight_power, y2, True,
+         second + "particular case b"),
     ]
+    out = []
+    for ident_id, builder, axis, pinned, anchor in rows:
+        lhs, rhs = builder(axis)
+        out.append(Identity(
+            ident_id, Family.B_DIFF_FORMULAS, Target(ident_id[:3]), lhs, rhs,
+            Constraints(uses_r=True, **({axis.k: 1} if pinned else {})),
+            anchor=anchor,
+            notes=theta_note if builder is _weight_power else ""))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +549,11 @@ def _c_entries():
 
 def _d_scales(p: Params):
     # per-axis sign/t-factor coefficient and the t-shift of the sum instances
-    if isinstance(p, F41Params):
-        return ((-1.0) ** p.k1 * pochhammer(-p.t1, p.k1), {"t1": p.t1 - p.k1},
-                (-1.0) ** p.k2 * pochhammer(-p.t2, p.k2), {"t2": p.t2 - p.k2})
-    s = (-1.0) ** p.k * pochhammer(-p.t, p.k)
-    return s, {"t": p.t - p.k}, s, {"t": p.t - p.k}
+    out = ()
+    for axis in _AXES[_target_of(p)]:
+        t, k = getattr(p, axis.t), getattr(p, axis.k)
+        out += ((-1.0) ** k * pochhammer(-t, k), {axis.t: t - k})
+    return out
 
 
 def _plain(p: Params) -> SideTerm:
@@ -944,8 +920,8 @@ def _compose_grid(arr: np.ndarray, comp: Composition) -> np.ndarray:
 
 
 def _compile_term(term: SideTerm, M: int, N: int) -> dict:
-    """compile_expr of the term's operator on its instance, with the checks
-    that _term_grid makes before it requests a grid."""
+    """compile_expr of the term's operator on its instance, checked: every
+    index shift fits, and a composed-argument grid takes diagonal factors."""
     spec = term.instance
     compiled = compile_expr(term.expr, spec.params, M, N)
     require_margin(compiled, M, N)
@@ -959,18 +935,11 @@ def _compile_term(term: SideTerm, M: int, N: int) -> dict:
     return compiled
 
 
-def _term_grid(term: SideTerm, M: int, N: int,
-               compiled: Optional[dict] = None) -> np.ndarray:
-    """The term's grid; compiled, if given, is _compile_term(term, M, N)."""
+def _term_grid(term: SideTerm, M: int, N: int, compiled: dict) -> np.ndarray:
+    """The term's grid; compiled is _compile_term(term, M, N)."""
     spec = term.instance
     if spec.composition is Composition.NONE:
-        if compiled is None:
-            arr = apply_expr_to_params(term.expr, spec.params, M, N)
-        else:
-            arr = apply_compiled(compiled, M, N)
-        return complex(term.coeff) * arr
-    if compiled is None:
-        compiled = _compile_term(term, M, N)
+        return complex(term.coeff) * apply_compiled(compiled, M, N)
     diagonal = (spec.params, 0, 0)
     base = np.asarray(coefficient_grid(spec.params, M, N).coeffs)
     grid = _compose_grid(base, spec.composition)
@@ -991,26 +960,18 @@ def _is_nonneg_int(v: complex) -> bool:
 def _summed_supported(p: Params, M: int, N: int, slack: int = 3) -> bool:
     # termwise sums are exact only when every instance terminates inside the
     # rectangle; slack absorbs the t-raising of iterated forward differences
-    if isinstance(p, F41Params):
-        if p.k1 < 1 or p.k2 < 1:
+    for axis, size in zip(_AXES[_target_of(p)], (M, N)):
+        t, k = getattr(p, axis.t), getattr(p, axis.k)
+        if k < 1 or not _is_nonneg_int(t) or \
+                round(t.real) // k + slack > size:
             return False
-        if not (_is_nonneg_int(p.t1) and _is_nonneg_int(p.t2)):
-            return False
-        return (round(p.t1.real) // p.k1 + slack <= M and
-                round(p.t2.real) // p.k2 + slack <= N)
-    if p.k < 1 or not _is_nonneg_int(p.t):
-        return False
-    return round(p.t.real) // p.k + slack <= min(M, N)
+    return True
 
 
 def point_to_dict(point: ParamPoint) -> dict:
     p = point.params
-    out = {"target": Target.F41.value if isinstance(p, F41Params)
-           else Target.F42.value}
-    fields = ("a", "b", "c1", "c2", "t1", "t2", "k1", "k2", "x", "y") \
-        if isinstance(p, F41Params) else \
-        ("a", "b", "c1", "c2", "t", "k", "x", "y")
-    for name in fields:
+    out = {"target": _target_of(p).value}
+    for name in (f.name for f in fields(p)):
         v = getattr(p, name)
         out[name] = v if isinstance(v, int) else [float(v.real), float(v.imag)]
     out["r"] = point.r
@@ -1028,7 +989,7 @@ def _check_point(ident: Identity, point: ParamPoint) -> None:
 
 @dataclass(frozen=True)
 class _PlannedDraw:
-    """One audit draw with both sides built and every term compiled, as
+    """One point with both sides built and every term compiled, as
     (term, compiled) pairs per side."""
 
     point: ParamPoint
@@ -1046,6 +1007,17 @@ class _PlannedDraw:
         return keys
 
 
+def _plan(ident: Identity, point: ParamPoint, M: int, N: int,
+          ) -> _PlannedDraw:
+    """Check point against ident, build both sides and compile every term:
+    everything verify_identity does before it requests a grid."""
+    _check_point(ident, point)
+    sides = ident.lhs(point), ident.rhs(point)
+    lhs, rhs = (tuple((t, _compile_term(t, M, N)) for t in terms)
+                for terms in sides)
+    return _PlannedDraw(point, lhs, rhs)
+
+
 def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
                     N: int = 12, tolerance: float = 1e-10,
                     mode: VerificationMode = VerificationMode.COEFFICIENTWISE,
@@ -1055,16 +1027,14 @@ def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
 
     Cellwise comparison is exact up to floating round-off; summed mode
     additionally compares the two sides' numeric sums, which requires every
-    instance to terminate inside the rectangle.  audit_catalog passes the
-    draw it planned for point, whose sides are already built and compiled.
+    instance to terminate inside the rectangle.  Both sides are built and
+    compiled (_plan) before any grid is requested; audit_catalog passes the
+    plan it already made for point.
     """
     mode = VerificationMode(mode)
     if _planned is None:
-        _check_point(ident, point)
-        lhs = [(t, None) for t in ident.lhs(point)]
-        rhs = [(t, None) for t in ident.rhs(point)]
-    else:
-        lhs, rhs = _planned.lhs, _planned.rhs
+        _planned = _plan(ident, point, M, N)
+    lhs, rhs = _planned.lhs, _planned.rhs
     lhs_grids = [_term_grid(t, M, N, c) for t, c in lhs]
     rhs_grids = [_term_grid(t, M, N, c) for t, c in rhs]
     zero = np.zeros((M + 1, N + 1), dtype=np.complex128)
@@ -1109,8 +1079,7 @@ def verify_recursion_sum(ident: Identity, point: ParamPoint, s: int,
     """Family-D verification with an explicit number of telescoping steps."""
     if ident.family is not Family.D_RECURSION_SUMS:
         raise ConstraintError(f"identity {ident.id} is not a recursion sum")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ConstraintError(f"s must be an integer >= 1, got {s!r}")
+    # ParamPoint rejects an s that is no integer >= 1
     return verify_identity(ident, _dc_replace(point, s=s), M, N, tolerance, mode)
 
 
@@ -1170,27 +1139,23 @@ class ParamSampler:
         r = rng.choice(self.r_choices) if cons.uses_r else 1
         s = rng.choice(self.s_choices) if cons.uses_s else 1
 
-        if ident.target is Target.F41:
-            k1 = cons.k1 if cons.k1 is not None else rng.choice(self.k_choices)
-            k2 = cons.k2 if cons.k2 is not None else rng.choice(self.k_choices)
-            if cons.odd_k_sum:
-                while (k1 + k2) % 2 == 0:
-                    k1 = rng.choice(self.k_choices)
-                    k2 = rng.choice(self.k_choices)
+        # k, then t, for the fields of each axis: k1, k2, t1, t2, or k and t
+        t_k = {axis.t: axis.k for axis in _AXES[ident.target]}
+        ks = {}
+        for name in t_k.values():
+            want = getattr(cons, name)
+            ks[name] = want if want is not None else \
+                rng.choice(self.k_choices)
+        while cons.odd_k_sum and sum(ks.values()) % 2 == 0:
+            ks = {name: rng.choice(self.k_choices) for name in ks}
+        ts = {}
+        for name, k in t_k.items():
             if terminating:
-                t1 = complex(k1 * rng.choice(self.terminating_units))
-                t2 = complex(k2 * rng.choice(self.terminating_units))
+                ts[name] = complex(ks[k] * rng.choice(self.terminating_units))
             else:
-                t1 = self._off_lattice(rng, self.magnitude, 0.05)
-                t2 = self._off_lattice(rng, self.magnitude, 0.05)
-            params = F41Params(a, b, c1, c2, t1, t2, k1, k2, x, y)
-        else:
-            k = cons.k if cons.k is not None else rng.choice(self.k_choices)
-            if terminating:
-                t = complex(k * rng.choice(self.terminating_units))
-            else:
-                t = self._off_lattice(rng, self.magnitude, 0.05)
-            params = F42Params(a, b, c1, c2, t, k, x, y)
+                ts[name] = self._off_lattice(rng, self.magnitude, 0.05)
+        params = _TARGET_PARAMS[ident.target](a, b, c1, c2, x=x, y=y, **ts,
+                                              **ks)
         return ParamPoint(params, r=r, s=s)
 
 
@@ -1217,21 +1182,6 @@ def _row_status(ident: Identity, draws: int, passes: int) -> str:
     if passes == 0:
         return "typo_confirmed" if suspected else "fail"
     return "mixed"
-
-
-def _plan_draw(sampler: ParamSampler, ident: Identity, j: int, M: int,
-               N: int) -> Optional[_PlannedDraw]:
-    """Draw j of ident with its sides built and compiled, or None when any
-    of that raises: verify_identity then repeats it and raises there."""
-    try:
-        point = sampler.draw(ident, j)
-        _check_point(ident, point)
-        sides = ident.lhs(point), ident.rhs(point)
-        lhs, rhs = (tuple((t, _compile_term(t, M, N)) for t in terms)
-                    for terms in sides)
-    except Exception:
-        return None
-    return _PlannedDraw(point, lhs, rhs)
 
 
 # grid cells one audit chunk plans before it compares: 775 grids of 13 x 13,
@@ -1273,19 +1223,19 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
         if len(keys) <= per_chunk:
             cache_grids(keys)
         for i, ident, j, planned in chunk:
-            if planned is None:
-                report = verify_identity(ident, sampler.draw(ident, j), M, N,
-                                         tolerance)
-            else:
-                report = verify_identity(ident, planned.point, M, N,
-                                         tolerance, _planned=planned)
+            point = planned.point if planned else sampler.draw(ident, j)
+            report = verify_identity(ident, point, M, N, tolerance,
+                                     _planned=planned)
             worst[i] = max(worst[i], report.rel_residual)
             passes[i] += int(report.passed)
 
     chunk, keys = [], {}
     for i, ident in enumerate(identities):
         for j in range(sampler.draws):
-            planned = _plan_draw(sampler, ident, j, M, N)
+            try:
+                planned = _plan(ident, sampler.draw(ident, j), M, N)
+            except Exception:
+                planned = None  # compare repeats the draw and raises there
             mine = dict.fromkeys(planned.grid_keys(M, N) if planned else ())
             fresh = sum(key not in keys for key in mine)
             if chunk and len(keys) + fresh > per_chunk:

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -84,14 +83,6 @@ def dump_json(v, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved command invocation: flag values after merging."""
-
-    command: str
-    options: dict
-
 
 _DEFAULTS = {
     "eval": {
@@ -181,7 +172,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _flags(command: str) -> dict:
+    """The command's flags by destination, as its subparser defines them."""
+    sub, = (action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[command]._actions}
+
+
+def _config_value(action: argparse.Action, val):
+    """A config file's value, checked as its flag checks its text: a switch
+    takes true or false; another flag reads str(val) with its type (str if
+    none), so 1.7 is no int and true no count, then checks its choices."""
+    if action.nargs == 0:
+        ok = isinstance(val, bool)
+    else:
+        try:
+            val = (action.type or str)(str(val))
+            ok = action.choices is None or val in action.choices
+        except ValueError:
+            ok = False
+    if not ok:
+        raise ValueError(f"config key {action.dest!r} cannot take {val!r}")
+    return val
+
+
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """The command's defaults, overridden by --config, overridden by flags."""
     command = args.command
     merged = dict(_DEFAULTS[command])
     if getattr(args, "config", None):
@@ -192,18 +208,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         for key, val in loaded.items():
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r} for {command}")
-            merged[key] = val
+            if val is not None:  # null keeps the default
+                merged[key] = _config_value(_flags(command)[key], val)
     for key in merged:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    return RunConfig(command, merged)
+    return merged
 
 
-def _cplx(v) -> complex:
-    if isinstance(v, (int, float, complex)):
-        return complex(v)
-    return complex(str(v).strip().replace(" ", ""))
+def _cplx(v: str) -> complex:
+    return complex(v.strip().replace(" ", ""))
 
 
 def _seq(text) -> tuple:
@@ -231,8 +246,7 @@ def _params_json(p) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_eval(cfg: RunConfig) -> int:
-    o = cfg.options
+def cmd_eval(o: dict) -> int:
     pol = TruncationPolicy(int(o["m_max"]), int(o["n_max"]))
     fn = o["fn"]
     a, b, c1, c2 = (_cplx(o[n]) for n in ("a", "b", "c1", "c2"))
@@ -267,8 +281,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     return _OK
 
 
-def cmd_audit(cfg: RunConfig) -> int:
-    o = cfg.options
+def cmd_audit(o: dict) -> int:
     seed = o["seed"]
     if seed is None:
         seed = int(os.environ.get(_ENV_SEED, 42))
@@ -287,8 +300,7 @@ def cmd_audit(cfg: RunConfig) -> int:
     return _CHECK_FAILED if bad else _OK
 
 
-def cmd_quadcheck(cfg: RunConfig) -> int:
-    o = cfg.options
+def cmd_quadcheck(o: dict) -> int:
     # a bad order (exit 2) wins over every other error, and a bad spec or
     # non-terminating t (exit 3) is found before the rule is built
     order = int(o["order"])
@@ -328,8 +340,7 @@ def _sweep_axis(lo: float, hi: float, step: float) -> list:
     return [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-12]
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    o = cfg.options
+def cmd_sweep(o: dict) -> int:
     values = _sweep_axis(float(o["lo"]), float(o["hi"]), float(o["step"]))
     pol = TruncationPolicy(int(o["m_max"]), int(o["n_max"]))
     a, b, c1, c2, t = (_cplx(o[n]) for n in ("a", "b", "c1", "c2", "t"))
@@ -360,12 +371,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return _CONFIG_ERROR if exc.code else _OK
     try:
-        cfg = _resolve_config(args)
+        options = _resolve_config(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](options)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR

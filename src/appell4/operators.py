@@ -5,11 +5,13 @@ rho_t f = f(t-1), their combination big_theta_t f = t * (f(t) - f(t-1)),
 the Euler operators theta_x = x d/dx and phi_y = y d/dy, parameter shifts,
 scalar multiples, and multiplication by x or y.  The scaled primitives
 (1/k) big_theta exist separately so that k = 0 callers never build them.
+Each t-operator names the t field it acts on (delta_t1 acts on t1), and
+rho_t is the parameter shift of that field by -1.
 
 An operator expression applied to a series instance is compiled into a
 combination of shifted instances: each parameter-shifted coefficient grid,
 moved by the index shifts of mul_x and mul_y, enters once with a weight
-array that carries the theta/phi index factors and the t-operator scalars.
+that carries the theta/phi index factors and the t-operator scalars.
 Applying the expression is one multiply-add per shifted instance, so every
 operator acts exactly (no finite differences).
 """
@@ -27,18 +29,9 @@ from .series import _grid_coeffs
 
 
 class OpKind(str, Enum):
-    DELTA_T1 = "delta_t1"
-    DELTA_T2 = "delta_t2"
-    DELTA_T = "delta_t"
-    RHO_T1 = "rho_t1"
-    RHO_T2 = "rho_t2"
-    RHO_T = "rho_t"
-    BIG_THETA_T1 = "big_theta_t1"
-    BIG_THETA_T2 = "big_theta_t2"
-    BIG_THETA_T = "big_theta_t"
-    SCALED_BIG_THETA_T1 = "scaled_big_theta_t1"
-    SCALED_BIG_THETA_T2 = "scaled_big_theta_t2"
-    SCALED_BIG_THETA_T = "scaled_big_theta_t"
+    DELTA = "delta"
+    BIG_THETA = "big_theta"
+    SCALED_BIG_THETA = "scaled_big_theta"
     THETA_X = "theta_x"
     PHI_Y = "phi_y"
     SHIFT_PARAM = "shift_param"
@@ -67,30 +60,30 @@ class PrimitiveOp:
             object.__setattr__(self, "constant", c)
 
 
-delta_t1 = PrimitiveOp(OpKind.DELTA_T1)
-delta_t2 = PrimitiveOp(OpKind.DELTA_T2)
-delta_t = PrimitiveOp(OpKind.DELTA_T)
-rho_t1 = PrimitiveOp(OpKind.RHO_T1)
-rho_t2 = PrimitiveOp(OpKind.RHO_T2)
-rho_t = PrimitiveOp(OpKind.RHO_T)
-big_theta_t1 = PrimitiveOp(OpKind.BIG_THETA_T1)
-big_theta_t2 = PrimitiveOp(OpKind.BIG_THETA_T2)
-big_theta_t = PrimitiveOp(OpKind.BIG_THETA_T)
-scaled_big_theta_t1 = PrimitiveOp(OpKind.SCALED_BIG_THETA_T1)
-scaled_big_theta_t2 = PrimitiveOp(OpKind.SCALED_BIG_THETA_T2)
-scaled_big_theta_t = PrimitiveOp(OpKind.SCALED_BIG_THETA_T)
-theta_x = PrimitiveOp(OpKind.THETA_X)
-phi_y = PrimitiveOp(OpKind.PHI_Y)
-mul_x = PrimitiveOp(OpKind.MUL_X)
-mul_y = PrimitiveOp(OpKind.MUL_Y)
-
-
 def shift_param(name: str, offset: int) -> PrimitiveOp:
     return PrimitiveOp(OpKind.SHIFT_PARAM, name=name, offset=offset)
 
 
 def scale(constant) -> PrimitiveOp:
     return PrimitiveOp(OpKind.SCALE, constant=constant)
+
+
+delta_t1 = PrimitiveOp(OpKind.DELTA, "t1")
+delta_t2 = PrimitiveOp(OpKind.DELTA, "t2")
+delta_t = PrimitiveOp(OpKind.DELTA, "t")
+rho_t1 = shift_param("t1", -1)
+rho_t2 = shift_param("t2", -1)
+rho_t = shift_param("t", -1)
+big_theta_t1 = PrimitiveOp(OpKind.BIG_THETA, "t1")
+big_theta_t2 = PrimitiveOp(OpKind.BIG_THETA, "t2")
+big_theta_t = PrimitiveOp(OpKind.BIG_THETA, "t")
+scaled_big_theta_t1 = PrimitiveOp(OpKind.SCALED_BIG_THETA, "t1")
+scaled_big_theta_t2 = PrimitiveOp(OpKind.SCALED_BIG_THETA, "t2")
+scaled_big_theta_t = PrimitiveOp(OpKind.SCALED_BIG_THETA, "t")
+theta_x = PrimitiveOp(OpKind.THETA_X)
+phi_y = PrimitiveOp(OpKind.PHI_Y)
+mul_x = PrimitiveOp(OpKind.MUL_X)
+mul_y = PrimitiveOp(OpKind.MUL_Y)
 
 
 @dataclass(frozen=True)
@@ -130,26 +123,6 @@ identity_expr = OperatorExpr.of()
 # ---------------------------------------------------------------------------
 # compilation to shifted instances
 # ---------------------------------------------------------------------------
-
-_T_FIELD = {
-    OpKind.DELTA_T1: "t1", OpKind.RHO_T1: "t1", OpKind.BIG_THETA_T1: "t1",
-    OpKind.SCALED_BIG_THETA_T1: "t1",
-    OpKind.DELTA_T2: "t2", OpKind.RHO_T2: "t2", OpKind.BIG_THETA_T2: "t2",
-    OpKind.SCALED_BIG_THETA_T2: "t2",
-    OpKind.DELTA_T: "t", OpKind.RHO_T: "t", OpKind.BIG_THETA_T: "t",
-    OpKind.SCALED_BIG_THETA_T: "t",
-}
-
-_K_FIELD = {
-    OpKind.SCALED_BIG_THETA_T1: "k1",
-    OpKind.SCALED_BIG_THETA_T2: "k2",
-    OpKind.SCALED_BIG_THETA_T: "k",
-}
-
-_DELTAS = (OpKind.DELTA_T1, OpKind.DELTA_T2, OpKind.DELTA_T)
-_RHOS = (OpKind.RHO_T1, OpKind.RHO_T2, OpKind.RHO_T)
-_BIG_THETAS = (OpKind.BIG_THETA_T1, OpKind.BIG_THETA_T2, OpKind.BIG_THETA_T)
-
 
 class _Instances:
     """The shifted instances met while compiling one expression, numbered
@@ -196,23 +169,22 @@ def _step(op: PrimitiveOp, entries: dict, inst: _Instances, ms, ns) -> dict:
             _add(out, (i, dm, dn + 1), w)
         elif kind is OpKind.SHIFT_PARAM:
             _add(out, (inst.shift(i, op.name, op.offset), dm, dn), w)
-        elif kind in _RHOS:
-            _add(out, (inst.shift(i, _T_FIELD[kind], -1), dm, dn), w)
-        elif kind in _DELTAS:
-            _add(out, (inst.shift(i, _T_FIELD[kind], 1), dm, dn), w)
+        elif kind is OpKind.DELTA:
+            _add(out, (inst.shift(i, op.name, 1), dm, dn), w)
             _add(out, (i, dm, dn), -w)
-        elif kind in _BIG_THETAS or kind in _K_FIELD:
-            fld = _T_FIELD[kind]
+        elif kind is OpKind.BIG_THETA or kind is OpKind.SCALED_BIG_THETA:
             q = inst.params[i]
-            t = getattr(q, fld)
-            if kind in _K_FIELD:
-                k = int(getattr(q, _K_FIELD[kind]))
+            t = getattr(q, op.name)
+            if kind is OpKind.SCALED_BIG_THETA:
+                # k from the field matching t: t1 -> k1, t2 -> k2, t -> k
+                k = int(getattr(q, "k" + op.name[1:]))
                 if k < 1:
                     raise InvalidOperatorError(
-                        f"{kind.value} is undefined at k = {k}; needs k >= 1")
+                        f"{kind.value}_{op.name} is undefined at k = {k}; "
+                        "needs k >= 1")
                 t = t / k
             _add(out, (i, dm, dn), t * w)
-            _add(out, (inst.shift(i, fld, -1), dm, dn), -t * w)
+            _add(out, (inst.shift(i, op.name, -1), dm, dn), -t * w)
         else:
             raise InvalidOperatorError(f"unknown primitive kind {kind!r}")
     return out
@@ -221,9 +193,10 @@ def _step(op: PrimitiveOp, entries: dict, inst: _Instances, ms, ns) -> dict:
 def compile_expr(e: OperatorExpr, p, M: int, N: int) -> dict:
     """The expression applied to the series instance p, as a combination of
     shifted instances: {(q, dm, dn): weight}, where q are the shifted
-    parameters, (dm, dn) the index shift and weight an (M+1, N+1) array in
-    output coordinates.  The applied grid is the sum over keys of weight
-    times the grid of q moved down by dm rows and right by dn columns.
+    parameters, (dm, dn) the index shift and weight a scalar, column, row
+    or array that broadcasts to (M+1, N+1), in output coordinates.  The
+    applied grid is the sum over keys of weight times the grid of q moved
+    down by dm rows and right by dn columns.
 
     Factors are read outermost first.  theta_x and phi_y weigh a cell by the
     index of the function they act on, which is the output index minus the
@@ -241,9 +214,7 @@ def compile_expr(e: OperatorExpr, p, M: int, N: int) -> dict:
             entries = _step(op, entries, inst, ms, ns)
         for key, w in entries.items():
             _add(total, key, w)
-    return {(inst.params[i], dm, dn): np.full((M + 1, N + 1), w,
-                                             dtype=np.complex128)
-            for (i, dm, dn), w in total.items()}
+    return {(inst.params[i], dm, dn): w for (i, dm, dn), w in total.items()}
 
 
 def require_margin(compiled: dict, M: int, N: int) -> None:
@@ -269,5 +240,9 @@ def apply_compiled(compiled: dict, M: int, N: int) -> np.ndarray:
     acc = np.zeros((M + 1, N + 1), dtype=np.complex128)
     for (q, dm, dn), w in compiled.items():
         g = _grid_coeffs(q, M, N)
-        acc[dm:, dn:] += w[dm:, dn:] * g[:M + 1 - dm, :N + 1 - dn]
+        if isinstance(w, np.ndarray):
+            # the output window of the weight; a row or column keeps its
+            # axis of length one (np.broadcast_to costs 5 us more per call)
+            w = w[dm * (w.shape[0] > 1):, dn * (w.shape[1] > 1):]
+        acc[dm:, dn:] += w * g[:M + 1 - dm, :N + 1 - dn]
     return acc

@@ -908,13 +908,14 @@ def _with_zero(a: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_stats(terms: np.ndarray):
-    """Per anti-diagonal d = m + n: the sum of terms, the sum of their
-    absolute values and the count of nonzero terms, as arrays, with the
-    rounding of np.trace on the diagonals of np.fliplr(terms).
+    """Per anti-diagonal d = m + n: the sum of terms and the sum of their
+    absolute values, as arrays, with the rounding of np.trace on the
+    diagonals of np.fliplr(terms); and the count of nonzero terms.
 
     terms is one (M+1) x (N+1) grid, or a (P, M+1, N+1) stack of the grids
-    of P points; each statistic then has a trailing axis of P, and each
-    point's column is what its grid alone gives, bit for bit."""
+    of P points; each sum then has a trailing axis of P, each point's column
+    what its grid alone gives, bit for bit, and the count is one per
+    point."""
     rows, cols = terms.shape[-2:]
     if rows == 1 and cols > 1:
         # np.abs rounds complex input in the last bit one way in its SIMD
@@ -929,25 +930,7 @@ def _diagonal_stats(terms: np.ndarray):
     plan = _diagonal_plan(rows - 1, cols - 1)
     return (_diagonal_sums(terms),
             plan.real_sums(_with_zero(abs_terms[..., ::-1])),
-            _diagonal_counts(abs_terms != 0.0))
-
-
-def _diagonal_counts(nonzero: np.ndarray) -> np.ndarray:
-    """Per anti-diagonal, the count of true cells of a boolean grid, or of
-    each grid of a stack along a trailing axis."""
-    if nonzero.shape[-2] > nonzero.shape[-1]:
-        # m + n is the same in the transpose; shearing the shorter axis keeps
-        # the buffer under twice the grid's cells however thin the rectangle
-        nonzero = nonzero.swapaxes(-1, -2)
-    rows, cols = nonzero.shape[-2:]
-    stack = nonzero.shape[:-2]
-    # row m shifted to start at column m: written with rows + cols columns,
-    # read with one column fewer
-    sheared = np.zeros(stack + (rows * (rows + cols),), dtype=np.intp)
-    sheared.reshape(stack + (rows, rows + cols))[..., :cols] = nonzero
-    counts = sheared[..., :rows * (rows + cols - 1)].reshape(
-        stack + (rows, rows + cols - 1)).sum(axis=-2)
-    return counts.T
+            np.count_nonzero(abs_terms, axis=(-2, -1)))
 
 
 def _diagonal_sums(terms: np.ndarray) -> np.ndarray:
@@ -1022,7 +1005,7 @@ def _sum_terms(coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         return totals.tolist()
     return [_summary(*stats, M, N) for stats in zip(
         totals.tolist(), abs_blocks.T.tolist(),
-        nonzero_counts.sum(axis=0).tolist())]
+        nonzero_counts.tolist())]
 
 
 def _without_args(p: SeriesParams) -> SeriesParams:

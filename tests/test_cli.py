@@ -407,6 +407,50 @@ class TestConfigHandling:
         assert run(capsys, "eval", "--config",
                    str(tmp_path / "absent.json"))[0] == 2
 
+    @pytest.mark.parametrize("command,values", [
+        ("audit", {"draws": [1]}),
+        ("audit", {"m_max": [3]}),
+        ("eval", {"fn": "nope"}),
+        ("eval", {"k1": 1.7}),
+        ("audit", {"m_max": 1.5}),
+        ("audit", {"draws": True}),
+        ("audit", {"include_suspected": "false"}),
+        ("audit", {"family": "Z"}),
+        ("sweep", {"step": "fine"}),
+    ])
+    def test_bad_config_value_exits_two(self, capsys, tmp_path, command,
+                                        values):
+        # each value fails as its flag would, before anything runs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        code = main([command, "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ")
+        assert repr(next(iter(values))) in err
+
+    def test_config_values_take_the_flag_types(self, capsys, tmp_path):
+        # an int flag takes an int or its text, and null keeps the default;
+        # a number for a text flag is read as its text
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps({"fn": "F4", "a": 2, "x": 0.1, "y": 1e-05,
+                                    "out": None}))
+        assert run(capsys, "eval", "--config", str(path)) == run(
+            capsys, "eval", "--fn", "F4", "--a", "2", "--x", "0.1", "--y",
+            "1e-05")
+        path.write_text(json.dumps({"a": True}))
+        assert run(capsys, "eval", "--config", str(path)) == \
+            run(capsys, "eval", "--a", "True") == (2, "")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"draws": "1", "m_max": 6, "n_max": 6,
+                                    "family": "A", "seed": None,
+                                    "include_suspected": True}))
+        code, out = run(capsys, "audit", "--config", str(path))
+        assert code == 0
+        assert out == run(capsys, "audit", "--draws", "1", "--M", "6",
+                          "--N", "6", "--family", "A",
+                          "--include-suspected")[1]
+
     def test_dump_json_formats(self):
         text = dump_json({"z": complex(1, -2), "flag": True, "s": "hi",
                           "n": None, "seq": [0.1]})

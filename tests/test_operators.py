@@ -42,28 +42,26 @@ def apply_numeric(op, f, p) -> complex:
     application is checked against.
 
     f is a closure over the single params field the primitive acts on
-    (t1/t2/t for the difference operators, x for theta_x, y for phi_y,
-    op.name for shift_param); p supplies the base field values.  scale and
-    mul evaluate f at the unshifted base (x, or y for mul_y).
+    (op.name: t1/t2/t for the t-operators, the shifted field for
+    shift_param, which is also rho; x for theta_x, y for phi_y); p supplies
+    the base field values.  scale and mul evaluate f at the unshifted base
+    (x, or y for mul_y).
     """
     kind = op.kind
-    # a t-operator's name ends in the field it acts on: delta_t1 -> t1
-    fld = kind.value.rsplit("_", 1)[1]
-    if kind in (OpKind.DELTA_T1, OpKind.DELTA_T2, OpKind.DELTA_T):
+    # a t-operator names the field it acts on: delta_t1.name == "t1"
+    fld = op.name
+    if kind is OpKind.DELTA:
         t = getattr(p, fld)
         return f(t + 1) - f(t)
-    if kind in (OpKind.RHO_T1, OpKind.RHO_T2, OpKind.RHO_T):
-        return f(getattr(p, fld) - 1)
-    if kind in (OpKind.BIG_THETA_T1, OpKind.BIG_THETA_T2, OpKind.BIG_THETA_T):
+    if kind is OpKind.BIG_THETA:
         t = getattr(p, fld)
         return t * (f(t) - f(t - 1))
-    if kind in (OpKind.SCALED_BIG_THETA_T1, OpKind.SCALED_BIG_THETA_T2,
-                OpKind.SCALED_BIG_THETA_T):
+    if kind is OpKind.SCALED_BIG_THETA:
         t = getattr(p, fld)
         k = int(getattr(p, "k" + fld[1:]))
         if k < 1:
             raise InvalidOperatorError(
-                f"{kind.value} is undefined at k = {k}; needs k >= 1")
+                f"{kind.value}_{fld} is undefined at k = {k}; needs k >= 1")
         return t * (f(t) - f(t - 1)) / k
     if kind is OpKind.THETA_X:
         x = p.x
@@ -112,6 +110,27 @@ class TestPrimitives:
 
     def test_primitives_hashable(self):
         assert len({delta_t1, delta_t1, rho_t2, scale(2), scale(2)}) == 3
+
+    def test_nine_kinds(self):
+        assert len(OpKind) == 9
+
+    def test_rho_is_a_shift(self):
+        assert rho_t1 == shift_param("t1", -1)
+        assert rho_t2 == shift_param("t2", -1)
+        assert rho_t == shift_param("t", -1)
+
+    @pytest.mark.parametrize("field", ["t1", "t2", "t"])
+    def test_t_operators_name_their_field(self, field):
+        for stem in ("delta", "big_theta", "scaled_big_theta"):
+            op = getattr(operators, f"{stem}_{field}")
+            assert op.kind is OpKind(stem) and op.name == field
+
+    def test_scaled_big_theta_at_k_zero_names_its_field(self):
+        p = P.replace(k1=0)
+        with pytest.raises(InvalidOperatorError, match="t1") as err:
+            compile_expr(OperatorExpr.of(scaled_big_theta_t1), p, 4, 4)
+        assert str(err.value) == ("scaled_big_theta_t1 is undefined at "
+                                  "k = 0; needs k >= 1")
 
 
 class TestApplyNumeric:

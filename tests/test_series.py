@@ -390,7 +390,7 @@ class TestDiagonalStats:
         assert block_sums.dtype == np.complex128
         assert np.array_equal(block_sums, np.array(ref_sums))
         assert abs_blocks.tolist() == ref_abs
-        assert counts.tolist() == ref_counts
+        assert counts == sum(ref_counts)
 
     def test_random_grids_bitwise(self):
         rng = np.random.default_rng(2024)
@@ -414,7 +414,7 @@ class TestDiagonalStats:
         block_sums, abs_blocks, counts = series._diagonal_stats(terms)
         assert not np.signbit(block_sums.real).any()
         assert not np.signbit(block_sums.imag).any()
-        assert not abs_blocks.any() and not counts.any()
+        assert not abs_blocks.any() and counts == 0
 
 
 class TestStackedDiagonalStats:
@@ -429,8 +429,9 @@ class TestStackedDiagonalStats:
                 stack = np.stack([random_terms(rng, rows, cols)
                                   for _ in range(points)])
                 sums, abs_sums, counts = series._diagonal_stats(stack)
-                assert sums.shape == abs_sums.shape == counts.shape == (
+                assert sums.shape == abs_sums.shape == (
                     rows + cols - 1, points)
+                assert counts.shape == (points,)
                 for j, terms in enumerate(stack):
                     one = series._diagonal_stats(terms)
                     ref_sums, ref_abs, ref_counts = diagonal_stats_loop(terms)
@@ -438,12 +439,11 @@ class TestStackedDiagonalStats:
                         np.array(ref_sums).tobytes()
                     assert abs_sums[:, j].tolist() == one[1].tolist() == \
                         ref_abs
-                    assert counts[:, j].tolist() == one[2].tolist() == \
-                        ref_counts
+                    assert counts[j] == one[2] == sum(ref_counts)
 
     def test_thin_rectangles_stay_small(self):
-        # the nonzero count shears the shorter axis: a 3000 x 1 stack must
-        # not allocate a buffer that grows with 3000 squared
+        # a 3000 x 1 stack must not allocate a buffer that grows with 3000
+        # squared
         rng = np.random.default_rng(3)
         for rows, cols in ((3000, 1), (1, 3000), (3000, 2), (2, 3000)):
             stack = np.stack([random_terms(rng, rows, cols)
@@ -459,7 +459,7 @@ class TestStackedDiagonalStats:
                 ref_sums, ref_abs, ref_counts = diagonal_stats_loop(terms)
                 assert sums[:, j].tobytes() == np.array(ref_sums).tobytes()
                 assert abs_sums[:, j].tolist() == ref_abs
-                assert counts[:, j].tolist() == ref_counts
+                assert counts[j] == sum(ref_counts)
 
 
 def reference_evaluate(p, pol):
