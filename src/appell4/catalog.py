@@ -35,13 +35,13 @@ import random
 from dataclasses import dataclass, fields, replace as _dc_replace
 from enum import Enum
 from functools import lru_cache
-from math import pi
+from math import inf, pi
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ConstraintError, InvalidOperatorError
-from .kernels import pochhammer
+from .kernels import _is_exact_nonpositive_int, pochhammer
 from .operators import (
     OperatorExpr,
     OpKind,
@@ -107,20 +107,14 @@ class Composition(str, Enum):
 
 
 @dataclass(frozen=True)
-class InstanceSpec:
-    """One function occurrence: its parameters and argument composition."""
-
-    params: Params
-    composition: Composition = Composition.NONE
-
-
-@dataclass(frozen=True)
 class SideTerm:
-    """One resolved summand: scalar coefficient, operator, function instance."""
+    """One resolved summand: scalar coefficient, operator, and the function
+    occurrence it acts on, as its parameters and argument composition."""
 
     coeff: complex
     expr: OperatorExpr
-    instance: InstanceSpec
+    params: Params
+    composition: Composition = Composition.NONE
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,6 @@ class Constraints:
     odd_k_sum: bool = False
     uses_r: bool = False
     uses_s: bool = False
-    note: str = ""
 
     def validate(self, point: ParamPoint) -> None:
         p = point.params
@@ -238,6 +231,25 @@ class RelationReport:
             "tolerance": self.tolerance,
         }
 
+    @classmethod
+    def judged(cls, identity_id: str, params: dict, mode: VerificationMode,
+               max_abs: float, scale: float, cells: int,
+               tolerance: float) -> "RelationReport":
+        """The report of residual max_abs against scale, the one pass rule:
+        max_abs / max(scale, 1e-300) at most tolerance."""
+        _require_tolerance(tolerance)
+        rel = max_abs / max(scale, 1e-300)
+        return cls(identity_id, params, mode, max_abs, scale, rel,
+                   bool(rel <= tolerance), cells, tolerance)
+
+
+def _require_tolerance(tolerance: float) -> None:
+    """ValueError (exit 2 in the CLI) for a NaN, infinite or negative
+    tolerance, which would fail or pass every residual alike."""
+    if not 0.0 <= tolerance < inf:
+        raise ValueError("tolerance must be finite and nonnegative, got "
+                         f"{tolerance!r}")
+
 
 # ---------------------------------------------------------------------------
 # expression-building helpers
@@ -314,14 +326,31 @@ def _shifted(p: Params, shift) -> Params:
     return p.replace(**{name: getattr(p, name) + off})
 
 
-def _ledger_side(tokens, shift, realization) -> SideBuilder:
-    def build(pt: ParamPoint) -> Tuple[SideTerm, ...]:
-        p = pt.params
-        expr = identity_expr
-        for token in tokens:
-            expr = expr @ _token_expr(token, realization, p)
-        return (SideTerm(1.0, expr, InstanceSpec(_shifted(p, shift))),)
-    return build
+def _ledger(row, realization) -> Tuple[SideBuilder, SideBuilder]:
+    """Both sides of a ledger row (tokens, shift, tokens, shift): each the
+    product of its tokens' factors on its shifted instance."""
+    def side(tokens, shift) -> SideBuilder:
+        def build(pt: ParamPoint) -> Tuple[SideTerm, ...]:
+            p = pt.params
+            expr = identity_expr
+            for token in tokens:
+                expr = expr @ _token_expr(token, realization, p)
+            return (SideTerm(1.0, expr, _shifted(p, shift)),)
+        return build
+    return side(*row[:2]), side(*row[2:])
+
+
+def _typo_pair(ident_id: str, family: Family, target: Target, anchor: str,
+               printed, corrected, label: str, justification: str) -> list:
+    """An entry as printed, expected to fail, and its correction, twin
+    `<id>c`, cross-linked; printed and corrected are (lhs, rhs) or (lhs,
+    rhs, constraints)."""
+    return [Identity(ident_id, family, target, *printed,
+                     expected_status=ExpectedStatus.SUSPECTED_TYPO,
+                     anchor=anchor + " (as printed)",
+                     justification=justification, twin_id=ident_id + "c"),
+            Identity(ident_id + "c", family, target, *corrected,
+                     anchor=f"{anchor} ({label})", twin_id=ident_id)]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +392,7 @@ def _ddeq_rhs(axis: _Axis, target: Target, by_k: bool) -> SideBuilder:
         e = OperatorExpr.of(axis.mul, *[shift_param(axis.t, -1)] * k) @ \
             (psi + _const(p.a)) @ (psi + _const(p.b))
         c = (k if by_k else 1) * (-1.0) ** k * pochhammer(-t, k)
-        return (SideTerm(c, e, InstanceSpec(p)),)
+        return (SideTerm(c, e, p),)
     return rhs
 
 
@@ -375,7 +404,7 @@ def _ddeq_f41(axis: _Axis):
     def lhs(pt):
         p = pt.params
         e = big @ (scaled + _const(getattr(p, axis.c) - 1))
-        return (SideTerm(1.0, e, InstanceSpec(p)),)
+        return (SideTerm(1.0, e, p),)
     return lhs, _ddeq_rhs(axis, Target.F41, by_k=True)
 
 
@@ -386,7 +415,7 @@ def _ddeq_f42(axis: _Axis):
     def lhs(pt):
         p = pt.params
         e = w @ (w + _const(getattr(p, axis.c) - 1))
-        return (SideTerm(1.0, e, InstanceSpec(p)),)
+        return (SideTerm(1.0, e, p),)
     return lhs, _ddeq_rhs(axis, Target.F42, by_k=False)
 
 
@@ -417,15 +446,14 @@ def _difference_power(axis: _Axis):
     delta = PrimitiveOp(OpKind.DELTA, axis.t)
 
     def lhs(pt):
-        return (SideTerm(1.0, _pow_expr(delta, pt.r),
-                         InstanceSpec(pt.params)),)
+        return (SideTerm(1.0, _pow_expr(delta, pt.r), pt.params),)
 
     def rhs(pt):
         p, r = pt.params, pt.r
         cv = getattr(p, axis.c)
         c = pochhammer(p.a, r) * pochhammer(p.b, r) / pochhammer(cv, r)
         inst = p.replace(a=p.a + r, b=p.b + r, **{axis.c: cv + r})
-        return (SideTerm(c, _pow_expr(axis.mul, r), InstanceSpec(inst)),)
+        return (SideTerm(c, _pow_expr(axis.mul, r), inst),)
     return lhs, rhs
 
 
@@ -433,8 +461,7 @@ def _weight_power(axis: _Axis):
     # the r-th falling index-weight power against mul^r of the instance
     # with a, b, c raised by r and t lowered by r k
     def lhs(pt):
-        return (SideTerm(1.0, _falling_power(axis.weight, pt.r),
-                         InstanceSpec(pt.params)),)
+        return (SideTerm(1.0, _falling_power(axis.weight, pt.r), pt.params),)
 
     def rhs(pt):
         p, r = pt.params, pt.r
@@ -443,7 +470,7 @@ def _weight_power(axis: _Axis):
             pochhammer(-t, r * k) / pochhammer(cv, r)
         inst = p.replace(a=p.a + r, b=p.b + r,
                          **{axis.c: cv + r, axis.t: t - r * k})
-        return (SideTerm(c, _pow_expr(axis.mul, r), InstanceSpec(inst)),)
+        return (SideTerm(c, _pow_expr(axis.mul, r), inst),)
     return lhs, rhs
 
 
@@ -490,13 +517,13 @@ def _c_raise(op, pname: str, comp: Composition):
         p, r = pt.params, pt.r
         beta = getattr(p, pname)
         e = _weight_product(op, [beta + i for i in range(r)])
-        return (SideTerm(1.0, e, InstanceSpec(p, comp)),)
+        return (SideTerm(1.0, e, p, comp),)
 
     def rhs(pt):
         p, r = pt.params, pt.r
         beta = getattr(p, pname)
         inst = p.replace(**{pname: beta + r})
-        return (SideTerm(pochhammer(beta, r), identity_expr, InstanceSpec(inst, comp)),)
+        return (SideTerm(pochhammer(beta, r), identity_expr, inst, comp),)
 
     return lhs, rhs
 
@@ -507,14 +534,14 @@ def _c_lower(op, pname: str):
         p, r = pt.params, pt.r
         cval = getattr(p, pname)
         e = _weight_product(op, [cval - 1 - i for i in range(r)])
-        return (SideTerm(1.0, e, InstanceSpec(p)),)
+        return (SideTerm(1.0, e, p),)
 
     def rhs(pt):
         p, r = pt.params, pt.r
         cval = getattr(p, pname)
         inst = p.replace(**{pname: cval - r})
         c = (-1.0) ** r * pochhammer(1 - cval, r)
-        return (SideTerm(c, identity_expr, InstanceSpec(inst)),)
+        return (SideTerm(c, identity_expr, inst),)
 
     return lhs, rhs
 
@@ -557,14 +584,13 @@ def _d_scales(p: Params):
 
 
 def _plain(p: Params) -> SideTerm:
-    return SideTerm(1.0, identity_expr, InstanceSpec(p))
+    return SideTerm(1.0, identity_expr, p)
 
 
 def _d_shift_lhs(pname: str, sign: int) -> SideBuilder:
     def lhs(pt):
         p = pt.params
-        return (SideTerm(1.0, identity_expr, InstanceSpec(
-            p.replace(**{pname: getattr(p, pname) + sign * pt.s}))),)
+        return (_plain(p.replace(**{pname: getattr(p, pname) + sign * pt.s})),)
     return lhs
 
 
@@ -582,10 +608,10 @@ def _d_ab_rhs(shift_name: str, coeff_name: str, sign: int) -> SideBuilder:
             moved = {shift_name: getattr(p, shift_name) + sign * r}
             terms.append(SideTerm(
                 sign * sx * cpar / p.c1, OperatorExpr.of(mul_x),
-                InstanceSpec(p.replace(c1=p.c1 + 1, **moved, **other, **shx))))
+                p.replace(c1=p.c1 + 1, **moved, **other, **shx)))
             terms.append(SideTerm(
                 sign * sy * cpar / p.c2, OperatorExpr.of(mul_y),
-                InstanceSpec(p.replace(c2=p.c2 + 1, **moved, **other, **shy))))
+                p.replace(c2=p.c2 + 1, **moved, **other, **shy)))
         return tuple(terms)
     return rhs
 
@@ -599,10 +625,10 @@ def _d4_rhs_f41_printed(pt):
     for r in range(s):
         terms.append(SideTerm(
             -sx * p.a / p.c1, OperatorExpr.of(mul_x),
-            InstanceSpec(p.replace(a=p.a + 1, b=p.b - r, c1=p.c1 + 1, **shx))))
+            p.replace(a=p.a + 1, b=p.b - r, c1=p.c1 + 1, **shx)))
         terms.append(SideTerm(
             -sy_printed * p.a / p.c2, OperatorExpr.of(mul_y),
-            InstanceSpec(p.replace(a=p.a + 1, b=p.b - r, c2=p.c2 + 1, **shy))))
+            p.replace(a=p.a + 1, b=p.b - r, c2=p.c2 + 1, **shy)))
     return tuple(terms)
 
 
@@ -615,10 +641,10 @@ def _d5_rhs(printed_extra_sum: bool) -> SideBuilder:
             den = (p.c1 - r) * (p.c1 - r + 1)
             inst = p.replace(a=p.a + 1, b=p.b + 1, c1=p.c1 + 2 - r)
             terms.append(SideTerm(sx * p.a * p.b / den, OperatorExpr.of(mul_x),
-                                  InstanceSpec(inst.replace(**shx))))
+                                  inst.replace(**shx)))
             if printed_extra_sum:
                 terms.append(SideTerm(sy * p.a * p.b / den, OperatorExpr.of(mul_y),
-                                      InstanceSpec(inst.replace(**shy))))
+                                      inst.replace(**shy)))
         return tuple(terms)
     return rhs
 
@@ -629,36 +655,28 @@ def _d_entries():
         which = _WHICH[target]
         uses_s = Constraints(uses_s=True)
 
-        def anchor(i, suffix=""):
-            return f"{which} analogue: recursion-sum theorem, formula {i}{suffix}"
+        def anchor(i):
+            return f"{which} analogue: recursion-sum theorem, formula {i}"
 
-        out.append(Identity(f"{stem}.1", Family.D_RECURSION_SUMS, target,
-                            _d_shift_lhs("a", +1), _d_ab_rhs("a", "b", +1),
-                            uses_s, anchor=anchor(1)))
-        out.append(Identity(f"{stem}.2", Family.D_RECURSION_SUMS, target,
-                            _d_shift_lhs("a", -1), _d_ab_rhs("a", "b", -1),
-                            uses_s, anchor=anchor(2)))
-        out.append(Identity(f"{stem}.3", Family.D_RECURSION_SUMS, target,
-                            _d_shift_lhs("b", +1), _d_ab_rhs("b", "a", +1),
-                            uses_s, anchor=anchor(3)))
+        # the shifted parameter, its direction and the coefficient parameter
+        for i, (pname, sign, cname) in enumerate(
+                (("a", +1, "b"), ("a", -1, "b"), ("b", +1, "a")), start=1):
+            out.append(Identity(f"{stem}.{i}", Family.D_RECURSION_SUMS, target,
+                                _d_shift_lhs(pname, sign),
+                                _d_ab_rhs(pname, cname, sign),
+                                uses_s, anchor=anchor(i)))
         if target is Target.F41:
-            out.append(Identity(
-                f"{stem}.4", Family.D_RECURSION_SUMS, target,
-                _d_shift_lhs("b", -1), _d4_rhs_f41_printed,
-                Constraints(uses_s=True, odd_k_sum=True),
-                expected_status=ExpectedStatus.SUSPECTED_TYPO,
-                anchor=anchor(4, " (as printed)"),
-                justification="the y-sum coefficient prints the x-axis sign "
+            out += _typo_pair(
+                f"{stem}.4", Family.D_RECURSION_SUMS, target, anchor(4),
+                (_d_shift_lhs("b", -1), _d4_rhs_f41_printed,
+                 Constraints(uses_s=True, odd_k_sum=True)),
+                (_d_shift_lhs("b", -1), _d_ab_rhs("b", "a", -1), uses_s),
+                "corrected sign exponent",
+                "the y-sum coefficient prints the x-axis sign "
                 "exponent; the two exponents agree only for even k1 + k2, so "
                 "the entry is registered on the odd-parity domain where the "
                 "printed form fails at every draw while the one-symbol "
-                "correction passes",
-                twin_id=f"{stem}.4c"))
-            out.append(Identity(
-                f"{stem}.4c", Family.D_RECURSION_SUMS, target,
-                _d_shift_lhs("b", -1), _d_ab_rhs("b", "a", -1),
-                uses_s, anchor=anchor(4, " (corrected sign exponent)"),
-                twin_id=f"{stem}.4"))
+                "correction passes")
         else:
             out.append(Identity(
                 f"{stem}.4", Family.D_RECURSION_SUMS, target,
@@ -667,21 +685,16 @@ def _d_entries():
                 notes="the x-sum's shifted argument is printed as a "
                 "two-variable t list although this analogue has a single t; "
                 "registered under the evident reading t - k"))
-        out.append(Identity(
-            f"{stem}.5", Family.D_RECURSION_SUMS, target,
-            _d_shift_lhs("c1", -1), _d5_rhs(printed_extra_sum=True),
-            uses_s, expected_status=ExpectedStatus.SUSPECTED_TYPO,
-            anchor=anchor(5, " (as printed)"),
-            justification="the printed second sum repeats the first sum's "
+        out += _typo_pair(
+            f"{stem}.5", Family.D_RECURSION_SUMS, target, anchor(5),
+            (_d_shift_lhs("c1", -1), _d5_rhs(printed_extra_sum=True), uses_s),
+            (_d_shift_lhs("c1", -1), _d5_rhs(printed_extra_sum=False),
+             uses_s),
+            "second sum dropped",
+            "the printed second sum repeats the first sum's "
             "raised-c1 instances under a y prefactor; the telescoping that "
             "proves the formula produces the x-sum only, and the extra sum "
-            "breaks every generic draw",
-            twin_id=f"{stem}.5c"))
-        out.append(Identity(
-            f"{stem}.5c", Family.D_RECURSION_SUMS, target,
-            _d_shift_lhs("c1", -1), _d5_rhs(printed_extra_sum=False),
-            uses_s, anchor=anchor(5, " (second sum dropped)"),
-            twin_id=f"{stem}.5"))
+            "breaks every generic draw")
     return out
 
 
@@ -771,21 +784,18 @@ def _swap_token(row, side: int, index: int, token):
     return tuple(row)
 
 
-# entry number -> (printed row, corrected row or None, justification/notes)
+# entry number -> (printed row, justification); the shared row corrects it
 _F_DIFFERENTIAL_TYPOS = {
     13: (_swap_token(_F_ROWS[12], 2, 1, ("c1", _PH, 0)),
-         _F_ROWS[12],
          "the raised-c2 side prints the factor on c1; the surrounding "
          "c-entries and the matching difference-list entry put it on c2, the "
          "printed pairing fails at every generic draw, and the one-symbol "
          "change passes"),
     24: (_swap_token(_F_ROWS[23], 2, 1, ("c1", _PH, -1)),
-         _F_ROWS[23],
          "the lowered-c2 side prints c1 with the y-index weight; matching "
          "the lowered-c1 factor on the left requires the x-index weight "
          "(as the difference list prints), and only that swap passes"),
     25: (_swap_token(_F_ROWS[24], 2, 0, ("c1", _PH, -1)),
-         _F_ROWS[24],
          "the raised-c2 side prints c1 with the y-index weight; the "
          "first-order relation chain requires the x-index weight on c1 "
          "(as the difference list prints), and only that swap passes"),
@@ -803,16 +813,14 @@ def _e_entries():
         for flavor, tag in (("differential", "diffE"), ("difference", "ddE")):
             realization = _REALIZATIONS[(target, flavor)]
             guard = Constraints() if flavor == "differential" else Constraints(min_k=1)
-            for i, (lt, ls, rt, rs) in enumerate(_E_ROWS, start=1):
+            for i, row in enumerate(_E_ROWS, start=1):
                 notes = ""
                 if target is Target.F42 and flavor == "difference" and i >= 5:
                     notes = ("printed with the continuous index weight even in "
                              "the difference list; registered as printed")
                 out.append(Identity(
                     f"{target.value}.{tag}.{i}", Family.E_FIRST_ORDER, target,
-                    _ledger_side(lt, ls, realization),
-                    _ledger_side(rt, rs, realization),
-                    guard,
+                    *_ledger(row, realization), guard,
                     anchor=f"{which} analogue: first-order {flavor} relation "
                     f"list, item {i}",
                     notes=notes))
@@ -830,35 +838,18 @@ def _f_entries():
             ident_id = f"{target.value}.diffrec.{i:02d}"
             anchor = (f"{which} analogue: second-order differential ledger, "
                       f"entry {i:02d}")
-            if i == 10:
-                printed = _F_ROWS[6]
-                out.append(Identity(
-                    ident_id, Family.F_SECOND_ORDER, target,
-                    _ledger_side(printed[0], printed[1], realization),
-                    _ledger_side(printed[2], printed[3], realization),
-                    anchor=anchor, notes=_F_DUPLICATE_NOTE))
-                continue
             if i in _F_DIFFERENTIAL_TYPOS:
-                printed, corrected, why = _F_DIFFERENTIAL_TYPOS[i]
-                out.append(Identity(
-                    ident_id, Family.F_SECOND_ORDER, target,
-                    _ledger_side(printed[0], printed[1], realization),
-                    _ledger_side(printed[2], printed[3], realization),
-                    expected_status=ExpectedStatus.SUSPECTED_TYPO,
-                    anchor=anchor + " (as printed)", justification=why,
-                    twin_id=ident_id + "c"))
-                out.append(Identity(
-                    ident_id + "c", Family.F_SECOND_ORDER, target,
-                    _ledger_side(corrected[0], corrected[1], realization),
-                    _ledger_side(corrected[2], corrected[3], realization),
-                    anchor=anchor + " (one-symbol correction)",
-                    twin_id=ident_id))
+                printed, why = _F_DIFFERENTIAL_TYPOS[i]
+                out += _typo_pair(ident_id, Family.F_SECOND_ORDER, target,
+                                  anchor, _ledger(printed, realization),
+                                  _ledger(row, realization),
+                                  "one-symbol correction", why)
                 continue
+            duplicate = i == 10  # prints entry 7 again
             out.append(Identity(
                 ident_id, Family.F_SECOND_ORDER, target,
-                _ledger_side(row[0], row[1], realization),
-                _ledger_side(row[2], row[3], realization),
-                anchor=anchor))
+                *_ledger(_F_ROWS[6] if duplicate else row, realization),
+                anchor=anchor, notes=_F_DUPLICATE_NOTE if duplicate else ""))
 
         # difference ledger: clean; the second analogue stops after the b block
         realization = _REALIZATIONS[(target, "difference")]
@@ -866,9 +857,7 @@ def _f_entries():
         for i, row in enumerate(_F_ROWS[:count], start=1):
             out.append(Identity(
                 f"{target.value}.ddrec.{i:02d}", Family.F_SECOND_ORDER, target,
-                _ledger_side(row[0], row[1], realization),
-                _ledger_side(row[2], row[3], realization),
-                Constraints(min_k=1),
+                *_ledger(row, realization), Constraints(min_k=1),
                 anchor=f"{which} analogue: second-order difference ledger, "
                 f"entry {i:02d}"))
     return out
@@ -922,13 +911,12 @@ def _compose_grid(arr: np.ndarray, comp: Composition) -> np.ndarray:
 def _compile_term(term: SideTerm, M: int, N: int) -> dict:
     """compile_expr of the term's operator on its instance, checked: every
     index shift fits, and a composed-argument grid takes diagonal factors."""
-    spec = term.instance
-    compiled = compile_expr(term.expr, spec.params, M, N)
+    compiled = compile_expr(term.expr, term.params, M, N)
     require_margin(compiled, M, N)
-    if spec.composition is not Composition.NONE:
+    if term.composition is not Composition.NONE:
         # a composed-argument grid is no series instance of its own: only
         # the index-diagonal factors (theta_x, phi_y, scale) act on it
-        diagonal = (spec.params, 0, 0)
+        diagonal = (term.params, 0, 0)
         if any(key != diagonal for key in compiled):
             raise InvalidOperatorError("only index-diagonal factors act on "
                                        "composed-argument grids")
@@ -937,12 +925,11 @@ def _compile_term(term: SideTerm, M: int, N: int) -> dict:
 
 def _term_grid(term: SideTerm, M: int, N: int, compiled: dict) -> np.ndarray:
     """The term's grid; compiled is _compile_term(term, M, N)."""
-    spec = term.instance
-    if spec.composition is Composition.NONE:
+    if term.composition is Composition.NONE:
         return complex(term.coeff) * apply_compiled(compiled, M, N)
-    diagonal = (spec.params, 0, 0)
-    base = np.asarray(coefficient_grid(spec.params, M, N).coeffs)
-    grid = _compose_grid(base, spec.composition)
+    diagonal = (term.params, 0, 0)
+    base = np.asarray(coefficient_grid(term.params, M, N).coeffs)
+    grid = _compose_grid(base, term.composition)
     return complex(term.coeff) * (compiled.get(diagonal, 0.0) * grid)
 
 
@@ -952,18 +939,13 @@ def _poly_value(grid: np.ndarray, x: complex, y: complex) -> complex:
     return complex(xp @ grid @ yp)
 
 
-def _is_nonneg_int(v: complex) -> bool:
-    return abs(v.imag) < 1e-9 and abs(v.real - round(v.real)) < 1e-9 \
-        and round(v.real) >= 0
-
-
 def _summed_supported(p: Params, M: int, N: int, slack: int = 3) -> bool:
     # termwise sums are exact only when every instance terminates inside the
     # rectangle; slack absorbs the t-raising of iterated forward differences
     for axis, size in zip(_AXES[_target_of(p)], (M, N)):
         t, k = getattr(p, axis.t), getattr(p, axis.k)
-        if k < 1 or not _is_nonneg_int(t) or \
-                round(t.real) // k + slack > size:
+        if k < 1 or not _is_exact_nonpositive_int(-t) or \
+                int(t.real) // k + slack > size:
             return False
     return True
 
@@ -1000,10 +982,10 @@ class _PlannedDraw:
         """The (params, M, N) grid requests of the comparison, in order."""
         keys = []
         for term, compiled in self.lhs + self.rhs:
-            if term.instance.composition is Composition.NONE:
+            if term.composition is Composition.NONE:
                 keys += [(q, M, N) for q, _, _ in compiled]
             else:
-                keys.append((term.instance.params, M, N))
+                keys.append((term.params, M, N))
         return keys
 
 
@@ -1046,7 +1028,7 @@ def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
     max_abs = float(np.abs(lhs_total - rhs_total).max())
 
     if mode is VerificationMode.SUMMED_TERMINATING:
-        specs = [t.instance.params for t, _ in lhs + rhs]
+        specs = [t.params for t, _ in lhs + rhs]
         if not all(_summed_supported(p, M, N) for p in specs):
             raise ConstraintError(
                 "summed mode needs terminating t with support (plus shift "
@@ -1057,19 +1039,9 @@ def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
         magnitudes += [abs(v) for v in lhs_vals + rhs_vals]
         max_abs = max(max_abs, abs(sum(lhs_vals) - sum(rhs_vals)))
 
-    scale_ = max(magnitudes, default=0.0)
-    rel = max_abs / max(scale_, 1e-300)
-    return RelationReport(
-        identity_id=ident.id,
-        params=point_to_dict(point),
-        mode=mode,
-        max_abs_residual=max_abs,
-        scale=scale_,
-        rel_residual=rel,
-        passed=bool(rel <= tolerance),
-        cells_checked=(M + 1) * (N + 1),
-        tolerance=tolerance,
-    )
+    return RelationReport.judged(ident.id, point_to_dict(point), mode,
+                                 max_abs, max(magnitudes, default=0.0),
+                                 (M + 1) * (N + 1), tolerance)
 
 
 def verify_recursion_sum(ident: Identity, point: ParamPoint, s: int,
@@ -1209,6 +1181,7 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
     when its grid is requested.  A draw too large for a chunk alone requests
     its grids as it compares.
     """
+    _require_tolerance(tolerance)
     if identities is None:
         identities = builtin_catalog()
     if sampler.draws <= 0:

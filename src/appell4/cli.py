@@ -19,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import (Family, ParamPoint, ParamSampler, Target, audit_catalog,
-                      point_to_dict, select_identities)
+from .catalog import (Family, ParamPoint, ParamSampler, Target,
+                      _require_tolerance, audit_catalog, point_to_dict,
+                      select_identities)
 from .errors import Appell4Error
 from .quadrature import (IntegralRepSpec, RepKind, _require_order,
                          _require_terminating, integral_rep_check,
@@ -291,7 +292,10 @@ def cmd_audit(o: dict) -> int:
     target = Target(o["target"]) if o["target"] is not None else None
     idents = select_identities(family=family, target=target,
                                include_suspected=bool(o["include_suspected"]))
-    sampler = ParamSampler(seed=int(seed), draws=int(o["draws"]))
+    draws = int(o["draws"])
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
+    sampler = ParamSampler(seed=int(seed), draws=draws)
     M, N = int(o["m_max"]), int(o["n_max"])
     _require_rectangle(M, N)
     summary = audit_catalog(sampler, M, N, float(o["tolerance"]), idents)
@@ -301,10 +305,11 @@ def cmd_audit(o: dict) -> int:
 
 
 def cmd_quadcheck(o: dict) -> int:
-    # a bad order (exit 2) wins over every other error, and a bad spec or
-    # non-terminating t (exit 3) is found before the rule is built
+    # a bad order or tolerance (exit 2) wins over every other error, and a
+    # bad spec or non-terminating t (exit 3) is found before the rule is built
     order = int(o["order"])
     _require_order(order)
+    _require_tolerance(float(o["tolerance"]))
     k = int(o["k"])
     p = F41Params(_cplx(o["a"]), _cplx(o["b"]), _cplx(o["c1"]), _cplx(o["c2"]),
                   _cplx(o["t1"]), _cplx(o["t2"]), k, k,

@@ -9,10 +9,12 @@ a nondecreasing list of lengths from one running product, each value bit
 for bit the one-length result; `pochhammer` is its one-length case, so the
 direct-product policy lives in one place.
 
-`Lanes` carries one Python number per lane as float64 arrays of real and
-imaginary parts, and computes with CPython's scalar complex rules, so that a
-batch of lanes gives each lane's scalar result bit for bit (numpy's own
-complex multiply and divide round differently).  `pochhammer_prefix_lanes`
+`Lanes` carries one Python complex number per lane as float64 arrays of real
+and imaginary parts, and computes with CPython's scalar complex rules, so
+that a batch of lanes gives each lane's scalar result bit for bit (numpy's
+own complex multiply and divide round differently).  Lanes carry complex
+numbers only; the one mixed rule they repeat, a complex plus an int, is
+checked against the running interpreter at import.  `pochhammer_prefix_lanes`
 is `pochhammer_prefixes` over lanes; a lane whose scalar routine would leave
 the direct product is marked for the scalar routine instead.  One exact
 lattice predicate, `_is_exact_nonpositive_int`, has an array form
@@ -223,13 +225,10 @@ def factorial(m: int) -> complex:
 # ---------------------------------------------------------------------------
 
 class Lanes:
-    """One Python number per lane, with CPython's scalar rounding.
+    """One Python complex number per lane, with CPython's scalar rounding.
 
-    `re` and `im` hold the real and imaginary parts of a complex value per
-    lane; `im` None holds a Python float per lane.  Arrays broadcast, so a
-    lane's values may run along a second axis.  A float meeting a complex
-    counts as complex(f, 0.0), as CPython before 3.14 computes it
-    (`_LANES_EXACT` says whether the running interpreter does).  `bad` (None
+    `re` and `im` hold the real and imaginary parts per lane.  Arrays
+    broadcast, so a lane's values may run along a second axis.  `bad` (False
     for none) marks, per lane along the first axis, the lanes whose scalar
     computation raises or takes another route: an exact zero divisor, a NaN
     divisor, or a pochhammer_prefix_lanes lane that the scalar routine does
@@ -238,55 +237,36 @@ class Lanes:
 
     __slots__ = ("re", "im", "bad")
 
-    def __init__(self, re, im=None, bad=None):
+    def __init__(self, re, im, bad=False):
         self.re, self.im, self.bad = re, im, bad
 
     @classmethod
-    def of(cls, values) -> "Lanes":
-        """The lanes of a sequence of floats or complex numbers, one per lane,
-        as a column."""
-        arr = np.array(values)
-        if arr.dtype.kind == "c":
-            return cls(arr.real[:, None], arr.imag[:, None])
-        return cls(arr.astype(np.float64)[:, None])
-
-    def _bad(self, other, new=None):
-        marks = [m for m in (self.bad, other.bad, new) if m is not None]
-        return None if not marks else marks[0] if len(marks) == 1 else \
-            np.logical_or.reduce(np.broadcast_arrays(*marks))
-
-    def complex(self) -> "Lanes":
-        """complex(z) of each lane: a float f becomes (f, 0.0)."""
-        if self.im is not None:
-            return self
-        return Lanes(self.re, np.zeros_like(self.re), self.bad)
+    def of(cls, values, row: bool = False) -> "Lanes":
+        """The lanes of a sequence of complex numbers: one per lane as a
+        column, or with row, one row that every lane shares."""
+        arr = np.array(values, dtype=np.complex128)
+        arr = arr[None, :] if row else arr[:, None]
+        return cls(arr.real, arr.imag)
 
     def __neg__(self) -> "Lanes":
-        return Lanes(-self.re, None if self.im is None else -self.im, self.bad)
+        return Lanes(-self.re, -self.im, self.bad)
 
     def add_int(self, ints) -> "Lanes":
-        """z + i for integers i: the real parts add i, and an imaginary part
-        adds 0.0, which turns -0.0 into +0.0."""
-        im = None if self.im is None else self.im + 0.0
-        return Lanes(self.re + ints, im, self.bad)
+        """z + i for integers i: the real parts add i, and the imaginary
+        parts add 0.0, which turns -0.0 into +0.0 (`_LANES_EXACT` says
+        whether the running interpreter does)."""
+        return Lanes(self.re + ints, self.im + 0.0, self.bad)
 
     def __mul__(self, other: "Lanes") -> "Lanes":
-        bad = self._bad(other)
-        if self.im is None and other.im is None:
-            return Lanes(self.re * other.re, None, bad)
-        ar, ai = self.re, 0.0 if self.im is None else self.im
-        br, bi = other.re, 0.0 if other.im is None else other.im
-        return Lanes(ar * br - ai * bi, ar * bi + ai * br, bad)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        return Lanes(ar * br - ai * bi, ar * bi + ai * br,
+                     self.bad | other.bad)
 
     def __truediv__(self, other: "Lanes") -> "Lanes":
         """_Py_c_quot: Smith's two branches, chosen by |br| >= |bi|; a zero
         divisor (ZeroDivisionError) and a NaN divisor (a NaN quotient) mark
         their lanes."""
-        if self.im is None and other.im is None:
-            bad = (other.re == 0.0).any(axis=-1)
-            return Lanes(self.re / other.re, None, self._bad(other, bad))
-        ar, ai = self.re, 0.0 if self.im is None else self.im
-        br, bi = other.re, 0.0 if other.im is None else other.im
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
         first = np.abs(br) >= np.abs(bi)
         second = np.abs(bi) >= np.abs(br)
         ratio = bi / br
@@ -297,27 +277,20 @@ class Lanes:
         re2, im2 = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
         bad = ((first & (br == 0.0)) | ~(first | second)).any(axis=-1)
         return Lanes(np.where(first, re1, re2), np.where(first, im1, im2),
-                     self._bad(other, bad))
+                     self.bad | other.bad | bad)
 
 
-def _interpreter_promotes_floats() -> bool:
-    """True when this interpreter computes a float meeting a complex as
-    complex(f, 0.0), as Lanes does (CPython 3.14 changed these rules)."""
+def _interpreter_adds_ints_as_complex() -> bool:
+    """True when this interpreter computes a complex z plus an int i as
+    z + complex(i, 0.0), as Lanes.add_int does (CPython 3.14 adds i to the
+    real part alone)."""
     zs = (complex(1.0, -0.0), complex(-0.0, math.inf), complex(math.inf, 1.0),
           complex(-2.5, 0.0))
-    fs = (2.0, -0.0, -1.5, math.inf)
-    same = [repr(z + 1) == repr(z + complex(1.0, 0.0)) for z in zs]
-    for z in zs:
-        for f in fs:
-            c = complex(f, 0.0)
-            same += [repr(f * z) == repr(c * z), repr(z * f) == repr(z * c)]
-            if f != 0.0:
-                same += [repr(f / z) == repr(c / z),
-                         repr(z / f) == repr(z / c)]
-    return all(same)
+    return all(repr(z + i) == repr(z + complex(i, 0.0))
+               for z in zs for i in (1, 0, -3))
 
 
-_LANES_EXACT = _interpreter_promotes_floats()
+_LANES_EXACT = _interpreter_adds_ints_as_complex()
 
 
 def pochhammer_prefix_lanes(a: Lanes, lengths) -> Lanes:
@@ -330,13 +303,10 @@ def pochhammer_prefix_lanes(a: Lanes, lengths) -> Lanes:
     leaves the renormalised range, and where a log-route value raises: the
     scalar routine short-circuits, switches route or raises there.
     """
-    a = a.complex()
     re, im = a.re[:, 0], a.im[:, 0]
     lanes = len(re)
     top = lengths[-1] if lengths else 0
-    bad = _poch_is_zero_lanes(re, im, top)
-    if a.bad is not None:
-        bad |= a.bad
+    bad = _poch_is_zero_lanes(re, im, top) | a.bad
     direct = max([l for l in lengths if l <= _DIRECT_LIMIT], default=0)
     # the running product after 0, 1, ..., direct factors (a + 0) (a + 1) ...
     acc_re = np.empty((lanes, direct + 1))

@@ -35,8 +35,9 @@ from functools import lru_cache
 import numpy as np
 
 from .catalog import ParamPoint, RelationReport, VerificationMode, point_to_dict
-from .errors import ConstraintError, QuadratureConvergenceError, RegimeError
-from .kernels import gamma
+from .errors import (ConstraintError, OverflowSignalError,
+                     QuadratureConvergenceError, RegimeError)
+from .kernels import _is_exact_nonpositive_int, gamma
 # eval_kdf stays a module name although integrand_kdf sums through
 # evaluate_values: the perfbench layer tracer wraps it by name
 from .series import (EVAL_POLICY, F41Params, KdfParams, TruncationPolicy,
@@ -176,11 +177,11 @@ class IntegralRepSpec:
 
 
 def _require_terminating(spec: IntegralRepSpec) -> None:
+    """RegimeError unless t1 and t2 are exactly nonnegative integers."""
     p = spec.params
     for name in ("t1", "t2"):
         t = getattr(p, name)
-        if abs(t.imag) > 1e-12 or abs(t.real - round(t.real)) > 1e-12 or \
-                round(t.real) < 0:
+        if not _is_exact_nonpositive_int(-t):
             raise RegimeError(
                 f"k = {spec.k} >= 1 needs nonnegative integer {name} (the "
                 f"inner series must terminate), got {t}")
@@ -222,7 +223,7 @@ def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
     if spec.k >= 1:
         _require_terminating(spec)
         # inner polynomial degree in u, then the u^(a-1) Gamma-piece on top
-        degree = round(p.t1.real) // spec.k + round(p.t2.real) // spec.k
+        degree = int(p.t1.real) // spec.k + int(p.t2.real) // spec.k
         if rule.order < degree // 2 + 1:
             raise ConstraintError(
                 f"order {rule.order} cannot integrate the degree-{degree} "
@@ -230,24 +231,20 @@ def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
     exponent = p.a if spec.which is RepKind.REP_A else p.b
     contribs = np.empty(rule.order, dtype=np.complex128)
     for i, (u, w) in enumerate(zip(rule.nodes, rule.weights)):
-        power = cmath.exp((exponent - 1.0) * math.log(float(u)))
+        try:
+            power = cmath.exp((exponent - 1.0) * math.log(float(u)))
+        except OverflowError:
+            raise OverflowSignalError(f"u^{exponent - 1} exceeds the double "
+                                      f"range at node u = {u}") from None
         contribs[i] = w * power * integrand_kdf(spec, float(u), pol)
     quad = complex(contribs.sum() / gamma(exponent))
     direct = eval_f41(p, pol).value
 
-    max_abs = abs(quad - direct)
     scale = max(abs(quad), abs(direct), float(np.abs(contribs).max()))
-    rel = max_abs / max(scale, 1e-300)
-    return RelationReport(
-        identity_id=f"F41.intrep.{spec.which.value}",
-        params={**point_to_dict(ParamPoint(p)), "order": rule.order,
-                "quadrature_value": [quad.real, quad.imag],
-                "series_value": [direct.real, direct.imag]},
-        mode=VerificationMode.INTEGRAL,
-        max_abs_residual=max_abs,
-        scale=scale,
-        rel_residual=rel,
-        passed=bool(rel <= tolerance),
-        cells_checked=rule.order,
-        tolerance=tolerance,
-    )
+    return RelationReport.judged(
+        f"F41.intrep.{spec.which.value}",
+        {**point_to_dict(ParamPoint(p)), "order": rule.order,
+         "quadrature_value": [quad.real, quad.imag],
+         "series_value": [direct.real, direct.imag]},
+        VerificationMode.INTEGRAL, abs(quad - direct), scale, rule.order,
+        tolerance)

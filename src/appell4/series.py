@@ -25,7 +25,8 @@ first symbol (a t-factor's sign is a factor of its own); each denominator
 group is multiplied out and divided by once (F41/F42: (c)_m m! together;
 KdF: each D, E, F entry and the factorial alone); logs add the numerator
 logs from the first and subtract each denominator log in turn; only KdF
-products start from 1.
+products start from 1.  Every factor is a Python complex, the signs, that 1
+and the factorial's symbol (1)_i included, so lanes compute in complex alone.
 
 Grids are cached by (params, M, N) in one least-recently-used cache bounded
 by bytes (_GRID_CACHE_BYTES), shared by single requests and batch builds.
@@ -262,8 +263,8 @@ class DivergenceReport:
     monotone_growth: bool
 
 
-def _sign_pow(e: int) -> float:
-    return -1.0 if e % 2 else 1.0
+def _sign_pow(e: int) -> complex:
+    return -1 + 0j if e % 2 else 1 + 0j
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,7 @@ class _Rising:
         return [lp.log for lp in lps], [lp.is_zero for lp in lps]
 
     def lane_key(self):
-        return _Rising, type(self.v)
+        return _Rising
 
     @staticmethod
     def lane_ratios(symbols, idx):
@@ -383,7 +384,7 @@ class _TFactor:
     def lane_ratios(symbols, idx):
         k = symbols[0].k
         t, ik = -Lanes.of([s.t for s in symbols]), np.array(idx) * k
-        r = Lanes(np.full((1, len(idx)), _sign_pow(k)))
+        r = Lanes.of([_sign_pow(k)] * len(idx), row=True)
         for j in range(k):
             r = r * t.add_int(ik).add_int(j)
         return [r]
@@ -391,7 +392,7 @@ class _TFactor:
     @staticmethod
     def lane_values(symbols, idx):
         k = symbols[0].k
-        signs = Lanes(np.array([[_sign_pow(i * k) for i in idx]]))
+        signs = Lanes.of([_sign_pow(i * k) for i in idx], row=True)
         t = -Lanes.of([s.t for s in symbols])
         return [signs, pochhammer_prefix_lanes(t, [i * k for i in idx])]
 
@@ -412,13 +413,13 @@ class _One:
 
     @staticmethod
     def lane_ratios(symbols, idx):
-        return [Lanes(np.ones((1, len(idx))), np.zeros((1, len(idx))))]
+        return [Lanes.of([1 + 0j] * len(idx), row=True)]
 
     lane_values = lane_ratios
 
 
 # i! = (1)_i
-_FACTORIAL, _ONE = _Rising(1.0), _One()
+_FACTORIAL, _ONE = _Rising(1 + 0j), _One()
 
 
 def _chains(p: SeriesParams, M: int, N: int):
@@ -452,10 +453,10 @@ def _indices(length: int):
 
 def _fold(chain, kind: str, idx) -> list:
     """Ratios or scratch values of a factor array at idx: the numerator
-    columns multiplied left to right from the first (1.0 if none), then
+    columns multiplied left to right from the first (1 if none), then
     divided once by the product of each denominator group."""
     _, nums, dens = chain
-    acc = _product(nums, kind, idx) or [1.0] * len(idx)
+    acc = _product(nums, kind, idx) or [1 + 0j] * len(idx)
     for group in dens:
         acc = map(truediv, acc, _product(group, kind, idx))
     return list(acc)
@@ -565,7 +566,8 @@ def _fold_lanes(chains, kind: str, idx) -> Lanes:
     """_fold of chains of one structure, one chain per lane, in its order."""
     nums = list(zip(*(c[1] for c in chains)))
     dens = [list(zip(*group)) for group in zip(*(c[2] for c in chains))]
-    acc = _product_lanes(nums, kind, idx) or Lanes(np.ones((1, len(idx))))
+    acc = _product_lanes(nums, kind, idx) or \
+        Lanes.of([1 + 0j] * len(idx), row=True)
     for group in dens:
         acc = acc / _product_lanes(group, kind, idx)
     return acc
@@ -581,26 +583,19 @@ def _chain_lanes(chains):
     shape = (len(chains), length + 1)
     re, im = np.empty(shape), np.empty(shape)
     re[:, ::_ANCHOR_STRIDE] = values.re
-    im[:, ::_ANCHOR_STRIDE] = 0.0 if values.im is None else values.im
+    im[:, ::_ANCHOR_STRIDE] = values.im
     # a step i + 1 = (i mod stride) + 1 follows its predecessor: the steps at
     # one offset from their anchors run together, offset after offset
     per_block = _ANCHOR_STRIDE - 1
     for o in range(per_block):
-        r_re = ratios.re[:, o::per_block]
-        r_im = None if ratios.im is None else ratios.im[:, o::per_block]
         nxt = (Lanes(re[:, o:length:_ANCHOR_STRIDE],
-                     im[:, o:length:_ANCHOR_STRIDE]) * Lanes(r_re, r_im))
+                     im[:, o:length:_ANCHOR_STRIDE])
+               * Lanes(ratios.re[:, o::per_block], ratios.im[:, o::per_block]))
         re[:, o + 1::_ANCHOR_STRIDE] = nxt.re
         im[:, o + 1::_ANCHOR_STRIDE] = nxt.im
     arr = np.empty(shape, dtype=np.complex128)
     arr.real, arr.imag = re, im
-    bad = np.zeros(len(chains), dtype=bool)
-    for marks in (values.bad, ratios.bad):
-        if marks is not None:
-            bad |= marks
-    # a float anchor would multiply as a float; no chain of _chains has one
-    bad |= values.im is None
-    return arr, bad
+    return arr, np.zeros(len(chains), dtype=bool) | values.bad | ratios.bad
 
 
 def _chain_key(chain):

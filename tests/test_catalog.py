@@ -4,6 +4,7 @@ audits."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from appell4.catalog import (
     ExpectedStatus,
     Family,
     Identity,
-    InstanceSpec,
     ParamPoint,
     ParamSampler,
     RelationReport,
@@ -193,9 +193,8 @@ class TestFamilyC:
     def test_non_diagonal_factor_rejected_on_composed_grid(self):
         ident = BYID["F41.thm3.2.a"]
         pt = SAMPLER.draw(ident, 0)
-        bad_terms = (SideTerm(1.0, OperatorExpr.of(mul_x),
-                              InstanceSpec(pt.params,
-                                           Composition.SECOND_IS_XY)),)
+        bad_terms = (SideTerm(1.0, OperatorExpr.of(mul_x), pt.params,
+                              Composition.SECOND_IS_XY),)
         bad = dataclasses.replace(ident, id="bad", lhs=lambda _: bad_terms)
         with pytest.raises(InvalidOperatorError):
             verify_identity(bad, pt)
@@ -423,6 +422,14 @@ class TestReports:
         bad = draw_reports("F41.diffrec.24", n=1)[0]
         assert not bad.passed and bad.rel_residual > bad.tolerance
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-10])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        with pytest.raises(ValueError):
+            verify_identity(BYID["F41.diffE.1"], ParamPoint(PT41),
+                            tolerance=tolerance)
+        with pytest.raises(ValueError):
+            audit_catalog(SAMPLER, tolerance=tolerance)
+
     def test_point_serialization(self):
         d = point_to_dict(ParamPoint(PT41, r=2, s=3))
         assert d["target"] == "F41" and d["k1"] == 1 and d["r"] == 2
@@ -452,6 +459,13 @@ class TestErrorPaths:
         ident = BYID["F41.thm4.1"]
         with pytest.raises(ConstraintError):
             verify_identity(ident, SAMPLER.draw(ident, 0),
+                            mode=VerificationMode.SUMMED_TERMINATING)
+
+    def test_summed_mode_needs_exactly_integer_t(self):
+        # t = 4 + 1e-10 has no exact zero in (-t)_n, so nothing terminates
+        p = PT41.replace(t1=4 + 1e-10)
+        with pytest.raises(ConstraintError):
+            verify_identity(BYID["F41.ddeq.1"], ParamPoint(p),
                             mode=VerificationMode.SUMMED_TERMINATING)
 
     def test_summed_mode_needs_shift_slack(self):

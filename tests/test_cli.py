@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import appell4
+import appell4.catalog as catalog
 import appell4.cli as cli
 import appell4.quadrature as quadrature
 import appell4.series as series
@@ -179,6 +180,20 @@ class TestAuditCommand:
         assert by_id["F41.thm4.5"] == "typo_confirmed"
         assert by_id["F41.thm4.4c"] == "ok"
 
+    @pytest.mark.parametrize("flags", [("--tolerance", "nan"),
+                                       ("--tolerance", "-1"),
+                                       ("--tolerance", "inf"),
+                                       ("--draws", "0"), ("--draws", "-3")])
+    def test_bad_tolerance_or_draws_exits_two_before_planning(
+            self, capsys, monkeypatch, flags):
+        # a NaN tolerance used to fail every row (exit 1), and no draws
+        # printed [] with exit 0
+        planned = []
+        monkeypatch.setattr(catalog, "_plan",
+                            lambda *a: planned.append(a) or 1 / 0)
+        code, out = run(capsys, "audit", "--family", "A", *flags)
+        assert (code, out, planned) == (2, "", [])
+
     def test_unachievable_tolerance_exits_one(self, capsys):
         code, out = run(capsys, "audit", "--family", "A", "--draws", "1",
                         "--tolerance", "1e-18")
@@ -243,6 +258,26 @@ class TestQuadcheckCommand:
     def test_nonterminating_precondition_exits_three(self, capsys):
         code, _ = run(capsys, "quadcheck", "--k", "1", "--t1", "0.5")
         assert code == 3
+
+    def test_near_integer_t_is_not_terminating(self, capsys):
+        # termination is the exact lattice test that finds the grid's zeros
+        code, out = run(capsys, "quadcheck", "--k", "1", "--a", "3",
+                        "--b", "2", "--t1", "3.0000000000001", "--t2", "3",
+                        "--x", "0.3", "--y", "0.2")
+        assert (code, out) == (3, "")
+
+    def test_overflowing_gamma_weight_exits_three(self, capsys):
+        # u^(a - 1) leaves the double range at the rule's largest nodes,
+        # which used to end in an OverflowError traceback (exit 1)
+        code = main(["quadcheck", "--a", "150"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "exceeds the double range" in captured.err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exits_two(self, capsys, tolerance):
+        code, out = run(capsys, "quadcheck", "--tolerance", tolerance)
+        assert (code, out) == (2, "")
 
     def test_nonpositive_exponent_exits_three(self, capsys):
         code, _ = run(capsys, "quadcheck", "--a", "-1")

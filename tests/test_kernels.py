@@ -308,16 +308,13 @@ def lane_operands(count=20000):
 
 
 def lane_values(z: Lanes):
-    """The lanes of a column as Python numbers."""
-    re = z.re[:, 0].tolist()
-    if z.im is None:
-        return re
-    return [complex(r, i) for r, i in zip(re, z.im[:, 0].tolist())]
+    """The lanes of a column as Python complex numbers."""
+    return [complex(r, i) for r, i in zip(z.re[:, 0].tolist(),
+                                          z.im[:, 0].tolist())]
 
 
 def lane_bad(z: Lanes, count):
-    return [False] * count if z.bad is None else \
-        np.broadcast_to(z.bad, (count,)).tolist()
+    return np.broadcast_to(z.bad, (count,)).tolist()
 
 
 def python_op(op, x, y):
@@ -328,18 +325,18 @@ def python_op(op, x, y):
 
 
 @pytest.mark.skipif(not kernels._LANES_EXACT,
-                    reason="this interpreter does not treat a float meeting "
-                    "a complex as complex(f, 0.0)")
+                    reason="this interpreter does not add an int to a "
+                    "complex as complex(i, 0.0)")
 class TestLanesAgainstTheInterpreter:
     """Each lane op against the running interpreter's scalar op, by repr:
-    CPython 3.14 changed the mixed float/complex rules, so a stored table
-    would not do."""
+    CPython 3.14 changed the mixed int/complex rule, so a stored table would
+    not do."""
 
     def operands(self):
         f = lane_operands()
         zs = [complex(a, b) for a, b in zip(f[0::4], f[1::4])]
         ws = [complex(a, b) for a, b in zip(f[2::4], f[3::4])]
-        return zs, ws, f[:len(zs)]
+        return zs, ws
 
     def check(self, op, xs, ys):
         """Lanes equal the interpreter's results by repr; for a quotient, a
@@ -362,48 +359,36 @@ class TestLanesAgainstTheInterpreter:
         return compared
 
     def test_mul(self):
-        zs, ws, _ = self.operands()
+        zs, ws = self.operands()
         assert self.check(operator_mul, zs, ws) == len(zs)
 
     def test_div(self):
-        zs, ws, _ = self.operands()
+        zs, ws = self.operands()
         ws[::50] = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
                     complex(-0.0, -0.0)] * (len(ws[::50]) // 4) + \
             [0j] * (len(ws[::50]) % 4)
         assert self.check(operator_truediv, zs, ws) > len(zs) // 2
 
-    def test_float_operands(self):
-        zs, _, fs = self.operands()
-        for op in (operator_mul, operator_truediv):
-            assert self.check(op, fs, zs) > len(zs) // 2
-            assert self.check(op, zs, fs) > len(zs) // 2
-        assert self.check(operator_mul, fs, fs[::-1]) == len(fs)
-
     def test_add_int(self):
-        zs, _, fs = self.operands()
+        zs, _ = self.operands()
         ints = np.array([(i % 201) - 100 for i in range(len(zs))])
-        for values in (zs, fs):
-            with np.errstate(all="ignore"):
-                got = Lanes.of(values).add_int(ints[:, None])
-            assert [repr(g) for g in lane_values(got)] == \
-                [repr(v + int(i)) for v, i in zip(values, ints)]
+        with np.errstate(all="ignore"):
+            got = Lanes.of(zs).add_int(ints[:, None])
+        assert [repr(g) for g in lane_values(got)] == \
+            [repr(z + int(i)) for z, i in zip(zs, ints)]
 
     def test_zero_divisor_marks_exactly_its_lanes(self):
         num = Lanes.of([1 + 2j, 3.0 - 1j, 0j, -2.5 + 0j])
         den = Lanes.of([0j, complex(-0.0, 0.0), 2.0 + 0j, complex(0.0, -0.0)])
         with np.errstate(all="ignore"):
             assert (num / den).bad.tolist() == [True, True, False, True]
-            # a float divisor too, as float division raises on it
-            q = Lanes.of([1.0, 2.0, 3.0]) / Lanes.of([0.0, -0.0, 4.0])
-        assert q.bad.tolist() == [True, True, False]
 
     def test_negation(self):
-        zs, _, fs = self.operands()
-        for values in (zs, fs):
-            with np.errstate(all="ignore"):
-                negated = -Lanes.of(values)
-            assert [repr(g) for g in lane_values(negated)] == \
-                [repr(-v) for v in values]
+        zs, _ = self.operands()
+        with np.errstate(all="ignore"):
+            negated = -Lanes.of(zs)
+        assert [repr(g) for g in lane_values(negated)] == \
+            [repr(-z) for z in zs]
 
 
 def leaves_the_direct_route(a, lengths):

@@ -649,6 +649,31 @@ class TestAnchors:
             assert rel(coeffs[m, n], scratch_coefficient_f41(p, m, n)) < 1e-13
 
 
+class TestComplexChains:
+    def test_every_column_holds_complex_values(self):
+        # lanes carry complex numbers only: a float factor would split the
+        # scalar rounding from theirs wherever the interpreter's mixed
+        # float/complex rules differ from complex(f, 0.0)
+        kdf = KdfParams(A=(1.3,), B=(0.7,), C=(2.4 - 1j,), D=(2.1,),
+                        E=(1.6,), F=(0.5 + 0.5j,))
+        seen = set()
+        for k in range(4):
+            for p in (F41Params(1.3, 0.7, 2.1, 1.6, 2.4, 5.5, k, 3 - k, 0, 0),
+                      F42Params(1.3, 0.7, 2.1, 1.6, 2.4, k, 0, 0), kdf):
+                for chain in series._chains(p, 6, 5):
+                    length, nums, dens = chain
+                    for kind, idx in (("ratios", range(length)),
+                                      ("values", range(length + 1))):
+                        for s in nums + sum(dens, ()):
+                            seen.add(type(s))
+                            for col in getattr(s, kind)(idx):
+                                assert {type(v) for v in col} == {complex}, \
+                                    (p, s, kind)
+                        assert {type(v) for v in
+                                series._fold(chain, kind, idx)} == {complex}
+        assert seen == {series._Rising, series._TFactor, series._One}
+
+
 def golden_grid_requests(count=360):
     """Seeded (params, M, N) grid requests over F41, F42 and KdF: real (with
     either sign of zero) and complex parameters, k from 0 to 3, terminating
