@@ -27,8 +27,9 @@ from .quadrature import (IntegralRepSpec, RepKind, _require_order,
                          _require_terminating, integral_rep_check,
                          laguerre_rule)
 from .series import (F41Params, F42Params, KdfParams, TruncationPolicy,
-                     _require_rectangle, convergence_region, eval_f4_classic,
-                     eval_f41, eval_f42, eval_kdf, evaluate_many)
+                     _require_finite, _require_rectangle, convergence_region,
+                     eval_f4_classic, eval_f41, eval_f42, eval_kdf,
+                     evaluate_many)
 
 _OK, _CHECK_FAILED, _CONFIG_ERROR, _EVAL_ERROR = 0, 1, 2, 3
 _ENV_SEED = "APPELL4_SEED"
@@ -229,6 +230,15 @@ def _seq(text) -> tuple:
     return tuple(_cplx(part) for part in text.split(","))
 
 
+def _arguments(o: dict) -> tuple:
+    """The arguments x and y, each finite (ValueError, exit 2, otherwise):
+    the library takes a NaN or infinite argument, and its sum overflows."""
+    x, y = _cplx(o["x"]), _cplx(o["y"])
+    _require_finite("x", x)
+    _require_finite("y", y)
+    return x, y
+
+
 def _emit(text: str, out_path: Optional[str]) -> None:
     sys.stdout.write(text + "\n")
     if out_path:
@@ -251,7 +261,7 @@ def cmd_eval(o: dict) -> int:
     pol = TruncationPolicy(int(o["m_max"]), int(o["n_max"]))
     fn = o["fn"]
     a, b, c1, c2 = (_cplx(o[n]) for n in ("a", "b", "c1", "c2"))
-    x, y = _cplx(o["x"]), _cplx(o["y"])
+    x, y = _arguments(o)
     if fn == "F41":
         p = F41Params(a, b, c1, c2, _cplx(o["t1"]), _cplx(o["t2"]),
                       int(o["k1"]), int(o["k2"]), x, y)
@@ -312,8 +322,7 @@ def cmd_quadcheck(o: dict) -> int:
     _require_tolerance(float(o["tolerance"]))
     k = int(o["k"])
     p = F41Params(_cplx(o["a"]), _cplx(o["b"]), _cplx(o["c1"]), _cplx(o["c2"]),
-                  _cplx(o["t1"]), _cplx(o["t2"]), k, k,
-                  _cplx(o["x"]), _cplx(o["y"]))
+                  _cplx(o["t1"]), _cplx(o["t2"]), k, k, *_arguments(o))
     spec = IntegralRepSpec(RepKind(o["which"]), k, p)
     pol = TruncationPolicy(int(o["m_max"]), int(o["n_max"]))
     if k >= 1:
@@ -331,13 +340,16 @@ _SWEEP_MAX_POINTS = 201
 def _sweep_axis(lo: float, hi: float, step: float) -> list:
     """|x| (and |y|) values of a sweep: lo, lo + step, ... up to hi.
 
-    Raises ValueError for bad bounds or more than _SWEEP_MAX_POINTS points,
-    before any list is built."""
+    Raises ValueError for bad or non-finite bounds or more than
+    _SWEEP_MAX_POINTS points, before any list is built."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"sweep bounds must be finite: lo={lo}, hi={hi}, "
+                         f"step={step}")
     if step <= 0 or hi < lo or lo < 0:
         raise ValueError(f"bad sweep bounds: lo={lo}, hi={hi}, step={step}")
     span = (hi - lo) / step
-    # the first test also rejects an infinite or NaN span, which round()
-    # cannot take
+    # the first test also rejects the infinite span of a subnormal step,
+    # which round() cannot take
     if not span < _SWEEP_MAX_POINTS or round(span) + 1 > _SWEEP_MAX_POINTS:
         raise ValueError(f"sweep from {lo} to {hi} by {step} exceeds "
                          f"{_SWEEP_MAX_POINTS} points per axis")

@@ -7,7 +7,10 @@ with an explicit fallback near the negative-integer lattice where the
 log-gamma difference loses meaning.  `pochhammer_prefixes` gives (a)_l for
 a nondecreasing list of lengths from one running product, each value bit
 for bit the one-length result; `pochhammer` is its one-length case, so the
-direct-product policy lives in one place.
+direct-product policy lives in one place.  `log_pochhammer_prefixes` is its
+log counterpart: one log_gamma(a) per list and one carried direct log sum
+near the lattice, each entry bit for bit `log_pochhammer`, its one-length
+case.
 
 `Lanes` carries one Python complex number per lane as float64 arrays of real
 and imaginary parts, and computes with CPython's scalar complex rules, so
@@ -138,27 +141,55 @@ def _near_nonpositive_lattice(z: complex) -> bool:
     return math.hypot(z.real - nearest, z.imag) < 0.5
 
 
-def _direct_log_sum(a: complex, l: int) -> complex:
-    return sum(cmath.log(a + j) for j in range(l))
+def _log_prefixes(a: complex, lengths):
+    """LogPochhammer(a, l) for l in lengths, one at a time.
+
+    log_gamma(a) is computed once, at the first length that takes the
+    log-gamma route.  Near the lattice the direct sum of factor logs,
+    added left to right from the int 0 as Python's sum adds on 3.11, is
+    carried from one length to the next, so each entry is the sum a
+    separate call computes."""
+    near_a = lg_a = None
+    acc, done, last = 0, 0, 0
+    for l in lengths:
+        if l < last:
+            raise ValueError("pochhammer lengths must be nonnegative and "
+                             "nondecreasing")
+        last = l
+        if l == 0:
+            yield LogPochhammer(0.0 + 0.0j, False)
+            continue
+        if _poch_is_zero(a, l):
+            yield LogPochhammer(0.0 + 0.0j, True)
+            continue
+        if near_a is None:
+            near_a = _near_nonpositive_lattice(a)
+        if near_a or _near_nonpositive_lattice(a + l):
+            while done < l:
+                acc = acc + cmath.log(a + done)
+                done += 1
+            yield LogPochhammer(acc, False)
+            continue
+        if lg_a is None:
+            lg_a = log_gamma(a)
+        yield LogPochhammer(log_gamma(a + l) - lg_a, False)
+
+
+def log_pochhammer_prefixes(a: complex, lengths) -> list:
+    """[log_pochhammer(a, l) for l in lengths], bit for bit, zero flags
+    included; lengths must be nonnegative and must not decrease.
+
+    Computed as log_gamma(a + l) - log_gamma(a) away from the
+    negative-integer lattice, with log_gamma(a) computed at most once;
+    where a or a + l lies within distance 0.5 of it, as a direct sum of
+    factor logs carried from one length to the next."""
+    return list(_log_prefixes(complex(a), lengths))
 
 
 def log_pochhammer(a: complex, l: int) -> LogPochhammer:
-    """log (a)_l with exact zero detection.
-
-    Computed as log_gamma(a + l) - log_gamma(a) away from the
-    negative-integer lattice; within distance 0.5 of it the log-gamma
-    difference is replaced by a direct sum of factor logs.
-    """
-    a = complex(a)
-    if l < 0:
-        raise ValueError("pochhammer length must be nonnegative")
-    if l == 0:
-        return LogPochhammer(0.0 + 0.0j, False)
-    if _poch_is_zero(a, l):
-        return LogPochhammer(0.0 + 0.0j, True)
-    if _near_nonpositive_lattice(a) or _near_nonpositive_lattice(a + l):
-        return LogPochhammer(_direct_log_sum(a, l), False)
-    return LogPochhammer(log_gamma(a + l) - log_gamma(a), False)
+    """log (a)_l with exact zero detection: log_pochhammer_prefixes of one
+    length."""
+    return log_pochhammer_prefixes(a, (l,))[0]
 
 
 def pochhammer_prefixes(a: complex, lengths) -> list:
@@ -169,13 +200,15 @@ def pochhammer_prefixes(a: complex, lengths) -> list:
     the prefix that a product started from 1 computes, bit for bit, and the
     whole list costs O(max length) multiplies.  An exact zero of (a)_l
     short-circuits; once a partial product leaves the renormalised range,
-    that length and every longer one take the log route, as does every
-    length beyond _DIRECT_LIMIT.  Raises OverflowSignalError when a value
-    exceeds the double range.
+    that length and every longer one take the log route
+    (log_pochhammer_prefixes), as does every length beyond _DIRECT_LIMIT.
+    Raises OverflowSignalError at the first value that exceeds the double
+    range.
     """
     a = complex(a)
     out = []
-    acc, done, direct, last = 1.0 + 0.0j, 0, True, 0
+    acc, done, last = 1.0 + 0.0j, 0, 0
+    lengths = iter(lengths)
     for l in lengths:
         if l < last:
             raise ValueError("pochhammer lengths must be nonnegative and "
@@ -187,22 +220,28 @@ def pochhammer_prefixes(a: complex, lengths) -> list:
         if _poch_is_zero(a, l):
             out.append(0.0 + 0.0j)
             continue
-        if direct and l <= _DIRECT_LIMIT:
+        if l <= _DIRECT_LIMIT:
             while done < l:
                 acc *= a + done
                 done += 1
                 if not (abs(acc.real) < _RENORM_LIMIT
                         and abs(acc.imag) < _RENORM_LIMIT):
-                    direct = False
                     break
-            if direct:
+            else:
                 out.append(acc)
                 continue
-        lp = log_pochhammer(a, l)
-        if lp.log.real > 709.0:
-            raise OverflowSignalError(
-                f"pochhammer({a}, {l}) exceeds double range")
-        out.append(cmath.exp(lp.log))
+        # this length and every later one leave the direct product; the
+        # logs come one at a time, so the first failure raises first
+        rest = [l, *lengths]
+        for l, lp in zip(rest, _log_prefixes(a, rest)):
+            if lp.is_zero:
+                out.append(0.0 + 0.0j)
+                continue
+            if lp.log.real > 709.0:
+                raise OverflowSignalError(
+                    f"pochhammer({a}, {l}) exceeds double range")
+            out.append(cmath.exp(lp.log))
+        break
     return out
 
 

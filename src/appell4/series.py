@@ -19,14 +19,17 @@ One engine builds the arrays of every family, Kampe de Feriet (KdF) series
 included, from `_chains`: each array is a length, numerator symbols and
 denominator groups.  A symbol, the rising factorial (v)_i or the t-factor
 (-1)^{ik} (-t)_{ik}, gives its ratios, scratch values (`pochhammer`) and logs
-with exact zero flags (`log_pochhammer`).  The fold order fixes every grid's
-rounding, signed zeros included: numerators multiply left to right from the
-first symbol (a t-factor's sign is a factor of its own); each denominator
-group is multiplied out and divided by once (F41/F42: (c)_m m! together;
-KdF: each D, E, F entry and the factorial alone); logs add the numerator
-logs from the first and subtract each denominator log in turn; only KdF
-products start from 1.  Every factor is a Python complex, the signs, that 1
-and the factorial's symbol (1)_i included, so lanes compute in complex alone.
+with exact zero flags (`log_pochhammer_prefixes`).  The fold order fixes
+every grid's rounding, signed zeros included: numerators multiply left to
+right from the first symbol (a t-factor's sign is a factor of its own); each
+denominator group is multiplied out and divided by once (F41/F42: (c)_m m!
+together; KdF: each D, E, F entry and the factorial alone); logs add the
+numerator logs from the first and subtract each denominator log in turn;
+only KdF products start from 1.  Every factor is a Python complex, the
+signs, that 1 and the factorial's symbol (1)_i included, so lanes compute in
+complex alone.  A grid is built by the linear route (ratio recurrences from
+the anchors) unless a factor array or the product leaves the double range;
+then by the log route, which reuses the ratios the linear attempt folded.
 
 Grids are cached by (params, M, N) in one least-recently-used cache bounded
 by bytes (_GRID_CACHE_BYTES), shared by single requests and batch builds.
@@ -64,8 +67,11 @@ import numpy as np
 
 from .errors import OverflowSignalError, PoleError, UnsupportedKError
 from .kernels import (_LANES_EXACT, Lanes, _is_exact_nonpositive_int,
-                      factorial, log_pochhammer, pochhammer,
+                      factorial, log_pochhammer_prefixes, pochhammer,
                       pochhammer_prefix_lanes, pochhammer_prefixes)
+# not called here since every grid log comes from log_pochhammer_prefixes, but
+# kept as a module name: the layer tracer in perfbench wraps it
+from .kernels import log_pochhammer  # noqa: F401
 
 
 class ConvergenceRegionWarning(UserWarning):
@@ -333,7 +339,7 @@ class _Rising:
         return [pochhammer_prefixes(self.v, idx)]
 
     def logs(self, idx):
-        lps = [log_pochhammer(self.v, i) for i in idx]
+        lps = log_pochhammer_prefixes(self.v, idx)
         return [lp.log for lp in lps], [lp.is_zero for lp in lps]
 
     def lane_key(self):
@@ -373,7 +379,7 @@ class _TFactor:
 
     def logs(self, idx):
         k = self.k
-        lps = [log_pochhammer(-self.t, i * k) for i in idx]
+        lps = log_pochhammer_prefixes(-self.t, [i * k for i in idx])
         return ([lp.log + _IPI * ((i * k) % 2) for lp, i in zip(lps, idx)],
                 [lp.is_zero for lp in lps])
 
@@ -489,7 +495,7 @@ def _fold_logs(chain, idx):
     return list(acc), zero
 
 
-def _chain_linear(chain) -> np.ndarray:
+def _chain_linear(chain, ratios) -> np.ndarray:
     """arr[i+1] = arr[i] * ratio(i), re-anchored from scratch every
     _ANCHOR_STRIDE entries; may contain inf/nan at extreme scales."""
     anchors, steps = _indices(chain[0])
@@ -497,24 +503,23 @@ def _chain_linear(chain) -> np.ndarray:
     arr[::_ANCHOR_STRIDE] = _fold(chain, "values", anchors)
     # Python complex products round as numpy's scalar ones; numpy's array
     # complex multiply does not always
-    for i, r in zip(steps, _fold(chain, "ratios", steps)):
+    for i, r in zip(steps, ratios):
         arr[i + 1] = arr[i] * r
     return np.array(arr, dtype=np.complex128)
 
 
-def _chain_log(chain):
+def _chain_log(chain, ratios):
     """Log-space variant for scales beyond the double range; returns
     (logs, zero_mask)."""
     anchors, steps = _indices(chain[0])
-    logs = np.zeros(chain[0] + 1, dtype=np.complex128)
-    zero = np.zeros(chain[0] + 1, dtype=bool)
+    logs, zero = [0j] * (chain[0] + 1), [False] * (chain[0] + 1)
     logs[::_ANCHOR_STRIDE], zero[::_ANCHOR_STRIDE] = _fold_logs(chain, anchors)
-    for i, r in zip(steps, _fold(chain, "ratios", steps)):
+    for i, r in zip(steps, ratios):
         if zero[i] or r == 0:
             zero[i + 1] = True
         else:
             logs[i + 1] = logs[i] + cmath.log(r)
-    return logs, zero
+    return np.array(logs, dtype=np.complex128), np.array(zero)
 
 
 _KIND = {F41Params: "F41", F42Params: "F42", KdfParams: "KdF"}
@@ -524,19 +529,29 @@ def _build_grid(p: SeriesParams, M: int, N: int) -> np.ndarray:
     """The grid of p on [0..M] x [0..N], built alone: the reference that
     lanes reproduce, and the route of every lane they cannot."""
     chains = _chains(p, M, N)
+    # each chain's ratios, folded once for both routes
+    ratios = [_fold(chain, "ratios", _indices(chain[0])[1])
+              for chain in chains]
     idx = np.arange(M + 1)[:, None] + np.arange(N + 1)[None, :]
 
     # linear assembly first; its intermediates can overflow even when the
-    # final coefficients are representable, so fall back to log space then
+    # final coefficients are representable, so fall back to log space then.
+    # Every entry of W, U and V meets some cell of the product, so the first
+    # factor array that is not finite settles the fallback
+    coeffs, arrays = None, []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            W, U, V = map(_chain_linear, chains)
-            coeffs = W[idx] * U[:, None] * V[None, :]
-        ok = bool(np.isfinite(coeffs).all())
+            for chain, r in zip(chains, ratios):
+                arrays.append(_chain_linear(chain, r))
+                if not np.isfinite(arrays[-1]).all():
+                    break
+            else:
+                W, U, V = arrays
+                coeffs = W[idx] * U[:, None] * V[None, :]
     except OverflowSignalError:
-        ok = False
-    if not ok:
-        (Wl, Wz), (Ul, Uz), (Vl, Vz) = map(_chain_log, chains)
+        pass
+    if coeffs is None or not np.isfinite(coeffs).all():
+        (Wl, Wz), (Ul, Uz), (Vl, Vz) = map(_chain_log, chains, ratios)
         logs = Wl[idx] + Ul[:, None] + Vl[None, :]
         zero = Wz[idx] | Uz[:, None] | Vz[None, :]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -795,58 +810,105 @@ _PW_UNROLL = 8
 _PW_BLOCKSIZE = 128
 
 
+def _pairwise_tree(n: int, unit: int):
+    """numpy's pairwise tree over a run of n entries of unit reals each:
+    its leaves as (start, stop) entry slices in order, its joins as (left,
+    right, height) in the order they are made (leaves referenced as 0, 1,
+    ..., joins as -1, -2, ...), and its root."""
+    leaves, joins = [], []
+
+    def node(lo, hi):
+        """(reference, height) of the node over entries lo to hi."""
+        n = (hi - lo) * unit
+        if n <= _PW_BLOCKSIZE:
+            leaves.append((lo, hi))
+            return len(leaves) - 1, 0
+        mid = lo + (n // 2 - n // 2 % _PW_UNROLL) // unit
+        (left, hl), (right, hr) = node(lo, mid), node(mid, hi)
+        joins.append((left, right, 1 + max(hl, hr)))
+        return -len(joins), joins[-1][2]
+
+    return leaves, joins, node(0, n)[0]
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of runs of these lengths starts when laid end to end."""
+    return np.cumsum(counts) - counts
+
+
 class _PairwiseRows:
     """Sums of ragged rows in numpy's pairwise order.
 
-    `rows` holds one array of flat source indices per row; `unit` is the
+    Row r is gather[r, :lengths[r]], flat source indices; `unit` is the
     number of reals per entry (2 for complex).  Calling the plan on a source
     array whose first axis is flat and ends in a zero returns the row sums;
     trailing axes (one per point of a stack) are summed alongside.  Zero
     padding is exact: x + 0 == x, and the final + 0.0 gives an all-zero row
     numpy's +0 sign.
+
+    Rows of one length share one tree (_pairwise_tree).  Nodes are numbered
+    leaves first, then joins, row after row, each row's in the order its
+    tree makes them; the layout is built by array operations over all rows
+    at once, so its Python work grows with the longest row, not with the
+    number of rows.
     """
 
-    def __init__(self, rows, unit: int, zero: int):
+    def __init__(self, gather: np.ndarray, lengths: np.ndarray, unit: int,
+                 zero: int):
         width = _PW_UNROLL // unit          # entries per block
-        leaves, joins = [], []              # joins: (left, right, height)
+        trees = [_pairwise_tree(n, unit) for n in range(lengths.max() + 1)]
+        # the trees' leaves (start, stop), joins (left, right, height) and
+        # roots, tree by tree in order of length
+        spans = np.array([leaf for t in trees for leaf in t[0]],
+                         dtype=np.intp).reshape(-1, 2)
+        links = np.array([join for t in trees for join in t[1]],
+                         dtype=np.intp).reshape(-1, 3)
+        tree_roots = np.array([t[2] for t in trees], dtype=np.intp)
 
-        def node(idx):
-            """(reference, height); leaves are numbered 0, 1, ..., joins
-            -1, -2, ..."""
-            n = len(idx) * unit
-            if n <= _PW_BLOCKSIZE:
-                leaves.append(idx)
-                return len(leaves) - 1, 0
-            half = n // 2 - n // 2 % _PW_UNROLL
-            (left, hl), (right, hr) = (node(idx[:half // unit]),
-                                       node(idx[half // unit:]))
-            joins.append((left, right, 1 + max(hl, hr)))
-            return -len(joins), joins[-1][2]
+        def per_row(per_tree):
+            """Items counted per tree, over all rows in row order: the row
+            of each item, its place in the tables above, and the items per
+            row."""
+            per_tree = np.array(per_tree, dtype=np.intp)
+            items = per_tree[lengths]
+            row = np.repeat(np.arange(len(items)), items)
+            shift = _starts(per_tree)[lengths] - _starts(items)
+            return row, np.arange(items.sum()) + shift[row], items
 
-        roots = [node(np.asarray(idx, dtype=np.intp))[0] for idx in rows]
-        nblocks = max([len(idx) // width for idx in leaves
-                       if len(idx) >= width] + [1])
+        leaf_row, leaf_at, leaves = per_row([len(t[0]) for t in trees])
+        join_row, join_at, joins = per_row([len(t[1]) for t in trees])
+        first_leaf = _starts(leaves)
+        first_join = len(leaf_row) + _starts(joins)
+
+        def number(refs, rows):
+            return np.where(refs >= 0, first_leaf[rows] + refs,
+                            first_join[rows] - 1 - refs)
+
+        # every entry, leaf after leaf: its leaf, its place in the leaf, and
+        # whether it sits in a block (a run shorter than one block is all
+        # rest, summed from zero)
+        start, stop = spans[leaf_at].T
+        n = stop - start
+        cut = n - n % width
+        leaf = np.repeat(np.arange(len(n)), n)
+        at = np.arange(n.sum()) - np.repeat(_starts(n), n)
+        idx = gather[leaf_row[leaf], start[leaf] + at]
+        block = at < cut[leaf]
         # leaves last, so that every add below runs over all leaves at once
-        self.blocks = np.full((nblocks, width, len(leaves)), zero, np.intp)
-        self.rest = np.full((width - 1, len(leaves)), zero, np.intp)
-        for i, idx in enumerate(leaves):
-            # a run shorter than one block is all rest, summed from zero
-            cut = len(idx) - len(idx) % width if len(idx) >= width else 0
-            self.blocks[:cut // width, :, i] = idx[:cut].reshape(-1, width)
-            self.rest[:len(idx) - cut, i] = idx[cut:]
-
-        def number(ref: int) -> int:
-            return ref if ref >= 0 else len(leaves) - 1 - ref
-
-        self.levels = []
-        for h in sorted({j[2] for j in joins}):
-            level = [(number(-1 - i), number(left), number(right))
-                     for i, (left, right, height) in enumerate(joins)
-                     if height == h]
-            self.levels.append(tuple(np.array(v, dtype=np.intp)
-                                     for v in zip(*level)))
-        self.nodes = len(leaves) + len(joins)
-        self.roots = np.array([number(r) for r in roots], dtype=np.intp)
+        self.blocks = np.full((max(int(n.max()) // width, 1), width, len(n)),
+                              zero, np.intp)
+        self.blocks[at[block] // width, at[block] % width, leaf[block]] = \
+            idx[block]
+        self.rest = np.full((width - 1, len(n)), zero, np.intp)
+        self.rest[(at - cut[leaf])[~block], leaf[~block]] = idx[~block]
+        left, right, height = links[join_at].T
+        out = len(n) + np.arange(len(height))
+        left, right = number(left, join_row), number(right, join_row)
+        self.levels = [(out[height == h], left[height == h],
+                        right[height == h])
+                       for h in sorted(set(height.tolist()))]
+        self.nodes = len(n) + len(height)
+        self.roots = number(tree_roots[lengths], np.arange(len(lengths)))
 
     def __call__(self, src: np.ndarray) -> np.ndarray:
         # numpy reduces over a leading axis in order, from 0 (its pairwise
@@ -881,15 +943,14 @@ class _DiagonalPlan:
 @lru_cache(maxsize=16)
 def _diagonal_plan(M: int, N: int) -> _DiagonalPlan:
     zero = (M + 1) * (N + 1)
-    rows = []
-    for d in range(M + N + 1):
-        ms = np.arange(max(0, d - N), min(d, M) + 1)
-        rows.append(ms * (N + 1) + N - (d - ms))
-    gather = np.full((len(rows), min(M, N) + 1), zero, np.intp)
-    for d, idx in enumerate(rows):
-        gather[d, :len(idx)] = idx
-    return _DiagonalPlan(gather, _PairwiseRows(rows, 2, zero),
-                         _PairwiseRows(rows, 1, zero))
+    d = np.arange(M + N + 1)[:, None]
+    first = np.maximum(0, d - N)            # m of the first term of d
+    lengths = np.minimum(d, M) - first + 1
+    ms = first + np.arange(min(M, N) + 1)
+    gather = np.where(ms - first < lengths, ms * (N + 2) + N - d, zero)
+    lengths = lengths[:, 0]
+    return _DiagonalPlan(gather, _PairwiseRows(gather, lengths, 2, zero),
+                         _PairwiseRows(gather, lengths, 1, zero))
 
 
 def _with_zero(a: np.ndarray) -> np.ndarray:

@@ -114,7 +114,7 @@ class TestEvalCommand:
 
     def test_overflowing_argument_prints_only_the_error(self):
         proc = run_python("-m", "appell4.cli", "eval", "--fn", "F41",
-                          "--x=inf")
+                          "--x=1e200")
         assert proc.returncode == 3
         assert proc.stderr == ("evaluation error: partial sum exceeds the "
                                "floating range\n")
@@ -149,6 +149,42 @@ class TestEvalCommand:
         assert code == 2
         assert err.startswith("config error")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("fn", ["F41", "F42", "F4", "KdF"])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_non_finite_argument_exits_two(self, capsys, fn, field, value):
+        # the sum would overflow (exit 3); the argument is named instead
+        code = main(["eval", "--fn", fn, "--x", "0.1", "--y", "0.1",
+                     f"--{field}={value}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"config error: {field} = ({value}+0j) is not "
+                       "finite\n")
+
+    @pytest.mark.filterwarnings(
+        "ignore::appell4.series.ConvergenceRegionWarning")
+    def test_large_finite_argument_exits_three(self, capsys):
+        for fn in ("F41", "F42", "F4", "KdF"):
+            code = main(["eval", "--fn", fn, "--x", "1e200"])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert err == ("evaluation error: partial sum exceeds the "
+                           "floating range\n")
+
+
+class TestModuleRun:
+    def test_package_runs_the_command_line(self, capsys):
+        argv = ["eval", "--fn", "F4", "--x", "0.1", "--y", "0.1"]
+        code, out = run(capsys, *argv)
+        proc = run_python("-m", "appell4", *argv)
+        assert (proc.returncode, code) == (0, 0)
+        assert proc.stdout == out and proc.stderr == ""
+
+    def test_package_run_passes_the_exit_code(self):
+        proc = run_python("-m", "appell4", "audit", "--draws", "0")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error")
 
 
 class TestAuditCommand:
@@ -279,6 +315,13 @@ class TestQuadcheckCommand:
         code, out = run(capsys, "quadcheck", "--tolerance", tolerance)
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("flag", ["--x=inf", "--y=nan", "--x=-inf"])
+    def test_non_finite_argument_exits_two(self, capsys, flag):
+        code = main(["quadcheck", flag])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {flag[2]} = (")
+
     def test_nonpositive_exponent_exits_three(self, capsys):
         code, _ = run(capsys, "quadcheck", "--a", "-1")
         assert code == 3
@@ -349,10 +392,16 @@ class TestSweepCommand:
         assert len(cli._sweep_axis(0.0, 200.4, 1.0)) == 201
         # without the guard none of these would allocate much
         for lo, hi, step in ((0.0, 200.6, 1.0), (0.0, 201.0, 1.0),
-                             (0.0, 1e4, 1.0), (0.0, float("inf"), 0.1),
-                             (float("nan"), 0.5, 0.1),
-                             (0.0, float("nan"), 0.1)):
+                             (0.0, 1e4, 1.0), (0.0, 0.5, 5e-324)):
             with pytest.raises(ValueError, match="201 points per axis"):
+                cli._sweep_axis(lo, hi, step)
+
+    def test_non_finite_bounds(self):
+        inf, nan = float("inf"), float("nan")
+        for lo, hi, step in ((0.0, inf, 0.1), (nan, 0.5, 0.1),
+                             (0.0, nan, 0.1), (0.0, 0.5, nan),
+                             (-inf, 0.5, 0.1), (0.0, 0.5, inf)):
+            with pytest.raises(ValueError, match="bounds must be finite"):
                 cli._sweep_axis(lo, hi, step)
 
     def test_rectangle_over_the_cell_budget_exits_two(self, capsys):

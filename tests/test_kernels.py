@@ -25,6 +25,7 @@ from appell4.kernels import (
     gamma,
     log_gamma,
     log_pochhammer,
+    log_pochhammer_prefixes,
     pochhammer,
     pochhammer_prefix_lanes,
     pochhammer_prefixes,
@@ -286,6 +287,130 @@ class TestPochhammerPrefixes:
             pochhammer_prefixes(1.5, [3, 2])
         with pytest.raises(ValueError):
             pochhammer_prefixes(1.5, [-1])
+
+
+def scalar_log_pochhammer(a, l):
+    """The one-length log route that log_pochhammer_prefixes replaced, kept
+    as its reference: exact zero flag first, the direct sum of factor logs
+    added left to right from the int 0 where a or a + l lies within 0.5 of
+    the lattice, the log-gamma difference otherwise."""
+    a = complex(a)
+    if l == 0:
+        return LogPochhammer(0.0 + 0.0j, False)
+    if a.imag == 0.0 and a.real == math.floor(a.real) \
+            and -(l - 1) <= a.real <= 0.0:
+        return LogPochhammer(0.0 + 0.0j, True)
+    if any(round(z.real) <= 0 and math.hypot(z.real - round(z.real),
+                                             z.imag) < 0.5
+           for z in (a, a + l)):
+        acc = 0
+        for j in range(l):
+            acc = acc + cmath.log(a + j)
+        return LogPochhammer(acc, False)
+    return LogPochhammer(log_gamma(a + l) - log_gamma(a), False)
+
+
+def log_prefix_corpus(count=3000):
+    """Seeded (a, nondecreasing lengths) for the log route: exact lattice
+    zeros and values within 0.5 of the lattice (the carried direct sums),
+    with either sign of a zero imaginary part; lengths from 0 to 200 with
+    zero and repeated lengths, so that a + l lands near the lattice, on
+    it and past it."""
+    rng = random.Random(20261019)
+    for _ in range(count):
+        zero = rng.choice((0.0, -0.0))
+        a = rng.choice((
+            lambda: complex(-rng.randint(0, 90), zero),
+            lambda: complex(-rng.randint(0, 90) + rng.uniform(-0.49, 0.49),
+                            rng.choice((zero, rng.uniform(-0.3, 0.3)))),
+            lambda: complex(rng.uniform(-90, 90),
+                            rng.choice((zero, rng.uniform(-3, 3)))),
+            lambda: complex(-rng.randint(0, 90) - 0.5, zero),
+            lambda: complex(rng.choice((1e60, -1e60, 1e200)), zero),
+        ))()
+        top = rng.choice((8, 64, 100, 200))
+        lengths = sorted(rng.choice((0, rng.randint(0, top), top))
+                         for _ in range(rng.randint(1, 14)))
+        yield a, lengths
+
+
+class TestLogPochhammerPrefixes:
+    def test_each_entry_is_the_one_length_log(self):
+        seen = {"zero": 0, "direct": 0, "log-gamma": 0, "repeat": 0,
+                "long": 0, "empty": 0}
+        for a, lengths in log_prefix_corpus():
+            got = log_pochhammer_prefixes(a, lengths)
+            assert len(got) == len(lengths)
+            for l, lp in zip(lengths, got):
+                want = log_pochhammer(a, l)
+                ref = scalar_log_pochhammer(a, l)
+                assert (repr(lp.log), lp.is_zero) == \
+                    (repr(want.log), want.is_zero) == \
+                    (repr(ref.log), ref.is_zero), (a, l)
+                seen["zero"] += lp.is_zero
+                seen["empty"] += l == 0
+                seen["long"] += l > 64
+                if l and not lp.is_zero:
+                    seen["direct" if kernels._near_nonpositive_lattice(a)
+                         or kernels._near_nonpositive_lattice(a + l)
+                         else "log-gamma"] += 1
+            seen["repeat"] += len(set(lengths)) < len(lengths)
+        assert min(seen.values()) >= 100, seen
+
+    def test_signed_zero_imaginary_parts(self):
+        for re in (-3.0, -3.25, 0.0, 2.5, -70.0):
+            for im in (0.0, -0.0):
+                a = complex(re, im)
+                lengths = [0, 0, 1, 3, 3, 4, 65, 66, 140]
+                got = log_pochhammer_prefixes(a, lengths)
+                assert [(repr(lp.log), lp.is_zero) for lp in got] == \
+                    [(repr(scalar_log_pochhammer(a, l).log),
+                      scalar_log_pochhammer(a, l).is_zero) for l in lengths]
+
+    def test_one_log_gamma_of_the_base(self, monkeypatch):
+        calls = []
+        log_gamma = kernels.log_gamma
+        monkeypatch.setattr(kernels, "log_gamma",
+                            lambda z: calls.append(z) or log_gamma(z))
+        lengths = list(range(0, 201, 4))
+        for a, routed in ((1.5 + 0.2j, 50), (-3.7 + 2.0j, 50),
+                          (-3.2 + 0.1j, 0), (-2.0 + 0.0j, 0)):
+            calls.clear()
+            log_pochhammer_prefixes(a, lengths)
+            # log_gamma(a) once, then log_gamma(a + l) per routed length;
+            # reflections count too, so count the top-level arguments
+            assert calls.count(complex(a)) == (1 if routed else 0)
+            assert sum(z == complex(a) + l for z in calls
+                       for l in lengths[1:]) == routed
+        calls.clear()
+        log_pochhammer_prefixes(1.5, [0, 0])
+        assert calls == []
+
+    def test_lengths_must_be_nonnegative_and_nondecreasing(self):
+        for lengths in ([3, 2], [-1], [0, 5, 4], [2, -2]):
+            with pytest.raises(ValueError, match="nondecreasing"):
+                log_pochhammer_prefixes(1.5, lengths)
+        with pytest.raises(ValueError):
+            log_pochhammer(1.5, -1)
+
+    def test_prefixes_keep_values_and_overflow_past_the_direct_limit(self):
+        # lengths 60-200 cross _DIRECT_LIMIT; the values and the length at
+        # which OverflowSignalError is raised are those of the scalar loop
+        rng = random.Random(60200)
+        seen = {"values": 0, "overflow": 0}
+        for a, _ in log_prefix_corpus(400):
+            lengths = sorted(rng.sample(range(60, 201), rng.randint(1, 20)))
+            try:
+                want = [exact(scalar_pochhammer(a, l)) for l in lengths]
+            except OverflowSignalError as exc:
+                seen["overflow"] += 1
+                with pytest.raises(OverflowSignalError) as got:
+                    pochhammer_prefixes(a, lengths)
+                assert str(got.value) == str(exc)
+                continue
+            seen["values"] += 1
+            assert [exact(v) for v in pochhammer_prefixes(a, lengths)] == want
+        assert min(seen.values()) >= 50, seen
 
 
 def lane_operands(count=20000):

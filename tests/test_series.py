@@ -2,14 +2,18 @@
 Kampe de Feriet reductions, truncation policies, and growth diagnostics."""
 
 import hashlib
+import importlib.util
 import math
+import os
 import random
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import appell4.kernels as kernels
 import appell4.series as series
 from appell4.errors import OverflowSignalError, PoleError, UnsupportedKError
 from appell4.series import (
@@ -417,6 +421,92 @@ class TestDiagonalStats:
         assert not abs_blocks.any() and counts == 0
 
 
+def pairwise_rows_loop(rows, unit, zero):
+    """Reference _PairwiseRows layout: one recursion and one leaf copy per
+    row, the loops _PairwiseRows ran before rows of one length were laid
+    out as one block.  Returns (blocks, rest, levels, nodes, roots)."""
+    width = series._PW_UNROLL // unit
+    leaves, joins = [], []
+
+    def node(idx):
+        n = len(idx) * unit
+        if n <= series._PW_BLOCKSIZE:
+            leaves.append(idx)
+            return len(leaves) - 1, 0
+        half = n // 2 - n // 2 % series._PW_UNROLL
+        (left, hl), (right, hr) = (node(idx[:half // unit]),
+                                   node(idx[half // unit:]))
+        joins.append((left, right, 1 + max(hl, hr)))
+        return -len(joins), joins[-1][2]
+
+    roots = [node(np.asarray(idx, dtype=np.intp))[0] for idx in rows]
+    nblocks = max([len(idx) // width for idx in leaves
+                   if len(idx) >= width] + [1])
+    blocks = np.full((nblocks, width, len(leaves)), zero, np.intp)
+    rest = np.full((width - 1, len(leaves)), zero, np.intp)
+    for i, idx in enumerate(leaves):
+        cut = len(idx) - len(idx) % width if len(idx) >= width else 0
+        blocks[:cut // width, :, i] = idx[:cut].reshape(-1, width)
+        rest[:len(idx) - cut, i] = idx[cut:]
+
+    def number(ref):
+        return ref if ref >= 0 else len(leaves) - 1 - ref
+
+    levels = []
+    for h in sorted({j[2] for j in joins}):
+        level = [(number(-1 - i), number(left), number(right))
+                 for i, (left, right, height) in enumerate(joins)
+                 if height == h]
+        levels.append(tuple(np.array(v, dtype=np.intp) for v in zip(*level)))
+    return (blocks, rest, levels, len(leaves) + len(joins),
+            np.array([number(r) for r in roots], dtype=np.intp))
+
+
+def diagonal_plan_loop(M, N):
+    """Reference _diagonal_plan: one index row per diagonal, in a loop.
+    Returns (gather, complex layout, real layout)."""
+    zero = (M + 1) * (N + 1)
+    rows = []
+    for d in range(M + N + 1):
+        ms = np.arange(max(0, d - N), min(d, M) + 1)
+        rows.append(ms * (N + 1) + N - (d - ms))
+    gather = np.full((len(rows), min(M, N) + 1), zero, np.intp)
+    for d, idx in enumerate(rows):
+        gather[d, :len(idx)] = idx
+    return (gather, pairwise_rows_loop(rows, 2, zero),
+            pairwise_rows_loop(rows, 1, zero))
+
+
+class TestDiagonalPlan:
+    """Rows of one length are laid out as one block, with the layout of the
+    per-row loops, node numbers included."""
+
+    @pytest.mark.parametrize("M,N", [(0, 0), (1, 1), (40, 40), (511, 511),
+                                     (300, 7), (7, 300), (4000, 0),
+                                     (0, 4000)])
+    def test_plan_matches_the_row_loops(self, M, N):
+        plan = series._diagonal_plan.__wrapped__(M, N)
+        gather, *layouts = diagonal_plan_loop(M, N)
+        assert np.array_equal(plan.gather, gather)
+        for rows, (blocks, rest, levels, nodes, roots) in zip(
+                (plan.complex_sums, plan.real_sums), layouts):
+            assert np.array_equal(rows.blocks, blocks)
+            assert np.array_equal(rows.rest, rest)
+            assert len(rows.levels) == len(levels)
+            for got, want in zip(rows.levels, levels):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert rows.nodes == nodes
+            assert np.array_equal(rows.roots, roots)
+
+    def test_thin_rectangles_are_cheap(self):
+        # one diagonal per cell: the per-row loops took 2.8-3.0 s of CPU
+        for M, N in ((262143, 0), (0, 262143)):
+            start = time.process_time()
+            plan = series._diagonal_plan.__wrapped__(M, N)
+            assert time.process_time() - start < 1.0
+            assert plan.gather.shape == (262144, 1)
+
+
 class TestStackedDiagonalStats:
     def test_each_point_of_a_stack_sums_as_alone(self):
         # single rows take numpy's scalar abs loop, every other shape its
@@ -744,10 +834,10 @@ class TestGridBits:
 
     def test_grid_bytes(self, monkeypatch):
         log_calls = []
-        log_pochhammer = series.log_pochhammer
+        log_prefixes = series.log_pochhammer_prefixes
         monkeypatch.setattr(
-            series, "log_pochhammer",
-            lambda *a: log_calls.append(a) or log_pochhammer(*a))
+            series, "log_pochhammer_prefixes",
+            lambda *a: log_calls.append(a) or log_prefixes(*a))
         build = series._grid_coeffs.__wrapped__   # no cache in between
         digest = hashlib.sha256()
         paths = {"linear": 0, "log": 0, "overflow": 0}
@@ -762,6 +852,56 @@ class TestGridBits:
                 paths["log" if len(log_calls) > before else "linear"] += 1
         assert min(paths.values()) >= 20, paths
         assert digest.hexdigest() == self.GOLDEN
+
+
+def eval_cold_f42_params():
+    """The F42 parameters of the eval-cold pool of the benchmark
+    (perfbench/bench_inputs.py): k = 1 with non-terminating t, whose 40 x 40
+    grids take the log-space path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "bench_inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    bench_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_inputs)
+    params = []
+    for argv in bench_inputs.pools()["eval"]:
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        if flags["--fn"] == "F42":
+            params.append(F42Params(*(complex(flags["--" + name]) for name in
+                                      ("a", "b", "c1", "c2", "t")),
+                                    int(flags["--k"]), 0.0, 0.0))
+    return params
+
+
+class TestLogBuildCost:
+    def test_log_builds_fold_once(self, monkeypatch):
+        # the linear attempt stops at W, the first factor array that is not
+        # finite, and each symbol takes one log_gamma of its base per list
+        # of lengths: 3 _chain_linear and 252.2 log_gamma calls per build
+        # before
+        calls = {"linear": 0, "log_gamma": 0, "logs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for owner, attr, name in ((series, "_chain_linear", "linear"),
+                                  (kernels, "log_gamma", "log_gamma"),
+                                  (series, "log_pochhammer_prefixes",
+                                   "logs")):
+            monkeypatch.setattr(owner, attr,
+                                counted(name, getattr(owner, attr)))
+        params = eval_cold_f42_params()
+        assert len(params) == 512
+        log_gamma = 0
+        for p in params:
+            calls.update(linear=0, log_gamma=0, logs=0)
+            series._build_grid(p, 40, 40)
+            assert calls["linear"] == 1 and calls["logs"] > 0, p
+            log_gamma += calls["log_gamma"]
+        assert log_gamma / len(params) <= 130
 
 
 LANE_SHAPES = ((12, 12), (0, 7), (9, 0), (40, 40), (5, 3), (20, 16),
@@ -848,9 +988,9 @@ def check_lane_corpus(count, seed=7):
     for kind, p, M, N in lane_grid_corpus(count, seed):
         by_shape.setdefault((M, N), []).append((kind, p))
     log_calls = []
-    log_pochhammer = series.log_pochhammer
-    series.log_pochhammer = \
-        lambda *a: log_calls.append(a) or log_pochhammer(*a)
+    log_prefixes = series.log_pochhammer_prefixes
+    series.log_pochhammer_prefixes = \
+        lambda *a: log_calls.append(a) or log_prefixes(*a)
     seen = dict.fromkeys(LANE_KINDS + ("lane", "log-path", "overflow"), 0)
     try:
         for (M, N), requests in by_shape.items():
@@ -874,7 +1014,7 @@ def check_lane_corpus(count, seed=7):
                     assert (len(log_calls) > before or kind == "large"
                             or has_lattice_numerator(p)), (p, M, N)
     finally:
-        series.log_pochhammer = log_pochhammer
+        series.log_pochhammer_prefixes = log_prefixes
     return seen
 
 
