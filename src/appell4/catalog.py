@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields, replace as _dc_replace
+from dataclasses import dataclass, replace as _dc_replace
 from enum import Enum
 from functools import lru_cache
 from math import inf, pi
@@ -953,9 +953,9 @@ def _summed_supported(p: Params, M: int, N: int, slack: int = 3) -> bool:
 def point_to_dict(point: ParamPoint) -> dict:
     p = point.params
     out = {"target": _target_of(p).value}
-    for name in (f.name for f in fields(p)):
+    for name in p._FIELDS:
         v = getattr(p, name)
-        out[name] = v if isinstance(v, int) else [float(v.real), float(v.imag)]
+        out[name] = v if isinstance(v, int) else [v.real, v.imag]
     out["r"] = point.r
     out["s"] = point.s
     return out

@@ -18,8 +18,10 @@ operator acts exactly (no finite differences).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -55,7 +57,7 @@ class PrimitiveOp:
                 raise InvalidOperatorError("shift offsets must be integers")
         if self.kind is OpKind.SCALE:
             c = complex(self.constant)
-            if not (np.isfinite(c.real) and np.isfinite(c.imag)):
+            if not cmath.isfinite(c):
                 raise InvalidOperatorError("scale constants must be finite")
             object.__setattr__(self, "constant", c)
 
@@ -190,6 +192,15 @@ def _step(op: PrimitiveOp, entries: dict, inst: _Instances, ms, ns) -> dict:
     return out
 
 
+@lru_cache(maxsize=16)
+def _index_columns(M: int, N: int):
+    """compile_expr's index column 0..M and row 0..N: complex, read-only."""
+    ms = np.arange(M + 1, dtype=np.complex128)[:, None]
+    ns = np.arange(N + 1, dtype=np.complex128)[None, :]
+    ms.flags.writeable = ns.flags.writeable = False
+    return ms, ns
+
+
 def compile_expr(e: OperatorExpr, p, M: int, N: int) -> dict:
     """The expression applied to the series instance p, as a combination of
     shifted instances: {(q, dm, dn): weight}, where q are the shifted
@@ -204,8 +215,7 @@ def compile_expr(e: OperatorExpr, p, M: int, N: int) -> dict:
     two instances with t and k read from the instance they act on.  Equal
     keys are merged, so each distinct shifted grid appears once.
     """
-    ms = np.arange(M + 1, dtype=np.complex128)[:, None]
-    ns = np.arange(N + 1, dtype=np.complex128)[None, :]
+    ms, ns = _index_columns(M, N)
     inst = _Instances(p)
     total = {}
     for coeff, factors in e.terms:

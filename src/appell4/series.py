@@ -60,7 +60,7 @@ import warnings
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import add, mul, neg, sub, truediv
+from operator import add, itemgetter, mul, neg, sub, truediv
 from typing import Union
 
 import numpy as np
@@ -94,8 +94,64 @@ def _require_k(name: str, k) -> int:
     return int(k)
 
 
+class _Params:
+    """F41Params and F42Params: one check routine for __init__ and replace,
+    in one order (complex conversion of all but the k fields, finiteness
+    but for x and y, the k fields, c1 and c2 off the pole lattice), and the
+    dataclass hash, computed once into a slot that vars(p) does not show."""
+
+    __slots__ = ("__dict__", "_hash")
+
+    def __post_init__(self):
+        self._check(self._ALL)
+
+    def _check(self, names) -> None:
+        d, checked = self.__dict__, names.__contains__
+        for name in filter(checked, self._COMPLEX):
+            d[name] = complex(d[name])
+        for name in filter(checked, self._FINITE):
+            _require_finite(name, d[name])
+        for name in filter(checked, self._KS):
+            d[name] = _require_k(name, d[name])
+        for name in filter(checked, ("c1", "c2")):
+            _require_off_pole(name, d[name])
+        object.__setattr__(self, "_hash", hash(self._values(d)))
+
+    def replace(self, **changes):
+        """dataclasses.replace(self, **changes), with its values, types and
+        errors, checking only the changed fields."""
+        for name in changes:
+            if name not in self._ALL:
+                raise TypeError(f"{type(self).__qualname__}.__init__() got an "
+                                f"unexpected keyword argument '{name}'")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        new._check(changes)
+        return new
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # copy and pickle: the slot refuses __setattr__
+        return type(self), self._values(self.__dict__)
+
+
+def _field_tables(cls):
+    """cls with the field names each check reads, the getter of its field
+    tuple (an itemgetter takes no self) and the hash of _Params."""
+    cls._FIELDS = tuple(f.name for f in dataclasses.fields(cls))
+    cls._ALL = frozenset(cls._FIELDS)
+    cls._KS = tuple(n for n in cls._FIELDS if n[0] == "k")
+    cls._COMPLEX = tuple(n for n in cls._FIELDS if n[0] != "k")
+    cls._FINITE = tuple(n for n in cls._COMPLEX if n not in ("x", "y"))
+    cls._values = itemgetter(*cls._FIELDS)
+    cls.__hash__ = _Params.__hash__
+    return cls
+
+
+@_field_tables
 @dataclass(frozen=True)
-class F41Params:
+class F41Params(_Params):
     """Parameters of the first discrete analogue (separate t1/k1 and t2/k2)."""
 
     a: complex
@@ -109,21 +165,10 @@ class F41Params:
     x: complex
     y: complex
 
-    def __post_init__(self):
-        for name in ("a", "b", "c1", "c2", "t1", "t2", "x", "y"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        for name in ("a", "b", "c1", "c2", "t1", "t2"):
-            _require_finite(name, getattr(self, name))
-        object.__setattr__(self, "k1", _require_k("k1", self.k1))
-        object.__setattr__(self, "k2", _require_k("k2", self.k2))
-        _require_off_pole("c1", self.c1)
-        _require_off_pole("c2", self.c2)
 
-    replace = dataclasses.replace
-
-
+@_field_tables
 @dataclass(frozen=True)
-class F42Params:
+class F42Params(_Params):
     """Parameters of the second discrete analogue (single coupled t/k)."""
 
     a: complex
@@ -134,17 +179,6 @@ class F42Params:
     k: int
     x: complex
     y: complex
-
-    def __post_init__(self):
-        for name in ("a", "b", "c1", "c2", "t", "x", "y"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        for name in ("a", "b", "c1", "c2", "t"):
-            _require_finite(name, getattr(self, name))
-        object.__setattr__(self, "k", _require_k("k", self.k))
-        _require_off_pole("c1", self.c1)
-        _require_off_pole("c2", self.c2)
-
-    replace = dataclasses.replace
 
 
 @dataclass(frozen=True)
@@ -621,10 +655,10 @@ def _chain_key(chain):
 
 def _structure(p: SeriesParams):
     """What fixes the structure of p's chains besides the rectangle: its
-    type, its integer steps and the lengths of its sequences."""
-    return (type(p),) + tuple(v if type(v) is int else len(v)
-                              for v in vars(p).values()
-                              if type(v) is not complex)
+    type, its integer steps and the lengths of its sequences (fields only)."""
+    if type(p) is KdfParams:
+        return (KdfParams,) + tuple(map(len, (p.A, p.B, p.C, p.D, p.E, p.F)))
+    return (type(p),) + tuple(getattr(p, name) for name in p._KS)
 
 
 # grids whose final product numpy forms as one stack: its temporaries take

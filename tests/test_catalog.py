@@ -546,6 +546,95 @@ class TestAuditPhases:
         assert len(idents) > 6
 
 
+def point_to_dict_reference(point):
+    """point_to_dict as it read the fields through dataclasses.fields."""
+    p = point.params
+    out = {"target": "F41" if isinstance(p, F41Params) else "F42"}
+    for name in (f.name for f in dataclasses.fields(p)):
+        v = getattr(p, name)
+        out[name] = v if isinstance(v, int) else [float(v.real), float(v.imag)]
+    out["r"] = point.r
+    out["s"] = point.s
+    return out
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestAuditMechanism:
+    """What the audit pays per draw: parameter instances through their own
+    replace, one verify_identity per draw, and lane batches keyed by the
+    fields alone."""
+
+    def test_no_dataclasses_replace_and_one_verify_per_draw(self,
+                                                            monkeypatch):
+        builtin_catalog()
+        counts = {"replace": 0, "init": 0, "verify": 0}
+        replace = dataclasses.replace
+
+        def counted_replace(obj, **changes):
+            if isinstance(obj, (F41Params, F42Params)):
+                counts["replace"] += 1
+            return replace(obj, **changes)
+
+        monkeypatch.setattr(dataclasses, "replace", counted_replace)
+        monkeypatch.setattr(catalog, "_dc_replace", counted_replace)
+        for cls in (F41Params, F42Params):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__",
+                                lambda self, *a, init=init, **kw:
+                                counts.__setitem__("init", counts["init"] + 1)
+                                or init(self, *a, **kw))
+        verify = catalog.verify_identity
+        monkeypatch.setattr(catalog, "verify_identity",
+                            lambda *a, **kw: counts.__setitem__(
+                                "verify", counts["verify"] + 1)
+                            or verify(*a, **kw))
+        summary = audit_catalog(ParamSampler(seed=0, draws=3))
+        draws = 3 * len(builtin_catalog())
+        # the sampler constructs one instance per draw; every other instance
+        # comes from F41Params/F42Params.replace, which runs no __init__
+        assert counts == {"replace": 0, "init": draws, "verify": draws}
+        assert {row["status"] for row in summary.rows} == \
+            {"ok", "typo_confirmed"}
+
+    def test_a_chunk_builds_as_many_lane_batches_as_before(self,
+                                                           monkeypatch):
+        # the first chunk of the seed-0 acceptance audit: 770 grids of
+        # 13 x 13 in 9 structures and 4 batches of chains (W of every grid
+        # in one, U and V together by their t-factor step), as before
+        # instances kept their hash
+        def stop(keys):
+            chunks.append(list(keys))
+            raise _Stop
+
+        chunks = []
+        monkeypatch.setattr(catalog, "cache_grids", stop)
+        with pytest.raises(_Stop):
+            audit_catalog(ParamSampler(seed=0))
+        params = [p for p, M, N in chunks[0]]
+        assert len(params) == 770 and {k[1:] for k in chunks[0]} == {(12, 12)}
+        assert len({series._structure(p) for p in params}) == 9
+        batches = []
+        chain_lanes = series._chain_lanes
+        monkeypatch.setattr(series, "_chain_lanes", lambda chains:
+                            batches.append(len(chains))
+                            or chain_lanes(chains))
+        assert len(list(series._grid_lanes(params, 12, 12))) == 770
+        assert batches == [770, 446, 552, 542]
+
+    def test_point_to_dict_is_unchanged(self):
+        for ident in builtin_catalog()[::7]:
+            for j in range(3):
+                point = SAMPLER.draw(ident, j)
+                got = point_to_dict(point)
+                want = point_to_dict_reference(point)
+                assert got == want
+                assert json.dumps(got) == json.dumps(want)
+                assert list(got) == list(want)
+
+
 class TestComposeGrid:
     @pytest.mark.parametrize("shape", [(21, 17), (17, 21), (3, 9), (9, 3),
                                        (13, 13), (1, 5)])

@@ -1,10 +1,13 @@
 """Series engine tests: frozen oracles, grid recurrence vs scratch, the six
 Kampe de Feriet reductions, truncation policies, and growth diagnostics."""
 
+import copy
+import dataclasses
 import hashlib
 import importlib.util
 import math
 import os
+import pickle
 import random
 import time
 import tracemalloc
@@ -85,6 +88,141 @@ class TestParams:
     def test_hashable(self):
         assert hash(P41) == hash(P41.replace())
         assert len({P42, P42.replace(), P42.replace(t=0.5)}) == 2
+
+
+def random_params(rng):
+    """A random F41 or F42 point with complex, float and int values."""
+    def value():
+        return rng.choice([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                           rng.uniform(-3, 3), rng.randint(1, 4)])
+    k = [rng.randint(0, 3) for _ in range(2)]
+    if rng.random() < 0.5:
+        return F41Params(*(value() for _ in range(6)), *k, value(), value())
+    return F42Params(*(value() for _ in range(5)), k[0], value(), value())
+
+
+def random_changes(rng, p):
+    """One to four fields of p with new values of every accepted type."""
+    names = rng.sample(p._FIELDS, rng.randint(1, 4))
+    return {name: rng.choice([rng.randint(0, 5), np.int64(rng.randint(0, 5))])
+            if name.startswith("k") else
+            rng.choice([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                        rng.uniform(-3, 3), rng.randint(1, 9),
+                        np.float64(rng.uniform(-3, 3)), getattr(p, name) + 1])
+            for name in names}
+
+
+def replaced(replace, p, changes):
+    """The instance replace(p, **changes), or its error's type and text."""
+    try:
+        return replace(p, **changes)
+    except Exception as err:  # noqa: BLE001 - compared as type and text
+        return type(err), str(err)
+
+
+class TestParamInstances:
+    """F41Params/F42Params.replace checks only the fields it changes, and
+    each instance hashes once; both agree with dataclasses.replace."""
+
+    @staticmethod
+    def same(q, r):
+        assert type(q) is type(r)
+        if isinstance(q, tuple):  # an error: type and message
+            assert q == r
+            return
+        for name in q._FIELDS:
+            a, b = getattr(q, name), getattr(r, name)
+            assert type(a) is type(b) and repr(a) == repr(b), name
+        if all(v == v for v in vars(q).values()):  # a NaN equals no copy
+            assert q == r and hash(q) == hash(r)
+        assert hash(q) == hash(dataclasses.astuple(q))
+        assert list(vars(q)) == list(q._FIELDS)
+
+    def test_replace_equals_dataclasses_replace(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            p = random_params(rng)
+            changes = random_changes(rng, p)
+            self.same(replaced(type(p).replace, p, changes),
+                      replaced(dataclasses.replace, p, changes))
+
+    @pytest.mark.parametrize("changes", [
+        {"c1": 0}, {"c1": -2}, {"c2": -2.0 + 0j}, {"a": math.nan},
+        {"t1": math.inf}, {"k1": -1}, {"k1": True}, {"k2": 1.5},
+        {"z": 1}, {"a": 1, "z": 2, "w": 3}, {"a": "x"}, {"a": None},
+        {"c1": 0, "a": math.nan}, {"c2": -1, "k1": -1},
+        {"k2": -1, "t2": math.nan}, {"b": None, "a": "x"},
+        {"c2": 0, "c1": -3}, {"x": math.nan}])
+    def test_errors_are_those_of_dataclasses_replace(self, changes):
+        p = F41Params(1.3 + 0.2j, 0.7, 2.1, 1.6 - 0.3j, 2.4, 5.5, 3, 1,
+                      0.1, 0.2)
+        want = replaced(dataclasses.replace, p, changes)
+        self.same(replaced(F41Params.replace, p, changes), want)
+        f42 = {("t" if name.startswith("t") else "k" if name.startswith("k")
+                else name): v for name, v in changes.items()}
+        q = F42Params(1.3 + 0.2j, 0.7, 2.1, 1.6 - 0.3j, 2.4, 2, 0.1, 0.2)
+        self.same(replaced(F42Params.replace, q, f42),
+                  replaced(dataclasses.replace, q, f42))
+
+    @pytest.mark.parametrize("changes,err,text", [
+        ({"c1": 0}, PoleError, "c1 = 0j is a nonpositive integer"),
+        ({"c1": -2}, PoleError, "c1 = (-2+0j) is a nonpositive integer"),
+        ({"a": math.nan}, ValueError, "a = (nan+0j) is not finite"),
+        ({"k1": -1}, ValueError, "k1 must be a nonnegative integer, got -1"),
+        ({"k1": True}, ValueError, "k1 must be a nonnegative integer, got "
+         "True"),
+        ({"z": 0}, TypeError, "F41Params.__init__() got an unexpected "
+         "keyword argument 'z'"),
+        ({"c1": 0, "a": math.nan}, ValueError, "a = (nan+0j) is not finite"),
+        ({"c2": 0, "k2": -1}, ValueError, "k2 must be a nonnegative"),
+        ({"b": None, "a": "x"}, ValueError, "complex() arg is a malformed"),
+    ])
+    def test_error_kinds(self, changes, err, text):
+        # in __post_init__'s order: conversion, finiteness, k, poles
+        with pytest.raises(err) as raised:
+            P41.replace(**changes)
+        assert str(raised.value).startswith(text)
+
+    def test_values_are_converted(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            p = random_params(rng)
+            q = p.replace(**random_changes(rng, p))
+            for r in (p, q):
+                assert [type(getattr(r, name)) for name in r._FIELDS] == \
+                    [int if name in r._KS else complex for name in r._FIELDS]
+
+    def test_every_field_stays_frozen(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            p = random_params(rng)
+            q = p.replace(**random_changes(rng, p)) if rng.random() < 0.5 \
+                else p
+            hash(q)
+            for name in q._FIELDS + ("_hash",):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(q, name, 1)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(q, name)
+
+    def test_copy_and_pickle_keep_value_and_hash(self):
+        for p in (P41, P42, P42.replace(k=np.int64(3))):
+            for q in (copy.copy(p), copy.deepcopy(p),
+                      pickle.loads(pickle.dumps(p))):
+                self.same(q, p)
+
+    def test_structure_reads_the_fields(self):
+        # the lane structure of a grid: type, k steps, KdF sequence lengths
+        kdf = KdfParams(A=(1.3, 0.2), C=(0.5,), E=(1.6,), F=(2.5, 0.5))
+        for p in (P41, P42, kdf):
+            before = series._structure(p)
+            hash(p)
+            assert series._structure(p) == before
+            if not isinstance(p, KdfParams):
+                assert series._structure(p.replace(a=p.a + 1)) == before
+        assert series._structure(P41) == (F41Params, 2, 1)
+        assert series._structure(P42) == (F42Params, 2)
+        assert series._structure(kdf) == (KdfParams, 2, 0, 1, 0, 1, 2)
 
 
 def term_f41(p, m, n):
@@ -309,6 +447,47 @@ class TestReductions:
             reduce_to_kdf(P41)  # k1 = 2
         with pytest.raises(UnsupportedKError):
             reduce_to_kdf(P42)  # k = 2
+
+
+# (a, b, c, x, y) with |x|, |y| <= 0.15, so that the composite arguments
+# x (1 - y), y (1 - x) stay inside the F4 convergence region
+BAILEY_POINTS = (
+    (1.1 + 0.2j, 0.7 - 0.3j, 1.6 + 0.4j, 0.12, 0.1),
+    (0.4, 1.3, 2.2, -0.15, 0.08),
+    (2.3 - 0.5j, -0.6 + 0.2j, 0.8 - 0.7j, 0.1 + 0.1j, -0.05 + 0.1j),
+    (1.7, 2.4, 3.1, 0.15, 0.15),
+    (-1.4 + 0.3j, 0.9, 1.25 + 1.1j, 0.05j, 0.13),
+    (0.6 + 1.2j, 1.8 - 0.9j, -0.35 + 0.5j, -0.1 - 0.1j, 0.1 - 0.1j),
+    (3.2, -2.7 + 0.4j, 1.9, 0.15j, -0.15),
+    (1.5, 1.5, 0.5 + 0.1j, -0.15, -0.15),
+)
+
+
+class TestBaileyProduct:
+    """At k = 0 both analogues are classical F4, which satisfies
+    F4(a, b; c, a+b-c+1; x(1-y), y(1-x)) = 2F1(a, b; c; x) 2F1(a, b;
+    a+b-c+1; y) (DLMF 16.16); 2F1 is the analogue at y = 0.  A value-level
+    check of summation, truncation and tail_estimate."""
+
+    @pytest.mark.parametrize("make", [
+        lambda a, b, c1, c2, x, y: F41Params(a, b, c1, c2, 0.7 + 0.1j, 1.9,
+                                             0, 0, x, y),
+        lambda a, b, c1, c2, x, y: F42Params(a, b, c1, c2, 2.3 - 0.4j, 0,
+                                             x, y)], ids=["F41", "F42"])
+    def test_product_formula(self, make):
+        sharp = 0
+        for a, b, c, x, y in BAILEY_POINTS:
+            c2 = a + b - c + 1
+            lhs = evaluate(make(a, b, c, c2, x * (1 - y), y * (1 - x)))
+            first = evaluate(make(a, b, c, 2.5, x, 0)).value
+            second = evaluate(make(a, b, c2, 2.5, y, 0)).value
+            residual = rel(first * second, lhs.value)
+            tail = lhs.tail_estimate / abs(lhs.value)
+            assert residual <= tail + 1e-13, (a, b, c, x, y, residual, tail)
+            if tail <= 1e-15:
+                assert residual <= 1e-13, (a, b, c, x, y, residual)
+                sharp += 1
+        assert sharp >= 3
 
 
 class TestRegionAndDivergence:
@@ -726,7 +905,7 @@ class TestAnchors:
         # every anchor is a prefix of one running product per symbol; none
         # is a scalar call of its own, and the linear path takes no log
         calls = []
-        for name in ("pochhammer", "log_pochhammer"):
+        for name in ("pochhammer", "log_pochhammer_prefixes"):
             fn = getattr(series, name)
             monkeypatch.setattr(series, name, lambda *a, fn=fn, name=name:
                                 calls.append(name) or fn(*a))
@@ -737,6 +916,18 @@ class TestAnchors:
         assert np.isfinite(coeffs).all()
         for m, n in ((0, 0), (4, 8), (12, 12), (7, 3)):
             assert rel(coeffs[m, n], scratch_coefficient_f41(p, m, n)) < 1e-13
+
+    def test_log_build_calls_the_log_prefixes(self, monkeypatch):
+        # the hook of the test above fires: an F42 k = 1 40 x 40 build takes
+        # the log route, one log_pochhammer_prefixes call per symbol of W, U
+        # and V, and no scalar log_pochhammer call
+        calls = []
+        for name in ("log_pochhammer", "log_pochhammer_prefixes"):
+            fn = getattr(series, name)
+            monkeypatch.setattr(series, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        series._grid_coeffs.__wrapped__(eval_cold_f42_params()[0], 40, 40)
+        assert calls == ["log_pochhammer_prefixes"] * 7
 
 
 class TestComplexChains:
