@@ -4,7 +4,8 @@ check the integral representations, and sweep convergence diagnostics.
 Commands: eval, audit, quadcheck, sweep.  Reports are JSON (complex numbers
 as [re, im] pairs, floats with 17 significant digits, fixed key order);
 sweeps are CSV.  Exit codes: 0 success, 1 a requested check failed, 2
-parse/config error, 3 evaluation or precondition error.
+parse/config error (an `--out` path that cannot be written included), 3
+evaluation or precondition error.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
         return _CONFIG_ERROR
     try:
         return _HANDLERS[args.command](options)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR
     except Appell4Error as exc:

@@ -34,11 +34,13 @@ then by the log route, which reuses the ratios the linear attempt folded.
 Grids are cached by (params, M, N) in one least-recently-used cache bounded
 by bytes (_GRID_CACHE_BYTES), shared by single requests and batch builds.
 `cache_grids` fills it for many requests at once: grids of one rectangle,
-when there are _LANE_MIN or more, are built as lanes (`kernels.Lanes`), with
-the chains of one structure batched across grids and families, each lane
-bit for bit the grid that the scalar engine builds alone (`_build_grid`);
-a lane that meets an exact zero, a renormalisation break, a zero or NaN
-divisor or a non-finite grid is built by the scalar engine instead.
+when there are _LANE_MIN or more, are built as lanes (`kernels.Lanes`).  The
+grids of one structure make one set of chains from their parameters read as
+columns (`_Columns`), one complex128 entry per grid, and chains of one
+structure are batched across these groups and families.  Each lane is bit
+for bit the grid that the scalar engine builds alone (`_build_grid`); a lane
+that meets an exact zero, a renormalisation break, a zero or NaN divisor or
+a non-finite grid is built by the scalar engine instead.
 
 `evaluate` sums one point; `evaluate_many` sums one grid at many arguments
 (x, y), as the CLI sweep needs, and `evaluate_values` gives the same values
@@ -381,11 +383,11 @@ class _Rising:
 
     @staticmethod
     def lane_ratios(symbols, idx):
-        return [Lanes.of([s.v for s in symbols]).add_int(np.array(idx))]
+        return [_lanes([s.v for s in symbols]).add_int(np.array(idx))]
 
     @staticmethod
     def lane_values(symbols, idx):
-        return [pochhammer_prefix_lanes(Lanes.of([s.v for s in symbols]), idx)]
+        return [pochhammer_prefix_lanes(_lanes([s.v for s in symbols]), idx)]
 
 
 class _TFactor:
@@ -423,7 +425,7 @@ class _TFactor:
     @staticmethod
     def lane_ratios(symbols, idx):
         k = symbols[0].k
-        t, ik = -Lanes.of([s.t for s in symbols]), np.array(idx) * k
+        t, ik = -_lanes([s.t for s in symbols]), np.array(idx) * k
         r = Lanes.of([_sign_pow(k)] * len(idx), row=True)
         for j in range(k):
             r = r * t.add_int(ik).add_int(j)
@@ -433,7 +435,7 @@ class _TFactor:
     def lane_values(symbols, idx):
         k = symbols[0].k
         signs = Lanes.of([_sign_pow(i * k) for i in idx], row=True)
-        t = -Lanes.of([s.t for s in symbols])
+        t = -_lanes([s.t for s in symbols])
         return [signs, pochhammer_prefix_lanes(t, [i * k for i in idx])]
 
 
@@ -464,23 +466,27 @@ _FACTORIAL, _ONE = _Rising(1 + 0j), _One()
 
 def _chains(p: SeriesParams, M: int, N: int):
     """Factor arrays W (over m + n), U (over m) and V (over n) of p, each
-    (length, numerator symbols, denominator groups)."""
-    if type(p) is F41Params:
+    (length, numerator symbols, denominator groups).  For the _Columns of a
+    structure group, each symbol holds a column with one entry per grid."""
+    cls, factorial = type(p), _FACTORIAL
+    if cls is _Columns:
+        cls, factorial = p.cls, p.factorial
+    if cls is F41Params:
         return ((M + N, (_Rising(p.a), _Rising(p.b)), ()),
-                (M, (_TFactor(p.t1, p.k1),), ((_Rising(p.c1), _FACTORIAL),)),
-                (N, (_TFactor(p.t2, p.k2),), ((_Rising(p.c2), _FACTORIAL),)))
-    if type(p) is F42Params:
+                (M, (_TFactor(p.t1, p.k1),), ((_Rising(p.c1), factorial),)),
+                (N, (_TFactor(p.t2, p.k2),), ((_Rising(p.c2), factorial),)))
+    if cls is F42Params:
         return ((M + N, (_Rising(p.a), _Rising(p.b), _TFactor(p.t, p.k)), ()),
-                (M, (), ((_Rising(p.c1), _FACTORIAL),)),
-                (N, (), ((_Rising(p.c2), _FACTORIAL),)))
-    if type(p) is KdfParams:
-        def chain(length, nums, dens, *factorial):
+                (M, (), ((_Rising(p.c1), factorial),)),
+                (N, (), ((_Rising(p.c2), factorial),)))
+    if cls is KdfParams:
+        def chain(length, nums, dens, *last):
             return (length, (_ONE, *map(_Rising, nums)),
-                    tuple((_Rising(v),) for v in dens) + factorial)
+                    tuple((_Rising(v),) for v in dens) + last)
 
         return (chain(M + N, p.A, p.D),
-                chain(M, p.B, p.E, (_FACTORIAL,)),
-                chain(N, p.C, p.F, (_FACTORIAL,)))
+                chain(M, p.B, p.E, (factorial,)),
+                chain(N, p.C, p.F, (factorial,)))
     raise TypeError(f"unsupported parameter type {type(p)!r}")
 
 
@@ -602,8 +608,37 @@ def _build_grid(p: SeriesParams, M: int, N: int) -> np.ndarray:
 # lanes: many grids built at once, each bit for bit as _build_grid builds it
 # ---------------------------------------------------------------------------
 
+class _Columns:
+    """The parameters of one structure group, as _chains reads them: the k
+    fields as the group's ints, every other field as a complex128 column
+    with one entry per grid in group order, and each KdF sequence as one
+    column per position.  The factorial is a ones column, so that every
+    symbol of a lane batch holds a column."""
+
+    def __init__(self, group):
+        self.cls = type(group[0])
+        if self.cls is KdfParams:
+            for name in ("A", "B", "C", "D", "E", "F"):
+                table = np.array([getattr(p, name) for p in group],
+                                 dtype=np.complex128)
+                setattr(self, name, tuple(table.T))
+        else:
+            for name in self.cls._KS:
+                setattr(self, name, getattr(group[0], name))
+            for name in self.cls._FINITE:
+                setattr(self, name, np.array([getattr(p, name) for p in group],
+                                             dtype=np.complex128))
+        self.factorial = _Rising(np.ones(len(group), dtype=np.complex128))
+
+
+def _lanes(columns) -> Lanes:
+    """One lane per entry of the columns, laid end to end."""
+    return Lanes.of(np.concatenate(columns))
+
+
 def _product_lanes(positions, kind: str, idx):
-    """_product over lanes: positions hold one symbol per lane each."""
+    """_product over lanes: positions hold one symbol per group each, and
+    the symbols' columns laid end to end are the lanes."""
     acc = None
     for symbols in positions:
         for col in getattr(symbols[0], "lane_" + kind)(symbols, idx):
@@ -612,7 +647,8 @@ def _product_lanes(positions, kind: str, idx):
 
 
 def _fold_lanes(chains, kind: str, idx) -> Lanes:
-    """_fold of chains of one structure, one chain per lane, in its order."""
+    """_fold of chains of one structure whose symbols hold columns, in
+    _fold's order."""
     nums = list(zip(*(c[1] for c in chains)))
     dens = [list(zip(*group)) for group in zip(*(c[2] for c in chains))]
     acc = _product_lanes(nums, kind, idx) or \
@@ -622,14 +658,15 @@ def _fold_lanes(chains, kind: str, idx) -> Lanes:
     return acc
 
 
-def _chain_lanes(chains):
-    """_chain_linear of chains of one structure, one chain per lane: the
-    arrays as rows, and the lanes _chain_linear must compute itself."""
+def _chain_lanes(chains, lanes: int):
+    """_chain_linear of chains of one structure whose symbols hold columns,
+    `lanes` entries laid end to end: the arrays as rows, one per lane, and
+    the lanes _chain_linear must compute itself."""
     length = chains[0][0]
     anchors, steps = _indices(length)
     values = _fold_lanes(chains, "values", anchors)
     ratios = _fold_lanes(chains, "ratios", steps)
-    shape = (len(chains), length + 1)
+    shape = (lanes, length + 1)
     re, im = np.empty(shape), np.empty(shape)
     re[:, ::_ANCHOR_STRIDE] = values.re
     im[:, ::_ANCHOR_STRIDE] = values.im
@@ -644,7 +681,7 @@ def _chain_lanes(chains):
         im[:, o + 1::_ANCHOR_STRIDE] = nxt.im
     arr = np.empty(shape, dtype=np.complex128)
     arr.real, arr.imag = re, im
-    return arr, np.zeros(len(chains), dtype=bool) | values.bad | ratios.bad
+    return arr, np.zeros(lanes, dtype=bool) | values.bad | ratios.bad
 
 
 def _chain_key(chain):
@@ -670,8 +707,9 @@ def _factor_lanes(params, M: int, N: int):
     """_chain_linear of the three chains of every p of params: W, U and V
     with one row per p, and the rows that _build_grid must build instead.
 
+    The params of one _structure make one chain set from their _Columns.
     Chains of one structure (length, symbol kinds, t-factor steps) run as
-    one batch of lanes, across grids and families."""
+    one batch of lanes, across groups and families."""
     arrays = [np.empty((len(params), length + 1), dtype=np.complex128)
               for length in (M + N, M, N)]
     bad = np.zeros(len(params), dtype=bool)
@@ -680,15 +718,15 @@ def _factor_lanes(params, M: int, N: int):
         alike.setdefault(_structure(p), []).append(g)
     batches = {}
     for rows in alike.values():
-        chains = [_chains(params[g], M, N) for g in rows]
-        for part, chain in enumerate(chains[0]):
+        chains = _chains(_Columns([params[g] for g in rows]), M, N)
+        for part, chain in enumerate(chains):
             batch = batches.setdefault(_chain_key(chain), ([], [], []))
             batch[0].extend(rows)
             batch[1].extend([part] * len(rows))
-            batch[2].extend(c[part] for c in chains)
+            batch[2].append(chain)
     for rows, parts, chains in batches.values():
+        arr, chain_bad = _chain_lanes(chains, len(rows))
         rows, parts = np.array(rows), np.array(parts)
-        arr, chain_bad = _chain_lanes(chains)
         for part in set(parts.tolist()):
             sel = parts == part
             arrays[part][rows[sel]] = arr[sel]

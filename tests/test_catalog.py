@@ -618,11 +618,40 @@ class TestAuditMechanism:
         assert len({series._structure(p) for p in params}) == 9
         batches = []
         chain_lanes = series._chain_lanes
-        monkeypatch.setattr(series, "_chain_lanes", lambda chains:
-                            batches.append(len(chains))
-                            or chain_lanes(chains))
+        monkeypatch.setattr(series, "_chain_lanes", lambda chains, lanes:
+                            batches.append(lanes)
+                            or chain_lanes(chains, lanes))
         assert len(list(series._grid_lanes(params, 12, 12))) == 770
         assert batches == [770, 446, 552, 542]
+
+    def test_a_chunk_makes_its_symbols_once_per_structure(self, monkeypatch):
+        # the same chunk makes one chain set per structure group, its
+        # symbols holding columns: at most 7 symbols per group (F41: a, b,
+        # t1, t2, c1, c2 and the factorial), where one chain set per grid
+        # made 6 per grid, 4,620
+        def stop(keys):
+            chunks.append([p for p, M, N in keys])
+            raise _Stop
+
+        chunks = []
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, "cache_grids", stop)
+            with pytest.raises(_Stop):
+                audit_catalog(ParamSampler(seed=0))
+        params = chunks[0]
+        groups = len({series._structure(p) for p in params})
+        assert (len(params), groups) == (770, 9)
+        made = {series._Rising: 0, series._TFactor: 0}
+        for cls in made:
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__",
+                                lambda self, *a, cls=cls, init=init:
+                                made.__setitem__(cls, made[cls] + 1)
+                                or init(self, *a))
+        grids = list(series._grid_lanes(params, 12, 12))
+        assert sum(grid is not None for _, grid in grids) > 700
+        assert made[series._TFactor] > 0
+        assert sum(made.values()) <= 7 * groups
 
     def test_point_to_dict_is_unchanged(self):
         for ident in builtin_catalog()[::7]:

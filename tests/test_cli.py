@@ -93,6 +93,14 @@ class TestEvalCommand:
         assert code == 0
         assert rep["params"]["a"] == [0.7, 0.2]
 
+    def test_negative_complex_value_takes_the_equals_form(self, capsys):
+        # argparse reads "-0.5+0.1j" after a space as an option
+        code, out = run(capsys, "eval", "--fn", "F41", "--a=-0.5+0.1j")
+        assert code == 0
+        assert json.loads(out)["params"]["a"] == [-0.5, 0.1]
+        code, _ = run(capsys, "eval", "--fn", "F41", "--a", "-0.5+0.1j")
+        assert code == 2
+
     def test_pole_exits_three(self, capsys):
         code, _ = run(capsys, "eval", "--fn", "F41", "--c1", "0")
         assert code == 3
@@ -185,6 +193,29 @@ class TestModuleRun:
         proc = run_python("-m", "appell4", "audit", "--draws", "0")
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error")
+
+    def test_unwritable_out_prints_no_traceback(self, tmp_path):
+        proc = run_python("-m", "appell4", "eval", "--fn", "F41", "--x",
+                          "0.1", "--out", str(tmp_path / "missing" / "r.json"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--fn", "F41", "--x", "0.1"),
+        ("audit", "--family", "A", "--draws", "1")])
+    def test_exits_two_with_one_error_line(self, capsys, tmp_path, argv,
+                                           target):
+        out = tmp_path / "missing" / "r.json" if target == "missing directory" \
+            else tmp_path
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestAuditCommand:

@@ -1249,6 +1249,65 @@ class TestGridLanes:
         assert series._grid_coeffs.cache_info().currsize > 0
 
 
+class TestColumns:
+    """A structure group's parameters as the columns its one chain set
+    holds."""
+
+    def test_columns_follow_the_group(self):
+        group = [p for _, p, _, _ in lane_grid_corpus(400, 11)
+                 if type(p) is F41Params and (p.k1, p.k2) == (1, 2)]
+        assert len(group) > 3
+        cols = series._Columns(group)
+        assert (cols.cls, cols.k1, cols.k2) == (F41Params, 1, 2)
+        for name in ("a", "b", "c1", "c2", "t1", "t2"):
+            col = getattr(cols, name)
+            assert col.dtype == np.complex128 and col.shape == (len(group),)
+            assert col.tolist() == [getattr(p, name) for p in group]
+        ones = cols.factorial.v
+        assert ones.dtype == np.complex128 and ones.tolist() == [1] * len(group)
+
+    def test_columns_keep_signed_zeros(self):
+        group = [F42Params(complex(re, im), 0.5, 1.5, 2.5, complex(im, re), 3,
+                           0, 0)
+                 for re in (0.0, -0.0, 1.25) for im in (0.0, -0.0)]
+        cols = series._Columns(group)
+        for name in ("a", "t"):
+            col = getattr(cols, name)
+            want = [getattr(p, name) for p in group]
+            assert np.signbit(col.real).tolist() == \
+                [math.copysign(1, v.real) < 0 for v in want]
+            assert np.signbit(col.imag).tolist() == \
+                [math.copysign(1, v.imag) < 0 for v in want]
+
+    def test_kdf_sequences_give_one_column_per_position(self):
+        group = [KdfParams(A=(1.5 + i, -0.0 - 1j * i), B=(0.25 * i,),
+                           E=(2.5 + i,)) for i in range(5)]
+        cols = series._Columns(group)
+        assert len(cols.A) == 2 and len(cols.B) == 1 and cols.C == ()
+        assert cols.D == () and len(cols.E) == 1 and cols.F == ()
+        for name in ("A", "B", "E"):
+            for pos, col in enumerate(getattr(cols, name)):
+                assert col.dtype == np.complex128
+                assert col.tolist() == [getattr(p, name)[pos] for p in group]
+        assert np.signbit(cols.A[1].real).all()
+
+    def test_mixed_families_match_the_scalar_build(self):
+        by_shape = {}
+        for kind, p, M, N in lane_grid_corpus(4000, 12):
+            if kind in ("signed-zero", "lattice"):
+                by_shape.setdefault((M, N), []).append(p)
+        lanes = 0
+        for (M, N), params in by_shape.items():
+            assert {type(p) for p in params} == \
+                {F41Params, F42Params, KdfParams}
+            for p, grid in series._grid_lanes(params, M, N):
+                if grid is not None:
+                    lanes += 1
+                    assert grid.tobytes() == \
+                        series._build_grid(p, M, N).tobytes(), (p, M, N)
+        assert lanes > 500
+
+
 def fake_grid(p, M, N):
     return np.zeros((M + 1, N + 1), dtype=np.complex128)
 
