@@ -390,6 +390,10 @@ def main(argv=None) -> int:
         return _CONFIG_ERROR if exc.code else _OK
     try:
         options = _resolve_config(args)
+        if options["out"]:
+            # an unwritable path fails before the command runs; a command
+            # that fails later leaves the file empty, as a redirection does
+            open(options["out"], "w", encoding="utf-8").close()
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR

@@ -882,32 +882,6 @@ _PW_UNROLL = 8
 _PW_BLOCKSIZE = 128
 
 
-def _pairwise_tree(n: int, unit: int):
-    """numpy's pairwise tree over a run of n entries of unit reals each:
-    its leaves as (start, stop) entry slices in order, its joins as (left,
-    right, height) in the order they are made (leaves referenced as 0, 1,
-    ..., joins as -1, -2, ...), and its root."""
-    leaves, joins = [], []
-
-    def node(lo, hi):
-        """(reference, height) of the node over entries lo to hi."""
-        n = (hi - lo) * unit
-        if n <= _PW_BLOCKSIZE:
-            leaves.append((lo, hi))
-            return len(leaves) - 1, 0
-        mid = lo + (n // 2 - n // 2 % _PW_UNROLL) // unit
-        (left, hl), (right, hr) = node(lo, mid), node(mid, hi)
-        joins.append((left, right, 1 + max(hl, hr)))
-        return -len(joins), joins[-1][2]
-
-    return leaves, joins, node(0, n)[0]
-
-
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Where each of runs of these lengths starts when laid end to end."""
-    return np.cumsum(counts) - counts
-
-
 class _PairwiseRows:
     """Sums of ragged rows in numpy's pairwise order.
 
@@ -915,89 +889,57 @@ class _PairwiseRows:
     number of reals per entry (2 for complex).  Calling the plan on a source
     array whose first axis is flat and ends in a zero returns the row sums;
     trailing axes (one per point of a stack) are summed alongside.  Zero
-    padding is exact: x + 0 == x, and the final + 0.0 gives an all-zero row
-    numpy's +0 sign.
+    padding is exact: x + 0 == x, and each leaf's final + 0.0 gives a zero
+    sum numpy's +0 sign.
 
-    Rows of one length share one tree (_pairwise_tree).  Nodes are numbered
-    leaves first, then joins, row after row, each row's in the order its
-    tree makes them; the layout is built by array operations over all rows
-    at once, so its Python work grows with the longest row, not with the
-    number of rows.
+    A plan whose rows all fit one block is a leaf: `blocks` and `rest` hold
+    one column per row, and a row too short for a block is all rest.
+    Otherwise every longer row splits where numpy splits it, into two plans:
+    `left` over all rows, each up to its split if it has one, and `right`
+    over the split rows (`split`) alone, each from its split on.
     """
 
     def __init__(self, gather: np.ndarray, lengths: np.ndarray, unit: int,
                  zero: int):
+        n = lengths * unit
+        self.split = np.flatnonzero(n > _PW_BLOCKSIZE)
+        if len(self.split):
+            mid = (n // 2 - n // 2 % _PW_UNROLL) // unit
+            self.left = _PairwiseRows(
+                gather, np.where(n > _PW_BLOCKSIZE, mid, lengths), unit, zero)
+            mid, lengths = mid[self.split], lengths[self.split]
+            at = np.minimum(mid[:, None] + np.arange((lengths - mid).max()),
+                            gather.shape[1] - 1)
+            self.right = _PairwiseRows(
+                np.take_along_axis(gather[self.split], at, axis=1),
+                lengths - mid, unit, zero)
+            return
         width = _PW_UNROLL // unit          # entries per block
-        trees = [_pairwise_tree(n, unit) for n in range(lengths.max() + 1)]
-        # the trees' leaves (start, stop), joins (left, right, height) and
-        # roots, tree by tree in order of length
-        spans = np.array([leaf for t in trees for leaf in t[0]],
-                         dtype=np.intp).reshape(-1, 2)
-        links = np.array([join for t in trees for join in t[1]],
-                         dtype=np.intp).reshape(-1, 3)
-        tree_roots = np.array([t[2] for t in trees], dtype=np.intp)
-
-        def per_row(per_tree):
-            """Items counted per tree, over all rows in row order: the row
-            of each item, its place in the tables above, and the items per
-            row."""
-            per_tree = np.array(per_tree, dtype=np.intp)
-            items = per_tree[lengths]
-            row = np.repeat(np.arange(len(items)), items)
-            shift = _starts(per_tree)[lengths] - _starts(items)
-            return row, np.arange(items.sum()) + shift[row], items
-
-        leaf_row, leaf_at, leaves = per_row([len(t[0]) for t in trees])
-        join_row, join_at, joins = per_row([len(t[1]) for t in trees])
-        first_leaf = _starts(leaves)
-        first_join = len(leaf_row) + _starts(joins)
-
-        def number(refs, rows):
-            return np.where(refs >= 0, first_leaf[rows] + refs,
-                            first_join[rows] - 1 - refs)
-
-        # every entry, leaf after leaf: its leaf, its place in the leaf, and
-        # whether it sits in a block (a run shorter than one block is all
-        # rest, summed from zero)
-        start, stop = spans[leaf_at].T
-        n = stop - start
-        cut = n - n % width
-        leaf = np.repeat(np.arange(len(n)), n)
-        at = np.arange(n.sum()) - np.repeat(_starts(n), n)
-        idx = gather[leaf_row[leaf], start[leaf] + at]
-        block = at < cut[leaf]
-        # leaves last, so that every add below runs over all leaves at once
-        self.blocks = np.full((max(int(n.max()) // width, 1), width, len(n)),
-                              zero, np.intp)
-        self.blocks[at[block] // width, at[block] % width, leaf[block]] = \
-            idx[block]
-        self.rest = np.full((width - 1, len(n)), zero, np.intp)
-        self.rest[(at - cut[leaf])[~block], leaf[~block]] = idx[~block]
-        left, right, height = links[join_at].T
-        out = len(n) + np.arange(len(height))
-        left, right = number(left, join_row), number(right, join_row)
-        self.levels = [(out[height == h], left[height == h],
-                        right[height == h])
-                       for h in sorted(set(height.tolist()))]
-        self.nodes = len(n) + len(height)
-        self.roots = number(tree_roots[lengths], np.arange(len(lengths)))
+        cut = lengths - lengths % width     # entries in blocks
+        at = np.arange(cut.max())
+        blocks = np.where(at < cut[:, None], gather[:, :len(at)], zero)
+        # rows last, so that every add below runs over all rows at once
+        self.blocks = np.ascontiguousarray(
+            blocks.reshape(len(lengths), -1, width).transpose(1, 2, 0))
+        at = cut[:, None] + np.arange(width - 1)
+        self.rest = np.ascontiguousarray(np.where(
+            at < lengths[:, None],
+            np.take_along_axis(gather, np.minimum(at, gather.shape[1] - 1),
+                               axis=1), zero).T)
 
     def __call__(self, src: np.ndarray) -> np.ndarray:
+        if len(self.split):
+            sums = self.left(src)
+            sums[self.split] += self.right(src)
+            return sums
         # numpy reduces over a leading axis in order, from 0 (its pairwise
         # order is only along the fast axis); the zero's sign is immaterial
         # under the final + 0.0
         acc = np.add.reduce(src.take(self.blocks, axis=0), axis=0)
         while len(acc) > 1:
             acc = acc[0::2] + acc[1::2]
-        leaf = np.add.reduce(np.concatenate(
-            (acc, src.take(self.rest, axis=0))), axis=0)
-        if not self.levels:
-            return leaf + 0.0
-        sums = np.empty((self.nodes,) + src.shape[1:], dtype=src.dtype)
-        sums[:len(leaf)] = leaf
-        for out, left, right in self.levels:
-            sums[out] = sums[left] + sums[right]
-        return sums[self.roots] + 0.0
+        return np.add.reduce(np.concatenate(
+            (acc, src.take(self.rest, axis=0))), axis=0) + 0.0
 
 
 @dataclass(frozen=True)
@@ -1069,15 +1011,14 @@ def _diagonal_sums(terms: np.ndarray) -> np.ndarray:
     return plan.complex_sums(_with_zero(terms[..., ::-1]))
 
 
-def _final_quartile(seq):
-    if not seq:
-        return []
-    return list(seq[-max(1, math.ceil(len(seq) / 4)):])
-
-
-def _block_ratios(abs_blocks):
-    return [cur / prev if prev != 0.0 else 0.0 if cur == 0.0 else math.inf
-            for prev, cur in zip(abs_blocks, abs_blocks[1:])]
+def _growth(abs_blocks: list):
+    """The divergence rule over the absolute sums of complete diagonals:
+    the ratios of consecutive sums, their final quartile, and whether every
+    ratio in that quartile exceeds 1."""
+    ratios = [cur / prev if prev != 0.0 else 0.0 if cur == 0.0 else math.inf
+              for prev, cur in zip(abs_blocks, abs_blocks[1:])]
+    tail = ratios[-max(1, math.ceil(len(ratios) / 4)):] if ratios else []
+    return ratios, tail, bool(tail) and all(r > 1.0 for r in tail)
 
 
 def _summary(total: complex, abs_blocks: list, terms_used: int, M: int,
@@ -1086,9 +1027,7 @@ def _summary(total: complex, abs_blocks: list, terms_used: int, M: int,
     # growth statistics only over complete anti-diagonals: past d = min(M, N)
     # the rectangle clips diagonals, which would fake decaying block sums
     included_abs = abs_blocks[:min(M, N) + 1]
-    ratios = _block_ratios(included_abs)
-    tail_q = _final_quartile(ratios)
-    divergence_flag = bool(tail_q) and all(r > 1.0 for r in tail_q)
+    ratios, _, divergence_flag = _growth(included_abs)
     max_term_ratio = max(ratios, default=0.0)
 
     if included_abs[-1] == 0.0:
@@ -1282,9 +1221,7 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     directional = _with_zero(np.fliplr(best))[plan.gather].max(axis=1)
 
     # ratios over complete anti-diagonals only (d <= M on the square)
-    ratios = _block_ratios(abs_blocks[:M + 1])
-    tail = _final_quartile(ratios)
-    divergence_flag = bool(tail) and all(r > 1.0 for r in tail)
+    ratios, tail, divergence_flag = _growth(abs_blocks[:M + 1])
     monotone = (divergence_flag and len(tail) >= 2
                 and all(b > a for a, b in zip(tail, tail[1:])))
     return DivergenceReport(block_ratios=tuple(ratios),

@@ -207,15 +207,28 @@ class TestUnwritableOut:
     @pytest.mark.parametrize("argv", [
         ("eval", "--fn", "F41", "--x", "0.1"),
         ("audit", "--family", "A", "--draws", "1")])
-    def test_exits_two_with_one_error_line(self, capsys, tmp_path, argv,
-                                           target):
+    def test_exits_two_with_one_error_line(self, capsys, monkeypatch,
+                                           tmp_path, argv, target):
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "audit_catalog", never)
+        monkeypatch.setattr(cli, "eval_f41", never)
         out = tmp_path / "missing" / "r.json" if target == "missing directory" \
             else tmp_path
         code = main([*argv, "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_a_failed_command_leaves_the_file_empty(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("an older report\n")
+        code = main(["eval", "--fn", "F41", "--x", "nan", "--out", str(out)])
+        assert code == 2 and capsys.readouterr().out == ""
+        assert out.read_text() == ""
 
 
 class TestAuditCommand:

@@ -600,90 +600,48 @@ class TestDiagonalStats:
         assert not abs_blocks.any() and counts == 0
 
 
-def pairwise_rows_loop(rows, unit, zero):
-    """Reference _PairwiseRows layout: one recursion and one leaf copy per
-    row, the loops _PairwiseRows ran before rows of one length were laid
-    out as one block.  Returns (blocks, rest, levels, nodes, roots)."""
-    width = series._PW_UNROLL // unit
-    leaves, joins = [], []
-
-    def node(idx):
-        n = len(idx) * unit
-        if n <= series._PW_BLOCKSIZE:
-            leaves.append(idx)
-            return len(leaves) - 1, 0
-        half = n // 2 - n // 2 % series._PW_UNROLL
-        (left, hl), (right, hr) = (node(idx[:half // unit]),
-                                   node(idx[half // unit:]))
-        joins.append((left, right, 1 + max(hl, hr)))
-        return -len(joins), joins[-1][2]
-
-    roots = [node(np.asarray(idx, dtype=np.intp))[0] for idx in rows]
-    nblocks = max([len(idx) // width for idx in leaves
-                   if len(idx) >= width] + [1])
-    blocks = np.full((nblocks, width, len(leaves)), zero, np.intp)
-    rest = np.full((width - 1, len(leaves)), zero, np.intp)
-    for i, idx in enumerate(leaves):
-        cut = len(idx) - len(idx) % width if len(idx) >= width else 0
-        blocks[:cut // width, :, i] = idx[:cut].reshape(-1, width)
-        rest[:len(idx) - cut, i] = idx[cut:]
-
-    def number(ref):
-        return ref if ref >= 0 else len(leaves) - 1 - ref
-
-    levels = []
-    for h in sorted({j[2] for j in joins}):
-        level = [(number(-1 - i), number(left), number(right))
-                 for i, (left, right, height) in enumerate(joins)
-                 if height == h]
-        levels.append(tuple(np.array(v, dtype=np.intp) for v in zip(*level)))
-    return (blocks, rest, levels, len(leaves) + len(joins),
-            np.array([number(r) for r in roots], dtype=np.intp))
-
-
 def diagonal_plan_loop(M, N):
-    """Reference _diagonal_plan: one index row per diagonal, in a loop.
-    Returns (gather, complex layout, real layout)."""
+    """Reference _diagonal_plan gather: one index row per diagonal, in a
+    loop."""
     zero = (M + 1) * (N + 1)
-    rows = []
+    gather = np.full((M + N + 1, min(M, N) + 1), zero, np.intp)
     for d in range(M + N + 1):
         ms = np.arange(max(0, d - N), min(d, M) + 1)
-        rows.append(ms * (N + 1) + N - (d - ms))
-    gather = np.full((len(rows), min(M, N) + 1), zero, np.intp)
-    for d, idx in enumerate(rows):
-        gather[d, :len(idx)] = idx
-    return (gather, pairwise_rows_loop(rows, 2, zero),
-            pairwise_rows_loop(rows, 1, zero))
+        gather[d, :len(ms)] = ms * (N + 1) + N - (d - ms)
+    return gather
 
 
 class TestDiagonalPlan:
-    """Rows of one length are laid out as one block, with the layout of the
-    per-row loops, node numbers included."""
+    """The plan gathers each diagonal as the per-row loop does, and its sums
+    are np.trace's, bit for bit, at shapes whose diagonals split up to three
+    times (511 x 511) or not at all (4000 x 0)."""
 
     @pytest.mark.parametrize("M,N", [(0, 0), (1, 1), (40, 40), (511, 511),
                                      (300, 7), (7, 300), (4000, 0),
                                      (0, 4000)])
     def test_plan_matches_the_row_loops(self, M, N):
         plan = series._diagonal_plan.__wrapped__(M, N)
-        gather, *layouts = diagonal_plan_loop(M, N)
-        assert np.array_equal(plan.gather, gather)
-        for rows, (blocks, rest, levels, nodes, roots) in zip(
-                (plan.complex_sums, plan.real_sums), layouts):
-            assert np.array_equal(rows.blocks, blocks)
-            assert np.array_equal(rows.rest, rest)
-            assert len(rows.levels) == len(levels)
-            for got, want in zip(rows.levels, levels):
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            assert rows.nodes == nodes
-            assert np.array_equal(rows.roots, roots)
+        assert np.array_equal(plan.gather, diagonal_plan_loop(M, N))
+        rng = np.random.default_rng(M * 7919 + N)
+        stack = np.stack([random_terms(rng, M + 1, N + 1) for _ in range(2)])
+        for terms in (stack[0], stack):
+            sums, abs_sums, counts = series._diagonal_stats(terms)
+            sums = sums.reshape(M + N + 1, -1)
+            abs_sums = abs_sums.reshape(M + N + 1, -1)
+            for j, one in enumerate(terms.reshape(-1, M + 1, N + 1)):
+                ref_sums, ref_abs, ref_counts = diagonal_stats_loop(one)
+                assert sums[:, j].tobytes() == np.array(ref_sums).tobytes()
+                assert abs_sums[:, j].tobytes() == np.array(ref_abs).tobytes()
+                assert np.ravel(counts)[j] == sum(ref_counts)
 
     def test_thin_rectangles_are_cheap(self):
-        # one diagonal per cell: the per-row loops took 2.8-3.0 s of CPU
-        for M, N in ((262143, 0), (0, 262143)):
+        # one diagonal per cell: the per-row loops took 2.8-3.0 s of CPU; a
+        # recursion that repeated its work per level would show at 511 x 511
+        for M, N in ((262143, 0), (0, 262143), (511, 511)):
             start = time.process_time()
             plan = series._diagonal_plan.__wrapped__(M, N)
             assert time.process_time() - start < 1.0
-            assert plan.gather.shape == (262144, 1)
+            assert plan.gather.shape == (M + N + 1, min(M, N) + 1)
 
 
 class TestStackedDiagonalStats:
