@@ -46,11 +46,11 @@ a non-finite grid is built by the scalar engine instead.
 (x, y), as the CLI sweep needs, and `evaluate_values` gives the same values
 without the growth diagnostics, as `quadrature` needs.  Both request the grid
 keyed without x and y, and sum the terms of a stack of points, shape
-(P, M+1, N+1), in one pass: each anti-diagonal's block sum, absolute sum and
-nonzero count replays numpy's pairwise summation per point, so every result
-equals that of the point summed alone, bit for bit.  A stack holds at most
-_CHUNK_CELLS term cells (one point at least), and a truncation rectangle at
-most _MAX_CELLS cells.
+(P, M+1, N+1), in one pass: each anti-diagonal, led by a zero, is one
+`reduceat` segment, which numpy sums pairwise per point as it sums any
+reduction, so every result equals that of the point summed alone, bit for
+bit.  A stack holds at most _CHUNK_CELLS term cells (one point at least),
+and a truncation rectangle at most _MAX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -861,8 +861,7 @@ _GRIDS = _grid_coeffs = _GridCache(_build_grid, _GRID_CACHE_BYTES)
 
 def coefficient_grid(p: SeriesParams, M: int, N: int) -> CoefficientGrid:
     """Grid of term coefficients A[m, n], 0 <= m <= M, 0 <= n <= N."""
-    if M < 0 or N < 0:
-        raise ValueError("grid bounds must be nonnegative")
+    _require_rectangle(M, N)
     coeffs = _grid_coeffs(p, M, N)
     return CoefficientGrid(coeffs, GridProvenance(_KIND[type(p)], p, M, N))
 
@@ -871,110 +870,50 @@ def coefficient_grid(p: SeriesParams, M: int, N: int) -> CoefficientGrid:
 # evaluation with anti-diagonal block diagnostics
 # ---------------------------------------------------------------------------
 
-# numpy sums a run of n reals pairwise (Higham, Accuracy and Stability of
-# Numerical Algorithms, sec. 4.2): below 8 reals one by one from zero; up to
-# 128 in 8 interleaved accumulators seeded with the first block, folded as a
-# tree, then the leftover reals one by one; above 128 as the sum of the two
-# halves split at n/2 rounded down to a multiple of 8.  The plans below replay
-# that order for every anti-diagonal at once, so each block sum is bit for bit
-# the np.trace of its diagonal and reports do not move in the last digit.
-_PW_UNROLL = 8
-_PW_BLOCKSIZE = 128
-
-
-class _PairwiseRows:
-    """Sums of ragged rows in numpy's pairwise order.
-
-    Row r is gather[r, :lengths[r]], flat source indices; `unit` is the
-    number of reals per entry (2 for complex).  Calling the plan on a source
-    array whose first axis is flat and ends in a zero returns the row sums;
-    trailing axes (one per point of a stack) are summed alongside.  Zero
-    padding is exact: x + 0 == x, and each leaf's final + 0.0 gives a zero
-    sum numpy's +0 sign.
-
-    A plan whose rows all fit one block is a leaf: `blocks` and `rest` hold
-    one column per row, and a row too short for a block is all rest.
-    Otherwise every longer row splits where numpy splits it, into two plans:
-    `left` over all rows, each up to its split if it has one, and `right`
-    over the split rows (`split`) alone, each from its split on.
-    """
-
-    def __init__(self, gather: np.ndarray, lengths: np.ndarray, unit: int,
-                 zero: int):
-        n = lengths * unit
-        self.split = np.flatnonzero(n > _PW_BLOCKSIZE)
-        if len(self.split):
-            mid = (n // 2 - n // 2 % _PW_UNROLL) // unit
-            self.left = _PairwiseRows(
-                gather, np.where(n > _PW_BLOCKSIZE, mid, lengths), unit, zero)
-            mid, lengths = mid[self.split], lengths[self.split]
-            at = np.minimum(mid[:, None] + np.arange((lengths - mid).max()),
-                            gather.shape[1] - 1)
-            self.right = _PairwiseRows(
-                np.take_along_axis(gather[self.split], at, axis=1),
-                lengths - mid, unit, zero)
-            return
-        width = _PW_UNROLL // unit          # entries per block
-        cut = lengths - lengths % width     # entries in blocks
-        at = np.arange(cut.max())
-        blocks = np.where(at < cut[:, None], gather[:, :len(at)], zero)
-        # rows last, so that every add below runs over all rows at once
-        self.blocks = np.ascontiguousarray(
-            blocks.reshape(len(lengths), -1, width).transpose(1, 2, 0))
-        at = cut[:, None] + np.arange(width - 1)
-        self.rest = np.ascontiguousarray(np.where(
-            at < lengths[:, None],
-            np.take_along_axis(gather, np.minimum(at, gather.shape[1] - 1),
-                               axis=1), zero).T)
-
-    def __call__(self, src: np.ndarray) -> np.ndarray:
-        if len(self.split):
-            sums = self.left(src)
-            sums[self.split] += self.right(src)
-            return sums
-        # numpy reduces over a leading axis in order, from 0 (its pairwise
-        # order is only along the fast axis); the zero's sign is immaterial
-        # under the final + 0.0
-        acc = np.add.reduce(src.take(self.blocks, axis=0), axis=0)
-        while len(acc) > 1:
-            acc = acc[0::2] + acc[1::2]
-        return np.add.reduce(np.concatenate(
-            (acc, src.take(self.rest, axis=0))), axis=0) + 0.0
-
-
 @dataclass(frozen=True)
 class _DiagonalPlan:
-    """Anti-diagonal layout of an (M+1) x (N+1) grid, read through
-    np.fliplr: flat index m (N+1) + N - n of term (m, n), the zero appended
-    at flat index (M+1)(N+1).  Row d of `gather` is diagonal d in
-    np.diagonal order (m increasing), padded with that zero."""
+    """Anti-diagonal layout of an (M+1) x (N+1) grid, flat index m (N+1) + n
+    of term (m, n) and a zero appended at flat index (M+1)(N+1).  `order`
+    lists each diagonal d in turn, that zero first and then its terms in
+    np.diagonal order (m increasing, flat index m N + d); diagonal d begins
+    at order[starts[d]]."""
 
-    gather: np.ndarray
-    complex_sums: _PairwiseRows
-    real_sums: _PairwiseRows
+    order: np.ndarray
+    starts: np.ndarray
 
 
 @lru_cache(maxsize=16)
 def _diagonal_plan(M: int, N: int) -> _DiagonalPlan:
-    zero = (M + 1) * (N + 1)
-    d = np.arange(M + N + 1)[:, None]
+    d = np.arange(M + N + 1)
     first = np.maximum(0, d - N)            # m of the first term of d
-    lengths = np.minimum(d, M) - first + 1
-    ms = first + np.arange(min(M, N) + 1)
-    gather = np.where(ms - first < lengths, ms * (N + 2) + N - d, zero)
-    lengths = lengths[:, 0]
-    return _DiagonalPlan(gather, _PairwiseRows(gather, lengths, 2, zero),
-                         _PairwiseRows(gather, lengths, 1, zero))
+    lengths = np.minimum(d, M) - first + 2  # the zero and the terms
+    starts = np.cumsum(lengths) - lengths
+    # entry j of diagonal d is term (first + j - 1, d - first - j + 1)
+    order = np.repeat(first * N + d - N, lengths)
+    order += N * (np.arange(len(order)) - np.repeat(starts, lengths))
+    order[starts] = (M + 1) * (N + 1)
+    return _DiagonalPlan(order, starts)
 
 
-def _with_zero(a: np.ndarray) -> np.ndarray:
-    """Flat copy of a grid (any strides, C order) with a zero appended; a
-    (P, M+1, N+1) stack of grids gives one such column per point."""
-    if a.ndim == 3:
-        a = a.transpose(1, 2, 0)
-    out = np.zeros((a.shape[0] * a.shape[1] + 1,) + a.shape[2:], dtype=a.dtype)
-    out[:-1].reshape(a.shape)[...] = a
-    return out
+def _diagonal_reduce(ufunc, grid: np.ndarray) -> np.ndarray:
+    """ufunc reduced over each anti-diagonal d = m + n of an (M+1) x (N+1)
+    grid, as an array; a (P, M+1, N+1) stack of grids gives one column per
+    point.
+
+    Each diagonal, led by a zero, is one ufunc.reduceat segment.  reduceat
+    starts a segment from its first entry and reduces the rest in the order
+    a reduction does, pairwise for np.add (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 4.2); np.trace reduces the same terms
+    from np.add's identity +0.0.  So each sum is bit for bit the np.trace
+    of its diagonal of np.fliplr(grid), and each column of a stack what its
+    grid alone gives."""
+    rows, cols = grid.shape[-2:]
+    plan = _diagonal_plan(rows - 1, cols - 1)
+    if grid.ndim == 3:
+        grid = grid.transpose(1, 2, 0)
+    flat = np.zeros((rows * cols + 1,) + grid.shape[2:], dtype=grid.dtype)
+    flat[:-1].reshape(grid.shape)[...] = grid
+    return ufunc.reduceat(flat.take(plan.order, axis=0), plan.starts, axis=0)
 
 
 def _diagonal_stats(terms: np.ndarray):
@@ -997,18 +936,9 @@ def _diagonal_stats(terms: np.ndarray):
         abs_terms = np.abs(row[::-1])[::-1].reshape(terms.shape)
     else:
         abs_terms = np.abs(terms)
-    plan = _diagonal_plan(rows - 1, cols - 1)
-    return (_diagonal_sums(terms),
-            plan.real_sums(_with_zero(abs_terms[..., ::-1])),
+    return (_diagonal_reduce(np.add, terms),
+            _diagonal_reduce(np.add, abs_terms),
             np.count_nonzero(abs_terms, axis=(-2, -1)))
-
-
-def _diagonal_sums(terms: np.ndarray) -> np.ndarray:
-    """The first statistic of _diagonal_stats(terms) alone: the sum of the
-    terms on each anti-diagonal."""
-    rows, cols = terms.shape[-2:]
-    plan = _diagonal_plan(rows - 1, cols - 1)
-    return plan.complex_sums(_with_zero(terms[..., ::-1]))
 
 
 def _growth(abs_blocks: list):
@@ -1062,7 +992,7 @@ def _sum_terms(coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         if diagnostics:
             block_sums, abs_blocks, nonzero_counts = _diagonal_stats(terms)
         else:
-            block_sums = _diagonal_sums(terms)
+            block_sums = _diagonal_reduce(np.add, terms)
         # the blocks added left to right, as Python's sum adds them from 0
         # (no block sum is -0.0, so starting from the first is the same)
         totals = np.cumsum(block_sums, axis=0)[-1]
@@ -1197,17 +1127,18 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     """Anti-diagonal growth report on the square rectangle [0..M]^2."""
     if M < 8:
         raise ValueError("divergence diagnostic needs M >= 8")
+    _require_rectangle(M, M)
     coeffs = _grid_coeffs(_without_args(p), M, M)
     xp = np.power(complex(p.x), np.arange(M + 1), dtype=np.complex128)
     yp = np.power(complex(p.y), np.arange(M + 1), dtype=np.complex128)
     terms = coeffs * xp[:, None] * yp[None, :]
     abs_coeffs = np.abs(coeffs)
-    plan = _diagonal_plan(M, M)
-    abs_blocks = plan.real_sums(_with_zero(np.fliplr(np.abs(terms)))).tolist()
+    abs_blocks = _diagonal_reduce(np.add, np.abs(terms)).tolist()
 
     # largest term ratio one step along m or n, over cells with a nonzero
     # coefficient; fmax drops the NaN of an overflowed ratio times a zero
-    # argument, as the scalar max over cells did
+    # argument, as the scalar max over cells did, so no ratio is NaN and the
+    # zero that leads each diagonal leaves its maximum as it is
     with np.errstate(over="ignore", invalid="ignore"):
         down = np.divide(abs_coeffs[1:, :], abs_coeffs[:-1, :],
                          out=np.zeros((M, M + 1)),
@@ -1218,7 +1149,7 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     best = np.zeros((M + 1, M + 1))
     np.fmax(best[:-1, :], down, out=best[:-1, :])
     np.fmax(best[:, :-1], right, out=best[:, :-1])
-    directional = _with_zero(np.fliplr(best))[plan.gather].max(axis=1)
+    directional = _diagonal_reduce(np.maximum, best)
 
     # ratios over complete anti-diagonals only (d <= M on the square)
     ratios, tail, divergence_flag = _growth(abs_blocks[:M + 1])

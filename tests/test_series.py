@@ -529,6 +529,36 @@ class TestRegionAndDivergence:
         assert len(rep.directional_max_ratios) == 25
         assert rep.directional_max_ratios[0] > 0
 
+    @pytest.mark.parametrize("p", [
+        F41Params(1, 1, 2, 2, 0, 0, 0, 0, 0.1, 0.1),
+        F41Params(1, 1, 2, 2, 1.3, 1.0, 1, 0, 0.05, 0.0),
+        F41Params(1.2, 0.7, 1.5, 1.9, 4, 4, 1, 1, 0.3, 0.2),
+        F41Params(0.5 + 1j, -2.5, 1.5, 0.3, 6, 2.5, 2, 1, 0.0, 1e200),
+        F42Params(1.5, -3, 0.7, 1.1, 2, 1, 0.2 - 0.1j, 0.4),
+        F42Params(2.1, 0.9, 1.4, 2.6, 1e3, 1, 0.0, 0.0)])
+    @pytest.mark.parametrize("M", [8, 13, 40])
+    def test_directional_maxima_match_the_cell_loop(self, p, M):
+        # per cell: the term ratio one step along m and along n, where the
+        # coefficient is nonzero and the ratio is no NaN; per diagonal: the
+        # largest, or 0
+        a = np.abs(series._grid_coeffs(series._without_args(p), M, M))
+        a = a.tolist()
+        steps = ((1, 0, abs(p.x)), (0, 1, abs(p.y)))
+        want = []
+        for d in range(2 * M + 1):
+            best = 0.0
+            for m in range(max(0, d - M), min(d, M) + 1):
+                n = d - m
+                for dm, dn, arg in steps:
+                    if m + dm <= M and n + dn <= M and a[m][n] != 0.0:
+                        ratio = a[m + dm][n + dn] / a[m][n] * arg
+                        if not math.isnan(ratio):
+                            best = max(best, ratio)
+            want.append(best)
+        with np.errstate(all="ignore"):
+            got = divergence_diagnostic(p, M).directional_max_ratios
+        assert got == tuple(want)
+
     def test_eval_flag_matches_diagnostic(self):
         p = F41Params(1, 1, 2, 2, 1.3, 1.0, 1, 0, 0.05, 0.0)
         r = eval_f41(p, TruncationPolicy(40, 40))
@@ -601,27 +631,31 @@ class TestDiagonalStats:
 
 
 def diagonal_plan_loop(M, N):
-    """Reference _diagonal_plan gather: one index row per diagonal, in a
-    loop."""
+    """Reference _diagonal_plan order and starts: one diagonal at a time, in
+    a loop, the appended zero first."""
     zero = (M + 1) * (N + 1)
-    gather = np.full((M + N + 1, min(M, N) + 1), zero, np.intp)
+    order, starts = [], []
     for d in range(M + N + 1):
-        ms = np.arange(max(0, d - N), min(d, M) + 1)
-        gather[d, :len(ms)] = ms * (N + 1) + N - (d - ms)
-    return gather
+        starts.append(len(order))
+        order.append(zero)
+        order += [m * (N + 1) + d - m
+                  for m in range(max(0, d - N), min(d, M) + 1)]
+    return order, starts
 
 
 class TestDiagonalPlan:
-    """The plan gathers each diagonal as the per-row loop does, and its sums
-    are np.trace's, bit for bit, at shapes whose diagonals split up to three
-    times (511 x 511) or not at all (4000 x 0)."""
+    """The plan lists each diagonal as the per-diagonal loop does, and its
+    sums are np.trace's, bit for bit, at shapes whose diagonals split up to
+    three times (511 x 511) or not at all (4000 x 0)."""
 
     @pytest.mark.parametrize("M,N", [(0, 0), (1, 1), (40, 40), (511, 511),
                                      (300, 7), (7, 300), (4000, 0),
                                      (0, 4000)])
     def test_plan_matches_the_row_loops(self, M, N):
         plan = series._diagonal_plan.__wrapped__(M, N)
-        assert np.array_equal(plan.gather, diagonal_plan_loop(M, N))
+        order, starts = diagonal_plan_loop(M, N)
+        assert plan.order.tolist() == order
+        assert plan.starts.tolist() == starts
         rng = np.random.default_rng(M * 7919 + N)
         stack = np.stack([random_terms(rng, M + 1, N + 1) for _ in range(2)])
         for terms in (stack[0], stack):
@@ -635,13 +669,22 @@ class TestDiagonalPlan:
                 assert np.ravel(counts)[j] == sum(ref_counts)
 
     def test_thin_rectangles_are_cheap(self):
-        # one diagonal per cell: the per-row loops took 2.8-3.0 s of CPU; a
-        # recursion that repeated its work per level would show at 511 x 511
-        for M, N in ((262143, 0), (0, 262143), (511, 511)):
-            start = time.process_time()
-            plan = series._diagonal_plan.__wrapped__(M, N)
-            assert time.process_time() - start < 1.0
-            assert plan.gather.shape == (M + N + 1, min(M, N) + 1)
+        # one diagonal per cell: the per-row loops took 2.8-3.0 s of CPU.
+        # The plan holds one index per cell and two per diagonal: 2.1 MB at
+        # 511 x 511 and 6.3 MB at 262143 x 0
+        for M, N, most in ((262143, 0, 10e6), (0, 262143, 10e6),
+                           (511, 511, 4e6)):
+            tracemalloc.start()
+            try:
+                start = time.process_time()
+                plan = series._diagonal_plan.__wrapped__(M, N)
+                cpu = time.process_time() - start
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert cpu < 1.0
+            assert held < most, (M, N, held)
+            assert len(plan.starts) == M + N + 1
 
 
 class TestStackedDiagonalStats:
@@ -687,6 +730,78 @@ class TestStackedDiagonalStats:
                 assert sums[:, j].tobytes() == np.array(ref_sums).tobytes()
                 assert abs_sums[:, j].tolist() == ref_abs
                 assert counts[j] == sum(ref_counts)
+
+
+SPECIAL_PARTS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308)
+
+# shapes whose diagonals split numpy's pairwise sum (more than 64 complex or
+# 128 real entries) up to three times, or that have one diagonal per cell
+SPLIT_SHAPES = ((65, 65), (129, 129), (140, 80), (80, 140), (257, 257),
+                (512, 512), (511, 300), (4000, 1), (1, 4000), (2, 3000))
+
+
+def hostile_terms(rng, shape):
+    """Complex terms of any shape whose real and imaginary parts are each
+    of either sign with magnitudes 1e-300..1e300, with a random share of
+    them set to +-0, +-inf, NaN or +-1e308."""
+    span = rng.choice((30, 300))
+    rate = rng.choice((0.0, 0.02, 0.2, 0.9))
+    specials = SPECIAL_PARTS[:rng.integers(2, len(SPECIAL_PARTS) + 1)]
+    terms = np.empty(shape, np.complex128)
+    for part in (terms.real, terms.imag):
+        part[...] = rng.choice((-1.0, 1.0), shape) * \
+            10.0 ** rng.uniform(-span, span, shape)
+        hit = rng.random(shape) < rate
+        part[hit] = rng.choice(specials, int(hit.sum()))
+    return terms
+
+
+def check_diagonal_corpus(count, seed=14):
+    """Check _diagonal_stats on count seeded cases against the np.trace
+    loop of diagonal_stats_loop, bytes and NaN included: a single grid, a
+    stack of one point and a stack of three, each point's column compared
+    with its grid alone.  Every tenth shape is one of SPLIT_SHAPES, the rest
+    are up to 60 x 60.  Returns the case count and a SHA-256 digest of every
+    result's bytes, each NaN read as math.nan: no report prints the sign or
+    payload of a NaN, and a summation that keeps every other bit but adds
+    in another operand order can flip them."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    with np.errstate(all="ignore"):
+        for i in range(count):
+            shape = SPLIT_SHAPES[i // 10 % len(SPLIT_SHAPES)] if i % 10 == 0 \
+                else tuple(int(v) for v in rng.integers(1, 61, size=2))
+            points = (None, 1, 3)[i % 3]
+            terms = hostile_terms(rng, shape if points is None
+                                  else (points,) + shape)
+            sums, abs_sums, counts = series._diagonal_stats(terms)
+            digest.update(repr(terms.shape).encode())
+            for stat in (sums, abs_sums):
+                reals = np.array(stat).view(np.float64)
+                reals[np.isnan(reals)] = math.nan
+                digest.update(reals.tobytes())
+            digest.update(np.asarray(counts, np.int64).tobytes())
+            grids = [terms] if points is None else list(terms)
+            sums = sums.reshape(sum(shape) - 1, -1)
+            abs_sums = abs_sums.reshape(sum(shape) - 1, -1)
+            for j, grid in enumerate(grids):
+                ref_sums, ref_abs, ref_counts = diagonal_stats_loop(grid)
+                assert sums[:, j].tobytes() == \
+                    np.array(ref_sums).tobytes(), (i, j)
+                assert abs_sums[:, j].tobytes() == \
+                    np.array(ref_abs).tobytes(), (i, j)
+                assert np.ravel(counts)[j] == sum(ref_counts), (i, j)
+    return count, digest.hexdigest()
+
+
+class TestDiagonalCorpus:
+    """Diagonal sums of hostile values are np.trace's, bit for bit.  The
+    full corpus is check_diagonal_corpus(3000); this slice keeps a few
+    seconds and meets every split shape twice."""
+
+    def test_corpus_slice(self):
+        count, _ = check_diagonal_corpus(200)
+        assert count == 200
 
 
 def reference_evaluate(p, pol):
@@ -847,6 +962,17 @@ class TestCellBudget:
         TruncationPolicy(511, 511)
         with pytest.raises(ValueError, match="exceeds"):
             TruncationPolicy(1000, 1000)
+
+    def test_library_grids_check_the_budget_before_building(self):
+        p = F41Params(-3, .5, 2, 2, 1, 1, 0, 0, .1, .1)
+        misses = series._grid_coeffs.cache_info().misses
+        with pytest.raises(ValueError, match="exceeds"):
+            coefficient_grid(p, 512, 512)
+        with pytest.raises(ValueError, match="exceeds"):
+            divergence_diagnostic(p, 512)
+        with pytest.raises(ValueError, match="nonnegative"):
+            coefficient_grid(p, -1, 3)
+        assert series._grid_coeffs.cache_info().misses == misses
 
 
 class TestGridCacheKey:
