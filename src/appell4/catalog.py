@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass, replace as _dc_replace
 from enum import Enum
 from functools import lru_cache
-from math import inf, pi
+from math import cos, inf, pi, sin
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -939,13 +939,16 @@ def _poly_value(grid: np.ndarray, x: complex, y: complex) -> complex:
     return complex(xp @ grid @ yp)
 
 
-def _summed_supported(p: Params, M: int, N: int, slack: int = 3) -> bool:
-    # termwise sums are exact only when every instance terminates inside the
-    # rectangle; slack absorbs the t-raising of iterated forward differences
+# termwise sums are exact only when every instance terminates inside the
+# rectangle; the slack absorbs the t-raising of iterated forward differences
+_SUMMED_SLACK = 3
+
+
+def _summed_supported(p: Params, M: int, N: int) -> bool:
     for axis, size in zip(_AXES[_target_of(p)], (M, N)):
         t, k = getattr(p, axis.t), getattr(p, axis.k)
         if k < 1 or not _is_exact_nonpositive_int(-t) or \
-                int(t.real) // k + slack > size:
+                int(t.real) // k + _SUMMED_SLACK > size:
             return False
     return True
 
@@ -979,14 +982,10 @@ class _PlannedDraw:
     rhs: tuple
 
     def grid_keys(self, M: int, N: int) -> list:
-        """The (params, M, N) grid requests of the comparison, in order."""
-        keys = []
-        for term, compiled in self.lhs + self.rhs:
-            if term.composition is Composition.NONE:
-                keys += [(q, M, N) for q, _, _ in compiled]
-            else:
-                keys.append((term.params, M, N))
-        return keys
+        """The (params, M, N) grid requests of the comparison, in order: the
+        compiled instances of every term, a composed one's being its own."""
+        return [(q, M, N) for _, compiled in self.lhs + self.rhs
+                for q, _, _ in compiled]
 
 
 def _plan(ident: Identity, point: ParamPoint, M: int, N: int,
@@ -1059,73 +1058,71 @@ def verify_recursion_sum(ident: Identity, point: ParamPoint, s: int,
 # sampling
 # ---------------------------------------------------------------------------
 
+# the draw rule: a, b, c1, c2 and t off the lattice with parts within
+# _MAGNITUDE, x and y at a radius in _RADII, k, r and s from _CHOICES, and a
+# terminating t k times one of _TERMINATING_UNITS
+_MAGNITUDE = 2.0
+_RADII = (0.05, 0.4)
+_CHOICES = (1, 2, 3)
+_TERMINATING_UNITS = (4, 5, 6)
+
+
+def _off_lattice(rng: random.Random, min_dist: float) -> complex:
+    while True:
+        z = complex(rng.uniform(-_MAGNITUDE, _MAGNITUDE),
+                    rng.uniform(-_MAGNITUDE, _MAGNITUDE))
+        if abs(z - round(z.real)) >= min_dist:
+            return z
+
+
+def _arg(rng: random.Random) -> complex:
+    radius = rng.uniform(*_RADII)
+    angle = rng.uniform(0.0, 2.0 * pi)
+    return complex(radius * cos(angle), radius * sin(angle))
+
+
 @dataclass(frozen=True)
 class ParamSampler:
     """Deterministic rejection sampler for audit parameter points.
 
     Each (identity, draw index) pair seeds its own generator, so per-identity
-    draw sequences never depend on catalog order.  Rejection keeps every
-    sampled parameter away from the integer lattice (all printed relations
-    are generic-parameter statements and several denominators would otherwise
-    vanish), and keeps c1 distinct from c2 so one-symbol c-swaps actually
-    change the relation.
+    draw sequences never depend on catalog order.  Rejection keeps a, b, c1,
+    c2 and a non-terminating t away from the integer lattice (all printed
+    relations are generic-parameter statements and several denominators
+    would otherwise vanish), and keeps c1 distinct from c2 so one-symbol
+    c-swaps actually change the relation.
     """
 
     seed: int = 0
     draws: int = 50
-    magnitude: float = 2.0
-    radius_lo: float = 0.05
-    radius_hi: float = 0.4
-    k_choices: Tuple[int, ...] = (1, 2, 3)
-    r_choices: Tuple[int, ...] = (1, 2, 3)
-    s_choices: Tuple[int, ...] = (1, 2, 3)
-    terminating_units: Tuple[int, ...] = (4, 5, 6)
-
-    def rng_for(self, ident_id: str, j: int) -> random.Random:
-        return random.Random(f"{self.seed}:{ident_id}:{j}")
-
-    @staticmethod
-    def _off_lattice(rng: random.Random, mag: float, min_dist: float) -> complex:
-        while True:
-            z = complex(rng.uniform(-mag, mag), rng.uniform(-mag, mag))
-            if abs(z - round(z.real)) >= min_dist:
-                return z
-
-    def _arg(self, rng: random.Random) -> complex:
-        radius = rng.uniform(self.radius_lo, self.radius_hi)
-        angle = rng.uniform(0.0, 2.0 * pi)
-        return complex(radius * np.cos(angle), radius * np.sin(angle))
 
     def draw(self, ident: Identity, j: int, terminating: bool = False,
              ) -> ParamPoint:
-        rng = self.rng_for(ident.id, j)
+        rng = random.Random(f"{self.seed}:{ident.id}:{j}")
         cons = ident.constraints
-        a = self._off_lattice(rng, self.magnitude, 0.05)
-        b = self._off_lattice(rng, self.magnitude, 0.05)
+        a, b = _off_lattice(rng, 0.05), _off_lattice(rng, 0.05)
         while True:
-            c1 = self._off_lattice(rng, self.magnitude, 0.1)
-            c2 = self._off_lattice(rng, self.magnitude, 0.1)
+            c1, c2 = _off_lattice(rng, 0.1), _off_lattice(rng, 0.1)
             if abs(c1 - c2) >= 0.05:
                 break
-        x, y = self._arg(rng), self._arg(rng)
-        r = rng.choice(self.r_choices) if cons.uses_r else 1
-        s = rng.choice(self.s_choices) if cons.uses_s else 1
+        x, y = _arg(rng), _arg(rng)
+        r = rng.choice(_CHOICES) if cons.uses_r else 1
+        s = rng.choice(_CHOICES) if cons.uses_s else 1
 
         # k, then t, for the fields of each axis: k1, k2, t1, t2, or k and t
         t_k = {axis.t: axis.k for axis in _AXES[ident.target]}
         ks = {}
         for name in t_k.values():
             want = getattr(cons, name)
-            ks[name] = want if want is not None else \
-                rng.choice(self.k_choices)
+            ks[name] = want if want is not None else rng.choice(_CHOICES)
         while cons.odd_k_sum and sum(ks.values()) % 2 == 0:
-            ks = {name: rng.choice(self.k_choices) for name in ks}
+            ks = {name: rng.choice(_CHOICES) for name in ks}
         ts = {}
         for name, k in t_k.items():
             if terminating:
-                ts[name] = complex(ks[k] * rng.choice(self.terminating_units))
+                ts[name] = complex(ks[k] * rng.choice(_TERMINATING_UNITS))
             else:
-                ts[name] = self._off_lattice(rng, self.magnitude, 0.05)
+                ts[name] = _off_lattice(rng, 0.05)
         params = _TARGET_PARAMS[ident.target](a, b, c1, c2, x=x, y=y, **ts,
                                               **ks)
         return ParamPoint(params, r=r, s=s)

@@ -126,56 +126,33 @@ identity_expr = OperatorExpr.of()
 # compilation to shifted instances
 # ---------------------------------------------------------------------------
 
-class _Instances:
-    """The shifted instances met while compiling one expression, numbered
-    by value.  Entries are keyed by these numbers: hashing the parameter
-    dataclasses on every merge made compilation markedly slower."""
-
-    def __init__(self, p):
-        self.params = [p]
-        self._number = {p: 0}
-        self._shifts = {}
-
-    def shift(self, i: int, name: str, offset) -> int:
-        key = (i, name, offset)
-        j = self._shifts.get(key)
-        if j is None:
-            q = self.params[i]
-            q = q.replace(**{name: getattr(q, name) + offset})
-            j = self._number.setdefault(q, len(self.params))
-            if j == len(self.params):
-                self.params.append(q)
-            self._shifts[key] = j
-        return j
-
-
 def _add(entries: dict, key, w) -> None:
     prev = entries.get(key)
     entries[key] = w if prev is None else prev + w
 
 
-def _step(op: PrimitiveOp, entries: dict, inst: _Instances, ms, ns) -> dict:
-    """Entries after one more factor, the next one inward."""
+def _step(op: PrimitiveOp, entries: dict, shift, ms, ns) -> dict:
+    """Entries after one more factor, the next one inward; shift(q, name,
+    offset) is the instance q with that field moved by offset."""
     out = {}
     kind = op.kind
-    for (i, dm, dn), w in entries.items():
+    for (q, dm, dn), w in entries.items():
         if kind is OpKind.SCALE:
-            _add(out, (i, dm, dn), op.constant * w)
+            _add(out, (q, dm, dn), op.constant * w)
         elif kind is OpKind.THETA_X:
-            _add(out, (i, dm, dn), w * (ms - dm))
+            _add(out, (q, dm, dn), w * (ms - dm))
         elif kind is OpKind.PHI_Y:
-            _add(out, (i, dm, dn), w * (ns - dn))
+            _add(out, (q, dm, dn), w * (ns - dn))
         elif kind is OpKind.MUL_X:
-            _add(out, (i, dm + 1, dn), w)
+            _add(out, (q, dm + 1, dn), w)
         elif kind is OpKind.MUL_Y:
-            _add(out, (i, dm, dn + 1), w)
+            _add(out, (q, dm, dn + 1), w)
         elif kind is OpKind.SHIFT_PARAM:
-            _add(out, (inst.shift(i, op.name, op.offset), dm, dn), w)
+            _add(out, (shift(q, op.name, op.offset), dm, dn), w)
         elif kind is OpKind.DELTA:
-            _add(out, (inst.shift(i, op.name, 1), dm, dn), w)
-            _add(out, (i, dm, dn), -w)
+            _add(out, (shift(q, op.name, 1), dm, dn), w)
+            _add(out, (q, dm, dn), -w)
         elif kind is OpKind.BIG_THETA or kind is OpKind.SCALED_BIG_THETA:
-            q = inst.params[i]
             t = getattr(q, op.name)
             if kind is OpKind.SCALED_BIG_THETA:
                 # k from the field matching t: t1 -> k1, t2 -> k2, t -> k
@@ -185,8 +162,8 @@ def _step(op: PrimitiveOp, entries: dict, inst: _Instances, ms, ns) -> dict:
                         f"{kind.value}_{op.name} is undefined at k = {k}; "
                         "needs k >= 1")
                 t = t / k
-            _add(out, (i, dm, dn), t * w)
-            _add(out, (inst.shift(i, op.name, -1), dm, dn), -t * w)
+            _add(out, (q, dm, dn), t * w)
+            _add(out, (shift(q, op.name, -1), dm, dn), -t * w)
         else:
             raise InvalidOperatorError(f"unknown primitive kind {kind!r}")
     return out
@@ -212,19 +189,29 @@ def compile_expr(e: OperatorExpr, p, M: int, N: int) -> dict:
     Factors are read outermost first.  theta_x and phi_y weigh a cell by the
     index of the function they act on, which is the output index minus the
     mul_x / mul_y shifts met so far; delta and big_theta split an entry into
-    two instances with t and k read from the instance they act on.  Equal
-    keys are merged, so each distinct shifted grid appears once.
+    two instances with t and k read from the instance they act on.  A
+    shifted instance equal to one met before is that one, so equal keys
+    merge and each distinct shifted grid appears once.
     """
     ms, ns = _index_columns(M, N)
-    inst = _Instances(p)
+    first = {p: p}
+    shifted = {}
+
+    def shift(q, name: str, offset):
+        r = shifted.get((q, name, offset))
+        if r is None:
+            r = q.replace(**{name: getattr(q, name) + offset})
+            r = shifted[q, name, offset] = first.setdefault(r, r)
+        return r
+
     total = {}
     for coeff, factors in e.terms:
-        entries = {(0, 0, 0): coeff}
+        entries = {(p, 0, 0): coeff}
         for op in factors:
-            entries = _step(op, entries, inst, ms, ns)
+            entries = _step(op, entries, shift, ms, ns)
         for key, w in entries.items():
             _add(total, key, w)
-    return {(inst.params[i], dm, dn): w for (i, dm, dn), w in total.items()}
+    return total
 
 
 def require_margin(compiled: dict, M: int, N: int) -> None:

@@ -166,8 +166,6 @@ class IntegralRepSpec:
             raise ConstraintError("the representations assume equal steps: "
                                   f"need k1 = k2 = {self.k}, got "
                                   f"({p.k1}, {p.k2})")
-        if self.k < 0:
-            raise ConstraintError(f"k must be nonnegative, got {self.k}")
         if self.which is RepKind.REP_A and p.a.real <= 0:
             raise ConstraintError("rep_a needs Re(a) > 0 for the Gamma "
                                   "integral to converge")

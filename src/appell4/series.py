@@ -943,12 +943,12 @@ def _diagonal_stats(terms: np.ndarray):
 
 def _growth(abs_blocks: list):
     """The divergence rule over the absolute sums of complete diagonals:
-    the ratios of consecutive sums, their final quartile, and whether every
-    ratio in that quartile exceeds 1."""
+    the ratios of consecutive sums, their final quartile, and whether no
+    ratio in that quartile is at most 1 (NaN, of overflowed sums, is not)."""
     ratios = [cur / prev if prev != 0.0 else 0.0 if cur == 0.0 else math.inf
               for prev, cur in zip(abs_blocks, abs_blocks[1:])]
     tail = ratios[-max(1, math.ceil(len(ratios) / 4)):] if ratios else []
-    return ratios, tail, bool(tail) and all(r > 1.0 for r in tail)
+    return ratios, tail, bool(tail) and not any(r <= 1.0 for r in tail)
 
 
 def _summary(total: complex, abs_blocks: list, terms_used: int, M: int,
@@ -1128,18 +1128,20 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     if M < 8:
         raise ValueError("divergence diagnostic needs M >= 8")
     _require_rectangle(M, M)
+    _require_finite("x", p.x)
+    _require_finite("y", p.y)
     coeffs = _grid_coeffs(_without_args(p), M, M)
-    xp = np.power(complex(p.x), np.arange(M + 1), dtype=np.complex128)
-    yp = np.power(complex(p.y), np.arange(M + 1), dtype=np.complex128)
-    terms = coeffs * xp[:, None] * yp[None, :]
     abs_coeffs = np.abs(coeffs)
-    abs_blocks = _diagonal_reduce(np.add, np.abs(terms)).tolist()
-
-    # largest term ratio one step along m or n, over cells with a nonzero
-    # coefficient; fmax drops the NaN of an overflowed ratio times a zero
-    # argument, as the scalar max over cells did, so no ratio is NaN and the
-    # zero that leads each diagonal leaves its maximum as it is
+    # an argument near the floating range overflows the powers, terms and
+    # block sums, whose NaN ratios _growth counts as growth.  Of the term
+    # ratios one step along m or n, over cells with a nonzero coefficient,
+    # fmax drops the NaN of an overflowed ratio times a zero argument, so no
+    # maximum is NaN and the zero that leads each diagonal leaves it alone
     with np.errstate(over="ignore", invalid="ignore"):
+        xp = np.power(complex(p.x), np.arange(M + 1), dtype=np.complex128)
+        yp = np.power(complex(p.y), np.arange(M + 1), dtype=np.complex128)
+        terms = coeffs * xp[:, None] * yp[None, :]
+        abs_blocks = _diagonal_reduce(np.add, np.abs(terms)).tolist()
         down = np.divide(abs_coeffs[1:, :], abs_coeffs[:-1, :],
                          out=np.zeros((M, M + 1)),
                          where=abs_coeffs[:-1, :] != 0.0) * abs(p.x)

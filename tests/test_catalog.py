@@ -3,6 +3,7 @@ twins, composed-argument grids, the deterministic sampler, and whole-catalog
 audits."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -33,7 +34,8 @@ from appell4.catalog import (
 )
 from appell4 import catalog, series
 from appell4.errors import ConstraintError, InvalidOperatorError, MarginError
-from appell4.operators import OperatorExpr, apply_expr_to_params, mul_x, theta_x
+from appell4.operators import (OperatorExpr, apply_expr_to_params,
+                               compile_expr, mul_x, theta_x)
 from appell4.series import F41Params, F42Params, coefficient_grid, eval_f41
 
 BYID = catalog_by_id()
@@ -355,6 +357,21 @@ class TestSampler:
         assert any(SAMPLER.draw(BYID["F41.thm4.1"], j).s > 1 for j in range(6))
         assert any(SAMPLER.draw(BYID["F41.thm3.1.c"], j).r > 1 for j in range(6))
 
+    def test_seed_and_draws_are_the_only_settings(self):
+        assert [f.name for f in dataclasses.fields(ParamSampler)] == \
+            ["seed", "draws"]
+
+    def test_a_draw_calls_no_numpy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw called numpy")
+
+        monkeypatch.setattr(np, "cos", refuse)
+        monkeypatch.setattr(np, "sin", refuse)
+        for ident in (BYID["F41.thm4.1"], BYID["F42.thm5.1.d"]):
+            for terminating in (False, True):
+                p = SAMPLER.draw(ident, 0, terminating).params
+                assert 0.05 <= abs(p.x) <= 0.4 and 0.05 <= abs(p.y) <= 0.4
+
 
 class TestAudit:
     def test_zero_draws_empty_summary(self):
@@ -662,6 +679,61 @@ class TestAuditMechanism:
                 assert got == want
                 assert json.dumps(got) == json.dumps(want)
                 assert list(got) == list(want)
+
+
+def check_plan_corpus(seeds, draws, terminating, compiled, M=12, N=12):
+    """SHA-256 digests of what the audit's plan phase makes, over every
+    catalog entry:
+      "compiled"  compile_expr(term.expr, term.params, M, N) of every side
+                  term at the first `compiled` draws of seeds[0]: each key's
+                  point_to_dict, dm, dn and weight shape, then the weight's
+                  bytes, in order;
+      "draws"     point_to_dict of the first `draws` plain draws, then
+                  `terminating` terminating ones, at each seed.
+    The digests see a last bit of a weight or a draw that a residual may
+    absorb.  Returns the two digests and the counts of terms and draws."""
+    idents = builtin_catalog()
+    weights, points = hashlib.sha256(), hashlib.sha256()
+    terms = count = 0
+    sampler = ParamSampler(seed=seeds[0])
+    for ident in idents:
+        for j in range(compiled):
+            point = sampler.draw(ident, j)
+            for term in ident.lhs(point) + ident.rhs(point):
+                terms += 1
+                for (q, dm, dn), w in compile_expr(term.expr, term.params,
+                                                   M, N).items():
+                    weights.update(json.dumps(
+                        [point_to_dict(ParamPoint(q)), dm, dn,
+                         np.shape(w)]).encode())
+                    weights.update(np.asarray(w, np.complex128).tobytes())
+    for seed in seeds:
+        sampler = ParamSampler(seed=seed)
+        for ident in idents:
+            for j in range(draws + terminating):
+                point = sampler.draw(ident, j, terminating=j >= draws)
+                points.update(json.dumps(point_to_dict(point)).encode())
+                count += 1
+    return {"compiled": weights.hexdigest(), "draws": points.hexdigest(),
+            "terms": terms, "draw_count": count}
+
+
+class TestPlanBits:
+    """The plan phase keeps its bytes: the keys and weights of every
+    compiled term and every drawn point.  A full run is
+    check_plan_corpus(range(16), 50, 3, 50); this slice keeps about a
+    second."""
+
+    # check_plan_corpus((0, 1, 42), 8, 2, 6)
+    GOLDEN = {"compiled": "211a58cab44890f822ee7a7cd50a3af3"
+                          "f53a52f96e9984a531d05252e50f63d2",
+              "draws": "418270d2f40b1b695903ae1fabf170ea"
+                       "4a8934e9ab51be8b3f9e19f9d71ce9aa"}
+
+    def test_plan_bytes(self):
+        got = check_plan_corpus((0, 1, 42), 8, 2, 6)
+        assert (got["terms"], got["draw_count"]) == (2457, 3 * 181 * 10)
+        assert {k: got[k] for k in self.GOLDEN} == self.GOLDEN
 
 
 class TestComposeGrid:

@@ -245,6 +245,25 @@ class TestTermwise:
             < 1e-12
 
 
+class TestInstanceKeys:
+    """compile_expr keys its entries by the shifted instances themselves,
+    each the first one met among those equal to it."""
+
+    def test_two_shift_orders_meet_in_one_key(self):
+        a_then_b = OperatorExpr.of(shift_param("b", 1), shift_param("a", 1))
+        b_then_a = OperatorExpr.of(shift_param("a", 1), shift_param("b", 1))
+        compiled = compile_expr(a_then_b + 2.0 * b_then_a, P, 3, 3)
+        (q, dm, dn), = compiled
+        assert (q.a, q.b, q.t1, dm, dn) == (P.a + 1, P.b + 1, P.t1, 0, 0)
+        assert compiled[q, 0, 0] == 3.0
+
+    def test_a_shift_back_to_p_is_p(self):
+        compiled = compile_expr(OperatorExpr.of(rho_t1, shift_param("t1", 1)),
+                                P, 3, 3)
+        (q, dm, dn), = compiled
+        assert q is P and (dm, dn) == (0, 0)
+
+
 class TestApplyGrid:
     def test_identity_expression(self):
         g = coefficient_grid(P, 8, 8)

@@ -523,6 +523,22 @@ class TestRegionAndDivergence:
         assert rep.block_ratios[-1] == 0.0
         assert not rep.divergence_flag
 
+    def test_overflowed_series_flagged_without_warnings(self):
+        # x^2 overflows: the block sums turn infinite and their ratios NaN
+        p = F41Params(1, 1, 2, 2, 0, 0, 0, 0, 1e200, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = divergence_diagnostic(p, 10)
+        assert math.isnan(rep.block_ratios[-1])
+        assert rep.divergence_flag
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_arguments_refused(self, bad):
+        with pytest.raises(ValueError, match="x = "):
+            divergence_diagnostic(P41.replace(x=bad), 10)
+        with pytest.raises(ValueError, match="y = "):
+            divergence_diagnostic(P41.replace(y=complex(0.1, bad)), 10)
+
     def test_directional_maxima_reported(self):
         p = F41Params(1, 1, 2, 2, 0, 0, 0, 0, 0.1, 0.1)
         rep = divergence_diagnostic(p, 12)
