@@ -22,10 +22,10 @@ applied exactly (no finite differences), so residuals are pure floating
 round-off when a relation holds.
 
 `audit_catalog` runs its draws in chunks bounded by grid cells: it plans a
-chunk (draws, side terms, compiled operators), puts every grid the chunk
-requests into the grid cache at once (`series.cache_grids`), then compares
-draw by draw from the cache, so rows, residuals and errors are those of one
-draw after another.
+chunk (draws, side terms, compiled operators), builds every grid the chunk
+requests at once (`series.build_grids`), then compares draw by draw on
+those grids, so rows, residuals and errors are those of one draw after
+another.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ from .operators import (
 # not called here since every term is compiled before its grid is built, but
 # kept as a module name: the layer tracer in perfbench wraps it
 from .operators import apply_expr_to_params  # noqa: F401
-from .series import (_GRID_CACHE_BYTES, F41Params, F42Params, cache_grids,
-                     coefficient_grid)
+from .series import F41Params, F42Params, build_grids, coefficient_grid
 
 Params = Union[F41Params, F42Params]
 
@@ -923,12 +922,20 @@ def _compile_term(term: SideTerm, M: int, N: int) -> dict:
     return compiled
 
 
-def _term_grid(term: SideTerm, M: int, N: int, compiled: dict) -> np.ndarray:
-    """The term's grid; compiled is _compile_term(term, M, N)."""
+def _instance_grid(q: Params, M: int, N: int, grids: dict) -> np.ndarray:
+    grid = grids.get((q, M, N))
+    return coefficient_grid(q, M, N).coeffs if grid is None else grid
+
+
+def _term_grid(term: SideTerm, M: int, N: int, compiled: dict,
+               grids: dict) -> np.ndarray:
+    """The term's grid; compiled is _compile_term(term, M, N), and grids
+    holds built instance grids by (params, M, N), any other one requested."""
     if term.composition is Composition.NONE:
-        return complex(term.coeff) * apply_compiled(compiled, M, N)
+        instances = [_instance_grid(q, M, N, grids) for q, _, _ in compiled]
+        return complex(term.coeff) * apply_compiled(compiled, instances, M, N)
     diagonal = (term.params, 0, 0)
-    base = np.asarray(coefficient_grid(term.params, M, N).coeffs)
+    base = _instance_grid(term.params, M, N, grids)
     grid = _compose_grid(base, term.composition)
     return complex(term.coeff) * (compiled.get(diagonal, 0.0) * grid)
 
@@ -1003,21 +1010,22 @@ def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
                     N: int = 12, tolerance: float = 1e-10,
                     mode: VerificationMode = VerificationMode.COEFFICIENTWISE,
                     *, _planned: Optional[_PlannedDraw] = None,
-                    ) -> RelationReport:
+                    _grids: Optional[dict] = None) -> RelationReport:
     """Build both sides on the truncation rectangle and report residuals.
 
     Cellwise comparison is exact up to floating round-off; summed mode
     additionally compares the two sides' numeric sums, which requires every
     instance to terminate inside the rectangle.  Both sides are built and
     compiled (_plan) before any grid is requested; audit_catalog passes the
-    plan it already made for point.
+    plan it already made for point and the grids it built for it.
     """
     mode = VerificationMode(mode)
     if _planned is None:
         _planned = _plan(ident, point, M, N)
+    grids = _grids or {}
     lhs, rhs = _planned.lhs, _planned.rhs
-    lhs_grids = [_term_grid(t, M, N, c) for t, c in lhs]
-    rhs_grids = [_term_grid(t, M, N, c) for t, c in rhs]
+    lhs_grids = [_term_grid(t, M, N, c, grids) for t, c in lhs]
+    rhs_grids = [_term_grid(t, M, N, c, grids) for t, c in rhs]
     zero = np.zeros((M + 1, N + 1), dtype=np.complex128)
     lhs_total = sum(lhs_grids, zero)
     rhs_total = sum(rhs_grids, zero)
@@ -1154,11 +1162,10 @@ def _row_status(ident: Identity, draws: int, passes: int) -> str:
 
 
 # grid cells one audit chunk plans before it compares: 775 grids of 13 x 13,
-# 2.6 MB with their cache entries, so that a chunk fits the grid cache and
-# no planned grid is evicted before its comparison reads it.  A chunk's plan
-# holds about 9 KB per draw besides its grids; on a 2-core x86-64 host,
+# 2 MiB of grids that the chunk holds until its last comparison.  A chunk's
+# plan holds about 9 KB per draw besides its grids; on a 2-core x86-64 host,
 # chunks of 256 to 1,024 grids cut the seed-3 acceptance audit alike
-_PLAN_CELLS = _GRID_CACHE_BYTES // 16 // 2
+_PLAN_CELLS = 2 ** 17
 
 
 def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
@@ -1170,9 +1177,9 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
     The draws are taken in catalog order, in chunks of at most _PLAN_CELLS
     grid cells (one draw at least), each in three phases:
       plan     draw the point, build both sides and compile every term;
-      build    put every grid the chunk requests into the grid cache, as
-               lanes where they are many (series.cache_grids);
-      compare  verify_identity on the planned sides, from cached grids.
+      build    build every grid the chunk requests, as lanes where they
+               are many (series.build_grids);
+      compare  verify_identity on the planned sides and the built grids.
     Plan and build raise nothing: a draw whose plan raises is verified from
     scratch in its turn and raises there, as a grid build that raises does
     when its grid is requested.  A draw too large for a chunk alone requests
@@ -1190,12 +1197,11 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
     per_chunk = _PLAN_CELLS // max((M + 1) * (N + 1), 13 * 13)
 
     def compare(chunk, keys):
-        if len(keys) <= per_chunk:
-            cache_grids(keys)
+        grids = build_grids(keys) if len(keys) <= per_chunk else {}
         for i, ident, j, planned in chunk:
             point = planned.point if planned else sampler.draw(ident, j)
             report = verify_identity(ident, point, M, N, tolerance,
-                                     _planned=planned)
+                                     _planned=planned, _grids=grids)
             worst[i] = max(worst[i], report.rel_residual)
             passes[i] += int(report.passed)
 

@@ -228,15 +228,16 @@ def apply_expr_to_params(e: OperatorExpr, p, M: int, N: int) -> np.ndarray:
     instance p, on the rectangle [0..M] x [0..N]."""
     compiled = compile_expr(e, p, M, N)
     require_margin(compiled, M, N)
-    return apply_compiled(compiled, M, N)
+    grids = [_grid_coeffs(q, M, N) for q, _, _ in compiled]
+    return apply_compiled(compiled, grids, M, N)
 
 
-def apply_compiled(compiled: dict, M: int, N: int) -> np.ndarray:
+def apply_compiled(compiled: dict, grids: list, M: int, N: int) -> np.ndarray:
     """The applied grid of a compile_expr result that passed
-    require_margin: one multiply-add per shifted instance, in its order."""
+    require_margin, given the grid of each key's instance q on the
+    rectangle, in key order: one multiply-add per shifted instance."""
     acc = np.zeros((M + 1, N + 1), dtype=np.complex128)
-    for (q, dm, dn), w in compiled.items():
-        g = _grid_coeffs(q, M, N)
+    for ((q, dm, dn), w), g in zip(compiled.items(), grids):
         if isinstance(w, np.ndarray):
             # the output window of the weight; a row or column keeps its
             # axis of length one (np.broadcast_to costs 5 us more per call)

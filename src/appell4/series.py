@@ -31,10 +31,10 @@ complex alone.  A grid is built by the linear route (ratio recurrences from
 the anchors) unless a factor array or the product leaves the double range;
 then by the log route, which reuses the ratios the linear attempt folded.
 
-Grids are cached by (params, M, N) in one least-recently-used cache bounded
-by bytes (_GRID_CACHE_BYTES), shared by single requests and batch builds.
-`cache_grids` fills it for many requests at once: grids of one rectangle,
-when there are _LANE_MIN or more, are built as lanes (`kernels.Lanes`).  The
+Grid requests (`_grid_coeffs`) go through a small least-recently-used cache
+keyed by (params, M, N).  `build_grids` builds many grids at once for a
+caller that holds them, without the cache: grids of one rectangle, when
+there are _LANE_MIN or more, are built as lanes (`kernels.Lanes`).  The
 grids of one structure make one set of chains from their parameters read as
 columns (`_Columns`), one complex128 entry per grid, and chains of one
 structure are batched across these groups and families.  Each lane is bit
@@ -59,7 +59,6 @@ import cmath
 import dataclasses
 import math
 import warnings
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import add, itemgetter, mul, neg, sub, truediv
@@ -747,7 +746,7 @@ def _grid_lanes(params, M: int, N: int):
             coeffs = W[lo:hi, idx] * U[lo:hi, :, None] * V[lo:hi, None, :]
         ok = ~bad[lo:hi] & np.isfinite(coeffs).all(axis=(1, 2))
         for p, grid, good in zip(params[lo:hi], coeffs, ok):
-            yield p, grid.copy() if good else None
+            yield p, grid if good else None
 
 
 # fewest grids of one rectangle worth building as lanes: a batch costs a
@@ -757,18 +756,18 @@ def _grid_lanes(params, M: int, N: int):
 _LANE_MIN = 64
 
 
-def cache_grids(keys) -> None:
-    """Put the grid of every (p, M, N) of keys into the grid cache, as the
-    most recently used entries; raises nothing.
+def build_grids(keys) -> dict:
+    """{(p, M, N): grid} for every distinct (p, M, N) of keys, each grid
+    read-only; raises nothing and touches no cache.
 
-    Missing grids of one rectangle are built as lanes when there are at
-    least _LANE_MIN of them, the others alone.  A grid whose build raises
-    is left out, so that its request raises the same error."""
-    missing = {}
-    for key in dict.fromkeys(keys):
-        if not _GRIDS.touch(key):
-            missing.setdefault(key[1:], []).append(key[0])
-    for (M, N), params in missing.items():
+    Grids of one rectangle are built as lanes when there are at least
+    _LANE_MIN of them, the others alone.  A key whose build raises is left
+    out, so that its request raises the same error."""
+    by_shape = {}
+    for p, M, N in dict.fromkeys(keys):
+        by_shape.setdefault((M, N), []).append(p)
+    grids = {}
+    for (M, N), params in by_shape.items():
         built = ((p, None) for p in params)
         if _LANES_EXACT and len(params) >= _LANE_MIN:
             built = _grid_lanes(params, M, N)
@@ -779,84 +778,17 @@ def cache_grids(keys) -> None:
                 except Exception:
                     continue
             grid.flags.writeable = False
-            _GRIDS.add((p, M, N), grid)
+            grids[p, M, N] = grid
+    return grids
 
 
-# ---------------------------------------------------------------------------
-# the grid cache
-# ---------------------------------------------------------------------------
-
-GridCacheInfo = namedtuple("GridCacheInfo",
-                           "hits misses currsize nbytes max_bytes")
-
-
-class _GridCache:
-    """Least-recently-used cache of read-only grids keyed by (p, M, N),
-    bounded by bytes: each entry costs its grid's bytes and _ENTRY_BYTES.
-
-    Calling it requests a grid: a hit returns the cached array, a miss
-    builds it with _build_grid.  cache_grids fills it through `add` and
-    `touch`, which count as neither."""
-
-    def __init__(self, build, max_bytes: int):
-        self.__wrapped__ = build
-        self.max_bytes = max_bytes
-        self.cache_clear()
-
-    def __call__(self, p: SeriesParams, M: int, N: int) -> np.ndarray:
-        key = (p, M, N)
-        grid = self._grids.get(key)
-        if grid is None:
-            self.misses += 1
-            grid = self.__wrapped__(p, M, N)
-            self.add(key, grid)
-        else:
-            self.hits += 1
-            self._grids.move_to_end(key)
-        return grid
-
-    def touch(self, key) -> bool:
-        """Whether key is cached; if so it becomes the most recently used."""
-        if key not in self._grids:
-            return False
-        self._grids.move_to_end(key)
-        return True
-
-    def add(self, key, grid: np.ndarray) -> None:
-        """Cache grid under key, evicting the least recently used grids
-        until the bytes fit the bound (grid too, if it alone exceeds it)."""
-        old = self._grids.pop(key, None)
-        if old is not None:
-            self.nbytes -= old.nbytes + _ENTRY_BYTES
-        self._grids[key] = grid
-        self.nbytes += grid.nbytes + _ENTRY_BYTES
-        while self.nbytes > self.max_bytes:
-            self.nbytes -= self._grids.popitem(last=False)[1].nbytes + \
-                _ENTRY_BYTES
-
-    def cache_info(self) -> GridCacheInfo:
-        return GridCacheInfo(self.hits, self.misses, len(self._grids),
-                             self.nbytes, self.max_bytes)
-
-    def cache_clear(self) -> None:
-        self._grids = OrderedDict()
-        self.hits = self.misses = self.nbytes = 0
-
-
-# bytes the grid cache holds: 1,254 grids of 13 x 13 (an audit chunk and a
-# half), 152 of 41 x 41, 6,393 of 1 x 1, none of 512 x 512 (4 MiB alone).
-# Its 4,096-entry predecessor could hold 16 GiB of 512 x 512 grids.  On a
-# 2-core x86-64 host the seed-3 acceptance audit peaked at 57-62 MB with
-# room for 4,096 grids of 13 x 13 (11 MB), against 47.7 MB before batching
-_GRID_CACHE_BYTES = 2 ** 22
-
-# bytes an entry holds besides its grid's: key, parameters, array header;
-# 579 bytes measured for an F41 entry with a 1 x 1 grid
-_ENTRY_BYTES = 640
-
-# every grid request goes through this name, which a tracer may wrap;
-# cache_grids fills the cache through _GRIDS
-_GRIDS = _grid_coeffs = _GridCache(_build_grid, _GRID_CACHE_BYTES)
+# every grid request goes through this name, which a tracer may wrap.  Its
+# repeats come from one command at a time: quadcheck asks for its KdF grid
+# once per node (reuse distance 0), sweep and eval for one grid, and a
+# verify_identity outside the audit for its shifted instances, whose repeats
+# fall at reuse distance 0 to 3; the audit's grids come from build_grids.
+# Four grids keep every such repeat and hold at most 16 MiB (512 x 512)
+_grid_coeffs = lru_cache(maxsize=4)(_build_grid)
 
 
 def coefficient_grid(p: SeriesParams, M: int, N: int) -> CoefficientGrid:
@@ -1155,8 +1087,9 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
 
     # ratios over complete anti-diagonals only (d <= M on the square)
     ratios, tail, divergence_flag = _growth(abs_blocks[:M + 1])
+    # a NaN ratio counts as growth here too, as it does in _growth
     monotone = (divergence_flag and len(tail) >= 2
-                and all(b > a for a, b in zip(tail, tail[1:])))
+                and all(not b <= a for a, b in zip(tail, tail[1:])))
     return DivergenceReport(block_ratios=tuple(ratios),
                             directional_max_ratios=tuple(directional.tolist()),
                             divergence_flag=divergence_flag,

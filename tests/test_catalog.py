@@ -472,6 +472,12 @@ class TestErrorPaths:
         with pytest.raises(MarginError):
             verify_identity(ident, ParamPoint(pt.params, r=3), M=2, N=2)
 
+    def test_rectangle_budget_is_checked(self):
+        # every shifted instance grid is requested through coefficient_grid
+        with pytest.raises(ValueError, match="exceeds"):
+            verify_identity(BYID["F41.ddeq.1"], ParamPoint(PT41), M=512,
+                            N=512)
+
     def test_summed_mode_needs_termination(self):
         ident = BYID["F41.thm4.1"]
         with pytest.raises(ConstraintError):
@@ -516,17 +522,18 @@ class TestAuditPhases:
             == want
 
     def test_comparisons_make_no_miss(self, monkeypatch):
+        # the comparisons read the grids the chunk built: no grid request
         builds = []
-        cache_grids = catalog.cache_grids
-        monkeypatch.setattr(catalog, "cache_grids",
+        build_grids = catalog.build_grids
+        monkeypatch.setattr(catalog, "build_grids",
                             lambda keys: builds.append(len(keys))
-                            or cache_grids(keys))
+                            or build_grids(keys))
         series._grid_coeffs.cache_clear()
         summary = audit_catalog(ParamSampler(seed=5, draws=4))
         assert len(builds) >= 3 and max(builds) * 13 * 13 \
             <= catalog._PLAN_CELLS
         info = series._grid_coeffs.cache_info()
-        assert info.misses == 0 and info.hits >= sum(builds)
+        assert (info.misses, info.hits) == (0, 0)
         assert {row["status"] for row in summary.rows} == \
             {"ok", "typo_confirmed"}
 
@@ -627,7 +634,7 @@ class TestAuditMechanism:
             raise _Stop
 
         chunks = []
-        monkeypatch.setattr(catalog, "cache_grids", stop)
+        monkeypatch.setattr(catalog, "build_grids", stop)
         with pytest.raises(_Stop):
             audit_catalog(ParamSampler(seed=0))
         params = [p for p, M, N in chunks[0]]
@@ -652,7 +659,7 @@ class TestAuditMechanism:
 
         chunks = []
         with monkeypatch.context() as patch:
-            patch.setattr(catalog, "cache_grids", stop)
+            patch.setattr(catalog, "build_grids", stop)
             with pytest.raises(_Stop):
                 audit_catalog(ParamSampler(seed=0))
         params = chunks[0]

@@ -530,7 +530,7 @@ class TestRegionAndDivergence:
             warnings.simplefilter("error")
             rep = divergence_diagnostic(p, 10)
         assert math.isnan(rep.block_ratios[-1])
-        assert rep.divergence_flag
+        assert rep.divergence_flag and rep.monotone_growth
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_arguments_refused(self, bad):
@@ -1318,35 +1318,33 @@ class TestGridLanes:
         seen = check_lane_corpus(2400)
         assert min(seen.values()) >= 50, seen
 
-    def test_cache_grids_fills_the_cache_with_the_scalar_bytes(self):
+    def test_build_grids_gives_the_scalar_bytes(self):
         requests = [(p, M, N) for kind, p, M, N in lane_grid_corpus(600, 8)
                     if (M + 1) * (N + 1) <= 13 * 13]
         series._grid_coeffs.cache_clear()
-        series.cache_grids(requests + requests[:5])
+        grids = series.build_grids(requests + requests[:5])
         info = series._grid_coeffs.cache_info()
-        assert (info.hits, info.misses) == (0, 0)
-        cached = 0
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        built = 0
         for key in requests:
             try:
                 want = series._build_grid(*key)
             except OverflowSignalError:
-                assert not series._GRIDS.touch(key)
-                with pytest.raises(OverflowSignalError):
-                    series._grid_coeffs(*key)
+                assert key not in grids
                 continue
-            got = series._grid_coeffs(*key)
+            got = grids[key]
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
-            cached += 1
-        assert cached > 100
-        assert series._grid_coeffs.cache_info().hits == cached
+            built += 1
+        assert built > 100 and len(grids) == built
 
     def test_narrow_batches_take_the_scalar_route(self, monkeypatch):
         monkeypatch.setattr(series, "_grid_lanes", None)
-        keys = [(p, M, N) for _, p, M, N in
+        keys = [(p, 12, 12) for _, p, _, _ in
                 lane_grid_corpus(series._LANE_MIN - 1, 9)]
-        series._grid_coeffs.cache_clear()
-        series.cache_grids([(p, 12, 12) for p, _, _ in keys])
-        assert series._grid_coeffs.cache_info().currsize > 0
+        grids = series.build_grids(keys)
+        assert grids and set(grids) <= set(keys)
+        for key, grid in grids.items():
+            assert grid.tobytes() == series._build_grid(*key).tobytes()
 
 
 class TestColumns:
@@ -1408,48 +1406,21 @@ class TestColumns:
         assert lanes > 500
 
 
-def fake_grid(p, M, N):
-    return np.zeros((M + 1, N + 1), dtype=np.complex128)
+class TestGridCacheBound:
+    def test_holds_at_most_maxsize_grids(self):
+        series._grid_coeffs.cache_clear()
+        maxsize = series._grid_coeffs.cache_info().maxsize
+        for i in range(maxsize + 3):
+            series._grid_coeffs(P41.replace(a=1.5 + i), 2, 2)
+        info = series._grid_coeffs.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 3, maxsize)
 
-
-class TestGridCache:
-    def test_bytes_bound_evicts_the_least_recently_used(self):
-        def cost(cells):
-            return cells * 16 + series._ENTRY_BYTES
-
-        bound = 5 * cost(20)
-        cache = series._GridCache(fake_grid, bound)
-        for i in range(8):
-            cache(i, 3, 4)                       # 20 cells each
-            assert cache.cache_info().nbytes <= bound
-        assert list(cache._grids) == [(i, 3, 4) for i in range(3, 8)]
-        assert cache.cache_info().nbytes == bound
-        cache(4, 3, 4)                           # a hit makes 4 the newest
-        cache(8, 9, 0)                           # 10 cells evict 3 alone
-        assert [k[0] for k in cache._grids] == [5, 6, 7, 4, 8]
-        assert cache.cache_info().nbytes == 4 * cost(20) + cost(10)
-        cache(9, 10, 23)                         # 264 cells: kept nowhere
-        assert cache.cache_info().nbytes == 0 and not cache._grids
-        info = cache.cache_info()
-        assert (info.hits, info.misses, info.max_bytes) == (1, 10, bound)
-        cache.cache_clear()
-        assert cache.cache_info() == (0, 0, 0, 0, bound)
-
-    def test_tiny_grids_are_bounded_by_their_entries(self):
-        cache = series._GridCache(fake_grid, 100 * series._ENTRY_BYTES)
-        for i in range(1000):
-            cache(i, 0, 0)
-        assert cache.cache_info().currsize < 100
-
-    def test_touch_and_add_count_neither_hit_nor_miss(self):
-        cache = series._GridCache(fake_grid, 10 ** 6)
-        cache.add(("p", 1, 1), fake_grid("p", 1, 1))
-        assert cache.touch(("p", 1, 1)) and not cache.touch(("q", 1, 1))
-        assert cache.cache_info()[:2] == (0, 0)
-
-    def test_one_audit_chunk_fits(self):
-        # a chunk counts every grid as 13 x 13 cells at least
-        from appell4 import catalog
-        grids = catalog._PLAN_CELLS // (13 * 13)
-        assert catalog._PLAN_CELLS * 16 + grids * series._ENTRY_BYTES \
-            <= series._GRID_CACHE_BYTES
+    def test_largest_rectangle_is_built_once(self):
+        # the byte-bounded cache this replaced kept no 512 x 512 grid
+        pol = TruncationPolicy(511, 511)
+        p = F41Params(-3, 0.8, 1.7, 2.3, 0, 0, 0, 0, 0.0, 0.0)
+        series._grid_coeffs.cache_clear()
+        first = evaluate_values(p, [0.1], [0.05], pol)
+        assert evaluate_values(p, [0.1], [0.05], pol) == first
+        info = series._grid_coeffs.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
