@@ -923,14 +923,14 @@ def _compile_term(term: SideTerm, M: int, N: int) -> dict:
 
 
 def _instance_grid(q: Params, M: int, N: int, grids: dict) -> np.ndarray:
-    grid = grids.get((q, M, N))
+    grid = grids.get(q)
     return coefficient_grid(q, M, N).coeffs if grid is None else grid
 
 
 def _term_grid(term: SideTerm, M: int, N: int, compiled: dict,
                grids: dict) -> np.ndarray:
     """The term's grid; compiled is _compile_term(term, M, N), and grids
-    holds built instance grids by (params, M, N), any other one requested."""
+    holds built M x N instance grids by instance, any other one requested."""
     if term.composition is Composition.NONE:
         instances = [_instance_grid(q, M, N, grids) for q, _, _ in compiled]
         return complex(term.coeff) * apply_compiled(compiled, instances, M, N)
@@ -988,10 +988,10 @@ class _PlannedDraw:
     lhs: tuple
     rhs: tuple
 
-    def grid_keys(self, M: int, N: int) -> list:
-        """The (params, M, N) grid requests of the comparison, in order: the
+    def instances(self) -> list:
+        """The instances whose grids the comparison requests, in order: the
         compiled instances of every term, a composed one's being its own."""
-        return [(q, M, N) for _, compiled in self.lhs + self.rhs
+        return [q for _, compiled in self.lhs + self.rhs
                 for q, _, _ in compiled]
 
 
@@ -1177,8 +1177,8 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
     The draws are taken in catalog order, in chunks of at most _PLAN_CELLS
     grid cells (one draw at least), each in three phases:
       plan     draw the point, build both sides and compile every term;
-      build    build every grid the chunk requests, as lanes where they
-               are many (series.build_grids);
+      build    build every grid the chunk requests, as lanes
+               (series.build_grids);
       compare  verify_identity on the planned sides and the built grids.
     Plan and build raise nothing: a draw whose plan raises is verified from
     scratch in its turn and raises there, as a grid build that raises does
@@ -1197,7 +1197,7 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
     per_chunk = _PLAN_CELLS // max((M + 1) * (N + 1), 13 * 13)
 
     def compare(chunk, keys):
-        grids = build_grids(keys) if len(keys) <= per_chunk else {}
+        grids = build_grids(keys, M, N) if len(keys) <= per_chunk else {}
         for i, ident, j, planned in chunk:
             point = planned.point if planned else sampler.draw(ident, j)
             report = verify_identity(ident, point, M, N, tolerance,
@@ -1212,7 +1212,7 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
                 planned = _plan(ident, sampler.draw(ident, j), M, N)
             except Exception:
                 planned = None  # compare repeats the draw and raises there
-            mine = dict.fromkeys(planned.grid_keys(M, N) if planned else ())
+            mine = dict.fromkeys(planned.instances() if planned else ())
             fresh = sum(key not in keys for key in mine)
             if chunk and len(keys) + fresh > per_chunk:
                 compare(chunk, list(keys))

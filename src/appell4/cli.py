@@ -16,30 +16,26 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
 
-from .catalog import (Family, ParamPoint, ParamSampler, Target,
-                      _require_tolerance, audit_catalog, point_to_dict,
-                      select_identities)
+from .catalog import (Family, ParamSampler, Target, _require_tolerance,
+                      audit_catalog, select_identities)
 from .errors import Appell4Error
 from .quadrature import (IntegralRepSpec, RepKind, _require_order,
                          _require_terminating, integral_rep_check,
                          laguerre_rule)
-from .series import (F41Params, F42Params, KdfParams, TruncationPolicy,
-                     _require_finite, _require_rectangle, convergence_region,
-                     eval_f4_classic, eval_f41, eval_f42, eval_kdf,
-                     evaluate_many)
+from .series import (ConvergenceRegionWarning, F41Params, F42Params,
+                     KdfParams, TruncationPolicy, _require_finite,
+                     _require_rectangle, convergence_region, eval_f4_classic,
+                     eval_f41, eval_f42, eval_kdf, evaluate_many)
 
 _OK, _CHECK_FAILED, _CONFIG_ERROR, _EVAL_ERROR = 0, 1, 2, 3
 _ENV_SEED = "APPELL4_SEED"
 
-_FAMILY_LETTERS = {
-    "A": Family.A_DDEQ, "B": Family.B_DIFF_FORMULAS,
-    "C": Family.C_PARTIAL_FORMULAS, "D": Family.D_RECURSION_SUMS,
-    "E": Family.E_FIRST_ORDER, "F": Family.F_SECOND_ORDER,
-}
+_FAMILY_LETTERS = {f.name[0]: f for f in Family}
 
 
 # ---------------------------------------------------------------------------
@@ -87,29 +83,54 @@ def dump_json(v, indent: int = 0) -> str:
 # configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "eval": {
-        "fn": "F41", "a": "1", "b": "1", "c1": "2", "c2": "2",
-        "t1": "1", "t2": "1", "t": "1", "k1": 0, "k2": 0, "k": 0,
-        "x": "0", "y": "0",
-        "A": "", "B": "", "C": "", "D": "", "E": "", "F": "",
-        "m_max": 40, "n_max": 40, "out": None,
-    },
-    "audit": {
-        "seed": None, "draws": 20, "m_max": 12, "n_max": 12,
-        "tolerance": 1e-10, "family": None, "target": None,
-        "include_suspected": False, "out": None,
-    },
-    "quadcheck": {
-        "which": "rep_a", "k": 0, "a": "1", "b": "1", "c1": "2", "c2": "2",
-        "t1": "1", "t2": "1", "x": "0", "y": "0",
-        "order": 64, "tolerance": 1e-8, "m_max": 40, "n_max": 40, "out": None,
-    },
-    "sweep": {
-        "lo": 0.0, "hi": 0.5, "step": 0.1, "a": "1", "b": "1",
-        "c1": "2", "c2": "2", "t": "1", "k": 0,
-        "m_max": 40, "n_max": 40, "out": None,
-    },
+# the text flags' defaults, the same in every command that takes them
+_TEXT_DEFAULTS = {"a": "1", "b": "1", "c1": "2", "c2": "2", "t1": "1",
+                  "t2": "1", "t": "1", "x": "0", "y": "0"}
+_INT, _FLOAT = {"type": int}, {"type": float}
+_OPTION = {"m_max": "--M", "n_max": "--N",
+           "include_suspected": "--include-suspected"}
+
+
+def _text(names: str) -> dict:
+    return {name: (_TEXT_DEFAULTS[name], {}) for name in names.split()}
+
+
+def _rectangle(size: int) -> dict:
+    return {"out": (None, {"help": "also write the report to this path"}),
+            "m_max": (size, {"type": int, "help": "row truncation"}),
+            "n_max": (size, {"type": int, "help": "column truncation"})}
+
+
+# each command's help and its flags in --help order, as {destination:
+# (default, add_argument keywords)}; the flag is --<destination> unless
+# _OPTION names it, and the config file takes the destinations as keys
+_COMMANDS = {
+    "eval": ("evaluate one function value", {
+        "fn": ("F41", {"choices": ("F41", "F42", "F4", "KdF")}),
+        **_text("a b c1 c2 t1 t2 t x y"),
+        "k1": (0, _INT), "k2": (0, _INT), "k": (0, _INT),
+        **{name: ("", {"help": "comma-separated sequence (KdF only)"})
+           for name in "ABCDEF"},
+        **_rectangle(40)}),
+    "audit": ("verify catalog identities at sampled parameters", {
+        "seed": (None, _INT), "draws": (20, _INT),
+        "tolerance": (1e-10, _FLOAT),
+        "family": (None, {"choices": sorted(_FAMILY_LETTERS) +
+                          [f.value for f in Family]}),
+        "target": (None, {"choices": [t.value for t in Target]}),
+        "include_suspected": (False, {
+            "action": "store_true",
+            "help": "also audit entries registered as printed typos"}),
+        **_rectangle(12)}),
+    "quadcheck": ("integral representation vs direct series", {
+        "which": ("rep_a", {"choices": [r.value for r in RepKind]}),
+        "k": (0, _INT), **_text("a b c1 c2 t1 t2 x y"),
+        "order": (64, _INT), "tolerance": (1e-8, _FLOAT),
+        **_rectangle(40)}),
+    "sweep": ("convergence-region and divergence-flag grid", {
+        "lo": (0.0, _FLOAT), "hi": (0.5, _FLOAT), "step": (0.1, _FLOAT),
+        **_text("a b c1 c2 t"), "k": (0, _INT),
+        **_rectangle(40)}),
 }
 
 
@@ -122,87 +143,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate and verify the discrete analogues of the "
                     "fourth Appell function.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON file of flag values; explicit "
-                       "flags win on conflict")
-        p.add_argument("--out", help="also write the report to this path")
-        p.add_argument("--M", dest="m_max", type=int, help="row truncation")
-        p.add_argument("--N", dest="n_max", type=int, help="column truncation")
-
-    p_eval = sub.add_parser("eval", help="evaluate one function value")
-    p_eval.add_argument("--fn", choices=("F41", "F42", "F4", "KdF"))
-    for name in ("a", "b", "c1", "c2", "t1", "t2", "t", "x", "y"):
-        p_eval.add_argument(f"--{name}")
-    for name in ("k1", "k2", "k"):
-        p_eval.add_argument(f"--{name}", type=int)
-    for name in ("A", "B", "C", "D", "E", "F"):
-        p_eval.add_argument(f"--{name}", help="comma-separated sequence "
-                            "(KdF only)")
-    add_common(p_eval)
-
-    p_audit = sub.add_parser("audit", help="verify catalog identities at "
-                             "sampled parameters")
-    p_audit.add_argument("--seed", type=int)
-    p_audit.add_argument("--draws", type=int)
-    p_audit.add_argument("--tolerance", type=float)
-    p_audit.add_argument("--family", choices=sorted(_FAMILY_LETTERS) +
-                         [f.value for f in Family])
-    p_audit.add_argument("--target", choices=[t.value for t in Target])
-    p_audit.add_argument("--include-suspected", dest="include_suspected",
-                         action="store_true", default=None,
-                         help="also audit entries registered as printed typos")
-    add_common(p_audit)
-
-    p_quad = sub.add_parser("quadcheck", help="integral representation vs "
-                            "direct series")
-    p_quad.add_argument("--which", choices=[r.value for r in RepKind])
-    p_quad.add_argument("--k", type=int)
-    for name in ("a", "b", "c1", "c2", "t1", "t2", "x", "y"):
-        p_quad.add_argument(f"--{name}")
-    p_quad.add_argument("--order", type=int)
-    p_quad.add_argument("--tolerance", type=float)
-    add_common(p_quad)
-
-    p_sweep = sub.add_parser("sweep", help="convergence-region and "
-                             "divergence-flag grid")
-    for name in ("lo", "hi", "step"):
-        p_sweep.add_argument(f"--{name}", type=float)
-    for name in ("a", "b", "c1", "c2", "t"):
-        p_sweep.add_argument(f"--{name}")
-    p_sweep.add_argument("--k", type=int)
-    add_common(p_sweep)
+    for command, (text, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for dest, (_, keywords) in rows.items():
+            if dest == "out":
+                p.add_argument("--config", help="JSON file of flag values; "
+                               "explicit flags win on conflict")
+            # every default is None, so that a flag left out keeps the
+            # config file's value
+            p.add_argument(_OPTION.get(dest, "--" + dest), dest=dest,
+                           default=None, **keywords)
     return parser
 
 
-def _flags(command: str) -> dict:
-    """The command's flags by destination, as its subparser defines them."""
-    sub, = (action for action in _build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction))
-    return {action.dest: action for action in sub.choices[command]._actions}
-
-
-def _config_value(action: argparse.Action, val):
+def _config_value(key: str, keywords: dict, val):
     """A config file's value, checked as its flag checks its text: a switch
     takes true or false; another flag reads str(val) with its type (str if
     none), so 1.7 is no int and true no count, then checks its choices."""
-    if action.nargs == 0:
+    if "action" in keywords:
         ok = isinstance(val, bool)
     else:
         try:
-            val = (action.type or str)(str(val))
-            ok = action.choices is None or val in action.choices
+            val = keywords.get("type", str)(str(val))
+            choices = keywords.get("choices")
+            ok = choices is None or val in choices
         except ValueError:
             ok = False
     if not ok:
-        raise ValueError(f"config key {action.dest!r} cannot take {val!r}")
+        raise ValueError(f"config key {key!r} cannot take {val!r}")
     return val
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     """The command's defaults, overridden by --config, overridden by flags."""
     command = args.command
-    merged = dict(_DEFAULTS[command])
+    rows = _COMMANDS[command][1]
+    merged = {dest: default for dest, (default, _) in rows.items()}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -212,7 +188,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r} for {command}")
             if val is not None:  # null keeps the default
-                merged[key] = _config_value(_flags(command)[key], val)
+                merged[key] = _config_value(key, rows[key][1], val)
     for key in merged:
         val = getattr(args, key, None)
         if val is not None:
@@ -247,13 +223,6 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _params_json(p) -> dict:
-    d = point_to_dict(ParamPoint(p))
-    for key in ("target", "r", "s"):
-        d.pop(key)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -266,25 +235,28 @@ def cmd_eval(o: dict) -> int:
     if fn == "F41":
         p = F41Params(a, b, c1, c2, _cplx(o["t1"]), _cplx(o["t2"]),
                       int(o["k1"]), int(o["k2"]), x, y)
-        res, params = eval_f41(p, pol), _params_json(p)
+        res, params = eval_f41(p, pol), vars(p)
     elif fn == "F42":
         p = F42Params(a, b, c1, c2, _cplx(o["t"]), int(o["k"]), x, y)
-        res, params = eval_f42(p, pol), _params_json(p)
+        res, params = eval_f42(p, pol), vars(p)
     elif fn == "F4":
-        res = eval_f4_classic(a, b, c1, c2, x, y, pol)
+        # the region warning is one stderr line on every call, printed
+        # before an evaluation error's
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConvergenceRegionWarning)
+            try:
+                res = eval_f4_classic(a, b, c1, c2, x, y, pol)
+            finally:
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
         params = {"a": a, "b": b, "c1": c1, "c2": c2, "x": x, "y": y}
     else:
-        kdf = KdfParams(A=_seq(o["A"]), B=_seq(o["B"]), C=_seq(o["C"]),
-                        D=_seq(o["D"]), E=_seq(o["E"]), F=_seq(o["F"]),
-                        x=x, y=y)
-        res = eval_kdf(kdf, pol)
-        params = {name: list(getattr(kdf, name))
-                  for name in ("A", "B", "C", "D", "E", "F")}
-        params.update(x=x, y=y)
+        p = KdfParams(*(_seq(o[n]) for n in "ABCDEF"), x=x, y=y)
+        res, params = eval_kdf(p, pol), vars(p)
     report = {
         "function": fn,
         "params": params,
-        "value": [res.value.real, res.value.imag],
+        "value": res.value,
         "terms_used": res.terms_used,
         "tail_estimate": res.tail_estimate,
         "divergence_flag": res.divergence_flag,

@@ -32,15 +32,15 @@ the anchors) unless a factor array or the product leaves the double range;
 then by the log route, which reuses the ratios the linear attempt folded.
 
 Grid requests (`_grid_coeffs`) go through a small least-recently-used cache
-keyed by (params, M, N).  `build_grids` builds many grids at once for a
-caller that holds them, without the cache: grids of one rectangle, when
-there are _LANE_MIN or more, are built as lanes (`kernels.Lanes`).  The
-grids of one structure make one set of chains from their parameters read as
-columns (`_Columns`), one complex128 entry per grid, and chains of one
-structure are batched across these groups and families.  Each lane is bit
-for bit the grid that the scalar engine builds alone (`_build_grid`); a lane
-that meets an exact zero, a renormalisation break, a zero or NaN divisor or
-a non-finite grid is built by the scalar engine instead.
+keyed by (params, M, N).  `build_grids` builds many grids of one rectangle
+at once for a caller that holds them, without the cache, as lanes
+(`kernels.Lanes`).  The grids of one structure make one set of chains from
+their parameters read as columns (`_Columns`), one complex128 entry per
+grid, and chains of one structure are batched across these groups and
+families.  Each lane is bit for bit the grid that the scalar engine builds
+alone (`_build_grid`); a lane that meets an exact zero, a renormalisation
+break, a zero or NaN divisor or a non-finite grid is built by the scalar
+engine instead.
 
 `evaluate` sums one point; `evaluate_many` sums one grid at many arguments
 (x, y), as the CLI sweep needs, and `evaluate_values` gives the same values
@@ -749,36 +749,26 @@ def _grid_lanes(params, M: int, N: int):
             yield p, grid if good else None
 
 
-# fewest grids of one rectangle worth building as lanes: a batch costs a
-# fixed number of numpy calls whatever its width.  On a 2-core x86-64 host,
-# mixed F41/F42 13 x 13 grids took 246 us each in batches of 32, 130 us in
-# batches of 64 and 49 us in batches of 775, against 150-180 us alone
-_LANE_MIN = 64
-
-
-def build_grids(keys) -> dict:
-    """{(p, M, N): grid} for every distinct (p, M, N) of keys, each grid
+def build_grids(params, M: int, N: int) -> dict:
+    """{p: grid} of the M x N grid of every distinct p in params, each
     read-only; raises nothing and touches no cache.
 
-    Grids of one rectangle are built as lanes when there are at least
-    _LANE_MIN of them, the others alone.  A key whose build raises is left
-    out, so that its request raises the same error."""
-    by_shape = {}
-    for p, M, N in dict.fromkeys(keys):
-        by_shape.setdefault((M, N), []).append(p)
+    The grids are built as lanes where lanes are exact, a lane that fails
+    and every grid otherwise alone.  A p whose build raises is left out, so
+    that its request raises the same error."""
+    params = list(dict.fromkeys(params))
+    built = ((p, None) for p in params)
+    if _LANES_EXACT:
+        built = _grid_lanes(params, M, N)
     grids = {}
-    for (M, N), params in by_shape.items():
-        built = ((p, None) for p in params)
-        if _LANES_EXACT and len(params) >= _LANE_MIN:
-            built = _grid_lanes(params, M, N)
-        for p, grid in built:
-            if grid is None:
-                try:
-                    grid = _build_grid(p, M, N)
-                except Exception:
-                    continue
-            grid.flags.writeable = False
-            grids[p, M, N] = grid
+    for p, grid in built:
+        if grid is None:
+            try:
+                grid = _build_grid(p, M, N)
+            except Exception:
+                continue
+        grid.flags.writeable = False
+        grids[p] = grid
     return grids
 
 

@@ -517,7 +517,7 @@ class TestAuditPhases:
             == want
         # chunks of about 40 grids, built without lanes
         monkeypatch.setattr(catalog, "_PLAN_CELLS", 40 * 13 * 13)
-        monkeypatch.setattr(series, "_LANE_MIN", 10 ** 9)
+        monkeypatch.setattr(series, "_LANES_EXACT", False)
         assert audit_catalog(sampler, identities=self.idents()).to_json() \
             == want
 
@@ -526,8 +526,8 @@ class TestAuditPhases:
         builds = []
         build_grids = catalog.build_grids
         monkeypatch.setattr(catalog, "build_grids",
-                            lambda keys: builds.append(len(keys))
-                            or build_grids(keys))
+                            lambda params, M, N: builds.append(len(params))
+                            or build_grids(params, M, N))
         series._grid_coeffs.cache_clear()
         summary = audit_catalog(ParamSampler(seed=5, draws=4))
         assert len(builds) >= 3 and max(builds) * 13 * 13 \
@@ -629,16 +629,16 @@ class TestAuditMechanism:
         # 13 x 13 in 9 structures and 4 batches of chains (W of every grid
         # in one, U and V together by their t-factor step), as before
         # instances kept their hash
-        def stop(keys):
-            chunks.append(list(keys))
+        def stop(params, M, N):
+            chunks.append((list(params), M, N))
             raise _Stop
 
         chunks = []
         monkeypatch.setattr(catalog, "build_grids", stop)
         with pytest.raises(_Stop):
             audit_catalog(ParamSampler(seed=0))
-        params = [p for p, M, N in chunks[0]]
-        assert len(params) == 770 and {k[1:] for k in chunks[0]} == {(12, 12)}
+        params, M, N = chunks[0]
+        assert len(params) == 770 and (M, N) == (12, 12)
         assert len({series._structure(p) for p in params}) == 9
         batches = []
         chain_lanes = series._chain_lanes
@@ -653,8 +653,8 @@ class TestAuditMechanism:
         # symbols holding columns: at most 7 symbols per group (F41: a, b,
         # t1, t2, c1, c2 and the factorial), where one chain set per grid
         # made 6 per grid, 4,620
-        def stop(keys):
-            chunks.append([p for p, M, N in keys])
+        def stop(params, M, N):
+            chunks.append(list(params))
             raise _Stop
 
         chunks = []

@@ -6,6 +6,7 @@ schemas, and the determinism contract (same flags, same bytes).
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -30,6 +31,14 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def call(*argv):
+    """main(argv) in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_python(*args):
     """A fresh interpreter that imports this checkout's appell4."""
     src = os.path.dirname(os.path.dirname(appell4.__file__))
@@ -37,6 +46,12 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+# stderr of eval --fn F4 outside the region, at |x| = |y| = 0.9 and x = 1e200
+F4_OUTSIDE = ("warning: sqrt|x| + sqrt|y| >= 1 (margin -0.897): no "
+              "convergence guarantee; returning the flagged partial sum\n")
+F4_FAR = F4_OUTSIDE.replace("-0.897", "-1e+100")
 
 
 class TestEvalCommand:
@@ -170,15 +185,22 @@ class TestEvalCommand:
         assert err == (f"config error: {field} = ({value}+0j) is not "
                        "finite\n")
 
-    @pytest.mark.filterwarnings(
-        "ignore::appell4.series.ConvergenceRegionWarning")
     def test_large_finite_argument_exits_three(self, capsys):
+        # F4 warns first: the argument is outside its region
         for fn in ("F41", "F42", "F4", "KdF"):
             code = main(["eval", "--fn", fn, "--x", "1e200"])
             err = capsys.readouterr().err
             assert code == 3
-            assert err == ("evaluation error: partial sum exceeds the "
-                           "floating range\n")
+            assert err == (F4_FAR if fn == "F4" else "") + (
+                "evaluation error: partial sum exceeds the floating range\n")
+
+    def test_region_warning_is_one_line_on_every_call(self):
+        argv = ("eval", "--fn", "F4", "--x", "0.9", "--y", "0.9")
+        first, second = call(*argv), call(*argv)
+        assert first == second
+        assert (first[0], first[2]) == (0, F4_OUTSIDE)
+        proc = run_python("-m", "appell4.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == first
 
 
 class TestModuleRun:
@@ -475,33 +497,42 @@ class TestParserReuse:
     """main builds the parser once per process; a reused parser parses,
     fails and prints help exactly as a fresh one did."""
 
-    def call(self, *argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-        return code, out.getvalue(), err.getvalue()
-
     def test_one_parser_across_calls(self):
         first = cli._build_parser()
-        assert self.call("eval", "--fn", "F4", "--x", "0.1")[0] == 0
-        assert self.call("sweep", "--step", "0.25")[0] == 0
+        assert call("eval", "--fn", "F4", "--x", "0.1")[0] == 0
+        assert call("sweep", "--step", "0.25")[0] == 0
         assert cli._build_parser() is first
 
     def test_errors_and_help_after_a_successful_eval(self, monkeypatch):
         # recorded with a parser built per call, at COLUMNS=80
         monkeypatch.setenv("COLUMNS", "80")
-        assert self.call("eval", "--fn", "F4", "--x", "0.1")[0] == 0
-        assert self.call("eval", "--bogus", "1") == (
+        assert call("eval", "--fn", "F4", "--x", "0.1")[0] == 0
+        assert call("eval", "--bogus", "1") == (
             2, "", "usage: appell4 [-h] {eval,audit,quadcheck,sweep} ...\n"
                    "appell4: error: unrecognized arguments: --bogus 1\n")
-        code, out, err = self.call("eval", "--help")
+        code, out, err = call("eval", "--help")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "95968a8cb1916ddbc1754f0613b2cdcdbb6831548a8296df4276ef6c63de885f")
-        code, out, err = self.call("--help")
+        code, out, err = call("--help")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4988c814653764b08a9832e296f29fbcfb438ec04bce1c4bdfe73405ab226877")
+
+    @pytest.mark.parametrize("command,digest", [
+        ("audit",
+         "6533738e314c73d9670b5959b67214e0cb303c13dba22f5b6d154c7e4b67d4be"),
+        ("quadcheck",
+         "24d4947cc826e44cde914197a21a4d172237f3263b75d70e48b1bbba3c58e443"),
+        ("sweep",
+         "06e085384c86e8f397a6abc9dad79ffa8d5ed2c1753ef7ba8de03fb6f550a6da"),
+    ], ids=["audit", "quadcheck", "sweep"])
+    def test_command_help(self, monkeypatch, command, digest):
+        # recorded before the flags became rows of one table, at COLUMNS=80
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = call(command, "--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConfigHandling:
@@ -578,6 +609,25 @@ class TestConfigHandling:
         assert out == run(capsys, "audit", "--draws", "1", "--M", "6",
                           "--N", "6", "--family", "A",
                           "--include-suspected")[1]
+
+    @pytest.mark.parametrize("command", ["eval", "audit", "quadcheck",
+                                         "sweep"])
+    def test_config_keys_are_the_flag_destinations(self, tmp_path, command):
+        # every flag but --config is a config key, and a file that sets each
+        # key to its default changes no byte
+        sub = cli._build_parser()._subparsers._group_actions[0]
+        flags = {action.dest for action in sub.choices[command]._actions}
+        rows = cli._COMMANDS[command][1]
+        assert set(rows) == flags - {"config", "help"}
+        values = {key: default for key, (default, _) in rows.items()}
+        extra = []
+        if command == "audit":  # one draw keeps the test short
+            values["draws"], extra = 1, ["--draws", "1"]
+        path = tmp_path / "defaults.json"
+        path.write_text(json.dumps(values))
+        plain = call(command, *extra)
+        assert plain[0] == 0 and plain[1]
+        assert call(command, "--config", str(path)) == plain
 
     def test_dump_json_formats(self):
         text = dump_json({"z": complex(1, -2), "flag": True, "s": "hi",
@@ -668,5 +718,35 @@ def test_audit_on_a_thin_rectangle_with_and_without_lanes(capsys,
     assert code == 0
     assert {row["status"] for row in json.loads(out)} == \
         {"ok", "typo_confirmed"}
-    monkeypatch.setattr(series, "_LANE_MIN", 10 ** 9)
+    monkeypatch.setattr(series, "_LANES_EXACT", False)
     assert run(capsys, *argv) == (code, out)
+
+
+def _bench_inputs():
+    """perfbench/bench_inputs.py, loaded from its path and left as it is."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", os.path.join(root, "perfbench", "bench_inputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def check_pool_stdout(per_kind=None) -> str:
+    """SHA-256 over the argv, exit code, stdout and stderr of the first
+    per_kind operations of each benchmark pool but the audits' (all 2,240
+    if None), run in pool order through main.  A change that keeps the full
+    digest keeps every eval, quadcheck and sweep report of the benchmark."""
+    digest = hashlib.sha256()
+    for kind, argvs in _bench_inputs().pools().items():
+        if kind != "audit":
+            for argv in argvs[:per_kind]:
+                digest.update(json.dumps([argv, *call(*argv)]).encode())
+    return digest.hexdigest()
+
+
+def test_pool_slice_keeps_its_bytes():
+    # four operations of each kind, recorded before the flags became rows of
+    # one table; a change to the benchmark pools re-records it
+    assert check_pool_stdout(4) == (
+        "af3bb83f88f1f682455057f71cd1c272b300062add7e942c084523d6e19026e1")

@@ -1319,32 +1319,32 @@ class TestGridLanes:
         assert min(seen.values()) >= 50, seen
 
     def test_build_grids_gives_the_scalar_bytes(self):
-        requests = [(p, M, N) for kind, p, M, N in lane_grid_corpus(600, 8)
-                    if (M + 1) * (N + 1) <= 13 * 13]
+        params = [p for _, p, _, _ in lane_grid_corpus(300, 8)]
         series._grid_coeffs.cache_clear()
-        grids = series.build_grids(requests + requests[:5])
+        grids = series.build_grids(params + params[:5], 12, 12)
         info = series._grid_coeffs.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
         built = 0
-        for key in requests:
+        for p in params:
             try:
-                want = series._build_grid(*key)
+                want = series._build_grid(p, 12, 12)
             except OverflowSignalError:
-                assert key not in grids
+                assert p not in grids
                 continue
-            got = grids[key]
+            got = grids[p]
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
             built += 1
         assert built > 100 and len(grids) == built
 
-    def test_narrow_batches_take_the_scalar_route(self, monkeypatch):
+    def test_without_exact_lanes_every_grid_is_built_alone(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(series, "_LANES_EXACT", False)
         monkeypatch.setattr(series, "_grid_lanes", None)
-        keys = [(p, 12, 12) for _, p, _, _ in
-                lane_grid_corpus(series._LANE_MIN - 1, 9)]
-        grids = series.build_grids(keys)
-        assert grids and set(grids) <= set(keys)
-        for key, grid in grids.items():
-            assert grid.tobytes() == series._build_grid(*key).tobytes()
+        params = [p for _, p, _, _ in lane_grid_corpus(40, 9)]
+        grids = series.build_grids(params, 12, 12)
+        assert grids and set(grids) <= set(params)
+        for p, grid in grids.items():
+            assert grid.tobytes() == series._build_grid(p, 12, 12).tobytes()
 
 
 class TestColumns:
