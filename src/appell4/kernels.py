@@ -7,10 +7,14 @@ with an explicit fallback near the negative-integer lattice where the
 log-gamma difference loses meaning.  `pochhammer_prefixes` gives (a)_l for
 a nondecreasing list of lengths from one running product, each value bit
 for bit the one-length result; `pochhammer` is its one-length case, so the
-direct-product policy lives in one place.  `log_pochhammer_prefixes` is its
-log counterpart: one log_gamma(a) per list and one carried direct log sum
-near the lattice, each entry bit for bit `log_pochhammer`, its one-length
-case.
+direct-product policy lives in one place.  `_log_prefixes` is its log
+counterpart: one log_gamma(a) per list and one carried direct log sum near
+the lattice, the logs and their exact zero flags as two lists, with no
+object per length.  `pochhammer_prefixes` and the grid engine read those
+lists; `log_pochhammer_prefixes` wraps each entry as a `LogPochhammer`,
+bit for bit `log_pochhammer`, its one-length case.  A length is an int or a
+numpy integer, never a bool; any other raises ValueError, as does a length
+below the one before it.
 
 `Lanes` carries one Python complex number per lane as float64 arrays of real
 and imaginary parts, and computes with CPython's scalar complex rules, so
@@ -56,6 +60,8 @@ _LANCZOS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+# the terms after the first, with their indices: coefficient i over w + i
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS))[1:]
 
 
 def _is_exact_nonpositive_int(z: complex) -> bool:
@@ -95,8 +101,8 @@ def log_gamma(z: complex) -> complex:
         return math.log(math.pi) - _log_sin_pi(z) - log_gamma(1.0 - z)
     w = z - 1.0
     acc = complex(_LANCZOS[0])
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (w + i)
+    for i, coeff in _LANCZOS_TERMS:
+        acc += coeff / (w + i)
     t = w + 7.5
     return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
@@ -141,49 +147,65 @@ def _near_nonpositive_lattice(z: complex) -> bool:
     return math.hypot(z.real - nearest, z.imag) < 0.5
 
 
-def _log_prefixes(a: complex, lengths):
-    """LogPochhammer(a, l) for l in lengths, one at a time.
+def _check_length(l, last) -> None:
+    """ValueError unless the length l is an int (a numpy integer too, a bool
+    not) and at least `last`, the length before it (0 for the first).  The
+    loops call it only for a length that is not of type int or is below
+    `last`."""
+    if type(l) is not int and (isinstance(l, bool) or not isinstance(
+            l, (int, np.integer))) or l < last:
+        raise ValueError("pochhammer lengths must be nonnegative and "
+                         f"nondecreasing integers, got {l!r} after {last!r}")
 
-    log_gamma(a) is computed once, at the first length that takes the
-    log-gamma route.  Near the lattice the direct sum of factor logs,
-    added left to right from the int 0 as Python's sum adds on 3.11, is
-    carried from one length to the next, so each entry is the sum a
-    separate call computes."""
+
+def _log_prefixes(a: complex, lengths):
+    """The logs of (a)_l for l in lengths and their exact zero flags, as two
+    lists; a flagged log is 0.
+
+    Whether a is an exact lattice point is tested once.  log_gamma(a) is
+    computed once, at the first length that takes the log-gamma route.
+    Near the lattice the direct sum of factor logs, added left to right
+    from the int 0 as Python's sum adds on 3.11, is carried from one length
+    to the next, so each entry is the sum a separate call computes.  A
+    length that fails _check_length raises when it is reached."""
+    logs, zeros = [], []
+    lattice = _is_exact_nonpositive_int(a)
     near_a = lg_a = None
     acc, done, last = 0, 0, 0
     for l in lengths:
-        if l < last:
-            raise ValueError("pochhammer lengths must be nonnegative and "
-                             "nondecreasing")
+        if type(l) is not int or l < last:
+            _check_length(l, last)
         last = l
-        if l == 0:
-            yield LogPochhammer(0.0 + 0.0j, False)
+        if l == 0 or lattice and -(l - 1) <= a.real:
+            logs.append(0j)
+            zeros.append(bool(l))
             continue
-        if _poch_is_zero(a, l):
-            yield LogPochhammer(0.0 + 0.0j, True)
-            continue
+        zeros.append(False)
         if near_a is None:
             near_a = _near_nonpositive_lattice(a)
-        if near_a or _near_nonpositive_lattice(a + l):
+        # a point at real part 0.5 or more is not near the lattice
+        if near_a or (a.real + l < 0.5
+                      and _near_nonpositive_lattice(a + l)):
             while done < l:
                 acc = acc + cmath.log(a + done)
                 done += 1
-            yield LogPochhammer(acc, False)
+            logs.append(acc)
             continue
         if lg_a is None:
             lg_a = log_gamma(a)
-        yield LogPochhammer(log_gamma(a + l) - lg_a, False)
+        logs.append(log_gamma(a + l) - lg_a)
+    return logs, zeros
 
 
 def log_pochhammer_prefixes(a: complex, lengths) -> list:
     """[log_pochhammer(a, l) for l in lengths], bit for bit, zero flags
-    included; lengths must be nonnegative and must not decrease.
+    included; lengths must be nonnegative integers and must not decrease.
 
     Computed as log_gamma(a + l) - log_gamma(a) away from the
     negative-integer lattice, with log_gamma(a) computed at most once;
     where a or a + l lies within distance 0.5 of it, as a direct sum of
     factor logs carried from one length to the next."""
-    return list(_log_prefixes(complex(a), lengths))
+    return list(map(LogPochhammer, *_log_prefixes(complex(a), lengths)))
 
 
 def log_pochhammer(a: complex, l: int) -> LogPochhammer:
@@ -195,29 +217,30 @@ def log_pochhammer(a: complex, l: int) -> LogPochhammer:
 def pochhammer_prefixes(a: complex, lengths) -> list:
     """[pochhammer(a, l) for l in lengths] from one running product.
 
-    lengths must be nonnegative and must not decrease.  The direct product
-    (a+0) (a+1) ... is carried from one length to the next, so each value is
-    the prefix that a product started from 1 computes, bit for bit, and the
-    whole list costs O(max length) multiplies.  An exact zero of (a)_l
-    short-circuits; once a partial product leaves the renormalised range,
-    that length and every longer one take the log route
-    (log_pochhammer_prefixes), as does every length beyond _DIRECT_LIMIT.
-    Raises OverflowSignalError at the first value that exceeds the double
-    range.
+    lengths must be nonnegative integers and must not decrease.  The direct
+    product (a+0) (a+1) ... is carried from one length to the next, so each
+    value is the prefix that a product started from 1 computes, bit for bit,
+    and the whole list costs O(max length) multiplies.  An exact zero of
+    (a)_l short-circuits; once a partial product leaves the renormalised
+    range, that length and every longer one take the log route
+    (_log_prefixes), as does every length beyond _DIRECT_LIMIT.  Errors
+    surface in the order of lengths: a length that fails the check raises
+    ValueError, and OverflowSignalError is raised at the first value that
+    exceeds the double range.
     """
     a = complex(a)
+    lattice = _is_exact_nonpositive_int(a)
     out = []
     acc, done, last = 1.0 + 0.0j, 0, 0
     lengths = iter(lengths)
     for l in lengths:
-        if l < last:
-            raise ValueError("pochhammer lengths must be nonnegative and "
-                             "nondecreasing")
+        if type(l) is not int or l < last:
+            _check_length(l, last)
         last = l
         if l == 0:
             out.append(1.0 + 0.0j)
             continue
-        if _poch_is_zero(a, l):
+        if lattice and -(l - 1) <= a.real:
             out.append(0.0 + 0.0j)
             continue
         if l <= _DIRECT_LIMIT:
@@ -230,17 +253,26 @@ def pochhammer_prefixes(a: complex, lengths) -> list:
             else:
                 out.append(acc)
                 continue
-        # this length and every later one leave the direct product; the
-        # logs come one at a time, so the first failure raises first
-        rest = [l, *lengths]
-        for l, lp in zip(rest, _log_prefixes(a, rest)):
-            if lp.is_zero:
+        # this length and every later one leave the direct product.  The
+        # lengths up to the first that fails the check take the log route,
+        # and that one raises after their values, as it comes after them
+        rest, error = [l], None
+        try:
+            for l in lengths:
+                _check_length(l, rest[-1])
+                rest.append(l)
+        except ValueError as exc:
+            error = exc
+        for l, log, zero in zip(rest, *_log_prefixes(a, rest)):
+            if zero:
                 out.append(0.0 + 0.0j)
                 continue
-            if lp.log.real > 709.0:
+            if log.real > 709.0:
                 raise OverflowSignalError(
                     f"pochhammer({a}, {l}) exceeds double range")
-            out.append(cmath.exp(lp.log))
+            out.append(cmath.exp(log))
+        if error is not None:
+            raise error
         break
     return out
 
@@ -337,7 +369,8 @@ def pochhammer_prefix_lanes(a: Lanes, lengths) -> Lanes:
     columns in the order of lengths.
 
     Lengths up to _DIRECT_LIMIT come from one running product over all
-    lanes; a longer length takes the scalar log route lane by lane.  Marked
+    lanes; the longer lengths take the scalar log route, one
+    pochhammer_prefixes call per lane.  Marked
     bad are the lanes where (a)_l is an exact zero, where a partial product
     leaves the renormalised range, and where a log-route value raises: the
     scalar routine short-circuits, switches route or raises there.
@@ -360,14 +393,15 @@ def pochhammer_prefix_lanes(a: Lanes, lengths) -> Lanes:
              & (np.abs(acc_im[:, 1:]) < _RENORM_LIMIT)).all(axis=1)
     direct_cols = [min(l, direct) for l in lengths]
     out_re, out_im = acc_re[:, direct_cols], acc_im[:, direct_cols]
-    for col, l in enumerate(lengths):
-        if l <= _DIRECT_LIMIT:
-            continue
+    long_cols = [col for col, l in enumerate(lengths) if l > _DIRECT_LIMIT]
+    if long_cols:
+        long = [lengths[col] for col in long_cols]
         for lane in np.flatnonzero(~bad):
             try:
-                v = pochhammer(complex(re[lane], im[lane]), l)
+                values = pochhammer_prefixes(complex(re[lane], im[lane]), long)
             except Exception:
                 bad[lane] = True
             else:
-                out_re[lane, col], out_im[lane, col] = v.real, v.imag
+                out_re[lane, long_cols] = [v.real for v in values]
+                out_im[lane, long_cols] = [v.imag for v in values]
     return Lanes(out_re, out_im, bad)

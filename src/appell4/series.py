@@ -19,7 +19,9 @@ One engine builds the arrays of every family, Kampe de Feriet (KdF) series
 included, from `_chains`: each array is a length, numerator symbols and
 denominator groups.  A symbol, the rising factorial (v)_i or the t-factor
 (-1)^{ik} (-t)_{ik}, gives its ratios, scratch values (`pochhammer`) and logs
-with exact zero flags (`log_pochhammer_prefixes`).  The fold order fixes
+with exact zero flags (`kernels._log_prefixes`, two lists).  The factorial
+(1)_i depends on the indices alone, so its columns are made once per index
+list and shared by every build (`_Factorial`).  The fold order fixes
 every grid's rounding, signed zeros included: numerators multiply left to
 right from the first symbol (a t-factor's sign is a factor of its own); each
 denominator group is multiplied out and divided by once (F41/F42: (c)_m m!
@@ -30,6 +32,7 @@ signs, that 1 and the factorial's symbol (1)_i included, so lanes compute in
 complex alone.  A grid is built by the linear route (ratio recurrences from
 the anchors) unless a factor array or the product leaves the double range;
 then by the log route, which reuses the ratios the linear attempt folded.
+A linear attempt whose anchors are not all finite takes no ratio step.
 
 Grid requests (`_grid_coeffs`) go through a small least-recently-used cache
 keyed by (params, M, N).  `build_grids` builds many grids of one rectangle
@@ -68,10 +71,10 @@ import numpy as np
 
 from .errors import OverflowSignalError, PoleError, UnsupportedKError
 from .kernels import (_LANES_EXACT, Lanes, _is_exact_nonpositive_int,
-                      factorial, log_pochhammer_prefixes, pochhammer,
+                      _log_prefixes, factorial, pochhammer,
                       pochhammer_prefix_lanes, pochhammer_prefixes)
-# not called here since every grid log comes from log_pochhammer_prefixes, but
-# kept as a module name: the layer tracer in perfbench wraps it
+# not called here since every grid log comes from _log_prefixes, but kept as
+# a module name: the layer tracer in perfbench wraps it
 from .kernels import log_pochhammer  # noqa: F401
 
 
@@ -374,8 +377,7 @@ class _Rising:
         return [pochhammer_prefixes(self.v, idx)]
 
     def logs(self, idx):
-        lps = log_pochhammer_prefixes(self.v, idx)
-        return [lp.log for lp in lps], [lp.is_zero for lp in lps]
+        return _log_prefixes(self.v, idx)
 
     def lane_key(self):
         return _Rising
@@ -414,9 +416,8 @@ class _TFactor:
 
     def logs(self, idx):
         k = self.k
-        lps = log_pochhammer_prefixes(-self.t, [i * k for i in idx])
-        return ([lp.log + _IPI * ((i * k) % 2) for lp, i in zip(lps, idx)],
-                [lp.is_zero for lp in lps])
+        logs, zeros = _log_prefixes(-self.t, [i * k for i in idx])
+        return [log + _IPI * ((i * k) % 2) for log, i in zip(logs, idx)], zeros
 
     def lane_key(self):
         return _TFactor, self.k
@@ -459,8 +460,30 @@ class _One:
     lane_values = lane_ratios
 
 
-# i! = (1)_i
-_FACTORIAL, _ONE = _Rising(1 + 0j), _One()
+def _shared(columns):
+    """The symbol method `columns`, cached per index list, its columns as
+    tuples: every build that reads them shares them."""
+    # a rectangle reads the factorial at 4 index lists (anchors and steps
+    # of M and of N): 32 hold those of 8 rectangles
+    @lru_cache(maxsize=32)
+    def cached(self, idx):
+        return tuple(map(tuple, columns(self, idx)))
+    return cached
+
+
+class _Factorial(_Rising):
+    """The factorial i! = (1)_i, whose columns depend on the indices alone:
+    each is built once per index list."""
+
+    def __init__(self):
+        super().__init__(1 + 0j)
+
+    ratios = _shared(_Rising.ratios)
+    values = _shared(_Rising.values)
+    logs = _shared(_Rising.logs)
+
+
+_FACTORIAL, _ONE = _Factorial(), _One()
 
 
 def _chains(p: SeriesParams, M: int, N: int):
@@ -536,14 +559,17 @@ def _fold_logs(chain, idx):
 
 def _chain_linear(chain, ratios) -> np.ndarray:
     """arr[i+1] = arr[i] * ratio(i), re-anchored from scratch every
-    _ANCHOR_STRIDE entries; may contain inf/nan at extreme scales."""
+    _ANCHOR_STRIDE entries; may contain inf/nan at extreme scales.  An
+    anchor that is not finite already makes the array so: then no ratio
+    step is taken, and the entries between anchors stay 0."""
     anchors, steps = _indices(chain[0])
     arr = [0j] * (chain[0] + 1)
-    arr[::_ANCHOR_STRIDE] = _fold(chain, "values", anchors)
-    # Python complex products round as numpy's scalar ones; numpy's array
-    # complex multiply does not always
-    for i, r in zip(steps, ratios):
-        arr[i + 1] = arr[i] * r
+    arr[::_ANCHOR_STRIDE] = values = _fold(chain, "values", anchors)
+    if all(map(cmath.isfinite, values)):
+        # Python complex products round as numpy's scalar ones; numpy's
+        # array complex multiply does not always
+        for i, r in zip(steps, ratios):
+            arr[i + 1] = arr[i] * r
     return np.array(arr, dtype=np.complex128)
 
 

@@ -387,11 +387,32 @@ class TestLogPochhammerPrefixes:
         assert calls == []
 
     def test_lengths_must_be_nonnegative_and_nondecreasing(self):
-        for lengths in ([3, 2], [-1], [0, 5, 4], [2, -2]):
+        # a length is an int or a numpy integer, never a bool: 2.5 was read
+        # as 3 by the direct product and as 2.5 by the logs
+        for lengths in ([3, 2], [-1], [0, 5, 4], [2, -2], [2.5], [True],
+                        [1, 2.0], [np.float64(70)], [70, 80.5]):
             with pytest.raises(ValueError, match="nondecreasing"):
                 log_pochhammer_prefixes(1.5, lengths)
+            with pytest.raises(ValueError, match="nondecreasing"):
+                pochhammer_prefixes(1.5, lengths)
+        for l in (-1, 2.5, True, False):
+            with pytest.raises(ValueError):
+                log_pochhammer(2.0, l)
+            with pytest.raises(ValueError):
+                pochhammer(2.0, l)
+        for l in (np.int64(3), np.int32(70), np.uint8(0)):
+            assert exact(pochhammer(2.0, l)) == exact(pochhammer(2.0, int(l)))
+            assert log_pochhammer(2.0, l) == log_pochhammer(2.0, int(l))
+
+    def test_errors_surface_in_the_order_of_lengths(self):
+        # the value at 70 overflows before the length after it fails the
+        # check, and a length that fails it raises before any later value
+        with pytest.raises(OverflowSignalError):
+            pochhammer_prefixes(1e5, [3, 70, 2.5])
         with pytest.raises(ValueError):
-            log_pochhammer(1.5, -1)
+            pochhammer_prefixes(1.5, [3, 70, 69, 10 ** 6])
+        with pytest.raises(ValueError):
+            pochhammer_prefixes(1e5, [3, 2, 70])
 
     def test_prefixes_keep_values_and_overflow_past_the_direct_limit(self):
         # lengths 60-200 cross _DIRECT_LIMIT; the values and the length at
@@ -556,6 +577,27 @@ class TestPochhammerPrefixLanes:
                         zip(got.re[lane], got.im[lane])] == \
                     [exact(v) for v in pochhammer_prefixes(a, lengths)]
         assert min(seen.values()) >= 1000, seen
+
+    def test_one_scalar_call_per_lane_past_the_direct_limit(self,
+                                                             monkeypatch):
+        # lengths past _DIRECT_LIMIT take one pochhammer_prefixes call per
+        # lane, not one pochhammer call per lane and length
+        calls = []
+        prefixes = kernels.pochhammer_prefixes
+        monkeypatch.setattr(kernels, "pochhammer_prefixes",
+                            lambda a, lengths: calls.append(list(lengths))
+                            or prefixes(a, lengths))
+        monkeypatch.setattr(kernels, "pochhammer", None)
+        values = [1.5 + 0.5j, 1e200, -3.0 + 0.0j, 2.25 - 1j]
+        lengths = [0, 4, 64, 68, 72, 72, 80]
+        with np.errstate(all="ignore"):
+            got = pochhammer_prefix_lanes(Lanes.of(values), lengths)
+        assert got.bad.tolist() == [False, True, True, False]
+        assert calls == [[68, 72, 72, 80]] * 2
+        for lane in (0, 3):
+            assert [exact(complex(r, i)) for r, i in
+                    zip(got.re[lane], got.im[lane])] == \
+                [exact(v) for v in prefixes(values[lane], lengths)]
 
 
 def lattice_corpus(count=20000):

@@ -1005,7 +1005,7 @@ class TestAnchors:
         # every anchor is a prefix of one running product per symbol; none
         # is a scalar call of its own, and the linear path takes no log
         calls = []
-        for name in ("pochhammer", "log_pochhammer_prefixes"):
+        for name in ("pochhammer", "_log_prefixes"):
             fn = getattr(series, name)
             monkeypatch.setattr(series, name, lambda *a, fn=fn, name=name:
                                 calls.append(name) or fn(*a))
@@ -1019,15 +1019,20 @@ class TestAnchors:
 
     def test_log_build_calls_the_log_prefixes(self, monkeypatch):
         # the hook of the test above fires: an F42 k = 1 40 x 40 build takes
-        # the log route, one log_pochhammer_prefixes call per symbol of W, U
-        # and V, and no scalar log_pochhammer call
+        # the log route, one _log_prefixes call per symbol of W, U and V,
+        # and no scalar log_pochhammer call.  U and V read the factorial at
+        # one index list, whose logs are made once: a cold build makes 6
+        # calls and a warm one 5
         calls = []
-        for name in ("log_pochhammer", "log_pochhammer_prefixes"):
+        for name in ("log_pochhammer", "_log_prefixes"):
             fn = getattr(series, name)
             monkeypatch.setattr(series, name, lambda *a, fn=fn, name=name:
                                 calls.append(name) or fn(*a))
-        series._grid_coeffs.__wrapped__(eval_cold_f42_params()[0], 40, 40)
-        assert calls == ["log_pochhammer_prefixes"] * 7
+        series._Factorial.logs.cache_clear()
+        for want in (6, 5):
+            calls.clear()
+            series._grid_coeffs.__wrapped__(eval_cold_f42_params()[0], 40, 40)
+            assert calls == ["_log_prefixes"] * want
 
 
 class TestComplexChains:
@@ -1052,7 +1057,8 @@ class TestComplexChains:
                                     (p, s, kind)
                         assert {type(v) for v in
                                 series._fold(chain, kind, idx)} == {complex}
-        assert seen == {series._Rising, series._TFactor, series._One}
+        assert seen == {series._Rising, series._TFactor, series._One,
+                        series._Factorial}
 
 
 def golden_grid_requests(count=360):
@@ -1125,9 +1131,9 @@ class TestGridBits:
 
     def test_grid_bytes(self, monkeypatch):
         log_calls = []
-        log_prefixes = series.log_pochhammer_prefixes
+        log_prefixes = series._log_prefixes
         monkeypatch.setattr(
-            series, "log_pochhammer_prefixes",
+            series, "_log_prefixes",
             lambda *a: log_calls.append(a) or log_prefixes(*a))
         build = series._grid_coeffs.__wrapped__   # no cache in between
         digest = hashlib.sha256()
@@ -1180,8 +1186,7 @@ class TestLogBuildCost:
 
         for owner, attr, name in ((series, "_chain_linear", "linear"),
                                   (kernels, "log_gamma", "log_gamma"),
-                                  (series, "log_pochhammer_prefixes",
-                                   "logs")):
+                                  (series, "_log_prefixes", "logs")):
             monkeypatch.setattr(owner, attr,
                                 counted(name, getattr(owner, attr)))
         params = eval_cold_f42_params()
@@ -1193,6 +1198,37 @@ class TestLogBuildCost:
             assert calls["linear"] == 1 and calls["logs"] > 0, p
             log_gamma += calls["log_gamma"]
         assert log_gamma / len(params) <= 130
+
+    def test_warm_builds_make_no_factorial_log(self, monkeypatch):
+        # the factorial's columns are made once per index list, so a warm
+        # build makes no log_gamma call for (1)_l: at most 94 calls per
+        # build on the mean, 116 when every build made the factorial's logs
+        params = eval_cold_f42_params()
+        series._build_grid(params[0], 40, 40)
+        calls, bases = [], []
+        log_gamma, log_prefixes = kernels.log_gamma, series._log_prefixes
+        monkeypatch.setattr(kernels, "log_gamma",
+                            lambda z: calls.append(z) or log_gamma(z))
+        monkeypatch.setattr(series, "_log_prefixes",
+                            lambda a, idx: bases.append(a)
+                            or log_prefixes(a, idx))
+        for p in params:
+            series._build_grid(p, 40, 40)
+        assert len(calls) / len(params) <= 94
+        assert 1 + 0j not in bases and len(bases) == 5 * len(params)
+
+    def test_a_non_finite_anchor_takes_no_ratio_step(self):
+        # W of an eval-cold F42 grid holds an infinite anchor: its linear
+        # attempt is not finite whatever the steps, and takes none of them
+        W, U, _ = series._chains(eval_cold_f42_params()[0], 40, 40)
+        for chain, finite in ((W, False), (U, True)):
+            steps = series._indices(chain[0])[1]
+            ratios = series._fold(chain, "ratios", steps)
+            taken = []
+            arr = series._chain_linear(chain, (taken.append(r) or r
+                                               for r in ratios))
+            assert np.isfinite(arr).all() == finite
+            assert len(taken) == (len(steps) if finite else 0)
 
 
 LANE_SHAPES = ((12, 12), (0, 7), (9, 0), (40, 40), (5, 3), (20, 16),
@@ -1279,9 +1315,8 @@ def check_lane_corpus(count, seed=7):
     for kind, p, M, N in lane_grid_corpus(count, seed):
         by_shape.setdefault((M, N), []).append((kind, p))
     log_calls = []
-    log_prefixes = series.log_pochhammer_prefixes
-    series.log_pochhammer_prefixes = \
-        lambda *a: log_calls.append(a) or log_prefixes(*a)
+    log_prefixes = series._log_prefixes
+    series._log_prefixes = lambda *a: log_calls.append(a) or log_prefixes(*a)
     seen = dict.fromkeys(LANE_KINDS + ("lane", "log-path", "overflow"), 0)
     try:
         for (M, N), requests in by_shape.items():
@@ -1305,7 +1340,7 @@ def check_lane_corpus(count, seed=7):
                     assert (len(log_calls) > before or kind == "large"
                             or has_lattice_numerator(p)), (p, M, N)
     finally:
-        series.log_pochhammer_prefixes = log_prefixes
+        series._log_prefixes = log_prefixes
     return seen
 
 
