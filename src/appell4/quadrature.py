@@ -19,9 +19,12 @@ exactly.  For non-integer t the inner series diverges as u grows, so the
 printed representation is formal and is not checked numerically.
 
 `laguerre_rule` builds each order once per process; the shared rule's node
-and weight arrays are read-only.  The inner series at a node is one value of
-`series.evaluate_values` over the one inner grid, built once per check: the
-value of `evaluate` bit for bit, without its growth diagnostics.
+and weight arrays are read-only.  `integral_rep_check` requests its inner
+grid once per check and prepares it once for summation
+(`series._prepared_grid`); each node's `integrand_kdf` sums that grid at
+its own arguments, one point in 1-D arrays.  Its value is that of
+`evaluate` bit for bit, without the growth diagnostics, and equals that of
+a call that prepares the grid itself.  No prepared grid outlives its check.
 """
 
 from __future__ import annotations
@@ -34,14 +37,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import ParamPoint, RelationReport, VerificationMode, point_to_dict
+from .catalog import (ParamPoint, RelationReport, VerificationMode,
+                      _require_tolerance, point_to_dict)
 from .errors import (ConstraintError, OverflowSignalError,
                      QuadratureConvergenceError, RegimeError)
 from .kernels import _is_exact_nonpositive_int, gamma
 # eval_kdf stays a module name although integrand_kdf sums through
-# evaluate_values: the perfbench layer tracer wraps it by name
+# _sum_points: the perfbench layer tracer wraps it by name
 from .series import (EVAL_POLICY, F41Params, KdfParams, TruncationPolicy,
-                     eval_f41, eval_kdf, evaluate_values)
+                     _prepared_grid, _sum_points, eval_f41, eval_kdf)
 
 _MAX_ORDER = 256
 _MOMENT_SPOTS = (1, 2, 5, 10)
@@ -185,38 +189,43 @@ def _require_terminating(spec: IntegralRepSpec) -> None:
                 f"inner series must terminate), got {t}")
 
 
-# cached because integral_rep_check asks once per node: building the
-# parameters costs 14-20 us, a fifth of a value-only integrand call
-@lru_cache(maxsize=16)
-def _inner_kdf(spec: IntegralRepSpec):
-    """The inner Kampe de Feriet parameters (at x = y = 0) and the factor
-    s that makes its arguments s u x and s u y at integration variable u."""
+def _inner_kdf(spec: IntegralRepSpec) -> KdfParams:
+    """The inner Kampe de Feriet parameters, at x = y = 0."""
     p = spec.params
     coupled = p.b if spec.which is RepKind.REP_A else p.a
     if spec.k >= 1:
         _require_terminating(spec)
         B = tuple((-p.t1 + i) / spec.k for i in range(spec.k))
         C = tuple((-p.t2 + i) / spec.k for i in range(spec.k))
-        scale = (-spec.k) ** spec.k
     else:
         B = C = ()
-        scale = 1
-    return KdfParams(A=(coupled,), B=B, C=C, D=(), E=(p.c1,), F=(p.c2,)), scale
+    return KdfParams(A=(coupled,), B=B, C=C, D=(), E=(p.c1,), F=(p.c2,))
 
 
 def integrand_kdf(spec: IntegralRepSpec, u: float,
-                  pol: TruncationPolicy = EVAL_POLICY) -> complex:
-    """Inner Kampe de Feriet value at integration variable u."""
+                  pol: TruncationPolicy = EVAL_POLICY, *,
+                  _prepared=None) -> complex:
+    """Inner Kampe de Feriet value at integration variable u, whose
+    arguments are (-k)^k u x and (-k)^k u y (u x and u y at k = 0).
+
+    _prepared is the inner grid as integral_rep_check prepares it once for
+    all its nodes; without it the grid is requested and prepared here, and
+    the value is the same, bit for bit."""
+    if _prepared is None:
+        _prepared = _prepared_grid(_inner_kdf(spec), pol)
     p = spec.params
-    kdf, scale = _inner_kdf(spec)
-    arg = scale * u
-    return evaluate_values(kdf, (arg * p.x,), (arg * p.y,), pol)[0]
+    arg = (-spec.k) ** spec.k * u
+    return _sum_points(_prepared, arg * p.x, arg * p.y, False)[0]
 
 
 def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
                        pol: TruncationPolicy = EVAL_POLICY,
                        tolerance: float = 1e-8) -> RelationReport:
-    """Quadrature value of the representation against the direct series."""
+    """Quadrature value of the representation against the direct series.
+
+    A bad tolerance is a ValueError before anything is summed, and wins
+    over a non-terminating t, as in the CLI."""
+    _require_tolerance(tolerance)
     p = spec.params
     if spec.k >= 1:
         _require_terminating(spec)
@@ -227,6 +236,7 @@ def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
                 f"order {rule.order} cannot integrate the degree-{degree} "
                 "terminating integrand exactly")
     exponent = p.a if spec.which is RepKind.REP_A else p.b
+    inner = _prepared_grid(_inner_kdf(spec), pol)
     contribs = np.empty(rule.order, dtype=np.complex128)
     for i, (u, w) in enumerate(zip(rule.nodes, rule.weights)):
         try:
@@ -234,7 +244,8 @@ def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
         except OverflowError:
             raise OverflowSignalError(f"u^{exponent - 1} exceeds the double "
                                       f"range at node u = {u}") from None
-        contribs[i] = w * power * integrand_kdf(spec, float(u), pol)
+        value = integrand_kdf(spec, float(u), pol, _prepared=inner)
+        contribs[i] = w * power * value
     quad = complex(contribs.sum() / gamma(exponent))
     direct = eval_f41(p, pol).value
 

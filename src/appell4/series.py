@@ -47,13 +47,18 @@ engine instead.
 
 `evaluate` sums one point; `evaluate_many` sums one grid at many arguments
 (x, y), as the CLI sweep needs, and `evaluate_values` gives the same values
-without the growth diagnostics, as `quadrature` needs.  Both request the grid
-keyed without x and y, and sum the terms of a stack of points, shape
-(P, M+1, N+1), in one pass: each anti-diagonal, led by a zero, is one
-`reduceat` segment, which numpy sums pairwise per point as it sums any
-reduction, so every result equals that of the point summed alone, bit for
-bit.  A stack holds at most _CHUNK_CELLS term cells (one point at least),
-and a truncation rectangle at most _MAX_CELLS cells.
+without the growth diagnostics.  A call requests its grid once, keyed
+without x and y, and prepares it once (`_prepare`): its cells are gathered
+into the order of `_diagonal_plan`, a zero leading each anti-diagonal.  The
+plan, built once per shape, also holds the exponents of x and y that each
+entry takes.  The one summation kernel, `_sum_terms`, forms a point's terms
+in that order, sums each anti-diagonal as one `reduceat` segment, which
+numpy adds pairwise as it adds any reduction, and adds the blocks left to
+right.  Points are summed in stacks of at most _CHUNK_CELLS term cells, and
+one point alone in 1-D arrays; every result equals that of the point summed
+alone, bit for bit.  `quadrature` prepares its inner grid once per check
+(`_prepared_grid`) and sums each node from it (`_sum_points`).  A
+truncation rectangle holds at most _MAX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -799,11 +804,12 @@ def build_grids(params, M: int, N: int) -> dict:
 
 
 # every grid request goes through this name, which a tracer may wrap.  Its
-# repeats come from one command at a time: quadcheck asks for its KdF grid
-# once per node (reuse distance 0), sweep and eval for one grid, and a
-# verify_identity outside the audit for its shifted instances, whose repeats
-# fall at reuse distance 0 to 3; the audit's grids come from build_grids.
-# Four grids keep every such repeat and hold at most 16 MiB (512 x 512)
+# repeats come from one command at a time: eval and sweep request one grid
+# and quadcheck two (its inner KdF grid, once per check, and the direct
+# series' grid), none twice; a verify_identity outside the audit requests
+# its shifted instances, whose repeats fall at reuse distance 0 to 3; the
+# audit's grids come from build_grids.  Four grids keep every such repeat
+# and hold at most 16 MiB (512 x 512)
 _grid_coeffs = lru_cache(maxsize=4)(_build_grid)
 
 
@@ -824,69 +830,50 @@ class _DiagonalPlan:
     of term (m, n) and a zero appended at flat index (M+1)(N+1).  `order`
     lists each diagonal d in turn, that zero first and then its terms in
     np.diagonal order (m increasing, flat index m N + d); diagonal d begins
-    at order[starts[d]]."""
+    at order[starts[d]].  `rows` and `cols` give the exponents of x and y
+    that each entry takes, 0 and 0 for the zeros (x^0 y^0 is exactly 1 at
+    every argument, so a zero stays +0), and `m` and `n` are the exponents
+    0..M and 0..N.  A rectangle holds at most _MAX_CELLS cells, so every
+    index fits in an int32."""
 
     order: np.ndarray
     starts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
 
 
 @lru_cache(maxsize=16)
 def _diagonal_plan(M: int, N: int) -> _DiagonalPlan:
-    d = np.arange(M + N + 1)
+    m, n, d = (np.arange(size, dtype=np.int32) for size in (M + 1, N + 1,
+                                                            M + N + 1))
     first = np.maximum(0, d - N)            # m of the first term of d
     lengths = np.minimum(d, M) - first + 2  # the zero and the terms
-    starts = np.cumsum(lengths) - lengths
+    starts = np.cumsum(lengths, dtype=np.int32) - lengths
     # entry j of diagonal d is term (first + j - 1, d - first - j + 1)
-    order = np.repeat(first * N + d - N, lengths)
-    order += N * (np.arange(len(order)) - np.repeat(starts, lengths))
+    rows = np.arange(starts[-1] + lengths[-1], dtype=np.int32) + np.repeat(
+        first - starts - 1, lengths)
+    cols = np.repeat(d, lengths) - rows
+    rows[starts] = cols[starts] = 0
+    order = rows * (N + 1) + cols
     order[starts] = (M + 1) * (N + 1)
-    return _DiagonalPlan(order, starts)
+    return _DiagonalPlan(order, starts, rows, cols, m, n)
 
 
-def _diagonal_reduce(ufunc, grid: np.ndarray) -> np.ndarray:
-    """ufunc reduced over each anti-diagonal d = m + n of an (M+1) x (N+1)
-    grid, as an array; a (P, M+1, N+1) stack of grids gives one column per
-    point.
-
-    Each diagonal, led by a zero, is one ufunc.reduceat segment.  reduceat
-    starts a segment from its first entry and reduces the rest in the order
-    a reduction does, pairwise for np.add (Higham, Accuracy and Stability
-    of Numerical Algorithms, sec. 4.2); np.trace reduces the same terms
-    from np.add's identity +0.0.  So each sum is bit for bit the np.trace
-    of its diagonal of np.fliplr(grid), and each column of a stack what its
-    grid alone gives."""
-    rows, cols = grid.shape[-2:]
-    plan = _diagonal_plan(rows - 1, cols - 1)
-    if grid.ndim == 3:
-        grid = grid.transpose(1, 2, 0)
-    flat = np.zeros((rows * cols + 1,) + grid.shape[2:], dtype=grid.dtype)
-    flat[:-1].reshape(grid.shape)[...] = grid
-    return ufunc.reduceat(flat.take(plan.order, axis=0), plan.starts, axis=0)
+def _in_plan_order(grid: np.ndarray, plan: _DiagonalPlan) -> np.ndarray:
+    """The cells of a grid in plan order, a zero leading each diagonal."""
+    # the zeros' index, one past the last cell, clips to it until replaced
+    ordered = grid.take(plan.order, mode="clip")
+    ordered[plan.starts] = 0
+    return ordered
 
 
-def _diagonal_stats(terms: np.ndarray):
-    """Per anti-diagonal d = m + n: the sum of terms and the sum of their
-    absolute values, as arrays, with the rounding of np.trace on the
-    diagonals of np.fliplr(terms); and the count of nonzero terms.
-
-    terms is one (M+1) x (N+1) grid, or a (P, M+1, N+1) stack of the grids
-    of P points; each sum then has a trailing axis of P, each point's column
-    what its grid alone gives, bit for bit, and the count is one per
-    point."""
-    rows, cols = terms.shape[-2:]
-    if rows == 1 and cols > 1:
-        # np.abs rounds complex input in the last bit one way in its SIMD
-        # loop and another in its scalar loop.  np.abs(np.fliplr(grid)) takes
-        # the SIMD loop, except for a single row of two or more terms: numpy
-        # reads that flipped view as 1-D with a negative stride, which only
-        # the scalar loop takes.  Every point of a stack is read the same way
-        row = np.ascontiguousarray(terms).reshape(-1)
-        abs_terms = np.abs(row[::-1])[::-1].reshape(terms.shape)
-    else:
-        abs_terms = np.abs(terms)
-    return (_diagonal_reduce(np.add, terms),
-            _diagonal_reduce(np.add, abs_terms),
-            np.count_nonzero(abs_terms, axis=(-2, -1)))
+def _prepare(coeffs: np.ndarray):
+    """A coefficient grid prepared for _sum_terms: the pair of its cells in
+    plan order and its _diagonal_plan."""
+    plan = _diagonal_plan(coeffs.shape[0] - 1, coeffs.shape[1] - 1)
+    return _in_plan_order(coeffs, plan), plan
 
 
 def _growth(abs_blocks: list):
@@ -922,35 +909,68 @@ def _summary(total: complex, abs_blocks: list, terms_used: int, M: int,
                             max_term_ratio=float(max_term_ratio))
 
 
-def _sum_terms(coeffs: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-               diagnostics: bool) -> list:
-    """Results (values alone without diagnostics) of the terms
-    coeffs[m, n] x^m y^n at each pair of the 1-D complex arrays xs and ys,
-    summed as one (P, M+1, N+1) stack."""
-    M = coeffs.shape[0] - 1
-    N = coeffs.shape[1] - 1
+def _sum_terms(grid, xs, ys, diagnostics: bool):
+    """Sums of the terms c[m, n] x^m y^n of a prepared grid at one point,
+    given as two complex numbers xs and ys (or arrays of one), or at a
+    stack of P points, given as two (P, 1) complex columns; the arrays below
+    then have a leading axis of points, and one point has none.
+
+    Returns the totals, the block sums of the anti-diagonals in increasing
+    total degree and, with diagnostics, their absolute block sums and the
+    counts of nonzero terms (None and None without).  Each diagonal, led by
+    its zero, is one np.add.reduceat segment: reduceat starts a segment from
+    its first entry and adds the rest pairwise, as any np.add reduction does
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
+    np.trace adds the same terms from np.add's identity +0.0.  So each block
+    sum is bit for bit the np.trace of its diagonal of np.fliplr of the
+    point's term grid, and each point of a stack sums as it does alone."""
     # a point outside the floating range overflows its powers, terms and
-    # sums; it raises below, and no point warns on its own or another's
+    # sums; its caller raises, and no point warns on its own or another's
     # behalf
+    ordered, plan = grid
     with np.errstate(over="ignore", invalid="ignore"):
-        xp = np.power(xs[:, None], np.arange(M + 1), dtype=np.complex128)
-        yp = np.power(ys[:, None], np.arange(N + 1), dtype=np.complex128)
-        terms = coeffs * xp[:, :, None] * yp[:, None, :]
-        # anti-diagonal block sums in increasing total degree
-        if diagnostics:
-            block_sums, abs_blocks, nonzero_counts = _diagonal_stats(terms)
-        else:
-            block_sums = _diagonal_reduce(np.add, terms)
+        xp = np.power(xs, plan.m, dtype=np.complex128)
+        yp = np.power(ys, plan.n, dtype=np.complex128)
+        terms = (ordered * xp.take(plan.rows, axis=-1)
+                 * yp.take(plan.cols, axis=-1))
+        block_sums = np.add.reduceat(terms, plan.starts, axis=-1)
         # the blocks added left to right, as Python's sum adds them from 0
-        # (no block sum is -0.0, so starting from the first is the same)
-        totals = np.cumsum(block_sums, axis=0)[-1]
-    if not np.isfinite(totals).all():
+        # (no block sum is -0.0, so starting from the first is the same),
+        # by np.cumsum's ufunc without its wrapper
+        totals = np.add.accumulate(block_sums, axis=-1)[..., -1]
+        if not diagnostics:
+            return totals, block_sums, None, None
+        if len(plan.m) == 1 < len(plan.n):
+            # np.abs rounds complex input in the last bit one way in its
+            # SIMD loop and another in its scalar loop.  np.abs(np.fliplr(
+            # term grid)) takes the SIMD loop, except for a single row of
+            # two or more terms: numpy reads that flipped view as 1-D with
+            # a negative stride, which only the scalar loop takes.  Every
+            # point of a stack is read the same way
+            flat = terms.reshape(-1)
+            abs_terms = np.abs(flat[::-1])[::-1].reshape(terms.shape)
+        else:
+            abs_terms = np.abs(terms)
+        return (totals, block_sums,
+                np.add.reduceat(abs_terms, plan.starts, axis=-1),
+                np.count_nonzero(abs_terms, axis=-1))
+
+
+def _sum_points(grid, xs, ys, diagnostics: bool) -> list:
+    """Results (values alone without diagnostics) of _sum_terms at its
+    points, one per point; OverflowSignalError if a partial sum leaves the
+    floating range."""
+    totals, _, abs_blocks, counts = _sum_terms(grid, xs, ys, diagnostics)
+    totals = totals.reshape(-1).tolist()
+    if not all(map(cmath.isfinite, totals)):
         raise OverflowSignalError("partial sum exceeds the floating range")
     if not diagnostics:
-        return totals.tolist()
+        return totals
+    plan = grid[1]
+    M, N = len(plan.m) - 1, len(plan.n) - 1
     return [_summary(*stats, M, N) for stats in zip(
-        totals.tolist(), abs_blocks.T.tolist(),
-        nonzero_counts.tolist())]
+        totals, abs_blocks.reshape(len(totals), -1).tolist(),
+        counts.reshape(-1).tolist())]
 
 
 def _without_args(p: SeriesParams) -> SeriesParams:
@@ -961,10 +981,17 @@ def _without_args(p: SeriesParams) -> SeriesParams:
 
 # term cells evaluate_many sums as one stack: 8 points of the default 41 x 41
 # rectangle, whatever the number of points.  A stack holds a few complex
-# arrays of this many cells (215 KB each).  On a 2-core x86-64 host an 11 x 11
-# sweep took 15 ms one point at a time, 8.5 ms in stacks of 6 or 8 points,
-# and 14 ms in stacks of 12 or 16, which also grew the peak memory
+# arrays of about this many cells (226 KB each).  On a 2-core x86-64 host an
+# 11 x 11 sweep took 11.2 ms one point at a time, 6.9-7.7 ms in stacks of 4
+# to 16 points and 10.5 ms in stacks of 32; its traced peak grew from 0.75
+# MB at 8 points to 1.09 MB at 16
 _CHUNK_CELLS = 8 * 41 * 41
+
+
+def _prepared_grid(p: SeriesParams, pol: TruncationPolicy):
+    """p's coefficient grid for pol, requested keyed without x and y, and
+    prepared for _sum_terms; a caller holds it only while it sums."""
+    return _prepare(_grid_coeffs(_without_args(p), pol.max_m, pol.max_n))
 
 
 def _sum_stacks(p: SeriesParams, xs, ys, pol: TruncationPolicy,
@@ -975,12 +1002,14 @@ def _sum_stacks(p: SeriesParams, xs, ys, pol: TruncationPolicy,
         raise ValueError("xs and ys must be sequences of equal length")
     if not len(xs):
         return []
-    coeffs = _grid_coeffs(_without_args(p), pol.max_m, pol.max_n)
-    step = max(1, _CHUNK_CELLS // coeffs.size)
+    grid = _prepared_grid(p, pol)
+    step = max(1, _CHUNK_CELLS // ((pol.max_m + 1) * (pol.max_n + 1)))
+    xs, ys = xs[:, None], ys[:, None]
     results = []
     for i in range(0, len(xs), step):
-        results += _sum_terms(coeffs, xs[i:i + step], ys[i:i + step],
-                              diagnostics)
+        # a stack of one point is summed as that point alone
+        points = i if min(step, len(xs) - i) == 1 else slice(i, i + step)
+        results += _sum_points(grid, xs[points], ys[points], diagnostics)
     return results
 
 
@@ -999,7 +1028,7 @@ def evaluate_values(p: SeriesParams, xs, ys,
                     pol: TruncationPolicy = EVAL_POLICY) -> list:
     """The values of evaluate_many(p, xs, ys, pol), bit for bit, without
     the growth diagnostics: no absolute block sums, term counts or ratios,
-    which take about half of a point's time."""
+    which take more than half of a point's time."""
     return _sum_stacks(p, xs, ys, pol, False)
 
 
@@ -1085,11 +1114,9 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     # ratios one step along m or n, over cells with a nonzero coefficient,
     # fmax drops the NaN of an overflowed ratio times a zero argument, so no
     # maximum is NaN and the zero that leads each diagonal leaves it alone
+    abs_blocks = _sum_terms(_prepare(coeffs), complex(p.x), complex(p.y),
+                            True)[2].tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        xp = np.power(complex(p.x), np.arange(M + 1), dtype=np.complex128)
-        yp = np.power(complex(p.y), np.arange(M + 1), dtype=np.complex128)
-        terms = coeffs * xp[:, None] * yp[None, :]
-        abs_blocks = _diagonal_reduce(np.add, np.abs(terms)).tolist()
         down = np.divide(abs_coeffs[1:, :], abs_coeffs[:-1, :],
                          out=np.zeros((M, M + 1)),
                          where=abs_coeffs[:-1, :] != 0.0) * abs(p.x)
@@ -1099,7 +1126,8 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     best = np.zeros((M + 1, M + 1))
     np.fmax(best[:-1, :], down, out=best[:-1, :])
     np.fmax(best[:, :-1], right, out=best[:, :-1])
-    directional = _diagonal_reduce(np.maximum, best)
+    plan = _diagonal_plan(M, M)
+    directional = np.maximum.reduceat(_in_plan_order(best, plan), plan.starts)
 
     # ratios over complete anti-diagonals only (d <= M on the square)
     ratios, tail, divergence_flag = _growth(abs_blocks[:M + 1])

@@ -8,13 +8,18 @@ tolerances on the polynomial-exponent domain and freeze the measured
 algebraic rates elsewhere as documented limitations.
 """
 
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
 
+import appell4.quadrature as quadrature
+import appell4.series as series
 from appell4.errors import (Appell4Error, ConstraintError,
-                            QuadratureConvergenceError, RegimeError)
+                            OverflowSignalError, QuadratureConvergenceError,
+                            RegimeError)
 from appell4.quadrature import (
     IntegralRepSpec,
     LaguerreRule,
@@ -23,7 +28,7 @@ from appell4.quadrature import (
     integrand_kdf,
     laguerre_rule,
 )
-from appell4.series import F41Params, KdfParams, eval_kdf
+from appell4.series import EVAL_POLICY, F41Params, KdfParams, eval_kdf
 
 RULE64 = laguerre_rule(64)
 
@@ -35,6 +40,27 @@ P_K1 = F41Params(3.0, 2.0, 1.7, 2.3, 3, 3, 1, 1, 0.3, 0.2)
 
 def quad_value(report):
     return complex(*report.params["quadrature_value"])
+
+
+def pool_specs(kind, count):
+    """The specs and rule orders of the first count quadcheck operations of
+    perfbench's pool kind (perfbench/bench_inputs.py, loaded from its
+    path)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    loader = importlib.util.spec_from_file_location(
+        "bench_inputs", os.path.join(root, "perfbench", "bench_inputs.py"))
+    bench_inputs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(bench_inputs)
+    specs = []
+    for argv in bench_inputs.pools()[kind][:count]:
+        o = dict(zip(argv[1::2], argv[2::2]))
+        k = int(o["--k"])
+        p = F41Params(*(complex(o[f"--{name}"]) for name in
+                        ("a", "b", "c1", "c2", "t1", "t2")),
+                      k, k, complex(o["--x"]), complex(o["--y"]))
+        specs.append((IntegralRepSpec(RepKind(o["--which"]), k, p),
+                      int(o["--order"])))
+    return specs
 
 
 class TestLaguerreRule:
@@ -169,6 +195,28 @@ class TestIntegrandKdf:
         with pytest.raises(RegimeError):
             integrand_kdf(spec, 1.0)
 
+    def test_alone_equals_the_prepared_node_value(self):
+        # every node of the first four specs of both quadcheck pools: the
+        # grid integral_rep_check prepares once gives each node's value bit
+        # for bit as a call that prepares its own
+        specs = pool_specs("quadcheck64", 4) + pool_specs("quadcheck256", 4)
+        assert {spec.k for spec, _ in specs} == {0, 1, 2}
+        for spec, order in specs:
+            inner = series._prepared_grid(quadrature._inner_kdf(spec),
+                                          EVAL_POLICY)
+            for u in laguerre_rule(order).nodes.tolist():
+                assert repr(integrand_kdf(spec, u)) == repr(
+                    integrand_kdf(spec, u, _prepared=inner))
+
+    def test_overflow_raises_on_both_paths(self):
+        spec = IntegralRepSpec(RepKind.REP_A, 0, P_K0.replace(x=1e200))
+        inner = series._prepared_grid(quadrature._inner_kdf(spec),
+                                      EVAL_POLICY)
+        with pytest.raises(OverflowSignalError):
+            integrand_kdf(spec, 1.0)
+        with pytest.raises(OverflowSignalError):
+            integrand_kdf(spec, 1.0, _prepared=inner)
+
 
 class TestIntegralRepCheck:
     def test_k0_matches_series(self):
@@ -206,6 +254,44 @@ class TestIntegralRepCheck:
         v64 = quad_value(integral_rep_check(spec, RULE64))
         v128 = quad_value(integral_rep_check(spec, laguerre_rule(128)))
         assert abs(v128 - v64) < 1e-9
+
+    def test_one_node_call_each_and_one_inner_grid_request(self,
+                                                           monkeypatch):
+        # the benchmark's tracer counts integrand_kdf once per node, and
+        # sees grid requests only through series._grid_coeffs
+        calls, requests = [], []
+        node, grid = quadrature.integrand_kdf, series._grid_coeffs
+
+        def counted_node(*args, **kwargs):
+            calls.append(args[1])
+            return node(*args, **kwargs)
+
+        def counted_grid(p, M, N):
+            requests.append(type(p).__name__)
+            return grid(p, M, N)
+
+        monkeypatch.setattr(quadrature, "integrand_kdf", counted_node)
+        monkeypatch.setattr(series, "_grid_coeffs", counted_grid)
+        spec, order = pool_specs("quadcheck64", 1)[0]
+        integral_rep_check(spec, laguerre_rule(order))
+        assert calls == laguerre_rule(order).nodes.tolist()
+        assert len(calls) == 64
+        assert sorted(requests) == ["F41Params", "KdfParams"]
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-8])
+    def test_bad_tolerance_raises_before_any_node(self, monkeypatch,
+                                                  tolerance):
+        calls = []
+        monkeypatch.setattr(quadrature, "integrand_kdf",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            integral_rep_check(IntegralRepSpec(RepKind.REP_A, 0, P_K0),
+                               RULE64, tolerance=tolerance)
+        assert calls == []
+        # before the regime check too, as the CLI orders them
+        spec = IntegralRepSpec(RepKind.REP_A, 1, P_K1.replace(t1=2.5))
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            integral_rep_check(spec, RULE64, tolerance=tolerance)
 
     def test_order_must_cover_polynomial_degree(self):
         with pytest.raises(ConstraintError):

@@ -608,13 +608,42 @@ def random_terms(rng, rows, cols):
     return terms
 
 
+def term_grid(coeffs, x, y):
+    """The terms c[m, n] x^m y^n of one point as a grid, each formed as
+    (c[m, n] x^m) y^n."""
+    with np.errstate(all="ignore"):
+        xp = np.power(x, np.arange(coeffs.shape[0]), dtype=np.complex128)
+        yp = np.power(y, np.arange(coeffs.shape[1]), dtype=np.complex128)
+        return coeffs * xp[:, None] * yp[None, :]
+
+
+def random_points(rng, count):
+    """Two 1-D arrays xs, ys of count points with moduli 0.1..2 and random
+    phases."""
+    return 10.0 ** rng.uniform(-1, 0.3, (2, count)) * \
+        np.exp(2j * np.pi * rng.random((2, count)))
+
+
+def kernel_stats(coeffs, xs=1 + 0j, ys=1 + 0j):
+    """The block sums, absolute block sums and nonzero counts that the
+    kernel series._sum_terms gives for the coefficient grid coeffs at one
+    point, two complex numbers, or at the 1-D arrays xs and ys of a stack
+    of points, each result then with a leading axis of points.  At the
+    default x = y = 1 each term is its coefficient times (1 + 0j) twice."""
+    grid = series._prepare(coeffs)
+    if np.ndim(xs):
+        xs, ys = xs[:, None], ys[:, None]
+    return series._sum_terms(grid, xs, ys, True)[1:]
+
+
 class TestDiagonalStats:
-    """The one-pass statistics must equal the per-diagonal loop exactly: the
-    block sums feed every value report, which must not move in the last
-    digit."""
+    """The kernel's anti-diagonal statistics must equal the per-diagonal
+    loop exactly: the block sums feed every value report, which must not
+    move in the last digit.  These grids are read at x = y = 1, where each
+    finite coefficient is its own term."""
 
     def assert_matches_loop(self, terms):
-        block_sums, abs_blocks, counts = series._diagonal_stats(terms)
+        block_sums, abs_blocks, counts = kernel_stats(terms)
         ref_sums, ref_abs, ref_counts = diagonal_stats_loop(terms)
         assert block_sums.dtype == np.complex128
         assert np.array_equal(block_sums, np.array(ref_sums))
@@ -638,9 +667,12 @@ class TestDiagonalStats:
             self.assert_matches_loop(random_terms(rng, *shape))
 
     def test_negative_zeros_sum_to_positive_zero(self):
-        # np.trace starts from +0, so a diagonal of -0 entries sums to +0
-        terms = np.full((7, 12), complex(-0.0, -0.0))
-        block_sums, abs_blocks, counts = series._diagonal_stats(terms)
+        # np.trace starts from +0, so a diagonal of -0 parts sums to +0.
+        # No complex product has both parts -0; -0 + 0j times 1 + 0j keeps
+        # its -0 real part
+        coeffs = np.full((7, 12), complex(-0.0, 0.0))
+        assert np.signbit(term_grid(coeffs, 1, 1).real).all()
+        block_sums, abs_blocks, counts = kernel_stats(coeffs)
         assert not np.signbit(block_sums.real).any()
         assert not np.signbit(block_sums.imag).any()
         assert not abs_blocks.any() and counts == 0
@@ -673,21 +705,22 @@ class TestDiagonalPlan:
         assert plan.order.tolist() == order
         assert plan.starts.tolist() == starts
         rng = np.random.default_rng(M * 7919 + N)
-        stack = np.stack([random_terms(rng, M + 1, N + 1) for _ in range(2)])
-        for terms in (stack[0], stack):
-            sums, abs_sums, counts = series._diagonal_stats(terms)
-            sums = sums.reshape(M + N + 1, -1)
-            abs_sums = abs_sums.reshape(M + N + 1, -1)
-            for j, one in enumerate(terms.reshape(-1, M + 1, N + 1)):
-                ref_sums, ref_abs, ref_counts = diagonal_stats_loop(one)
-                assert sums[:, j].tobytes() == np.array(ref_sums).tobytes()
-                assert abs_sums[:, j].tobytes() == np.array(ref_abs).tobytes()
+        coeffs = random_terms(rng, M + 1, N + 1)
+        for xs, ys in ((1 + 0j, 1 + 0j), random_points(rng, 2)):
+            sums, abs_sums, counts = kernel_stats(coeffs, xs, ys)
+            sums = sums.reshape(-1, M + N + 1)
+            abs_sums = abs_sums.reshape(-1, M + N + 1)
+            for j, (x, y) in enumerate(zip(np.ravel(xs), np.ravel(ys))):
+                ref_sums, ref_abs, ref_counts = diagonal_stats_loop(
+                    term_grid(coeffs, x, y))
+                assert sums[j].tobytes() == np.array(ref_sums).tobytes()
+                assert abs_sums[j].tobytes() == np.array(ref_abs).tobytes()
                 assert np.ravel(counts)[j] == sum(ref_counts)
 
     def test_thin_rectangles_are_cheap(self):
         # one diagonal per cell: the per-row loops took 2.8-3.0 s of CPU.
-        # The plan holds one index per cell and two per diagonal: 2.1 MB at
-        # 511 x 511 and 6.3 MB at 262143 x 0
+        # The plan holds three int32 indices per cell and four per
+        # diagonal: 3.2 MB at 511 x 511 and 8.4 MB at 262143 x 0
         for M, N, most in ((262143, 0, 10e6), (0, 262143, 10e6),
                            (511, 511, 4e6)):
             tracemalloc.start()
@@ -711,40 +744,66 @@ class TestStackedDiagonalStats:
         shapes = [(1, 1), (1, 2), (1, 41), (41, 1), (2, 2), (41, 41),
                   (7, 30), (30, 7), (70, 3)]
         for rows, cols in shapes:
+            coeffs = random_terms(rng, rows, cols)
             for points in (1, 2, 5):
-                stack = np.stack([random_terms(rng, rows, cols)
-                                  for _ in range(points)])
-                sums, abs_sums, counts = series._diagonal_stats(stack)
+                xs, ys = random_points(rng, points)
+                sums, abs_sums, counts = kernel_stats(coeffs, xs, ys)
                 assert sums.shape == abs_sums.shape == (
-                    rows + cols - 1, points)
+                    points, rows + cols - 1)
                 assert counts.shape == (points,)
-                for j, terms in enumerate(stack):
-                    one = series._diagonal_stats(terms)
-                    ref_sums, ref_abs, ref_counts = diagonal_stats_loop(terms)
-                    assert sums[:, j].tobytes() == one[0].tobytes() == \
+                for j, (x, y) in enumerate(zip(xs, ys)):
+                    one = kernel_stats(coeffs, x, y)
+                    ref_sums, ref_abs, ref_counts = diagonal_stats_loop(
+                        term_grid(coeffs, x, y))
+                    assert sums[j].tobytes() == one[0].tobytes() == \
                         np.array(ref_sums).tobytes()
-                    assert abs_sums[:, j].tolist() == one[1].tolist() == \
+                    assert abs_sums[j].tolist() == one[1].tolist() == \
                         ref_abs
                     assert counts[j] == one[2] == sum(ref_counts)
 
+    def test_single_rows_and_columns_match_one_point_calls(self):
+        # M = 0 or N = 0: a single row of two or more terms takes numpy's
+        # scalar abs loop and every other shape its SIMD loop, which round
+        # differently; a stack of P points is P one-point calls, results
+        # by repr and every sum by its bytes
+        rng = np.random.default_rng(41)
+        for rows, cols in ((1, 1), (1, 2), (1, 3), (1, 41), (1, 300),
+                           (2, 1), (3, 1), (41, 1), (300, 1)):
+            grid = series._prepare(random_terms(rng, rows, cols))
+            for points in (2, 3, 8):
+                xs, ys = random_points(rng, points)
+                stack = series._sum_terms(grid, xs[:, None], ys[:, None],
+                                          True)
+                results = series._sum_points(grid, xs[:, None],
+                                             ys[:, None], True)
+                assert len(results) == points
+                for j, (x, y) in enumerate(zip(xs, ys)):
+                    alone = series._sum_terms(grid, x, y, True)
+                    assert repr(series._sum_points(grid, x, y, True)) == \
+                        repr(results[j:j + 1])
+                    for got, want in zip(stack, alone):
+                        assert got[j].tobytes() == want.tobytes()
+
     def test_thin_rectangles_stay_small(self):
-        # a 3000 x 1 stack must not allocate a buffer that grows with 3000
-        # squared
+        # two points of a 3000 x 1 grid must not allocate a buffer that
+        # grows with 3000 squared
         rng = np.random.default_rng(3)
         for rows, cols in ((3000, 1), (1, 3000), (3000, 2), (2, 3000)):
-            stack = np.stack([random_terms(rng, rows, cols)
-                              for _ in range(2)])
+            coeffs = random_terms(rng, rows, cols)
+            # on the unit circle, whose powers stay finite
+            xs, ys = np.exp(2j * np.pi * rng.random((2, 2)))
             tracemalloc.start()
             try:
-                sums, abs_sums, counts = series._diagonal_stats(stack)
+                sums, abs_sums, counts = kernel_stats(coeffs, xs, ys)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 40 * stack.nbytes
-            for j, terms in enumerate(stack):
-                ref_sums, ref_abs, ref_counts = diagonal_stats_loop(terms)
-                assert sums[:, j].tobytes() == np.array(ref_sums).tobytes()
-                assert abs_sums[:, j].tolist() == ref_abs
+            assert peak < 40 * 2 * coeffs.nbytes
+            for j, (x, y) in enumerate(zip(xs, ys)):
+                ref_sums, ref_abs, ref_counts = diagonal_stats_loop(
+                    term_grid(coeffs, x, y))
+                assert sums[j].tobytes() == np.array(ref_sums).tobytes()
+                assert abs_sums[j].tolist() == ref_abs
                 assert counts[j] == sum(ref_counts)
 
 
@@ -773,14 +832,18 @@ def hostile_terms(rng, shape):
 
 
 def check_diagonal_corpus(count, seed=14):
-    """Check _diagonal_stats on count seeded cases against the np.trace
-    loop of diagonal_stats_loop, bytes and NaN included: a single grid, a
-    stack of one point and a stack of three, each point's column compared
-    with its grid alone.  Every tenth shape is one of SPLIT_SHAPES, the rest
-    are up to 60 x 60.  Returns the case count and a SHA-256 digest of every
-    result's bytes, each NaN read as math.nan: no report prints the sign or
-    payload of a NaN, and a summation that keeps every other bit but adds
-    in another operand order can flip them."""
+    """Check the kernel's sums of count seeded hostile coefficient grids
+    against the np.trace loop of diagonal_stats_loop over each point's term
+    grid, bytes and NaN included: one point at x = y = 1, where each term
+    is its coefficient times (1 + 0j) twice (so an infinite coefficient
+    reaches the sums with a NaN part, and a -0 part may turn +0), and stacks
+    of one and of three points on the unit circle, each point's row compared
+    with its grid.
+    Every tenth shape is one of SPLIT_SHAPES, the rest are up to 60 x 60.
+    Returns the case count and a SHA-256 digest of every result's bytes,
+    each NaN read as math.nan: no report prints the sign or payload of a
+    NaN, and a summation that keeps every other bit but adds in another
+    operand order can flip them."""
     rng = np.random.default_rng(seed)
     digest = hashlib.sha256()
     with np.errstate(all="ignore"):
@@ -788,23 +851,24 @@ def check_diagonal_corpus(count, seed=14):
             shape = SPLIT_SHAPES[i // 10 % len(SPLIT_SHAPES)] if i % 10 == 0 \
                 else tuple(int(v) for v in rng.integers(1, 61, size=2))
             points = (None, 1, 3)[i % 3]
-            terms = hostile_terms(rng, shape if points is None
-                                  else (points,) + shape)
-            sums, abs_sums, counts = series._diagonal_stats(terms)
-            digest.update(repr(terms.shape).encode())
+            coeffs = hostile_terms(rng, shape)
+            xs, ys = (1 + 0j, 1 + 0j) if points is None else \
+                np.exp(2j * np.pi * rng.random((2, points)))
+            sums, abs_sums, counts = kernel_stats(coeffs, xs, ys)
+            digest.update(repr((points, shape)).encode())
             for stat in (sums, abs_sums):
                 reals = np.array(stat).view(np.float64)
                 reals[np.isnan(reals)] = math.nan
                 digest.update(reals.tobytes())
             digest.update(np.asarray(counts, np.int64).tobytes())
-            grids = [terms] if points is None else list(terms)
-            sums = sums.reshape(sum(shape) - 1, -1)
-            abs_sums = abs_sums.reshape(sum(shape) - 1, -1)
-            for j, grid in enumerate(grids):
-                ref_sums, ref_abs, ref_counts = diagonal_stats_loop(grid)
-                assert sums[:, j].tobytes() == \
+            sums = sums.reshape(-1, sum(shape) - 1)
+            abs_sums = abs_sums.reshape(-1, sum(shape) - 1)
+            for j, (x, y) in enumerate(zip(np.ravel(xs), np.ravel(ys))):
+                ref_sums, ref_abs, ref_counts = diagonal_stats_loop(
+                    term_grid(coeffs, x, y))
+                assert sums[j].tobytes() == \
                     np.array(ref_sums).tobytes(), (i, j)
-                assert abs_sums[:, j].tobytes() == \
+                assert abs_sums[j].tobytes() == \
                     np.array(ref_abs).tobytes(), (i, j)
                 assert np.ravel(counts)[j] == sum(ref_counts), (i, j)
     return count, digest.hexdigest()
