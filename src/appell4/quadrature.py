@@ -20,9 +20,15 @@ printed representation is formal and is not checked numerically.
 
 `laguerre_rule` builds each order once per process; the shared rule's node
 and weight arrays are read-only.  `integral_rep_check` requests its inner
-grid once per check and prepares it once for summation
-(`series._prepared_grid`); each node's `integrand_kdf` sums that grid at
-its own arguments, one point in 1-D arrays.  Its value is that of
+grid once per check, prepares it once for summation
+(`series._prepared_grid`) and cuts it to its support (`series._support`),
+the leading anti-diagonals that hold its nonzero cells: the checked inner
+series terminates, so it is a polynomial, of total degree at most 12 in the
+benchmark's checks.  Each node's `integrand_kdf` sums that prefix at its
+own arguments, one point in 1-D arrays, and stops at the polynomial's last
+nonzero anti-diagonal.  That is exact, since every term past it is a zero
+times finite powers and adds +0 to each total; a node whose powers may not
+all be finite sums the full grid and raises as before.  Its value is that of
 `evaluate` bit for bit, without the growth diagnostics, and equals that of
 a call that prepares the grid itself.  No prepared grid outlives its check.
 """
@@ -45,7 +51,8 @@ from .kernels import _is_exact_nonpositive_int, gamma
 # eval_kdf stays a module name although integrand_kdf sums through
 # _sum_points: the perfbench layer tracer wraps it by name
 from .series import (EVAL_POLICY, F41Params, KdfParams, TruncationPolicy,
-                     _prepared_grid, _sum_points, eval_f41, eval_kdf)
+                     _prepared_grid, _sum_points, _support, eval_f41,
+                     eval_kdf)
 
 _MAX_ORDER = 256
 _MOMENT_SPOTS = (1, 2, 5, 10)
@@ -209,8 +216,8 @@ def integrand_kdf(spec: IntegralRepSpec, u: float,
     arguments are (-k)^k u x and (-k)^k u y (u x and u y at k = 0).
 
     _prepared is the inner grid as integral_rep_check prepares it once for
-    all its nodes; without it the grid is requested and prepared here, and
-    the value is the same, bit for bit."""
+    all its nodes, cut to its support; without it the whole grid is
+    requested and prepared here, and the value is the same, bit for bit."""
     if _prepared is None:
         _prepared = _prepared_grid(_inner_kdf(spec), pol)
     p = spec.params
@@ -236,15 +243,16 @@ def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
                 f"order {rule.order} cannot integrate the degree-{degree} "
                 "terminating integrand exactly")
     exponent = p.a if spec.which is RepKind.REP_A else p.b
-    inner = _prepared_grid(_inner_kdf(spec), pol)
+    inner = _support(_prepared_grid(_inner_kdf(spec), pol))
     contribs = np.empty(rule.order, dtype=np.complex128)
-    for i, (u, w) in enumerate(zip(rule.nodes, rule.weights)):
+    for i, (u, w) in enumerate(zip(rule.nodes.tolist(),
+                                   rule.weights.tolist())):
         try:
-            power = cmath.exp((exponent - 1.0) * math.log(float(u)))
+            power = cmath.exp((exponent - 1.0) * math.log(u))
         except OverflowError:
             raise OverflowSignalError(f"u^{exponent - 1} exceeds the double "
                                       f"range at node u = {u}") from None
-        value = integrand_kdf(spec, float(u), pol, _prepared=inner)
+        value = integrand_kdf(spec, u, pol, _prepared=inner)
         contribs[i] = w * power * value
     quad = complex(contribs.sum() / gamma(exponent))
     direct = eval_f41(p, pol).value

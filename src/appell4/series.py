@@ -46,8 +46,7 @@ break, a zero or NaN divisor or a non-finite grid is built by the scalar
 engine instead.
 
 `evaluate` sums one point; `evaluate_many` sums one grid at many arguments
-(x, y), as the CLI sweep needs, and `evaluate_values` gives the same values
-without the growth diagnostics.  A call requests its grid once, keyed
+(x, y), as the CLI sweep needs.  A call requests its grid once, keyed
 without x and y, and prepares it once (`_prepare`): its cells are gathered
 into the order of `_diagonal_plan`, a zero leading each anti-diagonal.  The
 plan, built once per shape, also holds the exponents of x and y that each
@@ -57,8 +56,14 @@ numpy adds pairwise as it adds any reduction, and adds the blocks left to
 right.  Points are summed in stacks of at most _CHUNK_CELLS term cells, and
 one point alone in 1-D arrays; every result equals that of the point summed
 alone, bit for bit.  `quadrature` prepares its inner grid once per check
-(`_prepared_grid`) and sums each node from it (`_sum_points`).  A
-truncation rectangle holds at most _MAX_CELLS cells.
+(`_prepared_grid`), cuts it to its support (`_support`) and sums each node
+from that (`_sum_points`, values alone).  The inner series of a checked
+representation terminates, so its nonzero cells lie on a few leading
+anti-diagonals; a node stops at the last of them.  That is exact: past it
+every term is a zero times finite powers, and each block sum there is +0,
+which leaves every total as it is.  A point whose powers may not all be
+finite sums the full grid and raises as before.  A truncation rectangle
+holds at most _MAX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import add, itemgetter, mul, neg, sub, truediv
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -869,11 +874,61 @@ def _in_plan_order(grid: np.ndarray, plan: _DiagonalPlan) -> np.ndarray:
     return ordered
 
 
-def _prepare(coeffs: np.ndarray):
-    """A coefficient grid prepared for _sum_terms: the pair of its cells in
-    plan order and its _diagonal_plan."""
+class _Prepared(NamedTuple):
+    """A coefficient grid prepared for _sum_terms: its cells in the order of
+    its _diagonal_plan, the plan's exponent indices `rows` and `cols` at
+    native intp width (numpy casts int32 indices on every take, and the
+    cached plan stays int32 to stay small), its diagonal `starts` and the
+    exponents `m` and `n` the entries take.  `full` is None but for a
+    support prefix (_support), which holds the whole prepared grid there."""
+
+    cells: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    full: _Prepared | None = None
+
+
+def _prepare(coeffs: np.ndarray) -> _Prepared:
+    """A coefficient grid prepared for _sum_terms."""
     plan = _diagonal_plan(coeffs.shape[0] - 1, coeffs.shape[1] - 1)
-    return _in_plan_order(coeffs, plan), plan
+    return _Prepared(_in_plan_order(coeffs, plan), plan.rows.astype(np.intp),
+                     plan.cols.astype(np.intp), plan.starts, plan.m, plan.n)
+
+
+def _support(grid: _Prepared) -> _Prepared:
+    """grid cut to its leading anti-diagonals that hold every nonzero cell,
+    a NaN cell counting as nonzero, and to the exponents they take, for the
+    values of _sum_points; `full` keeps the whole grid.
+
+    The cut is exact.  Past it every cell is an exact zero, so at a point
+    whose powers x^m and y^n are all finite each dropped term is a zero and
+    each dropped block sum, led by its +0, is +0 + 0j.  No block sum or
+    running total has a -0 part (see _sum_terms), so adding those blocks
+    leaves every total as it is, inf and NaN included.  Where a power may
+    not be finite (_finite_powers), and with diagnostics, _sum_points sums
+    the full grid."""
+    nonzero = np.flatnonzero(grid.cells)
+    last = nonzero[-1] if len(nonzero) else 0
+    # the diagonals up to that of the last nonzero entry, and their entries;
+    # diagonal d takes exponents up to d
+    kept = int(np.searchsorted(grid.starts, last, side="right"))
+    end = grid.starts[kept] if kept < len(grid.starts) else len(grid.cells)
+    return _Prepared(grid.cells[:end], grid.rows[:end], grid.cols[:end],
+                     grid.starts[:kept], grid.m[:kept], grid.n[:kept], grid)
+
+
+def _finite_powers(v, top: int) -> bool:
+    """Whether np.power certainly forms every power v^0 .. v^top finite, for
+    a complex v or for each entry of an array v.  True when |v|^top <= 1e300:
+    no product np.power forms on the way, by repeated squaring or as
+    exp(m log v), is then much larger, far inside the double range.  False
+    for a NaN or infinite v, and for finite v past that bound, whose full
+    grid is then summed at no other cost than its time."""
+    small = abs(v) <= 1e300 ** (1 / max(top, 1))
+    return small if isinstance(small, bool) else bool(small.all())
 
 
 def _growth(abs_blocks: list):
@@ -909,7 +964,10 @@ def _summary(total: complex, abs_blocks: list, terms_used: int, M: int,
                             max_term_ratio=float(max_term_ratio))
 
 
-def _sum_terms(grid, xs, ys, diagnostics: bool):
+# a point outside the floating range overflows its powers, terms and sums;
+# its caller raises, and no point warns on its own or another's behalf
+@np.errstate(over="ignore", invalid="ignore")
+def _sum_terms(grid: _Prepared, xs, ys, diagnostics: bool):
     """Sums of the terms c[m, n] x^m y^n of a prepared grid at one point,
     given as two complex numbers xs and ys (or arrays of one), or at a
     stack of P points, given as two (P, 1) complex columns; the arrays below
@@ -923,51 +981,56 @@ def _sum_terms(grid, xs, ys, diagnostics: bool):
     (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
     np.trace adds the same terms from np.add's identity +0.0.  So each block
     sum is bit for bit the np.trace of its diagonal of np.fliplr of the
-    point's term grid, and each point of a stack sums as it does alone."""
-    # a point outside the floating range overflows its powers, terms and
-    # sums; its caller raises, and no point warns on its own or another's
-    # behalf
-    ordered, plan = grid
-    with np.errstate(over="ignore", invalid="ignore"):
-        xp = np.power(xs, plan.m, dtype=np.complex128)
-        yp = np.power(ys, plan.n, dtype=np.complex128)
-        terms = (ordered * xp.take(plan.rows, axis=-1)
-                 * yp.take(plan.cols, axis=-1))
-        block_sums = np.add.reduceat(terms, plan.starts, axis=-1)
-        # the blocks added left to right, as Python's sum adds them from 0
-        # (no block sum is -0.0, so starting from the first is the same),
-        # by np.cumsum's ufunc without its wrapper
-        totals = np.add.accumulate(block_sums, axis=-1)[..., -1]
-        if not diagnostics:
-            return totals, block_sums, None, None
-        if len(plan.m) == 1 < len(plan.n):
-            # np.abs rounds complex input in the last bit one way in its
-            # SIMD loop and another in its scalar loop.  np.abs(np.fliplr(
-            # term grid)) takes the SIMD loop, except for a single row of
-            # two or more terms: numpy reads that flipped view as 1-D with
-            # a negative stride, which only the scalar loop takes.  Every
-            # point of a stack is read the same way
-            flat = terms.reshape(-1)
-            abs_terms = np.abs(flat[::-1])[::-1].reshape(terms.shape)
-        else:
-            abs_terms = np.abs(terms)
-        return (totals, block_sums,
-                np.add.reduceat(abs_terms, plan.starts, axis=-1),
-                np.count_nonzero(abs_terms, axis=-1))
+    point's term grid, and each point of a stack sums as it does alone.  A
+    support prefix (_support) gives the block sums of its own diagonals;
+    _sum_points decides where it gives the grid's totals."""
+    cells, rows, cols, starts, m, n, _ = grid
+    xp = np.power(xs, m, dtype=np.complex128)
+    yp = np.power(ys, n, dtype=np.complex128)
+    # (c x^m) y^n, formed in place
+    terms = xp.take(rows, axis=-1)
+    np.multiply(cells, terms, out=terms)
+    np.multiply(terms, yp.take(cols, axis=-1), out=terms)
+    block_sums = np.add.reduceat(terms, starts, axis=-1)
+    # the blocks added left to right, as Python's sum adds them from 0 (no
+    # block sum is -0.0, so starting from the first is the same), by
+    # np.cumsum's ufunc without its wrapper
+    totals = np.add.accumulate(block_sums, axis=-1)[..., -1]
+    if not diagnostics:
+        return totals, block_sums, None, None
+    if len(m) == 1 < len(n):
+        # np.abs rounds complex input in the last bit one way in its SIMD
+        # loop and another in its scalar loop.  np.abs(np.fliplr(term grid))
+        # takes the SIMD loop, except for a single row of two or more terms:
+        # numpy reads that flipped view as 1-D with a negative stride, which
+        # only the scalar loop takes.  Every point of a stack is read the
+        # same way
+        flat = terms.reshape(-1)
+        abs_terms = np.abs(flat[::-1])[::-1].reshape(terms.shape)
+    else:
+        abs_terms = np.abs(terms)
+    return (totals, block_sums, np.add.reduceat(abs_terms, starts, axis=-1),
+            np.count_nonzero(abs_terms, axis=-1))
 
 
-def _sum_points(grid, xs, ys, diagnostics: bool) -> list:
+def _sum_points(grid: _Prepared, xs, ys, diagnostics: bool) -> list:
     """Results (values alone without diagnostics) of _sum_terms at its
     points, one per point; OverflowSignalError if a partial sum leaves the
-    floating range."""
+    floating range.  A support prefix gives the values of its full grid
+    from its own diagonals where every power is finite, and sums the full
+    grid elsewhere and with diagnostics."""
+    full = grid.full
+    if full is not None and (diagnostics or not (
+            _finite_powers(xs, len(full.m) - 1)
+            and _finite_powers(ys, len(full.n) - 1))):
+        grid = full
     totals, _, abs_blocks, counts = _sum_terms(grid, xs, ys, diagnostics)
     totals = totals.reshape(-1).tolist()
     if not all(map(cmath.isfinite, totals)):
         raise OverflowSignalError("partial sum exceeds the floating range")
     if not diagnostics:
         return totals
-    plan = grid[1]
-    M, N = len(plan.m) - 1, len(plan.n) - 1
+    M, N = len(grid.m) - 1, len(grid.n) - 1
     return [_summary(*stats, M, N) for stats in zip(
         totals, abs_blocks.reshape(len(totals), -1).tolist(),
         counts.reshape(-1).tolist())]
@@ -994,8 +1057,17 @@ def _prepared_grid(p: SeriesParams, pol: TruncationPolicy):
     return _prepare(_grid_coeffs(_without_args(p), pol.max_m, pol.max_n))
 
 
-def _sum_stacks(p: SeriesParams, xs, ys, pol: TruncationPolicy,
-                diagnostics: bool) -> list:
+def evaluate_many(p: SeriesParams, xs, ys,
+                  pol: TruncationPolicy = EVAL_POLICY) -> list:
+    """evaluate(p.replace(x=x, y=y), pol) for each pair of xs and ys, bit
+    for bit, from one grid request; p's own arguments are not used.
+
+    The points are summed in stacks of at most _CHUNK_CELLS term cells (one
+    point at least), each reduced in one pass.  A point whose partial sum
+    leaves the floating range raises OverflowSignalError, as in evaluate.
+    A NaN or infinite argument is a ValueError instead: it makes a partial
+    sum non-finite wherever the rectangle holds a power of it past the
+    zeroth, and is looked for only then."""
     xs = np.asarray(xs, dtype=np.complex128)
     ys = np.asarray(ys, dtype=np.complex128)
     if xs.ndim != 1 or xs.shape != ys.shape:
@@ -1006,30 +1078,19 @@ def _sum_stacks(p: SeriesParams, xs, ys, pol: TruncationPolicy,
     step = max(1, _CHUNK_CELLS // ((pol.max_m + 1) * (pol.max_n + 1)))
     xs, ys = xs[:, None], ys[:, None]
     results = []
-    for i in range(0, len(xs), step):
-        # a stack of one point is summed as that point alone
-        points = i if min(step, len(xs) - i) == 1 else slice(i, i + step)
-        results += _sum_points(grid, xs[points], ys[points], diagnostics)
+    try:
+        for i in range(0, len(xs), step):
+            # a stack of one point is summed as that point alone
+            points = i if min(step, len(xs) - i) == 1 else slice(i, i + step)
+            results += _sum_points(grid, xs[points], ys[points], True)
+    except OverflowSignalError:
+        # refused as divergence_diagnostic and the CLI refuse it, but only
+        # once a sum has failed, so a finite call pays nothing
+        for name, values in (("x", xs), ("y", ys)):
+            for v in values.ravel().tolist():
+                _require_finite(name, v)
+        raise
     return results
-
-
-def evaluate_many(p: SeriesParams, xs, ys,
-                  pol: TruncationPolicy = EVAL_POLICY) -> list:
-    """evaluate(p.replace(x=x, y=y), pol) for each pair of xs and ys, bit
-    for bit, from one grid request; p's own arguments are not used.
-
-    The points are summed in stacks of at most _CHUNK_CELLS term cells (one
-    point at least), each reduced in one pass.  A point whose partial sum
-    leaves the floating range raises OverflowSignalError, as in evaluate."""
-    return _sum_stacks(p, xs, ys, pol, True)
-
-
-def evaluate_values(p: SeriesParams, xs, ys,
-                    pol: TruncationPolicy = EVAL_POLICY) -> list:
-    """The values of evaluate_many(p, xs, ys, pol), bit for bit, without
-    the growth diagnostics: no absolute block sums, term counts or ratios,
-    which take more than half of a point's time."""
-    return _sum_stacks(p, xs, ys, pol, False)
 
 
 def evaluate(p: SeriesParams,

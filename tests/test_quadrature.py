@@ -8,6 +8,7 @@ tolerances on the polynomial-exponent domain and freeze the measured
 algebraic rates elsewhere as documented limitations.
 """
 
+import cmath
 import importlib.util
 import math
 import os
@@ -40,6 +41,12 @@ P_K1 = F41Params(3.0, 2.0, 1.7, 2.3, 3, 3, 1, 1, 0.3, 0.2)
 
 def quad_value(report):
     return complex(*report.params["quadrature_value"])
+
+
+def check_grid(spec):
+    """The inner grid as integral_rep_check prepares it for its nodes."""
+    return series._support(series._prepared_grid(quadrature._inner_kdf(spec),
+                                                 EVAL_POLICY))
 
 
 def pool_specs(kind, count):
@@ -197,21 +204,47 @@ class TestIntegrandKdf:
 
     def test_alone_equals_the_prepared_node_value(self):
         # every node of the first four specs of both quadcheck pools: the
-        # grid integral_rep_check prepares once gives each node's value bit
-        # for bit as a call that prepares its own
+        # grid integral_rep_check prepares once and cuts to its support
+        # gives each node's value bit for bit as a call that prepares the
+        # whole grid itself
         specs = pool_specs("quadcheck64", 4) + pool_specs("quadcheck256", 4)
         assert {spec.k for spec, _ in specs} == {0, 1, 2}
         for spec, order in specs:
-            inner = series._prepared_grid(quadrature._inner_kdf(spec),
-                                          EVAL_POLICY)
+            inner = check_grid(spec)
             for u in laguerre_rule(order).nodes.tolist():
                 assert repr(integrand_kdf(spec, u)) == repr(
                     integrand_kdf(spec, u, _prepared=inner))
 
+    def test_nodes_sum_their_polynomial(self):
+        # the inner series of these checks terminates: of the 1,762 entries
+        # of the 41 x 41 plan a node sums the diagonals of total degree up
+        # to 12 (k >= 1) or 6 (k = 0), and no node's powers make it fall
+        # back to the full grid
+        specs = pool_specs("quadcheck64", 4) + pool_specs("quadcheck256", 4)
+        for spec, order in specs:
+            inner = check_grid(spec)
+            assert len(inner.full.cells) == 1762
+            assert len(inner.cells) <= (104 if spec.k else 35)
+            p = spec.params
+            for u in laguerre_rule(order).nodes.tolist():
+                arg = (-spec.k) ** spec.k * u
+                assert series._finite_powers(arg * p.x, 40)
+                assert series._finite_powers(arg * p.y, 40)
+
     def test_overflow_raises_on_both_paths(self):
         spec = IntegralRepSpec(RepKind.REP_A, 0, P_K0.replace(x=1e200))
-        inner = series._prepared_grid(quadrature._inner_kdf(spec),
-                                      EVAL_POLICY)
+        with pytest.raises(OverflowSignalError):
+            integrand_kdf(spec, 1.0)
+        with pytest.raises(OverflowSignalError):
+            integrand_kdf(spec, 1.0, _prepared=check_grid(spec))
+
+    def test_overflow_past_the_polynomial_raises_on_both_paths(self):
+        # the inner polynomial has degree 3 in x, finite at 1e10, while the
+        # full grid's x^40 overflows: the cut grid raises as the full one
+        spec = IntegralRepSpec(RepKind.REP_A, 1, P_K1.replace(x=1e10))
+        inner = check_grid(spec)
+        assert cmath.isfinite(integrand_kdf(
+            spec, 1.0, _prepared=inner._replace(full=None)))
         with pytest.raises(OverflowSignalError):
             integrand_kdf(spec, 1.0)
         with pytest.raises(OverflowSignalError):

@@ -35,7 +35,6 @@ from appell4.series import (
     eval_kdf,
     evaluate,
     evaluate_many,
-    evaluate_values,
     reduce_to_kdf,
     scratch_coefficient_f41,
     scratch_coefficient_f42,
@@ -928,6 +927,110 @@ def argument_corpus(rng, count):
     return [one() for _ in range(count)], [one() for _ in range(count)]
 
 
+def polynomial_terms(rng, rows, cols, inside):
+    """random_terms of one shape with every cell (m, n) for which
+    inside(m, n) is false an exact zero, half of them with -0 parts."""
+    terms = random_terms(rng, rows, cols)
+    m, n = np.indices((rows, cols))
+    outside = ~inside(m, n)
+    terms[outside] = np.where(rng.random(outside.sum()) < 0.5, 0j,
+                              complex(-0.0, -0.0))
+    return terms
+
+
+class TestSupportPrefix:
+    """A grid cut to its support (series._support) gives the values of its
+    full grid bit for bit, compared by repr, and raises where the full grid
+    raises, at single points and at stacks."""
+
+    @staticmethod
+    def values(grid, xs, ys):
+        try:
+            return repr(series._sum_points(grid, xs, ys, False))
+        except OverflowSignalError:
+            return "overflow"
+
+    def assert_exact(self, coeffs, points):
+        full = series._prepare(coeffs)
+        cut = series._support(full)
+        assert cut.full is full
+        xs, ys = np.asarray(points, dtype=np.complex128)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            assert self.values(cut, x, y) == self.values(full, x, y)
+        stack = xs[:, None], ys[:, None]
+        assert self.values(cut, *stack) == self.values(full, *stack)
+        return cut
+
+    def test_random_polynomials(self):
+        # rectangular supports, as of the inner grids of k >= 1 checks, and
+        # triangular ones, as at k = 0; moduli of 0.1 to 2 and some whose
+        # powers overflow inside the support
+        rng = np.random.default_rng(20)
+        shapes = [(41, 41), (13, 13), (1, 41), (41, 1), (7, 30), (30, 7)]
+        for rows, cols in shapes * 8:
+            a, b = (int(rng.integers(0, side)) for side in (rows, cols))
+            total = int(rng.integers(0, rows + cols - 1))
+            for inside, degree in ((lambda m, n: (m <= a) & (n <= b), a + b),
+                                   (lambda m, n: m + n <= total, total)):
+                coeffs = polynomial_terms(rng, rows, cols, inside)
+                points = random_points(rng, 6)
+                points[:, -1] = [1e60, 1e-3]
+                cut = self.assert_exact(coeffs, points)
+                assert len(cut.starts) <= degree + 1
+
+    def test_cut_ends_at_the_last_nonzero_diagonal(self):
+        rng = np.random.default_rng(21)
+        coeffs = polynomial_terms(rng, 41, 41,
+                                  lambda m, n: (m <= 6) & (n <= 6))
+        coeffs[6, 6] = 1.0
+        cut = self.assert_exact(coeffs, random_points(rng, 4))
+        # diagonals 0..12, each led by its zero: the 104 entries of a
+        # degree-12 polynomial, and the exponents 0..12
+        assert len(cut.starts) == 13 and len(cut.cells) == 104
+        assert cut.m.tolist() == cut.n.tolist() == list(range(13))
+        # a NaN cell past the support counts as nonzero
+        coeffs[20, 3] = complex(math.nan, 0.0)
+        cut = self.assert_exact(coeffs, random_points(rng, 4))
+        assert len(cut.starts) == 24
+        assert self.values(cut, 0.5, 0.5) == "overflow"
+
+    def test_grids_without_a_zero_tail_are_kept_whole(self):
+        rng = np.random.default_rng(22)
+        for rows, cols in ((41, 41), (1, 1), (1, 9), (9, 1)):
+            coeffs = random_terms(rng, rows, cols)
+            coeffs[-1, -1] = 1.0
+            cut = self.assert_exact(coeffs, random_points(rng, 3))
+            assert len(cut.cells) == len(cut.full.cells)
+        # all zero: the first diagonal alone
+        cut = self.assert_exact(np.zeros((5, 5), complex),
+                                random_points(rng, 3))
+        assert len(cut.starts) == 1
+
+    def test_dropped_powers_that_overflow_take_the_full_grid(self):
+        # x^40 overflows though x^6 does not: the full grid's terms 0 x^40
+        # are NaN, so it raises, and the cut must raise with it instead of
+        # returning its own finite sum
+        rng = np.random.default_rng(23)
+        coeffs = polynomial_terms(rng, 41, 41,
+                                  lambda m, n: (m <= 3) & (n <= 3))
+        cut = self.assert_exact(coeffs, [[1e10, 0.5, math.nan, 0.5],
+                                         [0.5, 1e10, 0.5, math.inf]])
+        for x, y in ((1e10, 0.5), (0.5, 1e10), (math.nan, 0.5),
+                     (0.5, math.inf)):
+            assert not (series._finite_powers(x, 40)
+                        and series._finite_powers(y, 40))
+            assert self.values(cut, x, y) == "overflow"
+        assert self.values(cut._replace(full=None), 1e10, 0.5) != "overflow"
+
+    def test_diagnostics_sum_the_full_grid(self):
+        rng = np.random.default_rng(24)
+        coeffs = polynomial_terms(rng, 13, 13, lambda m, n: m + n <= 4)
+        full = series._prepare(coeffs)
+        x, y = random_points(rng, 1)[:, 0].tolist()
+        assert repr(series._sum_points(series._support(full), x, y, True)) \
+            == repr(series._sum_points(full, x, y, True))
+
+
 class TestEvaluateMany:
     """A stack of points gives each point's result bit for bit, compared by
     repr: per-point evaluate, and the per-diagonal np.trace reference."""
@@ -953,8 +1056,13 @@ class TestEvaluateMany:
         assert many == outcome(lambda: [evaluate(q, pol) for q in points])
         assert many == outcome(lambda: [reference_evaluate(q, pol)
                                         for q in points])
-        assert outcome(lambda: evaluate_values(p, xs, ys, pol)) == outcome(
-            lambda: [r.value for r in evaluate_many(p, xs, ys, pol)])
+        # the values alone, from the grid cut to its support as a
+        # quadcheck node sums it, all points in one stack
+        grid = series._support(series._prepared_grid(p, pol))
+        columns = np.array([xs, ys], dtype=np.complex128)[:, :, None]
+        assert outcome(lambda: series._sum_points(grid, *columns, False)) \
+            == outcome(lambda: [r.value for r in evaluate_many(p, xs, ys,
+                                                                pol)])
 
     def test_seeded_corpus(self):
         results = set()
@@ -1012,11 +1120,30 @@ class TestEvaluateMany:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowSignalError):
-                evaluate_many(p, [0.1, math.inf, 0.2], [0.1, 0.0, 0.1])
+                evaluate_many(p, [0.1, 1e200, 0.2], [0.1, 0.0, 0.1])
             with pytest.raises(OverflowSignalError):
-                evaluate(p.replace(x=math.nan, y=math.inf))
+                evaluate(p.replace(x=1e200, y=-1e300))
             # the finite points of a stack alone are fine
             assert len(evaluate_many(p, [0.1, 0.2], [0.1, 0.1])) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.1, math.inf),
+                                     complex(math.nan, 0.1)])
+    def test_non_finite_arguments_are_value_errors(self, bad):
+        # as divergence_diagnostic and the CLI refuse them, not as overflow
+        p = F41Params(1, 1, 2, 2, 0, 0, 0, 0, 0.1, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x = .* is not finite"):
+                evaluate(p.replace(x=bad))
+            with pytest.raises(ValueError, match="^y = .* is not finite"):
+                evaluate(p.replace(y=bad))
+            with pytest.raises(ValueError, match="^x = .* is not finite"):
+                evaluate_many(p, [0.1, bad], [0.1, 0.1])
+            # also behind a finite point that overflows first, in another
+            # stack
+            with pytest.raises(ValueError, match="^y = .* is not finite"):
+                evaluate_many(p, [1e200] + [0.1] * 20, [0.1] * 20 + [bad])
 
 
 class TestCellBudget:
@@ -1519,7 +1646,7 @@ class TestGridCacheBound:
         pol = TruncationPolicy(511, 511)
         p = F41Params(-3, 0.8, 1.7, 2.3, 0, 0, 0, 0, 0.0, 0.0)
         series._grid_coeffs.cache_clear()
-        first = evaluate_values(p, [0.1], [0.05], pol)
-        assert evaluate_values(p, [0.1], [0.05], pol) == first
+        first = evaluate_many(p, [0.1], [0.05], pol)[0].value
+        assert evaluate_many(p, [0.1], [0.05], pol)[0].value == first
         info = series._grid_coeffs.cache_info()
         assert (info.misses, info.hits) == (1, 1)

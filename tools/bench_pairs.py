@@ -61,6 +61,16 @@ def spread(runs: list) -> dict:
             "runs": [round(v, 5) for v in runs]}
 
 
+def write_record(path: str, record: dict) -> None:
+    """record as indented JSON, each list of runs on one line."""
+    text = re.sub(r"\[[^][{}]*\]",
+                  lambda m: re.sub(r"\s+", " ", m.group(0))
+                  .replace("[ ", "[").replace(" ]", "]"),
+                  json.dumps(record, indent=1))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def summarize(results: dict, seeds: list) -> dict:
     """One workload's record from its runs, results[side] in pair order."""
     parent, change = results["parent"], results["change"]
@@ -129,16 +139,10 @@ def main(argv=None) -> int:
                                   for k, v in out["metrics"].items())
                       + f", ops {out['attempted']}, failed {out['failed']}",
                       flush=True)
-        record = {"change": args.what, "host": args.host, "method": method,
-                  "workloads": {w: summarize(results[w], args.seeds)
-                                for w in args.workloads}}
-        # one line per list of runs
-        text = re.sub(r"\[[^][{}]*\]",
-                      lambda m: re.sub(r"\s+", " ", m.group(0))
-                      .replace("[ ", "[").replace(" ]", "]"),
-                      json.dumps(record, indent=1))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_record(path, {
+            "change": args.what, "host": args.host, "method": method,
+            "workloads": {w: summarize(results[w], args.seeds)
+                          for w in args.workloads}})
     return 0
 
 
