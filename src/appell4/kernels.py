@@ -10,19 +10,19 @@ for bit the one-length result; `pochhammer` is its one-length case, so the
 direct-product policy lives in one place.  `_log_prefixes` is its log
 counterpart: one log_gamma(a) per list and one carried direct log sum near
 the lattice, the logs and their exact zero flags as two lists, with no
-object per length.  `pochhammer_prefixes` and the grid engine read those
-lists; `log_pochhammer_prefixes` wraps each entry as a `LogPochhammer`,
-bit for bit `log_pochhammer`, its one-length case.  A length is an int or a
-numpy integer, never a bool; any other raises ValueError, as does a length
-below the one before it.
+object per length.  `pochhammer_prefixes`, the grid engine and
+`log_pochhammer`, its one-length case as a `LogPochhammer`, read those
+lists.  A length is an int or a numpy integer, never a bool; any other
+raises ValueError, as does a length below the one before it.
 
 `Lanes` carries one Python complex number per lane as float64 arrays of real
 and imaginary parts, and computes with CPython's scalar complex rules, so
 that a batch of lanes gives each lane's scalar result bit for bit (numpy's
 own complex multiply and divide round differently).  Lanes carry complex
-numbers only; the one mixed rule they repeat, a complex plus an int, is
-checked against the running interpreter at import.  `pochhammer_prefix_lanes`
-is `pochhammer_prefixes` over lanes; a lane whose scalar routine would leave
+numbers only; the one mixed rule they repeat, a complex plus an int, adds
+the int to the real part and `_INT_IMAG`, read from the running interpreter
+at import, to the imaginary part.  `pochhammer_prefix_lanes` is
+`pochhammer_prefixes` over lanes; a lane whose scalar routine would leave
 the direct product is marked for the scalar routine instead.  One exact
 lattice predicate, `_is_exact_nonpositive_int`, has an array form
 (`_nonpositive_int_lanes`) and underlies both zero tests of (a)_l.
@@ -197,21 +197,10 @@ def _log_prefixes(a: complex, lengths):
     return logs, zeros
 
 
-def log_pochhammer_prefixes(a: complex, lengths) -> list:
-    """[log_pochhammer(a, l) for l in lengths], bit for bit, zero flags
-    included; lengths must be nonnegative integers and must not decrease.
-
-    Computed as log_gamma(a + l) - log_gamma(a) away from the
-    negative-integer lattice, with log_gamma(a) computed at most once;
-    where a or a + l lies within distance 0.5 of it, as a direct sum of
-    factor logs carried from one length to the next."""
-    return list(map(LogPochhammer, *_log_prefixes(complex(a), lengths)))
-
-
 def log_pochhammer(a: complex, l: int) -> LogPochhammer:
-    """log (a)_l with exact zero detection: log_pochhammer_prefixes of one
-    length."""
-    return log_pochhammer_prefixes(a, (l,))[0]
+    """log (a)_l with exact zero detection: _log_prefixes of one length."""
+    logs, zeros = _log_prefixes(complex(a), (l,))
+    return LogPochhammer(logs[0], zeros[0])
 
 
 def pochhammer_prefixes(a: complex, lengths) -> list:
@@ -295,6 +284,12 @@ def factorial(m: int) -> complex:
 # lanes: CPython's scalar complex arithmetic over float64 arrays
 # ---------------------------------------------------------------------------
 
+# what a complex plus an int adds to its imaginary part: +0.0 where the int
+# is added as complex(i, 0.0), turning -0.0 into +0.0 (CPython up to 3.13),
+# -0.0 where it goes to the real part alone, leaving every part as it is
+_INT_IMAG = (complex(0.0, -0.0) + 0).imag
+
+
 class Lanes:
     """One Python complex number per lane, with CPython's scalar rounding.
 
@@ -324,9 +319,8 @@ class Lanes:
 
     def add_int(self, ints) -> "Lanes":
         """z + i for integers i: the real parts add i, and the imaginary
-        parts add 0.0, which turns -0.0 into +0.0 (`_LANES_EXACT` says
-        whether the running interpreter does)."""
-        return Lanes(self.re + ints, self.im + 0.0, self.bad)
+        parts add _INT_IMAG."""
+        return Lanes(self.re + ints, self.im + _INT_IMAG, self.bad)
 
     def __mul__(self, other: "Lanes") -> "Lanes":
         ar, ai, br, bi = self.re, self.im, other.re, other.im
@@ -351,19 +345,6 @@ class Lanes:
                      self.bad | other.bad | bad)
 
 
-def _interpreter_adds_ints_as_complex() -> bool:
-    """True when this interpreter computes a complex z plus an int i as
-    z + complex(i, 0.0), as Lanes.add_int does (CPython 3.14 adds i to the
-    real part alone)."""
-    zs = (complex(1.0, -0.0), complex(-0.0, math.inf), complex(math.inf, 1.0),
-          complex(-2.5, 0.0))
-    return all(repr(z + i) == repr(z + complex(i, 0.0))
-               for z in zs for i in (1, 0, -3))
-
-
-_LANES_EXACT = _interpreter_adds_ints_as_complex()
-
-
 def pochhammer_prefix_lanes(a: Lanes, lengths) -> Lanes:
     """pochhammer_prefixes(a, lengths) of every lane of the column a, as
     columns in the order of lengths.
@@ -384,7 +365,7 @@ def pochhammer_prefix_lanes(a: Lanes, lengths) -> Lanes:
     acc_re = np.empty((lanes, direct + 1))
     acc_im = np.empty((lanes, direct + 1))
     acc_re[:, 0], acc_im[:, 0] = 1.0, 0.0
-    f_im = im + 0.0
+    f_im = im + _INT_IMAG
     for done in range(direct):
         pr, pi, f_re = acc_re[:, done], acc_im[:, done], re + done
         acc_re[:, done + 1] = pr * f_re - pi * f_im

@@ -21,16 +21,19 @@ printed representation is formal and is not checked numerically.
 `laguerre_rule` builds each order once per process; the shared rule's node
 and weight arrays are read-only.  `integral_rep_check` requests its inner
 grid once per check, prepares it once for summation
-(`series._prepared_grid`) and cuts it to its support (`series._support`),
-the leading anti-diagonals that hold its nonzero cells: the checked inner
-series terminates, so it is a polynomial, of total degree at most 12 in the
-benchmark's checks.  Each node's `integrand_kdf` sums that prefix at its
-own arguments, one point in 1-D arrays, and stops at the polynomial's last
-nonzero anti-diagonal.  That is exact, since every term past it is a zero
-times finite powers and adds +0 to each total; a node whose powers may not
-all be finite sums the full grid and raises as before.  Its value is that of
-`evaluate` bit for bit, without the growth diagnostics, and equals that of
-a call that prepares the grid itself.  No prepared grid outlives its check.
+(`series._prepared_grid`) and chooses its support once (`series._support`)
+from its largest node's arguments, which bound every node's: where all
+their powers are finite, the grid is cut to the leading anti-diagonals that
+hold its nonzero cells.  The checked inner series terminates, so it is a
+polynomial, of total degree at most 12 in the benchmark's checks.  Each
+node's `integrand_kdf` sums that grid at its own arguments, one point in
+1-D arrays.  A cut is exact, since every term past it is a zero times
+finite powers and adds +0 to each total; a check whose powers may not all
+be finite sums the whole grid at every node and raises as before.  A
+node's value is that of `evaluate` bit for bit, without the growth
+diagnostics, and equals that of a call that prepares the grid itself.  No
+prepared grid outlives its check.  A NaN or infinite x or y is a
+ValueError, as in `evaluate`.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from .kernels import _is_exact_nonpositive_int, gamma
 # eval_kdf stays a module name although integrand_kdf sums through
 # _sum_points: the perfbench layer tracer wraps it by name
 from .series import (EVAL_POLICY, F41Params, KdfParams, TruncationPolicy,
-                     _prepared_grid, _sum_points, _support, eval_f41,
-                     eval_kdf)
+                     _prepared_grid, _require_finite, _sum_points, _support,
+                     eval_f41, eval_kdf)
 
 _MAX_ORDER = 256
 _MOMENT_SPOTS = (1, 2, 5, 10)
@@ -171,8 +174,10 @@ class IntegralRepSpec:
     params: F41Params
 
     def __post_init__(self):
-        object.__setattr__(self, "which", RepKind(self.which))
         p = self.params
+        _require_finite("x", p.x)
+        _require_finite("y", p.y)
+        object.__setattr__(self, "which", RepKind(self.which))
         if p.k1 != self.k or p.k2 != self.k:
             raise ConstraintError("the representations assume equal steps: "
                                   f"need k1 = k2 = {self.k}, got "
@@ -216,8 +221,10 @@ def integrand_kdf(spec: IntegralRepSpec, u: float,
     arguments are (-k)^k u x and (-k)^k u y (u x and u y at k = 0).
 
     _prepared is the inner grid as integral_rep_check prepares it once for
-    all its nodes, cut to its support; without it the whole grid is
-    requested and prepared here, and the value is the same, bit for bit."""
+    all its nodes, with the support it chose (series._support): a cut grid
+    serves only points within the reach it was cut for.  Without it the
+    whole grid is requested and prepared here, and the value is the same,
+    bit for bit."""
     if _prepared is None:
         _prepared = _prepared_grid(_inner_kdf(spec), pol)
     p = spec.params
@@ -243,7 +250,10 @@ def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
                 f"order {rule.order} cannot integrate the degree-{degree} "
                 "terminating integrand exactly")
     exponent = p.a if spec.which is RepKind.REP_A else p.b
-    inner = _support(_prepared_grid(_inner_kdf(spec), pol))
+    # the nodes increase, so the last one's arguments bound every node's
+    reach = (-spec.k) ** spec.k * float(rule.nodes[-1])
+    inner = _support(_prepared_grid(_inner_kdf(spec), pol), reach * p.x,
+                     reach * p.y)
     contribs = np.empty(rule.order, dtype=np.complex128)
     for i, (u, w) in enumerate(zip(rule.nodes.tolist(),
                                    rule.weights.tolist())):

@@ -53,17 +53,17 @@ plan, built once per shape, also holds the exponents of x and y that each
 entry takes.  The one summation kernel, `_sum_terms`, forms a point's terms
 in that order, sums each anti-diagonal as one `reduceat` segment, which
 numpy adds pairwise as it adds any reduction, and adds the blocks left to
-right.  Points are summed in stacks of at most _CHUNK_CELLS term cells, and
-one point alone in 1-D arrays; every result equals that of the point summed
-alone, bit for bit.  `quadrature` prepares its inner grid once per check
-(`_prepared_grid`), cuts it to its support (`_support`) and sums each node
-from that (`_sum_points`, values alone).  The inner series of a checked
-representation terminates, so its nonzero cells lie on a few leading
-anti-diagonals; a node stops at the last of them.  That is exact: past it
+right.  Points are summed in stacks of at most _CHUNK_CELLS term cells, a
+lone point as a stack of one; each point sums as it does alone, bit for
+bit.  `quadrature` prepares its inner grid once per check (`_prepared_grid`),
+chooses its support once from its largest node's arguments (`_support`)
+and sums each node from that (`_sum_points`, values alone).  The inner
+series of a checked representation terminates, so its nonzero cells lie on
+a few leading anti-diagonals; where every power of those arguments is
+finite, the grid is cut after the last of them.  That is exact: past it
 every term is a zero times finite powers, and each block sum there is +0,
-which leaves every total as it is.  A point whose powers may not all be
-finite sums the full grid and raises as before.  A truncation rectangle
-holds at most _MAX_CELLS cells.
+which leaves every total as it is.  Otherwise every node sums the whole
+grid.  A truncation rectangle holds at most _MAX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import OverflowSignalError, PoleError, UnsupportedKError
-from .kernels import (_LANES_EXACT, Lanes, _is_exact_nonpositive_int,
-                      _log_prefixes, factorial, pochhammer,
-                      pochhammer_prefix_lanes, pochhammer_prefixes)
+from .kernels import (Lanes, _is_exact_nonpositive_int, _log_prefixes,
+                      factorial, pochhammer, pochhammer_prefix_lanes,
+                      pochhammer_prefixes)
 # not called here since every grid log comes from _log_prefixes, but kept as
 # a module name: the layer tracer in perfbench wraps it
 from .kernels import log_pochhammer  # noqa: F401
@@ -789,15 +789,11 @@ def build_grids(params, M: int, N: int) -> dict:
     """{p: grid} of the M x N grid of every distinct p in params, each
     read-only; raises nothing and touches no cache.
 
-    The grids are built as lanes where lanes are exact, a lane that fails
-    and every grid otherwise alone.  A p whose build raises is left out, so
-    that its request raises the same error."""
+    The grids are built as lanes, and a lane that fails alone.  A p whose
+    build raises is left out, so that its request raises the same error."""
     params = list(dict.fromkeys(params))
-    built = ((p, None) for p in params)
-    if _LANES_EXACT:
-        built = _grid_lanes(params, M, N)
     grids = {}
-    for p, grid in built:
+    for p, grid in _grid_lanes(params, M, N):
         if grid is None:
             try:
                 grid = _build_grid(p, M, N)
@@ -879,8 +875,7 @@ class _Prepared(NamedTuple):
     its _diagonal_plan, the plan's exponent indices `rows` and `cols` at
     native intp width (numpy casts int32 indices on every take, and the
     cached plan stays int32 to stay small), its diagonal `starts` and the
-    exponents `m` and `n` the entries take.  `full` is None but for a
-    support prefix (_support), which holds the whole prepared grid there."""
+    exponents `m` and `n` the entries take."""
 
     cells: np.ndarray
     rows: np.ndarray
@@ -888,7 +883,6 @@ class _Prepared(NamedTuple):
     starts: np.ndarray
     m: np.ndarray
     n: np.ndarray
-    full: _Prepared | None = None
 
 
 def _prepare(coeffs: np.ndarray) -> _Prepared:
@@ -898,18 +892,20 @@ def _prepare(coeffs: np.ndarray) -> _Prepared:
                      plan.cols.astype(np.intp), plan.starts, plan.m, plan.n)
 
 
-def _support(grid: _Prepared) -> _Prepared:
-    """grid cut to its leading anti-diagonals that hold every nonzero cell,
-    a NaN cell counting as nonzero, and to the exponents they take, for the
-    values of _sum_points; `full` keeps the whole grid.
+def _support(grid: _Prepared, x: complex, y: complex) -> _Prepared:
+    """grid for the values of _sum_points at points no larger than x and y:
+    where every power of x and y is finite (_finite_powers), cut to its
+    leading anti-diagonals that hold every nonzero cell, a NaN cell counting
+    as nonzero, and to the exponents they take; whole otherwise.
 
     The cut is exact.  Past it every cell is an exact zero, so at a point
     whose powers x^m and y^n are all finite each dropped term is a zero and
     each dropped block sum, led by its +0, is +0 + 0j.  No block sum or
     running total has a -0 part (see _sum_terms), so adding those blocks
-    leaves every total as it is, inf and NaN included.  Where a power may
-    not be finite (_finite_powers), and with diagnostics, _sum_points sums
-    the full grid."""
+    leaves every total as it is, inf and NaN included."""
+    if not (_finite_powers(x, len(grid.m) - 1)
+            and _finite_powers(y, len(grid.n) - 1)):
+        return grid
     nonzero = np.flatnonzero(grid.cells)
     last = nonzero[-1] if len(nonzero) else 0
     # the diagonals up to that of the last nonzero entry, and their entries;
@@ -917,18 +913,16 @@ def _support(grid: _Prepared) -> _Prepared:
     kept = int(np.searchsorted(grid.starts, last, side="right"))
     end = grid.starts[kept] if kept < len(grid.starts) else len(grid.cells)
     return _Prepared(grid.cells[:end], grid.rows[:end], grid.cols[:end],
-                     grid.starts[:kept], grid.m[:kept], grid.n[:kept], grid)
+                     grid.starts[:kept], grid.m[:kept], grid.n[:kept])
 
 
-def _finite_powers(v, top: int) -> bool:
-    """Whether np.power certainly forms every power v^0 .. v^top finite, for
-    a complex v or for each entry of an array v.  True when |v|^top <= 1e300:
-    no product np.power forms on the way, by repeated squaring or as
-    exp(m log v), is then much larger, far inside the double range.  False
-    for a NaN or infinite v, and for finite v past that bound, whose full
-    grid is then summed at no other cost than its time."""
-    small = abs(v) <= 1e300 ** (1 / max(top, 1))
-    return small if isinstance(small, bool) else bool(small.all())
+def _finite_powers(v: complex, top: int) -> bool:
+    """Whether np.power certainly forms every power v^0 .. v^top finite.
+    True when |v|^top <= 1e300: no product np.power forms on the way, by
+    repeated squaring or as exp(m log v), is then much larger, far inside
+    the double range, and so at every argument no larger than v.  False for
+    a NaN or infinite v, and for finite v past that bound."""
+    return abs(v) <= 1e300 ** (1 / max(top, 1))
 
 
 def _growth(abs_blocks: list):
@@ -969,9 +963,9 @@ def _summary(total: complex, abs_blocks: list, terms_used: int, M: int,
 @np.errstate(over="ignore", invalid="ignore")
 def _sum_terms(grid: _Prepared, xs, ys, diagnostics: bool):
     """Sums of the terms c[m, n] x^m y^n of a prepared grid at one point,
-    given as two complex numbers xs and ys (or arrays of one), or at a
-    stack of P points, given as two (P, 1) complex columns; the arrays below
-    then have a leading axis of points, and one point has none.
+    given as two complex numbers xs and ys, or at a stack of P points,
+    given as two (P, 1) complex columns; the arrays below then have a
+    leading axis of points, and one point has none.
 
     Returns the totals, the block sums of the anti-diagonals in increasing
     total degree and, with diagnostics, their absolute block sums and the
@@ -982,9 +976,8 @@ def _sum_terms(grid: _Prepared, xs, ys, diagnostics: bool):
     np.trace adds the same terms from np.add's identity +0.0.  So each block
     sum is bit for bit the np.trace of its diagonal of np.fliplr of the
     point's term grid, and each point of a stack sums as it does alone.  A
-    support prefix (_support) gives the block sums of its own diagonals;
-    _sum_points decides where it gives the grid's totals."""
-    cells, rows, cols, starts, m, n, _ = grid
+    support prefix (_support) gives the block sums of its own diagonals."""
+    cells, rows, cols, starts, m, n = grid
     xp = np.power(xs, m, dtype=np.complex128)
     yp = np.power(ys, n, dtype=np.complex128)
     # (c x^m) y^n, formed in place
@@ -1016,14 +1009,7 @@ def _sum_terms(grid: _Prepared, xs, ys, diagnostics: bool):
 def _sum_points(grid: _Prepared, xs, ys, diagnostics: bool) -> list:
     """Results (values alone without diagnostics) of _sum_terms at its
     points, one per point; OverflowSignalError if a partial sum leaves the
-    floating range.  A support prefix gives the values of its full grid
-    from its own diagonals where every power is finite, and sums the full
-    grid elsewhere and with diagnostics."""
-    full = grid.full
-    if full is not None and (diagnostics or not (
-            _finite_powers(xs, len(full.m) - 1)
-            and _finite_powers(ys, len(full.n) - 1))):
-        grid = full
+    floating range."""
     totals, _, abs_blocks, counts = _sum_terms(grid, xs, ys, diagnostics)
     totals = totals.reshape(-1).tolist()
     if not all(map(cmath.isfinite, totals)):
@@ -1080,9 +1066,7 @@ def evaluate_many(p: SeriesParams, xs, ys,
     results = []
     try:
         for i in range(0, len(xs), step):
-            # a stack of one point is summed as that point alone
-            points = i if min(step, len(xs) - i) == 1 else slice(i, i + step)
-            results += _sum_points(grid, xs[points], ys[points], True)
+            results += _sum_points(grid, xs[i:i + step], ys[i:i + step], True)
     except OverflowSignalError:
         # refused as divergence_diagnostic and the CLI refuse it, but only
         # once a sum has failed, so a finite call pays nothing

@@ -515,9 +515,10 @@ class TestAuditPhases:
         monkeypatch.setattr(catalog, "_PLAN_CELLS", 1)
         assert audit_catalog(sampler, identities=self.idents()).to_json() \
             == want
-        # chunks of about 40 grids, built without lanes
+        # chunks of about 40 grids, each built alone
         monkeypatch.setattr(catalog, "_PLAN_CELLS", 40 * 13 * 13)
-        monkeypatch.setattr(series, "_LANES_EXACT", False)
+        monkeypatch.setattr(series, "_grid_lanes",
+                            lambda params, M, N: ((p, None) for p in params))
         assert audit_catalog(sampler, identities=self.idents()).to_json() \
             == want
 

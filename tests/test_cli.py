@@ -718,7 +718,9 @@ def test_audit_on_a_thin_rectangle_with_and_without_lanes(capsys,
     assert code == 0
     assert {row["status"] for row in json.loads(out)} == \
         {"ok", "typo_confirmed"}
-    monkeypatch.setattr(series, "_LANES_EXACT", False)
+    # every grid built alone
+    monkeypatch.setattr(series, "_grid_lanes",
+                        lambda params, M, N: ((p, None) for p in params))
     assert run(capsys, *argv) == (code, out)
 
 

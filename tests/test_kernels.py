@@ -25,7 +25,6 @@ from appell4.kernels import (
     gamma,
     log_gamma,
     log_pochhammer,
-    log_pochhammer_prefixes,
     pochhammer,
     pochhammer_prefix_lanes,
     pochhammer_prefixes,
@@ -290,7 +289,7 @@ class TestPochhammerPrefixes:
 
 
 def scalar_log_pochhammer(a, l):
-    """The one-length log route that log_pochhammer_prefixes replaced, kept
+    """The one-length log route that kernels._log_prefixes replaced, kept
     as its reference: exact zero flag first, the direct sum of factor logs
     added left to right from the int 0 where a or a + l lies within 0.5 of
     the lattice, the log-gamma difference otherwise."""
@@ -308,6 +307,12 @@ def scalar_log_pochhammer(a, l):
             acc = acc + cmath.log(a + j)
         return LogPochhammer(acc, False)
     return LogPochhammer(log_gamma(a + l) - log_gamma(a), False)
+
+
+def log_prefixes(a, lengths):
+    """kernels._log_prefixes(a, lengths) as one LogPochhammer per length."""
+    return list(map(LogPochhammer, *kernels._log_prefixes(complex(a),
+                                                          lengths)))
 
 
 def log_prefix_corpus(count=3000):
@@ -339,7 +344,7 @@ class TestLogPochhammerPrefixes:
         seen = {"zero": 0, "direct": 0, "log-gamma": 0, "repeat": 0,
                 "long": 0, "empty": 0}
         for a, lengths in log_prefix_corpus():
-            got = log_pochhammer_prefixes(a, lengths)
+            got = log_prefixes(a, lengths)
             assert len(got) == len(lengths)
             for l, lp in zip(lengths, got):
                 want = log_pochhammer(a, l)
@@ -362,7 +367,7 @@ class TestLogPochhammerPrefixes:
             for im in (0.0, -0.0):
                 a = complex(re, im)
                 lengths = [0, 0, 1, 3, 3, 4, 65, 66, 140]
-                got = log_pochhammer_prefixes(a, lengths)
+                got = log_prefixes(a, lengths)
                 assert [(repr(lp.log), lp.is_zero) for lp in got] == \
                     [(repr(scalar_log_pochhammer(a, l).log),
                       scalar_log_pochhammer(a, l).is_zero) for l in lengths]
@@ -376,14 +381,14 @@ class TestLogPochhammerPrefixes:
         for a, routed in ((1.5 + 0.2j, 50), (-3.7 + 2.0j, 50),
                           (-3.2 + 0.1j, 0), (-2.0 + 0.0j, 0)):
             calls.clear()
-            log_pochhammer_prefixes(a, lengths)
+            log_prefixes(a, lengths)
             # log_gamma(a) once, then log_gamma(a + l) per routed length;
             # reflections count too, so count the top-level arguments
             assert calls.count(complex(a)) == (1 if routed else 0)
             assert sum(z == complex(a) + l for z in calls
                        for l in lengths[1:]) == routed
         calls.clear()
-        log_pochhammer_prefixes(1.5, [0, 0])
+        log_prefixes(1.5, [0, 0])
         assert calls == []
 
     def test_lengths_must_be_nonnegative_and_nondecreasing(self):
@@ -392,7 +397,7 @@ class TestLogPochhammerPrefixes:
         for lengths in ([3, 2], [-1], [0, 5, 4], [2, -2], [2.5], [True],
                         [1, 2.0], [np.float64(70)], [70, 80.5]):
             with pytest.raises(ValueError, match="nondecreasing"):
-                log_pochhammer_prefixes(1.5, lengths)
+                log_prefixes(1.5, lengths)
             with pytest.raises(ValueError, match="nondecreasing"):
                 pochhammer_prefixes(1.5, lengths)
         for l in (-1, 2.5, True, False):
@@ -470,9 +475,6 @@ def python_op(op, x, y):
         return None
 
 
-@pytest.mark.skipif(not kernels._LANES_EXACT,
-                    reason="this interpreter does not add an int to a "
-                    "complex as complex(i, 0.0)")
 class TestLanesAgainstTheInterpreter:
     """Each lane op against the running interpreter's scalar op, by repr:
     CPython 3.14 changed the mixed int/complex rule, so a stored table would
@@ -535,6 +537,84 @@ class TestLanesAgainstTheInterpreter:
             negated = -Lanes.of(zs)
         assert [repr(g) for g in lane_values(negated)] == \
             [repr(-z) for z in zs]
+
+
+def add_int_as_on_3_14(z, i):
+    """A complex z plus an int i as CPython 3.14 adds them: i goes to the
+    real part alone."""
+    return complex(z.real + i, z.imag)
+
+
+def direct_prefixes_as_on_3_14(a, lengths):
+    """The direct product of pochhammer_prefixes(a, lengths), lengths up to
+    _DIRECT_LIMIT, with the factors a + d formed by add_int_as_on_3_14;
+    None where the scalar routine leaves the direct product."""
+    if kernels._poch_is_zero(a, lengths[-1]):
+        return None
+    out, acc, done = [], 1.0 + 0.0j, 0
+    for l in lengths:
+        while done < l:
+            acc *= add_int_as_on_3_14(a, done)
+            done += 1
+            if not (abs(acc.real) < kernels._RENORM_LIMIT
+                    and abs(acc.imag) < kernels._RENORM_LIMIT):
+                return None
+        out.append(acc)
+    return out
+
+
+class TestLanesOnTheIntRuleOf3_14:
+    """With _INT_IMAG as CPython 3.14 gives it, -0.0, the lanes equal by
+    repr a scalar model that adds an int to the real part alone, signed
+    zero imaginary parts included.  The other lane ops take complex
+    operands only, which 3.14 treats as before."""
+
+    def test_int_imag_is_the_interpreters(self):
+        want = (complex(0.0, -0.0) + 0).imag
+        assert repr(kernels._INT_IMAG) == repr(want)
+        for z in (complex(1.0, -0.0), complex(-2.5, 0.0),
+                  complex(math.inf, -0.0)):
+            assert repr(z + 3) == repr(complex(
+                z.real + 3, z.imag + kernels._INT_IMAG))
+
+    def test_add_int(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_INT_IMAG", -0.0)
+        f = lane_operands()
+        zs = [complex(a, b) for a, b in zip(f[0::2], f[1::2])]
+        ints = np.array([(i % 201) - 100 for i in range(len(zs))])
+        with np.errstate(all="ignore"):
+            got = Lanes.of(zs).add_int(ints[:, None])
+        assert [repr(g) for g in lane_values(got)] == \
+            [repr(add_int_as_on_3_14(z, int(i))) for z, i in zip(zs, ints)]
+        # the two rules differ on a -0.0 imaginary part, which the corpus
+        # holds
+        assert sum(z.imag == 0.0 and math.copysign(1.0, z.imag) < 0
+                   for z in zs) >= 100
+
+    def test_pochhammer_prefix_lanes(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_INT_IMAG", -0.0)
+        corpus = list(prefix_corpus(1500))
+        values = [a for a, _ in corpus]
+        seen = {"lane": 0, "marked": 0, "negative zero": 0}
+        for _, lengths in corpus[:16]:
+            lengths = [l for l in lengths if l <= kernels._DIRECT_LIMIT]
+            if not lengths:
+                continue
+            with np.errstate(all="ignore"):
+                got = pochhammer_prefix_lanes(Lanes.of(values), lengths)
+            for lane, a in enumerate(values):
+                want = direct_prefixes_as_on_3_14(a, lengths)
+                assert got.bad[lane] == (want is None), (a, lengths)
+                if want is None:
+                    seen["marked"] += 1
+                    continue
+                seen["lane"] += 1
+                seen["negative zero"] += a.imag == 0.0 and \
+                    math.copysign(1.0, a.imag) < 0
+                assert [repr(complex(r, i)) for r, i in
+                        zip(got.re[lane], got.im[lane])] == \
+                    [repr(v) for v in want]
+        assert min(seen.values()) >= 100, seen
 
 
 def leaves_the_direct_route(a, lengths):

@@ -5,6 +5,11 @@ scratch coefficients built from the same `pochhammer`; these compare it with
 mpmath's own Appell F4 and rising factorials.
 """
 
+import contextlib
+import importlib.util
+import io
+import json
+import os
 import random
 
 import mpmath as mp
@@ -12,6 +17,7 @@ import numpy as np
 import pytest
 
 import appell4.series as series
+from appell4.cli import main
 from appell4.series import F41Params, F42Params, eval_f4_classic
 
 # classical F4 points: complex parameters, arguments well inside the region
@@ -87,3 +93,103 @@ def test_lane_grids_against_mpmath_rising_factorials():
     steps = {getattr(p, name) for p, _ in checked
              for name in ("k", "k1", "k2") if hasattr(p, name)}
     assert steps == {1, 2, 3}
+
+
+def eval_pool_ops(indices):
+    """The argv lists of perfbench's eval pool at the given indices
+    (perfbench/bench_inputs.py, loaded from its path)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", os.path.join(root, "perfbench", "bench_inputs.py"))
+    bench_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_inputs)
+    pool = bench_inputs.pools()["eval"]
+    return [pool[i] for i in indices]
+
+
+def rising(v, length):
+    """[(v)_0, ..., (v)_length] as one running product in mpmath; mp.rf
+    loses every digit at large |v| (mpmath 1.3.0 gives mp.rf(1e200, 3) as
+    1)."""
+    out = [mp.mpc(1)]
+    for i in range(length):
+        out.append(out[-1] * (v + i))
+    return out
+
+
+def t_factor(t, k, length):
+    """[(-1)^(ik) (-t)_(ik) for i in 0..length]."""
+    r = rising(-t, length * k)
+    return [(-1) ** (i * k) * r[i * k] for i in range(length + 1)]
+
+
+def as_mp(value):
+    """A report field in mpmath: [re, im] pairs as mpc, a list of pairs
+    as a list, an int as it is."""
+    if isinstance(value, int):
+        return value
+    if all(isinstance(v, list) for v in value):
+        return [mp.mpc(*v) for v in value]
+    return mp.mpc(*value)
+
+
+def product_coefficients(fn, params, M, N):
+    """W over m + n, U over m and V over n, whose products W[m + n] U[m]
+    V[n] are the coefficients of an eval report's function at its params,
+    from running products at the working precision."""
+    p = {name: as_mp(value) for name, value in params.items()}
+    fact_m, fact_n = rising(1, M), rising(1, N)
+    if fn == "KdF":
+        arrays = []
+        for num, den, length, last in (("A", "D", M + N, ()),
+                                       ("B", "E", M, (fact_m,)),
+                                       ("C", "F", N, (fact_n,))):
+            acc = [mp.mpc(1)] * (length + 1)
+            for v in p[num]:
+                acc = [w * r for w, r in zip(acc, rising(v, length))]
+            for den_values in [rising(v, length) for v in p[den]] + list(last):
+                acc = [w / r for w, r in zip(acc, den_values)]
+            arrays.append(acc)
+        return arrays
+    W = [r * s for r, s in zip(rising(p["a"], M + N), rising(p["b"], M + N))]
+    U = [1 / (r * f) for r, f in zip(rising(p["c1"], M), fact_m)]
+    V = [1 / (r * f) for r, f in zip(rising(p["c2"], N), fact_n)]
+    if fn == "F41":
+        U = [u * s for u, s in zip(U, t_factor(p["t1"], p["k1"], M))]
+        V = [v * s for v, s in zip(V, t_factor(p["t2"], p["k2"], N))]
+    elif fn == "F42":
+        W = [w * s for w, s in zip(W, t_factor(p["t"], p["k"], M + N))]
+    return W, U, V
+
+
+# eval pool ops summed against the truth: the first 32 hold every function,
+# op 47 (KdF) has kappa = sum|terms| / |sum| = 3.6e5, and op 477 (F42, log
+# route) had the largest error relative to kappa over ops 0-639
+ORACLE_OPS = list(range(32)) + [47, 477]
+
+
+def test_eval_pool_sums_against_a_product_truth():
+    # criterion 1's cell bound carried through a sum: each 41 x 41 value
+    # within 1e-12 sum|terms| of the truncated sum at 60 digits
+    worst = {}
+    with mp.workdps(60):
+        for argv in eval_pool_ops(ORACLE_OPS):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            report = json.loads(out.getvalue())
+            fn, params = report["function"], report["params"]
+            W, U, V = product_coefficients(fn, params, 40, 40)
+            x, y = mp.mpc(*params["x"]), mp.mpc(*params["y"])
+            U = [u * x ** m for m, u in enumerate(U)]
+            V = [v * y ** n for n, v in enumerate(V)]
+            total, size = mp.mpc(0), mp.mpf(0)
+            for m, u in enumerate(U):
+                for n, v in enumerate(V):
+                    term = W[m + n] * u * v
+                    total += term
+                    size += abs(term)
+            err = abs(mp.mpc(*report["value"]) - total) / size
+            assert err <= 1e-12, (argv, float(err))
+            worst[fn] = max(worst.get(fn, 0.0), float(err))
+    assert set(worst) == {"F41", "F42", "F4", "KdF"}, worst

@@ -43,10 +43,15 @@ def quad_value(report):
     return complex(*report.params["quadrature_value"])
 
 
-def check_grid(spec):
-    """The inner grid as integral_rep_check prepares it for its nodes."""
+def check_grid(spec, order=64):
+    """The inner grid as integral_rep_check prepares it for the nodes of
+    laguerre_rule(order), with the support its largest node's arguments
+    choose."""
+    reach = (-spec.k) ** spec.k * float(laguerre_rule(order).nodes[-1])
+    p = spec.params
     return series._support(series._prepared_grid(quadrature._inner_kdf(spec),
-                                                 EVAL_POLICY))
+                                                 EVAL_POLICY),
+                           reach * p.x, reach * p.y)
 
 
 def pool_specs(kind, count):
@@ -210,7 +215,7 @@ class TestIntegrandKdf:
         specs = pool_specs("quadcheck64", 4) + pool_specs("quadcheck256", 4)
         assert {spec.k for spec, _ in specs} == {0, 1, 2}
         for spec, order in specs:
-            inner = check_grid(spec)
+            inner = check_grid(spec, order)
             for u in laguerre_rule(order).nodes.tolist():
                 assert repr(integrand_kdf(spec, u)) == repr(
                     integrand_kdf(spec, u, _prepared=inner))
@@ -218,18 +223,15 @@ class TestIntegrandKdf:
     def test_nodes_sum_their_polynomial(self):
         # the inner series of these checks terminates: of the 1,762 entries
         # of the 41 x 41 plan a node sums the diagonals of total degree up
-        # to 12 (k >= 1) or 6 (k = 0), and no node's powers make it fall
-        # back to the full grid
+        # to 12 (k >= 1) or 6 (k = 0), since the largest node's powers are
+        # finite
         specs = pool_specs("quadcheck64", 4) + pool_specs("quadcheck256", 4)
         for spec, order in specs:
-            inner = check_grid(spec)
-            assert len(inner.full.cells) == 1762
-            assert len(inner.cells) <= (104 if spec.k else 35)
-            p = spec.params
-            for u in laguerre_rule(order).nodes.tolist():
-                arg = (-spec.k) ** spec.k * u
-                assert series._finite_powers(arg * p.x, 40)
-                assert series._finite_powers(arg * p.y, 40)
+            whole = series._prepared_grid(quadrature._inner_kdf(spec),
+                                          EVAL_POLICY)
+            assert len(whole.cells) == 1762
+            assert len(check_grid(spec, order).cells) <= \
+                (104 if spec.k else 35)
 
     def test_overflow_raises_on_both_paths(self):
         spec = IntegralRepSpec(RepKind.REP_A, 0, P_K0.replace(x=1e200))
@@ -240,15 +242,39 @@ class TestIntegrandKdf:
 
     def test_overflow_past_the_polynomial_raises_on_both_paths(self):
         # the inner polynomial has degree 3 in x, finite at 1e10, while the
-        # full grid's x^40 overflows: the cut grid raises as the full one
+        # full grid's x^40 overflows: the check sums the whole grid and
+        # raises, where a grid cut for a smaller reach would not
         spec = IntegralRepSpec(RepKind.REP_A, 1, P_K1.replace(x=1e10))
         inner = check_grid(spec)
+        assert len(inner.cells) == 1762
         assert cmath.isfinite(integrand_kdf(
-            spec, 1.0, _prepared=inner._replace(full=None)))
+            spec, 1.0, _prepared=check_grid(IntegralRepSpec(
+                RepKind.REP_A, 1, P_K1))))
         with pytest.raises(OverflowSignalError):
             integrand_kdf(spec, 1.0)
         with pytest.raises(OverflowSignalError):
             integrand_kdf(spec, 1.0, _prepared=inner)
+
+    def test_a_check_past_the_floating_range_raises(self):
+        # a reach whose powers may overflow sums the whole grid at every
+        # node, so the check raises as the whole grid does
+        for k, p in ((1, P_K1.replace(x=1e10)), (0, P_K0.replace(x=1e200))):
+            with pytest.raises(OverflowSignalError):
+                integral_rep_check(IntegralRepSpec(RepKind.REP_A, k, p),
+                                   RULE64)
+
+    @pytest.mark.parametrize("field,value", [("x", math.nan),
+                                             ("y", math.inf)])
+    def test_non_finite_arguments_are_value_errors(self, field, value):
+        # the spec refuses them as evaluate does, so neither entry point
+        # reads them as an overflow at its first node
+        for k, p in ((0, P_K0), (1, P_K1)):
+            p = p.replace(**{field: value})
+            with pytest.raises(ValueError, match="is not finite"):
+                integral_rep_check(IntegralRepSpec(RepKind.REP_A, k, p),
+                                   RULE64)
+            with pytest.raises(ValueError, match="is not finite"):
+                integrand_kdf(IntegralRepSpec(RepKind.REP_B, k, p), 1.0)
 
 
 class TestIntegralRepCheck:

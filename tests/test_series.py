@@ -939,9 +939,10 @@ def polynomial_terms(rng, rows, cols, inside):
 
 
 class TestSupportPrefix:
-    """A grid cut to its support (series._support) gives the values of its
-    full grid bit for bit, compared by repr, and raises where the full grid
-    raises, at single points and at stacks."""
+    """The grid series._support chooses for the largest arguments of some
+    points gives the values of the whole grid at each of them bit for bit,
+    compared by repr, and raises where the whole grid raises, at single
+    points and at stacks."""
 
     @staticmethod
     def values(grid, xs, ys):
@@ -952,9 +953,9 @@ class TestSupportPrefix:
 
     def assert_exact(self, coeffs, points):
         full = series._prepare(coeffs)
-        cut = series._support(full)
-        assert cut.full is full
         xs, ys = np.asarray(points, dtype=np.complex128)
+        cut = series._support(full, max(xs.tolist(), key=abs),
+                              max(ys.tolist(), key=abs))
         for x, y in zip(xs.tolist(), ys.tolist()):
             assert self.values(cut, x, y) == self.values(full, x, y)
         stack = xs[:, None], ys[:, None]
@@ -963,8 +964,9 @@ class TestSupportPrefix:
 
     def test_random_polynomials(self):
         # rectangular supports, as of the inner grids of k >= 1 checks, and
-        # triangular ones, as at k = 0; moduli of 0.1 to 2 and some whose
-        # powers overflow inside the support
+        # triangular ones, as at k = 0; moduli of 0.1 to 2, and then a point
+        # whose powers may overflow inside the support, which keeps the grid
+        # whole
         rng = np.random.default_rng(20)
         shapes = [(41, 41), (13, 13), (1, 41), (41, 1), (7, 30), (30, 7)]
         for rows, cols in shapes * 8:
@@ -974,9 +976,12 @@ class TestSupportPrefix:
                                    (lambda m, n: m + n <= total, total)):
                 coeffs = polynomial_terms(rng, rows, cols, inside)
                 points = random_points(rng, 6)
-                points[:, -1] = [1e60, 1e-3]
                 cut = self.assert_exact(coeffs, points)
                 assert len(cut.starts) <= degree + 1
+                points[:, -1] = [1e60, 1e-3]
+                cut = self.assert_exact(coeffs, points)
+                if rows > 1:  # a single row takes x^0 alone
+                    assert len(cut.starts) == rows + cols - 1
 
     def test_cut_ends_at_the_last_nonzero_diagonal(self):
         rng = np.random.default_rng(21)
@@ -1000,7 +1005,7 @@ class TestSupportPrefix:
             coeffs = random_terms(rng, rows, cols)
             coeffs[-1, -1] = 1.0
             cut = self.assert_exact(coeffs, random_points(rng, 3))
-            assert len(cut.cells) == len(cut.full.cells)
+            assert len(cut.cells) == len(series._prepare(coeffs).cells)
         # all zero: the first diagonal alone
         cut = self.assert_exact(np.zeros((5, 5), complex),
                                 random_points(rng, 3))
@@ -1008,27 +1013,23 @@ class TestSupportPrefix:
 
     def test_dropped_powers_that_overflow_take_the_full_grid(self):
         # x^40 overflows though x^6 does not: the full grid's terms 0 x^40
-        # are NaN, so it raises, and the cut must raise with it instead of
-        # returning its own finite sum
+        # are NaN, so it raises.  A reach whose powers may overflow gets the
+        # whole grid, which raises, where the cut would return its own
+        # finite sum
         rng = np.random.default_rng(23)
         coeffs = polynomial_terms(rng, 41, 41,
                                   lambda m, n: (m <= 3) & (n <= 3))
-        cut = self.assert_exact(coeffs, [[1e10, 0.5, math.nan, 0.5],
-                                         [0.5, 1e10, 0.5, math.inf]])
+        full = series._prepare(coeffs)
         for x, y in ((1e10, 0.5), (0.5, 1e10), (math.nan, 0.5),
                      (0.5, math.inf)):
             assert not (series._finite_powers(x, 40)
                         and series._finite_powers(y, 40))
-            assert self.values(cut, x, y) == "overflow"
-        assert self.values(cut._replace(full=None), 1e10, 0.5) != "overflow"
-
-    def test_diagnostics_sum_the_full_grid(self):
-        rng = np.random.default_rng(24)
-        coeffs = polynomial_terms(rng, 13, 13, lambda m, n: m + n <= 4)
-        full = series._prepare(coeffs)
-        x, y = random_points(rng, 1)[:, 0].tolist()
-        assert repr(series._sum_points(series._support(full), x, y, True)) \
-            == repr(series._sum_points(full, x, y, True))
+            assert series._support(full, x, y) is full
+            self.assert_exact(coeffs, [[x], [y]])
+            assert self.values(full, x, y) == "overflow"
+        cut = series._support(full, 0.5, 0.5)
+        assert len(cut.cells) < len(full.cells)
+        assert self.values(cut, 1e10, 0.5) != "overflow"
 
 
 class TestEvaluateMany:
@@ -1056,9 +1057,12 @@ class TestEvaluateMany:
         assert many == outcome(lambda: [evaluate(q, pol) for q in points])
         assert many == outcome(lambda: [reference_evaluate(q, pol)
                                         for q in points])
-        # the values alone, from the grid cut to its support as a
-        # quadcheck node sums it, all points in one stack
-        grid = series._support(series._prepared_grid(p, pol))
+        # the values alone, from the grid cut to its support for the
+        # largest arguments as a quadcheck node sums it, all points in one
+        # stack
+        grid = series._support(series._prepared_grid(p, pol),
+                               max(xs, key=abs, default=0j),
+                               max(ys, key=abs, default=0j))
         columns = np.array([xs, ys], dtype=np.complex128)[:, :, None]
         assert outcome(lambda: series._sum_points(grid, *columns, False)) \
             == outcome(lambda: [r.value for r in evaluate_many(p, xs, ys,
@@ -1561,16 +1565,6 @@ class TestGridLanes:
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
             built += 1
         assert built > 100 and len(grids) == built
-
-    def test_without_exact_lanes_every_grid_is_built_alone(self,
-                                                           monkeypatch):
-        monkeypatch.setattr(series, "_LANES_EXACT", False)
-        monkeypatch.setattr(series, "_grid_lanes", None)
-        params = [p for _, p, _, _ in lane_grid_corpus(40, 9)]
-        grids = series.build_grids(params, 12, 12)
-        assert grids and set(grids) <= set(params)
-        for p, grid in grids.items():
-            assert grid.tobytes() == series._build_grid(p, 12, 12).tobytes()
 
 
 class TestColumns:

@@ -16,8 +16,11 @@ Per workload the file holds each metric's median and inclusive quartiles
 over the runs of each side, the runs themselves, the pairs in which the
 change read lower (change_lower_pairs), the change of the median in
 percent and the parent's interquartile range; the failed operations of
-each side; and, beside peak_rss_mb, each run's operation count, which that
-reading grows with.  The standard library alone is used.
+each side; beside peak_rss_mb, each run's operation count, which that
+reading grows with; and each side's host readings with their median and
+quartiles: the p50 of the host reference loop that run.py times before
+every worker, so that a pair can be read against the host's speed of the
+moment.  The standard library alone is used.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+# the line run.py prints above its JSON, with the host loop's p50 in seconds
+HOST_LINE = re.compile(r"host reference loop before each worker "
+                       r"\(context\): p50 (\S+) s")
 
 
 def run_seconds(root: str) -> float:
@@ -40,7 +46,8 @@ def run_seconds(root: str) -> float:
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one untraced run, a JSON object."""
+    """The last stdout line of one untraced run, a JSON object, with the
+    p50 of its host reference loop added as host_s."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
@@ -50,7 +57,11 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{root}: {workload} seed {seed} exited "
                          f"{proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    host = [m.group(1) for m in map(HOST_LINE.match, lines) if m]
+    if not host:
+        raise SystemExit(f"{root}: {workload} seed {seed} printed no host "
+                         "reference loop line")
+    return {**json.loads(lines[-1]), "host_s": float(host[0])}
 
 
 def spread(runs: list) -> dict:
@@ -94,6 +105,8 @@ def summarize(results: dict, seeds: list) -> dict:
             "failed": {side: sum(r["failed"] for r in results[side])
                        for side in SIDES},
             "correct": all(r["correct"] for r in parent + change),
+            "host_s": {side: spread([r["host_s"] for r in results[side]])
+                       for side in SIDES},
             "metrics": metrics}
 
 
@@ -126,7 +139,8 @@ def main(argv=None) -> int:
               "every workload. Quartiles are the inclusive method over the "
               "runs; change_lower_pairs counts the pairs in which the "
               "change read lower. peak_rss_mb lists each run's operation "
-              "count as ops.")
+              "count as ops. host_s is the p50 of each run's host "
+              "reference loop, timed before each worker.")
     results = {w: {side: [] for side in SIDES} for w in args.workloads}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -137,7 +151,8 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1} seed {seed} {workload} {side}: "
                       + ", ".join(f"{k} {v['value']:.5g}"
                                   for k, v in out["metrics"].items())
-                      + f", ops {out['attempted']}, failed {out['failed']}",
+                      + f", ops {out['attempted']}, failed {out['failed']}"
+                      + f", host {out['host_s']:.4g} s",
                       flush=True)
         write_record(path, {
             "change": args.what, "host": args.host, "method": method,
