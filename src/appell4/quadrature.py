@@ -19,21 +19,20 @@ exactly.  For non-integer t the inner series diverges as u grows, so the
 printed representation is formal and is not checked numerically.
 
 `laguerre_rule` builds each order once per process; the shared rule's node
-and weight arrays are read-only.  `integral_rep_check` requests its inner
-grid once per check, prepares it once for summation
-(`series._prepared_grid`) and chooses its support once (`series._support`)
-from its largest node's arguments, which bound every node's: where all
-their powers are finite, the grid is cut to the leading anti-diagonals that
-hold its nonzero cells.  The checked inner series terminates, so it is a
-polynomial, of total degree at most 12 in the benchmark's checks.  Each
-node's `integrand_kdf` sums that grid at its own arguments, one point in
-1-D arrays.  A cut is exact, since every term past it is a zero times
-finite powers and adds +0 to each total; a check whose powers may not all
-be finite sums the whole grid at every node and raises as before.  A
-node's value is that of `evaluate` bit for bit, without the growth
-diagnostics, and equals that of a call that prepares the grid itself.  No
-prepared grid outlives its check.  A NaN or infinite x or y is a
-ValueError, as in `evaluate`.
+and weight arrays are read-only.  A node's terms are c[m, n] (kappa u x)^m
+(kappa u y)^n = u^(m+n) c[m, n] (kappa x)^m (kappa y)^n with kappa =
+(-k)^k, so its value is the polynomial P(u) = sum_d B_d u^d whose
+coefficients B_d are the anti-diagonal block sums of the inner grid at
+(kappa x, kappa y).  `integral_rep_check` requests its inner grid once per
+check and sums it once there (`series._sum_terms`), drops the trailing
+exact zeros of those block sums, and each node's `integrand_kdf` evaluates
+P(u) by Horner's rule (Higham, Accuracy and Stability of Numerical
+Algorithms, sec. 5.1).  A node's value is within rounding of that of
+`evaluate` at its own arguments, and equals that of a call that computes
+the coefficients itself, bit for bit.  A node value that is not finite
+(its coefficients' powers or its sum overflowed) raises
+OverflowSignalError.  No coefficient list outlives its check.  A NaN or
+infinite x or y is a ValueError, as in `evaluate`.
 """
 
 from __future__ import annotations
@@ -52,10 +51,10 @@ from .errors import (ConstraintError, OverflowSignalError,
                      QuadratureConvergenceError, RegimeError)
 from .kernels import _is_exact_nonpositive_int, gamma
 # eval_kdf stays a module name although integrand_kdf sums through
-# _sum_points: the perfbench layer tracer wraps it by name
+# _sum_terms: the perfbench layer tracer wraps it by name
 from .series import (EVAL_POLICY, F41Params, KdfParams, TruncationPolicy,
-                     _prepared_grid, _require_finite, _sum_points, _support,
-                     eval_f41, eval_kdf)
+                     _prepared_grid, _require_finite, _sum_terms, eval_f41,
+                     eval_kdf)
 
 _MAX_ORDER = 256
 _MOMENT_SPOTS = (1, 2, 5, 10)
@@ -214,22 +213,40 @@ def _inner_kdf(spec: IntegralRepSpec) -> KdfParams:
     return KdfParams(A=(coupled,), B=B, C=C, D=(), E=(p.c1,), F=(p.c2,))
 
 
+def _node_polynomial(spec: IntegralRepSpec,
+                     pol: TruncationPolicy) -> list:
+    """The coefficients B_D, ..., B_0 of the node value P(u), highest degree
+    first: the anti-diagonal block sums of the inner grid at (kappa x,
+    kappa y), without the trailing exact zeros past the last nonzero one (a
+    NaN block, of powers that overflowed, is kept; B_0 always stays)."""
+    p = spec.params
+    kappa = (-spec.k) ** spec.k
+    grid = _prepared_grid(_inner_kdf(spec), pol)
+    blocks = _sum_terms(grid, kappa * p.x, kappa * p.y, False)[1].tolist()
+    while len(blocks) > 1 and blocks[-1] == 0:
+        blocks.pop()
+    return blocks[::-1]
+
+
 def integrand_kdf(spec: IntegralRepSpec, u: float,
                   pol: TruncationPolicy = EVAL_POLICY, *,
                   _prepared=None) -> complex:
     """Inner Kampe de Feriet value at integration variable u, whose
-    arguments are (-k)^k u x and (-k)^k u y (u x and u y at k = 0).
+    arguments are (-k)^k u x and (-k)^k u y (u x and u y at k = 0), by
+    Horner's rule over the coefficients of _node_polynomial.
 
-    _prepared is the inner grid as integral_rep_check prepares it once for
-    all its nodes, with the support it chose (series._support): a cut grid
-    serves only points within the reach it was cut for.  Without it the
-    whole grid is requested and prepared here, and the value is the same,
-    bit for bit."""
-    if _prepared is None:
-        _prepared = _prepared_grid(_inner_kdf(spec), pol)
-    p = spec.params
-    arg = (-spec.k) ** spec.k * u
-    return _sum_points(_prepared, arg * p.x, arg * p.y, False)[0]
+    _prepared is that list as integral_rep_check computes it once for all
+    its nodes; without it the coefficients are computed here, and the value
+    is the same, bit for bit.  OverflowSignalError if the value is not
+    finite."""
+    coeffs = iter(_node_polynomial(spec, pol) if _prepared is None
+                  else _prepared)
+    value = next(coeffs)
+    for b in coeffs:
+        value = value * u + b
+    if not cmath.isfinite(value):
+        raise OverflowSignalError("partial sum exceeds the floating range")
+    return value
 
 
 def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
@@ -250,10 +267,7 @@ def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
                 f"order {rule.order} cannot integrate the degree-{degree} "
                 "terminating integrand exactly")
     exponent = p.a if spec.which is RepKind.REP_A else p.b
-    # the nodes increase, so the last one's arguments bound every node's
-    reach = (-spec.k) ** spec.k * float(rule.nodes[-1])
-    inner = _support(_prepared_grid(_inner_kdf(spec), pol), reach * p.x,
-                     reach * p.y)
+    inner = _node_polynomial(spec, pol)
     contribs = np.empty(rule.order, dtype=np.complex128)
     for i, (u, w) in enumerate(zip(rule.nodes.tolist(),
                                    rule.weights.tolist())):
@@ -264,10 +278,13 @@ def integral_rep_check(spec: IntegralRepSpec, rule: LaguerreRule,
                                       f"range at node u = {u}") from None
         value = integrand_kdf(spec, u, pol, _prepared=inner)
         contribs[i] = w * power * value
-    quad = complex(contribs.sum() / gamma(exponent))
+    norm = gamma(exponent)
+    quad = complex(contribs.sum() / norm)
     direct = eval_f41(p, pol).value
 
-    scale = max(abs(quad), abs(direct), float(np.abs(contribs).max()))
+    # the node terms of the integral itself, after the division by Gamma
+    scale = max(abs(quad), abs(direct),
+                float(np.abs(contribs).max()) / abs(norm))
     return RelationReport.judged(
         f"F41.intrep.{spec.which.value}",
         {**point_to_dict(ParamPoint(p)), "order": rule.order,

@@ -55,15 +55,10 @@ in that order, sums each anti-diagonal as one `reduceat` segment, which
 numpy adds pairwise as it adds any reduction, and adds the blocks left to
 right.  Points are summed in stacks of at most _CHUNK_CELLS term cells, a
 lone point as a stack of one; each point sums as it does alone, bit for
-bit.  `quadrature` prepares its inner grid once per check (`_prepared_grid`),
-chooses its support once from its largest node's arguments (`_support`)
-and sums each node from that (`_sum_points`, values alone).  The inner
-series of a checked representation terminates, so its nonzero cells lie on
-a few leading anti-diagonals; where every power of those arguments is
-finite, the grid is cut after the last of them.  That is exact: past it
-every term is a zero times finite powers, and each block sum there is +0,
-which leaves every total as it is.  Otherwise every node sums the whole
-grid.  A truncation rectangle holds at most _MAX_CELLS cells.
+bit.  `quadrature` sums its inner grid once per check (`_sum_terms`) and
+takes the block sums as the coefficients of a polynomial in its
+integration variable, which each node evaluates by Horner's rule.  A
+truncation rectangle holds at most _MAX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -892,39 +887,6 @@ def _prepare(coeffs: np.ndarray) -> _Prepared:
                      plan.cols.astype(np.intp), plan.starts, plan.m, plan.n)
 
 
-def _support(grid: _Prepared, x: complex, y: complex) -> _Prepared:
-    """grid for the values of _sum_points at points no larger than x and y:
-    where every power of x and y is finite (_finite_powers), cut to its
-    leading anti-diagonals that hold every nonzero cell, a NaN cell counting
-    as nonzero, and to the exponents they take; whole otherwise.
-
-    The cut is exact.  Past it every cell is an exact zero, so at a point
-    whose powers x^m and y^n are all finite each dropped term is a zero and
-    each dropped block sum, led by its +0, is +0 + 0j.  No block sum or
-    running total has a -0 part (see _sum_terms), so adding those blocks
-    leaves every total as it is, inf and NaN included."""
-    if not (_finite_powers(x, len(grid.m) - 1)
-            and _finite_powers(y, len(grid.n) - 1)):
-        return grid
-    nonzero = np.flatnonzero(grid.cells)
-    last = nonzero[-1] if len(nonzero) else 0
-    # the diagonals up to that of the last nonzero entry, and their entries;
-    # diagonal d takes exponents up to d
-    kept = int(np.searchsorted(grid.starts, last, side="right"))
-    end = grid.starts[kept] if kept < len(grid.starts) else len(grid.cells)
-    return _Prepared(grid.cells[:end], grid.rows[:end], grid.cols[:end],
-                     grid.starts[:kept], grid.m[:kept], grid.n[:kept])
-
-
-def _finite_powers(v: complex, top: int) -> bool:
-    """Whether np.power certainly forms every power v^0 .. v^top finite.
-    True when |v|^top <= 1e300: no product np.power forms on the way, by
-    repeated squaring or as exp(m log v), is then much larger, far inside
-    the double range, and so at every argument no larger than v.  False for
-    a NaN or infinite v, and for finite v past that bound."""
-    return abs(v) <= 1e300 ** (1 / max(top, 1))
-
-
 def _growth(abs_blocks: list):
     """The divergence rule over the absolute sums of complete diagonals:
     the ratios of consecutive sums, their final quartile, and whether no
@@ -975,8 +937,7 @@ def _sum_terms(grid: _Prepared, xs, ys, diagnostics: bool):
     (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
     np.trace adds the same terms from np.add's identity +0.0.  So each block
     sum is bit for bit the np.trace of its diagonal of np.fliplr of the
-    point's term grid, and each point of a stack sums as it does alone.  A
-    support prefix (_support) gives the block sums of its own diagonals."""
+    point's term grid, and each point of a stack sums as it does alone."""
     cells, rows, cols, starts, m, n = grid
     xp = np.power(xs, m, dtype=np.complex128)
     yp = np.power(ys, n, dtype=np.complex128)

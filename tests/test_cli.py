@@ -376,6 +376,30 @@ class TestQuadcheckCommand:
         assert (code, captured.out) == (3, "")
         assert "exceeds the double range" in captured.err
 
+    def test_large_gamma_exponent_is_judged_after_the_division(self,
+                                                                 capsys):
+        # the node terms set the scale after the division by Gamma(a): at
+        # a = 120 the raw terms are Gamma(120) ~ 5.6e196 times larger, and a
+        # 1.3e-4 mismatch of the truncated k = 0 series passed at 7e-201
+        code, out = run(capsys, "quadcheck", "--a", "120", "--x", "0.3",
+                        "--y", "0.2")
+        rep = json.loads(out)
+        assert code == 1 and rep["pass"] is False
+        assert 1e-4 < rep["rel_residual"] < 2e-4
+        assert rep["scale"] < 1e52
+
+    def test_node_values_past_finite_powers_complete(self, capsys):
+        # at x = 1e5 the powers of the largest nodes' own arguments
+        # overflow, but their Horner values do not; at 1e6 they do (exit 3)
+        code, out = run(capsys, "quadcheck", "--order", "256", "--x", "1e5",
+                        "--y", "0.01")
+        assert code == 0 and json.loads(out)["pass"] is True
+        code = main(["quadcheck", "--order", "256", "--x", "1e6", "--y",
+                     "0.01"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "exceeds the floating range" in captured.err
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
     def test_bad_tolerance_exits_two(self, capsys, tolerance):
         code, out = run(capsys, "quadcheck", "--tolerance", tolerance)
@@ -685,11 +709,12 @@ GOLDEN = [
     # grid anchors became prefixes of one running product per symbol
     (["audit", "--draws", "3", "--include-suspected", "--seed", "0"],
      "03055b1c72249e856134e44101e70024d058cdf43f0b1bbe18c0db38920b7e44"),
-    # 256 nodes at k = 0; recorded at the commit before points were summed
-    # in stacks and rules were cached
+    # 256 nodes at k = 0; re-recorded when each node became one Horner step
+    # over block sums taken once per check (the quadrature value moved by
+    # rounding)
     (["quadcheck", "--order", "256", "--a", "2", "--b", "0.7+0.1j",
       "--c1", "1.2", "--c2", "0.9-0.2j", "--x", "0.05+0.01j", "--y", "0.04"],
-     "e48a7360ac230223cf53598c5671b9e06d01822e1b5c2d187f6b41298aeb14bb"),
+     "a2ddfa87271efa7e92d60ae6b6f6de0d6522de94340fae182885580901fb602b"),
     # a 14 x 13 rectangle, its grids built as lanes; recorded at the commit
     # before audits built their grids in batches
     (["audit", "--draws", "2", "--include-suspected", "--M", "13", "--N",
@@ -748,7 +773,8 @@ def check_pool_stdout(per_kind=None) -> str:
 
 
 def test_pool_slice_keeps_its_bytes():
-    # four operations of each kind, recorded before the flags became rows of
-    # one table; a change to the benchmark pools re-records it
+    # four operations of each kind, re-recorded when quadcheck nodes became
+    # Horner steps (quadrature values moved by rounding, every eval and
+    # sweep byte kept); a change to the benchmark pools re-records it
     assert check_pool_stdout(4) == (
-        "af3bb83f88f1f682455057f71cd1c272b300062add7e942c084523d6e19026e1")
+        "82015d56cd21d5769412ecabfadd6edb0837e29b2590af9a811e25e47d2a7054")

@@ -18,6 +18,7 @@ import pytest
 
 import appell4.series as series
 from appell4.cli import main
+from appell4.quadrature import laguerre_rule
 from appell4.series import F41Params, F42Params, eval_f4_classic
 
 # classical F4 points: complex parameters, arguments well inside the region
@@ -95,15 +96,15 @@ def test_lane_grids_against_mpmath_rising_factorials():
     assert steps == {1, 2, 3}
 
 
-def eval_pool_ops(indices):
-    """The argv lists of perfbench's eval pool at the given indices
+def pool_ops(kind, indices):
+    """The argv lists of perfbench's pool kind at the given indices
     (perfbench/bench_inputs.py, loaded from its path)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "bench_inputs", os.path.join(root, "perfbench", "bench_inputs.py"))
     bench_inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_inputs)
-    pool = bench_inputs.pools()["eval"]
+    pool = bench_inputs.pools()[kind]
     return [pool[i] for i in indices]
 
 
@@ -173,7 +174,7 @@ def test_eval_pool_sums_against_a_product_truth():
     # within 1e-12 sum|terms| of the truncated sum at 60 digits
     worst = {}
     with mp.workdps(60):
-        for argv in eval_pool_ops(ORACLE_OPS):
+        for argv in pool_ops("eval", ORACLE_OPS):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert main(argv) == 0
@@ -193,3 +194,67 @@ def test_eval_pool_sums_against_a_product_truth():
             assert err <= 1e-12, (argv, float(err))
             worst[fn] = max(worst.get(fn, 0.0), float(err))
     assert set(worst) == {"F41", "F42", "F4", "KdF"}, worst
+
+
+def quadcheck_truth(report, rule):
+    """The quadrature value a quadcheck report's rule gives exactly, its
+    float nodes and weights taken as exact: the sum over nodes u of
+    w u^(e-1) P(u) / Gamma(e), where e is the Gamma exponent and P(u) the
+    inner Kampe de Feriet series on the 41 x 41 rectangle at arguments
+    kappa u x and kappa u y, kappa = (-k)^k, its coefficients from running
+    products at the working precision."""
+    raw = report["params"]
+    p = {name: as_mp(raw[name]) for name in ("a", "b", "x", "y")}
+    rep_a = report["identity_id"].endswith("rep_a")
+    exponent = p["a"] if rep_a else p["b"]
+    # the inner parameters as the engine forms them, in floats
+    k = raw["k1"]
+    B, C = ([[z.real, z.imag] for z in ((-complex(*raw[t]) + i) / k
+                                        for i in range(k))]
+            for t in ("t1", "t2"))
+    W, U, V = product_coefficients("KdF", {
+        "A": [raw["b"] if rep_a else raw["a"]], "B": B, "C": C, "D": [],
+        "E": [raw["c1"]], "F": [raw["c2"]]}, 40, 40)
+    kappa = (-k) ** k
+    U = [u * (kappa * p["x"]) ** m for m, u in enumerate(U)]
+    V = [v * (kappa * p["y"]) ** n for n, v in enumerate(V)]
+    # P(u) = sum_d B_d u^d, B_d the anti-diagonal sums at u = 1
+    blocks = [W[d] * mp.fsum(U[m] * V[d - m]
+                             for m in range(max(0, d - 40), min(d, 40) + 1))
+              for d in range(81)]
+    total = mp.mpc(0)
+    for u, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+        u = mp.mpf(u)
+        value = mp.mpc(0)
+        for b in reversed(blocks):
+            value = value * u + b
+        total += mp.mpf(w) * mp.power(u, exponent - 1) * value
+    return total / mp.gamma(exponent)
+
+
+# the first 8 operations of each quadcheck pool, the worst two of
+# quadcheck64 against this truth (ops 50 and 52), and the two quadcheck
+# argvs of tests/test_cli.py's golden hashes, the second non-terminating
+QUADCHECK_OPS = (pool_ops("quadcheck256", range(8))
+                 + pool_ops("quadcheck64", [*range(8), 50, 52]) + [
+    ["quadcheck", "--k", "1", "--order", "64", "--a", "3", "--b", "2",
+     "--c1", "1.7", "--c2", "2.3", "--t1", "3", "--t2", "3", "--x", "0.3",
+     "--y", "0.2"],
+    ["quadcheck", "--order", "256", "--a", "2", "--b", "0.7+0.1j",
+     "--c1", "1.2", "--c2", "0.9-0.2j", "--x", "0.05+0.01j", "--y", "0.04"]])
+
+
+def test_quadcheck_values_against_a_product_truth():
+    # each quadrature value within 1e-13 of what its own rule gives at 60
+    # digits: the engine's error is rounding alone (worst 1.6e-14 over all
+    # 128 pool checks)
+    for argv in QUADCHECK_OPS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        report = json.loads(out.getvalue())
+        with mp.workdps(60):
+            truth = quadcheck_truth(
+                report, laguerre_rule(report["params"]["order"]))
+            err = abs(mp.mpc(*report["params"]["quadrature_value"]) - truth)
+            assert err <= 1e-13 * abs(truth), (argv, float(err / abs(truth)))

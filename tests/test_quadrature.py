@@ -43,15 +43,9 @@ def quad_value(report):
     return complex(*report.params["quadrature_value"])
 
 
-def check_grid(spec, order=64):
-    """The inner grid as integral_rep_check prepares it for the nodes of
-    laguerre_rule(order), with the support its largest node's arguments
-    choose."""
-    reach = (-spec.k) ** spec.k * float(laguerre_rule(order).nodes[-1])
-    p = spec.params
-    return series._support(series._prepared_grid(quadrature._inner_kdf(spec),
-                                                 EVAL_POLICY),
-                           reach * p.x, reach * p.y)
+def node_polynomial(spec):
+    """The coefficients integral_rep_check computes once for its nodes."""
+    return quadrature._node_polynomial(spec, EVAL_POLICY)
 
 
 def pool_specs(kind, count):
@@ -188,19 +182,28 @@ class TestIntegrandKdf:
     @pytest.mark.parametrize("k,p", [(0, P_K0), (1, P_K1),
                                      (2, F41Params(2.0, 0.8 + 0.3j, 1.7, 2.3,
                                                    6, 4, 2, 2, 0.25j, 0.15))])
-    def test_value_is_the_evaluated_series_bit_for_bit(self, k, p):
-        # the KdF series at each node, built and summed one node at a time
+    def test_value_is_the_evaluated_series_within_rounding(self, k, p):
+        # the KdF series at each node, built and summed one node at a time:
+        # Horner's rule over D + 1 block sums errs by at most about 2 D
+        # roundings of sum|terms| (Higham, sec. 5.1), and so does the
+        # direct sum of the same terms
+        eps = np.finfo(float).eps
         for which in RepKind:
             spec = IntegralRepSpec(which, k, p)
+            degree = len(node_polynomial(spec)) - 1
             coupled = p.b if which is RepKind.REP_A else p.a
             B = tuple((-p.t1 + i) / k for i in range(k))
             C = tuple((-p.t2 + i) / k for i in range(k))
             for u in (0.0, 0.3, 7.5, float(RULE64.nodes[-1])):
                 arg = (-k) ** k * u if k else u
-                direct = eval_kdf(KdfParams(A=(coupled,), B=B, C=C,
-                                            E=(p.c1,), F=(p.c2,),
-                                            x=arg * p.x, y=arg * p.y))
-                assert repr(integrand_kdf(spec, u)) == repr(direct.value)
+                inner = KdfParams(A=(coupled,), B=B, C=C, E=(p.c1,),
+                                  F=(p.c2,), x=arg * p.x, y=arg * p.y)
+                direct = eval_kdf(inner).value
+                abs_blocks = series._sum_terms(
+                    series._prepared_grid(inner, EVAL_POLICY),
+                    complex(inner.x), complex(inner.y), True)[2]
+                bound = 4 * (degree + 1) * eps * float(abs_blocks.sum())
+                assert abs(integrand_kdf(spec, u) - direct) <= bound
 
     def test_nonterminating_t_rejected(self):
         spec = IntegralRepSpec(RepKind.REP_A, 1, P_K1.replace(t1=2.5))
@@ -209,46 +212,49 @@ class TestIntegrandKdf:
 
     def test_alone_equals_the_prepared_node_value(self):
         # every node of the first four specs of both quadcheck pools: the
-        # grid integral_rep_check prepares once and cuts to its support
-        # gives each node's value bit for bit as a call that prepares the
-        # whole grid itself
+        # coefficients integral_rep_check computes once give each node's
+        # value bit for bit as a call that computes them itself
         specs = pool_specs("quadcheck64", 4) + pool_specs("quadcheck256", 4)
         assert {spec.k for spec, _ in specs} == {0, 1, 2}
         for spec, order in specs:
-            inner = check_grid(spec, order)
+            inner = node_polynomial(spec)
             for u in laguerre_rule(order).nodes.tolist():
                 assert repr(integrand_kdf(spec, u)) == repr(
                     integrand_kdf(spec, u, _prepared=inner))
 
     def test_nodes_sum_their_polynomial(self):
-        # the inner series of these checks terminates: of the 1,762 entries
-        # of the 41 x 41 plan a node sums the diagonals of total degree up
-        # to 12 (k >= 1) or 6 (k = 0), since the largest node's powers are
-        # finite
+        # terminating at k >= 1: degree t1 / k + t2 / k in u, the block sums
+        # past it exact zeros and dropped, B_0 = 1 last; the 41 x 41 grid of
+        # a non-terminating k = 0 series keeps all 81 diagonals
+        for k, p in ((1, P_K1), (1, P_K1.replace(t1=0, t2=0)),
+                     (2, F41Params(2.0, 0.8, 1.7, 2.3, 6, 4, 2, 2, 0.25,
+                                   0.15)), (0, P_K0)):
+            for which in RepKind:
+                coeffs = node_polynomial(IntegralRepSpec(which, k, p))
+                degree = int(p.t1.real) // k + int(p.t2.real) // k if k \
+                    else 80
+                assert len(coeffs) == degree + 1
+                assert coeffs[0] != 0 and coeffs[-1] == 1.0
         specs = pool_specs("quadcheck64", 4) + pool_specs("quadcheck256", 4)
-        for spec, order in specs:
-            whole = series._prepared_grid(quadrature._inner_kdf(spec),
-                                          EVAL_POLICY)
-            assert len(whole.cells) == 1762
-            assert len(check_grid(spec, order).cells) <= \
-                (104 if spec.k else 35)
+        for spec, _ in specs:
+            assert len(node_polynomial(spec)) <= 13
 
     def test_overflow_raises_on_both_paths(self):
         spec = IntegralRepSpec(RepKind.REP_A, 0, P_K0.replace(x=1e200))
         with pytest.raises(OverflowSignalError):
             integrand_kdf(spec, 1.0)
         with pytest.raises(OverflowSignalError):
-            integrand_kdf(spec, 1.0, _prepared=check_grid(spec))
+            integrand_kdf(spec, 1.0, _prepared=node_polynomial(spec))
 
     def test_overflow_past_the_polynomial_raises_on_both_paths(self):
         # the inner polynomial has degree 3 in x, finite at 1e10, while the
-        # full grid's x^40 overflows: the check sums the whole grid and
-        # raises, where a grid cut for a smaller reach would not
+        # grid's x^40 overflows: its zero cells times that power are NaN
+        # block sums, which stay in the coefficients, so every node raises
         spec = IntegralRepSpec(RepKind.REP_A, 1, P_K1.replace(x=1e10))
-        inner = check_grid(spec)
-        assert len(inner.cells) == 1762
+        inner = node_polynomial(spec)
+        assert len(inner) == 81 and cmath.isnan(inner[0])
         assert cmath.isfinite(integrand_kdf(
-            spec, 1.0, _prepared=check_grid(IntegralRepSpec(
+            spec, 1.0, _prepared=node_polynomial(IntegralRepSpec(
                 RepKind.REP_A, 1, P_K1))))
         with pytest.raises(OverflowSignalError):
             integrand_kdf(spec, 1.0)
@@ -256,12 +262,25 @@ class TestIntegrandKdf:
             integrand_kdf(spec, 1.0, _prepared=inner)
 
     def test_a_check_past_the_floating_range_raises(self):
-        # a reach whose powers may overflow sums the whole grid at every
-        # node, so the check raises as the whole grid does
+        # coefficients that overflow at u = 1 raise at the first node
         for k, p in ((1, P_K1.replace(x=1e10)), (0, P_K0.replace(x=1e200))):
             with pytest.raises(OverflowSignalError):
                 integral_rep_check(IntegralRepSpec(RepKind.REP_A, k, p),
                                    RULE64)
+
+    def test_finite_node_values_past_finite_powers(self):
+        # at order 256 the largest node is about 950: at x = 1e5 the powers
+        # (u x)^40 of a node's own arguments overflow, while the block sums
+        # at u = 1 and every node's Horner value stay finite, so the check
+        # completes.  At x = 1e6 the node values themselves overflow
+        rule = laguerre_rule(256)
+        p = F41Params(1, 1, 2, 2, 1, 1, 0, 0, 1e5, 0.01)
+        assert 40 * math.log10(float(rule.nodes[-1]) * 1e5) > 309
+        rep = integral_rep_check(IntegralRepSpec(RepKind.REP_A, 0, p), rule)
+        assert rep.passed and rep.rel_residual <= 1e-13
+        with pytest.raises(OverflowSignalError):
+            integral_rep_check(IntegralRepSpec(RepKind.REP_A, 0,
+                                               p.replace(x=1e6)), rule)
 
     @pytest.mark.parametrize("field,value", [("x", math.nan),
                                              ("y", math.inf)])

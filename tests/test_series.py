@@ -927,111 +927,6 @@ def argument_corpus(rng, count):
     return [one() for _ in range(count)], [one() for _ in range(count)]
 
 
-def polynomial_terms(rng, rows, cols, inside):
-    """random_terms of one shape with every cell (m, n) for which
-    inside(m, n) is false an exact zero, half of them with -0 parts."""
-    terms = random_terms(rng, rows, cols)
-    m, n = np.indices((rows, cols))
-    outside = ~inside(m, n)
-    terms[outside] = np.where(rng.random(outside.sum()) < 0.5, 0j,
-                              complex(-0.0, -0.0))
-    return terms
-
-
-class TestSupportPrefix:
-    """The grid series._support chooses for the largest arguments of some
-    points gives the values of the whole grid at each of them bit for bit,
-    compared by repr, and raises where the whole grid raises, at single
-    points and at stacks."""
-
-    @staticmethod
-    def values(grid, xs, ys):
-        try:
-            return repr(series._sum_points(grid, xs, ys, False))
-        except OverflowSignalError:
-            return "overflow"
-
-    def assert_exact(self, coeffs, points):
-        full = series._prepare(coeffs)
-        xs, ys = np.asarray(points, dtype=np.complex128)
-        cut = series._support(full, max(xs.tolist(), key=abs),
-                              max(ys.tolist(), key=abs))
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            assert self.values(cut, x, y) == self.values(full, x, y)
-        stack = xs[:, None], ys[:, None]
-        assert self.values(cut, *stack) == self.values(full, *stack)
-        return cut
-
-    def test_random_polynomials(self):
-        # rectangular supports, as of the inner grids of k >= 1 checks, and
-        # triangular ones, as at k = 0; moduli of 0.1 to 2, and then a point
-        # whose powers may overflow inside the support, which keeps the grid
-        # whole
-        rng = np.random.default_rng(20)
-        shapes = [(41, 41), (13, 13), (1, 41), (41, 1), (7, 30), (30, 7)]
-        for rows, cols in shapes * 8:
-            a, b = (int(rng.integers(0, side)) for side in (rows, cols))
-            total = int(rng.integers(0, rows + cols - 1))
-            for inside, degree in ((lambda m, n: (m <= a) & (n <= b), a + b),
-                                   (lambda m, n: m + n <= total, total)):
-                coeffs = polynomial_terms(rng, rows, cols, inside)
-                points = random_points(rng, 6)
-                cut = self.assert_exact(coeffs, points)
-                assert len(cut.starts) <= degree + 1
-                points[:, -1] = [1e60, 1e-3]
-                cut = self.assert_exact(coeffs, points)
-                if rows > 1:  # a single row takes x^0 alone
-                    assert len(cut.starts) == rows + cols - 1
-
-    def test_cut_ends_at_the_last_nonzero_diagonal(self):
-        rng = np.random.default_rng(21)
-        coeffs = polynomial_terms(rng, 41, 41,
-                                  lambda m, n: (m <= 6) & (n <= 6))
-        coeffs[6, 6] = 1.0
-        cut = self.assert_exact(coeffs, random_points(rng, 4))
-        # diagonals 0..12, each led by its zero: the 104 entries of a
-        # degree-12 polynomial, and the exponents 0..12
-        assert len(cut.starts) == 13 and len(cut.cells) == 104
-        assert cut.m.tolist() == cut.n.tolist() == list(range(13))
-        # a NaN cell past the support counts as nonzero
-        coeffs[20, 3] = complex(math.nan, 0.0)
-        cut = self.assert_exact(coeffs, random_points(rng, 4))
-        assert len(cut.starts) == 24
-        assert self.values(cut, 0.5, 0.5) == "overflow"
-
-    def test_grids_without_a_zero_tail_are_kept_whole(self):
-        rng = np.random.default_rng(22)
-        for rows, cols in ((41, 41), (1, 1), (1, 9), (9, 1)):
-            coeffs = random_terms(rng, rows, cols)
-            coeffs[-1, -1] = 1.0
-            cut = self.assert_exact(coeffs, random_points(rng, 3))
-            assert len(cut.cells) == len(series._prepare(coeffs).cells)
-        # all zero: the first diagonal alone
-        cut = self.assert_exact(np.zeros((5, 5), complex),
-                                random_points(rng, 3))
-        assert len(cut.starts) == 1
-
-    def test_dropped_powers_that_overflow_take_the_full_grid(self):
-        # x^40 overflows though x^6 does not: the full grid's terms 0 x^40
-        # are NaN, so it raises.  A reach whose powers may overflow gets the
-        # whole grid, which raises, where the cut would return its own
-        # finite sum
-        rng = np.random.default_rng(23)
-        coeffs = polynomial_terms(rng, 41, 41,
-                                  lambda m, n: (m <= 3) & (n <= 3))
-        full = series._prepare(coeffs)
-        for x, y in ((1e10, 0.5), (0.5, 1e10), (math.nan, 0.5),
-                     (0.5, math.inf)):
-            assert not (series._finite_powers(x, 40)
-                        and series._finite_powers(y, 40))
-            assert series._support(full, x, y) is full
-            self.assert_exact(coeffs, [[x], [y]])
-            assert self.values(full, x, y) == "overflow"
-        cut = series._support(full, 0.5, 0.5)
-        assert len(cut.cells) < len(full.cells)
-        assert self.values(cut, 1e10, 0.5) != "overflow"
-
-
 class TestEvaluateMany:
     """A stack of points gives each point's result bit for bit, compared by
     repr: per-point evaluate, and the per-diagonal np.trace reference."""
@@ -1057,12 +952,8 @@ class TestEvaluateMany:
         assert many == outcome(lambda: [evaluate(q, pol) for q in points])
         assert many == outcome(lambda: [reference_evaluate(q, pol)
                                         for q in points])
-        # the values alone, from the grid cut to its support for the
-        # largest arguments as a quadcheck node sums it, all points in one
-        # stack
-        grid = series._support(series._prepared_grid(p, pol),
-                               max(xs, key=abs, default=0j),
-                               max(ys, key=abs, default=0j))
+        # the values alone, all points in one stack
+        grid = series._prepared_grid(p, pol)
         columns = np.array([xs, ys], dtype=np.complex128)[:, :, None]
         assert outcome(lambda: series._sum_points(grid, *columns, False)) \
             == outcome(lambda: [r.value for r in evaluate_many(p, xs, ys,

@@ -17,15 +17,20 @@ cached earlier.  Before timing, each side runs the last pool operation of
 each kind once, which builds its quadrature rules.
 
 For the quadcheck kinds the CPU of each side's integral_rep_check call is
-read too and divided by the rule's order: the per-node CPU in us.  Both
-sides must give the same exit code and stdout for every operation, or the
-tool stops.
+read too and divided by the rule's order: the per-node CPU in us.  Each
+operation of the change is checked against the parent's as the benchmark
+checks it against its references, through summarize and mismatch of
+perfbench/run.py (of the change checkout, loaded from its path): the same
+exit code and pinned fields, values within its relative tolerance.  The
+tool stops at the first operation that fails that check, and counts the
+operations whose exit code or stdout changed bytes.
 
 Prints, per kind and measure, each side's median and inclusive quartiles,
 the median of the per-operation ratios change / parent and the pairs the
-change won (read lower).  With --record FILE those figures, with each
-side's readings, are written into that JSON file (created if missing)
-under "layers".  The standard library and numpy alone are used.
+change won (read lower), and per kind the operations that changed bytes.
+With --record FILE those figures, with each side's readings, are written
+into that JSON file (created if missing) under "layers".  The standard
+library and numpy alone are used.
 """
 
 from __future__ import annotations
@@ -111,6 +116,8 @@ def main(argv=None) -> int:
     roots = {side: os.path.abspath(getattr(args, side)) for side in SIDES}
     pools = load_module("bench_inputs", os.path.join(
         roots["change"], "perfbench", "bench_inputs.py")).pools()
+    bench = load_module("bench_run", os.path.join(roots["change"],
+                                                  "perfbench", "run.py"))
     if not 1 <= args.ops < min(len(pools[kind]) for kind in args.kinds):
         raise SystemExit("--ops must leave each pool's last operation for "
                          "the warm-up")
@@ -122,15 +129,20 @@ def main(argv=None) -> int:
         per_node.clear()
 
     command_ms = {kind: {side: [] for side in SIDES} for kind in args.kinds}
+    changed = dict.fromkeys(args.kinds, 0)
     for i in range(args.ops):
         for kind in args.kinds:
-            outputs = {}
+            ops = {}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                cpu, *outputs[side] = run_op(sides[side][0], pools[kind][i])
+                cpu, code, stdout = run_op(sides[side][0], pools[kind][i])
                 command_ms[kind][side].append(cpu * 1e3)
-            if outputs["parent"] != outputs["change"]:
-                raise SystemExit(f"{kind} {i}: the sides' exit codes or "
-                                 "stdout differ")
+                ops[side] = {"code": code, "stdout": stdout, "error": None}
+            why = bench.mismatch(kind, ops["change"],
+                                 bench.summarize(kind, ops["parent"]))
+            if why is not None:
+                raise SystemExit(f"{kind} {i}: the change does not match "
+                                 f"the parent: {why}")
+            changed[kind] += ops["parent"] != ops["change"]
 
     node_us = {side: [us * 1e6 for us in sides[side][1]] for side in SIDES}
     layers = {}
@@ -143,6 +155,9 @@ def main(argv=None) -> int:
             layers[kind]["node_us"] = compare(
                 {side: node_us[side][first::step] for side in SIDES})
     for kind, measures in layers.items():
+        print(f"{kind:13} {changed[kind]} of {args.ops} "
+              "operations changed bytes, each within the benchmark's "
+              f"relative tolerance {bench.VALUE_RTOL:g}")
         for measure, entry in measures.items():
             print(f"{kind:13} {measure:10} "
                   + "  ".join(f"{side} {entry[side]['median']:.4g} "
@@ -163,8 +178,11 @@ def main(argv=None) -> int:
                       "cli.main, node_us the CPU of integral_rep_check "
                       "divided by the rule's order. Quartiles are "
                       "inclusive; median_ratio is the median of change / "
-                      "parent over the pairs.",
-            **layers}
+                      "parent over the pairs. ops_changed_bytes counts "
+                      "the operations whose exit code or stdout differ, "
+                      "each within perfbench's reference tolerance.",
+            **{kind: {"ops_changed_bytes": changed[kind], **measures}
+               for kind, measures in layers.items()}}
         write_record(args.record, record)
     return 0
 
