@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import warnings
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -29,8 +30,8 @@ from .quadrature import (IntegralRepSpec, RepKind, _require_order,
                          laguerre_rule)
 from .series import (ConvergenceRegionWarning, F41Params, F42Params,
                      KdfParams, TruncationPolicy, _require_finite,
-                     _require_rectangle, convergence_region, eval_f4_classic,
-                     eval_f41, eval_f42, eval_kdf, evaluate_many)
+                     _require_rectangle, eval_f4_classic, eval_f41, eval_f42,
+                     eval_kdf, evaluate_many)
 
 _OK, _CHECK_FAILED, _CONFIG_ERROR, _EVAL_ERROR = 0, 1, 2, 3
 _ENV_SEED = "APPELL4_SEED"
@@ -308,6 +309,8 @@ def cmd_quadcheck(o: dict) -> int:
 
 # points per sweep axis; the grid evaluates the square of this many
 _SWEEP_MAX_POINTS = 201
+# a flag as the CSV spells it
+_BOOL = {False: "false", True: "true"}
 
 
 def _sweep_axis(lo: float, hi: float, step: float) -> list:
@@ -335,17 +338,18 @@ def cmd_sweep(o: dict) -> int:
     pol = TruncationPolicy(int(o["m_max"]), int(o["n_max"]))
     a, b, c1, c2, t = (_cplx(o[n]) for n in ("a", "b", "c1", "c2", "t"))
     k = int(o["k"])
-    xs = [ax for ax in values for _ in values]
-    ys = values * len(values)
+    # each |x| row with every |y|, in the order of the lines below
     results = evaluate_many(F41Params(a, b, c1, c2, t, t, k, k, 0, 0),
-                            xs, ys, pol)
+                            np.array(values)[:, None], values, pol)
+    # each axis value formatted once and its square root taken once: the
+    # margin is then convergence_region's, 1 - sqrt|x| - sqrt|y|, as |v| of
+    # a real v >= 0 is v
+    axis = [(format(v, ".17g"), math.sqrt(v)) for v in values]
     lines = ["abs_x,abs_y,inside,margin,divergence"]
-    for ax, ay, res in zip(xs, ys, results):
-        inside, margin = convergence_region(ax, ay)
-        lines.append(",".join((
-            format(ax, ".17g"), format(ay, ".17g"),
-            str(inside).lower(), format(margin, ".17g"),
-            str(res.divergence_flag).lower())))
+    for ((tx, rx), (ty, ry)), res in zip(product(axis, repeat=2), results):
+        margin = 1.0 - rx - ry
+        lines.append(f"{tx},{ty},{_BOOL[margin > 0.0]},{margin:.17g},"
+                     f"{_BOOL[res.divergence_flag]}")
     _emit("\n".join(lines), o["out"])
     return _OK
 

@@ -54,8 +54,10 @@ entry takes.  The one summation kernel, `_sum_terms`, forms a point's terms
 in that order, sums each anti-diagonal as one `reduceat` segment, which
 numpy adds pairwise as it adds any reduction, and adds the blocks left to
 right.  Points are summed in stacks of at most _CHUNK_CELLS term cells, a
-lone point as a stack of one; each point sums as it does alone, bit for
-bit.  `quadrature` sums its inner grid once per check (`_sum_terms`) and
+lone point as a stack of one, and the points of a sweep's |x| row share
+their factors c x^m; each point sums as it does alone, bit for bit.  The
+divergence rule then judges every point of a call in one array pass
+(`_judge`).  `quadrature` sums its inner grid once per check (`_sum_terms`) and
 takes the block sums as the coefficients of a polynomial in its
 integration variable, which each node evaluates by Horner's rule.  A
 truncation rectangle holds at most _MAX_CELLS cells.
@@ -887,37 +889,54 @@ def _prepare(coeffs: np.ndarray) -> _Prepared:
                      plan.cols.astype(np.intp), plan.starts, plan.m, plan.n)
 
 
-def _growth(abs_blocks: list):
-    """The divergence rule over the absolute sums of complete diagonals:
-    the ratios of consecutive sums, their final quartile, and whether no
-    ratio in that quartile is at most 1 (NaN, of overflowed sums, is not)."""
-    ratios = [cur / prev if prev != 0.0 else 0.0 if cur == 0.0 else math.inf
-              for prev, cur in zip(abs_blocks, abs_blocks[1:])]
-    tail = ratios[-max(1, math.ceil(len(ratios) / 4)):] if ratios else []
-    return ratios, tail, bool(tail) and not any(r <= 1.0 for r in tail)
+def _growth(abs_blocks: np.ndarray):
+    """The divergence rule over the absolute sums of complete diagonals, a
+    (P, K) array with one row per point: the ratios of consecutive sums
+    (a zero over a zero is 0, anything else over a zero inf), their final
+    quartile, and whether no ratio in that quartile is at most 1, each per
+    row.  NaN, of overflowed sums, is not at most 1: the least ratio of a
+    quartile is taken with NaN passed over, inf if all are NaN."""
+    prev, cur = abs_blocks[:, :-1], abs_blocks[:, 1:]
+    with np.errstate(all="ignore"):
+        ratios = cur / prev
+    zero = prev == 0.0
+    ratios[zero] = math.inf
+    ratios[zero & (cur == 0.0)] = 0.0
+    count = ratios.shape[1]
+    if not count:
+        return ratios, ratios, np.zeros(len(ratios), dtype=bool)
+    tail = ratios[:, count - max(1, math.ceil(count / 4)):]
+    return ratios, tail, np.fmin.reduce(tail, axis=1, initial=math.inf) > 1.0
 
 
-def _summary(total: complex, abs_blocks: list, terms_used: int, M: int,
-             N: int) -> EvaluationResult:
-    """One point's result from its sum and absolute block sums."""
+def _judge(totals: np.ndarray, abs_blocks: np.ndarray, counts: np.ndarray,
+           M: int, N: int) -> list:
+    """The results of P points from their sums (P,), absolute block sums
+    (P, M + N + 1) and nonzero term counts (P,): the divergence rule runs
+    once over all points, with the IEEE operations of one point judged
+    alone, in its order.  OverflowSignalError if a sum left the floating
+    range."""
+    values = totals.tolist()
+    if not all(map(cmath.isfinite, values)):
+        raise OverflowSignalError("partial sum exceeds the floating range")
     # growth statistics only over complete anti-diagonals: past d = min(M, N)
     # the rectangle clips diagonals, which would fake decaying block sums
-    included_abs = abs_blocks[:min(M, N) + 1]
-    ratios, _, divergence_flag = _growth(included_abs)
-    max_term_ratio = max(ratios, default=0.0)
-
-    if included_abs[-1] == 0.0:
-        tail_estimate = 0.0
-    elif ratios and ratios[-1] < 1.0:
-        rho = ratios[-1]
-        tail_estimate = included_abs[-1] * rho / (1.0 - rho)
+    included = abs_blocks[:, :min(M, N) + 1]
+    ratios, _, flags = _growth(included)
+    if ratios.shape[1]:
+        # the largest ratio as Python's max takes it: a leading NaN stays,
+        # and a later one is passed over
+        top = np.maximum(ratios[:, 0], np.fmax.reduce(
+            ratios[:, 1:], axis=1, initial=-math.inf)).tolist()
+        last_ratios = ratios[:, -1].tolist()
     else:
-        tail_estimate = math.inf
-
-    return EvaluationResult(value=total, terms_used=terms_used,
-                            tail_estimate=float(tail_estimate),
-                            divergence_flag=divergence_flag,
-                            max_term_ratio=float(max_term_ratio))
+        top, last_ratios = [0.0] * len(values), [math.inf] * len(values)
+    # the geometric tail past the last complete diagonal
+    tails = [0.0 if last == 0.0 else last * rho / (1.0 - rho) if rho < 1.0
+             else math.inf
+             for last, rho in zip(included[:, -1].tolist(), last_ratios)]
+    return list(map(EvaluationResult, values, counts.tolist(), tails,
+                    flags.tolist(), top))
 
 
 # a point outside the floating range overflows its powers, terms and sums;
@@ -926,8 +945,9 @@ def _summary(total: complex, abs_blocks: list, terms_used: int, M: int,
 def _sum_terms(grid: _Prepared, xs, ys, diagnostics: bool):
     """Sums of the terms c[m, n] x^m y^n of a prepared grid at one point,
     given as two complex numbers xs and ys, or at a stack of P points,
-    given as two (P, 1) complex columns; the arrays below then have a
-    leading axis of points, and one point has none.
+    given as a (P, 1) complex column ys and either a like column xs or one
+    complex xs shared by the stack; the arrays below then have a leading
+    axis of points, and one point has none.
 
     Returns the totals, the block sums of the anti-diagonals in increasing
     total degree and, with diagnostics, their absolute block sums and the
@@ -941,10 +961,15 @@ def _sum_terms(grid: _Prepared, xs, ys, diagnostics: bool):
     cells, rows, cols, starts, m, n = grid
     xp = np.power(xs, m, dtype=np.complex128)
     yp = np.power(ys, n, dtype=np.complex128)
-    # (c x^m) y^n, formed in place
-    terms = xp.take(rows, axis=-1)
-    np.multiply(cells, terms, out=terms)
-    np.multiply(terms, yp.take(cols, axis=-1), out=terms)
+    # (c x^m) y^n: c x^m once for a shared x, then times the gathered y^n
+    # in place.  numpy's complex multiply rounds a * b and b * a apart, so
+    # each product keeps its operand order and its ufunc call: `a * temp`
+    # may run as temp *= a
+    cx = xp.take(rows, axis=-1)
+    np.multiply(cells, cx, out=cx)
+    terms = yp.take(cols, axis=-1)
+    np.multiply(cx, terms, out=terms)
+    del cx  # as large as the terms for a column of x: not kept beside them
     block_sums = np.add.reduceat(terms, starts, axis=-1)
     # the blocks added left to right, as Python's sum adds them from 0 (no
     # block sum is -0.0, so starting from the first is the same), by
@@ -963,24 +988,9 @@ def _sum_terms(grid: _Prepared, xs, ys, diagnostics: bool):
         abs_terms = np.abs(flat[::-1])[::-1].reshape(terms.shape)
     else:
         abs_terms = np.abs(terms)
+    # np.count_nonzero along an axis, without its dtype checks
     return (totals, block_sums, np.add.reduceat(abs_terms, starts, axis=-1),
-            np.count_nonzero(abs_terms, axis=-1))
-
-
-def _sum_points(grid: _Prepared, xs, ys, diagnostics: bool) -> list:
-    """Results (values alone without diagnostics) of _sum_terms at its
-    points, one per point; OverflowSignalError if a partial sum leaves the
-    floating range."""
-    totals, _, abs_blocks, counts = _sum_terms(grid, xs, ys, diagnostics)
-    totals = totals.reshape(-1).tolist()
-    if not all(map(cmath.isfinite, totals)):
-        raise OverflowSignalError("partial sum exceeds the floating range")
-    if not diagnostics:
-        return totals
-    M, N = len(grid.m) - 1, len(grid.n) - 1
-    return [_summary(*stats, M, N) for stats in zip(
-        totals, abs_blocks.reshape(len(totals), -1).tolist(),
-        counts.reshape(-1).tolist())]
+            np.add.reduce(abs_terms != 0.0, axis=-1, dtype=np.intp))
 
 
 def _without_args(p: SeriesParams) -> SeriesParams:
@@ -992,9 +1002,10 @@ def _without_args(p: SeriesParams) -> SeriesParams:
 # term cells evaluate_many sums as one stack: 8 points of the default 41 x 41
 # rectangle, whatever the number of points.  A stack holds a few complex
 # arrays of about this many cells (226 KB each).  On a 2-core x86-64 host an
-# 11 x 11 sweep took 11.2 ms one point at a time, 6.9-7.7 ms in stacks of 4
-# to 16 points and 10.5 ms in stacks of 32; its traced peak grew from 0.75
-# MB at 8 points to 1.09 MB at 16
+# 11 x 11 sweep (a stack within one |x| row) took 5.3 ms of CPU one point at
+# a time, 2.9 ms in stacks of 4 and 2.6-2.7 ms in stacks of 8 to 32 points,
+# a row's 11 at most; its traced peak grew from 0.90 MB at 8 points to 1.04
+# MB at 11
 _CHUNK_CELLS = 8 * 41 * 41
 
 
@@ -1006,28 +1017,48 @@ def _prepared_grid(p: SeriesParams, pol: TruncationPolicy):
 
 def evaluate_many(p: SeriesParams, xs, ys,
                   pol: TruncationPolicy = EVAL_POLICY) -> list:
-    """evaluate(p.replace(x=x, y=y), pol) for each pair of xs and ys, bit
-    for bit, from one grid request; p's own arguments are not used.
+    """evaluate(p.replace(x=x, y=y), pol) at many arguments, bit for bit,
+    from one grid request; p's own arguments are not used.  The arguments
+    are the pairs of two sequences xs and ys of equal length, or each x of
+    an (X, 1) column xs with each y of a sequence ys, in row-major order (x
+    by x, each with every y).
 
     The points are summed in stacks of at most _CHUNK_CELLS term cells (one
-    point at least), each reduced in one pass.  A point whose partial sum
-    leaves the floating range raises OverflowSignalError, as in evaluate.
-    A NaN or infinite argument is a ValueError instead: it makes a partial
-    sum non-finite wherever the rectangle holds a power of it past the
-    zeroth, and is looked for only then."""
+    point at least), each reduced in one pass; a stack of the column form
+    holds y values of one x, whose factors c x^m of the terms it forms
+    once.  All points are then judged in one array pass.  A point whose
+    partial sum leaves the floating range raises OverflowSignalError, as in
+    evaluate.  A NaN or infinite argument is a ValueError instead: it makes
+    a partial sum non-finite wherever the rectangle holds a power of it
+    past the zeroth, and is looked for only then."""
     xs = np.asarray(xs, dtype=np.complex128)
     ys = np.asarray(ys, dtype=np.complex128)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("xs and ys must be sequences of equal length")
-    if not len(xs):
+    if ys.ndim != 1 or xs.shape != ys.shape and xs.shape[1:] != (1,):
+        raise ValueError("xs and ys must be sequences of equal length, or "
+                         "a column and a sequence")
+    if not xs.size or not ys.size:
         return []
     grid = _prepared_grid(p, pol)
     step = max(1, _CHUNK_CELLS // ((pol.max_m + 1) * (pol.max_n + 1)))
-    xs, ys = xs[:, None], ys[:, None]
-    results = []
+    column = ys[:, None]
+    if xs.ndim == 1:
+        stacks = [(xs[i:i + step, None], column[i:i + step])
+                  for i in range(0, len(ys), step)]
+    else:
+        stacks = [(x, column[i:i + step]) for x in xs.ravel().tolist()
+                  for i in range(0, len(ys), step)]
+    # each stack's sums in place, its block sums dropped with the stack
+    points = len(ys) * len(xs) if xs.ndim == 2 else len(ys)
+    totals = np.empty(points, dtype=np.complex128)
+    abs_blocks = np.empty((points, pol.max_m + pol.max_n + 1))
+    counts = np.empty(points, dtype=np.intp)
+    end = 0
+    for x, y in stacks:
+        start, end = end, end + len(y)
+        totals[start:end], _, abs_blocks[start:end], counts[start:end] = \
+            _sum_terms(grid, x, y, True)
     try:
-        for i in range(0, len(xs), step):
-            results += _sum_points(grid, xs[i:i + step], ys[i:i + step], True)
+        return _judge(totals, abs_blocks, counts, pol.max_m, pol.max_n)
     except OverflowSignalError:
         # refused as divergence_diagnostic and the CLI refuse it, but only
         # once a sum has failed, so a finite call pays nothing
@@ -1035,7 +1066,6 @@ def evaluate_many(p: SeriesParams, xs, ys,
             for v in values.ravel().tolist():
                 _require_finite(name, v)
         raise
-    return results
 
 
 def evaluate(p: SeriesParams,
@@ -1121,7 +1151,7 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     # fmax drops the NaN of an overflowed ratio times a zero argument, so no
     # maximum is NaN and the zero that leads each diagonal leaves it alone
     abs_blocks = _sum_terms(_prepare(coeffs), complex(p.x), complex(p.y),
-                            True)[2].tolist()
+                            True)[2]
     with np.errstate(over="ignore", invalid="ignore"):
         down = np.divide(abs_coeffs[1:, :], abs_coeffs[:-1, :],
                          out=np.zeros((M, M + 1)),
@@ -1136,11 +1166,12 @@ def divergence_diagnostic(p: Union[F41Params, F42Params], M: int) -> DivergenceR
     directional = np.maximum.reduceat(_in_plan_order(best, plan), plan.starts)
 
     # ratios over complete anti-diagonals only (d <= M on the square)
-    ratios, tail, divergence_flag = _growth(abs_blocks[:M + 1])
+    ratios, tail, flags = _growth(abs_blocks[None, :M + 1])
+    divergence_flag, tail = bool(flags[0]), tail[0]
     # a NaN ratio counts as growth here too, as it does in _growth
     monotone = (divergence_flag and len(tail) >= 2
-                and all(not b <= a for a, b in zip(tail, tail[1:])))
-    return DivergenceReport(block_ratios=tuple(ratios),
+                and not (tail[1:] <= tail[:-1]).any())
+    return DivergenceReport(block_ratios=tuple(ratios[0].tolist()),
                             directional_max_ratios=tuple(directional.tolist()),
                             divergence_flag=divergence_flag,
                             monotone_growth=monotone)

@@ -1,6 +1,7 @@
 """Series engine tests: frozen oracles, grid recurrence vs scratch, the six
 Kampe de Feriet reductions, truncation policies, and growth diagnostics."""
 
+import cmath
 import copy
 import dataclasses
 import hashlib
@@ -623,6 +624,25 @@ def random_points(rng, count):
         np.exp(2j * np.pi * rng.random((2, count)))
 
 
+def judged(grid, xs, ys):
+    """The results series._judge gives for the points of one
+    series._sum_terms call, a lone point read as a stack of one."""
+    totals, _, abs_blocks, counts = series._sum_terms(grid, xs, ys, True)
+    return series._judge(np.reshape(totals, -1),
+                         np.reshape(abs_blocks, (np.size(totals), -1)),
+                         np.reshape(counts, -1), len(grid.m) - 1,
+                         len(grid.n) - 1)
+
+
+def stack_values(grid, xs, ys):
+    """The values alone of the points of one series._sum_terms call, as
+    evaluate_many refuses them: OverflowSignalError if one is not finite."""
+    values = series._sum_terms(grid, xs, ys, False)[0].tolist()
+    if not all(map(cmath.isfinite, values)):
+        raise OverflowSignalError("partial sum exceeds the floating range")
+    return values
+
+
 def kernel_stats(coeffs, xs=1 + 0j, ys=1 + 0j):
     """The block sums, absolute block sums and nonzero counts that the
     kernel series._sum_terms gives for the coefficient grid coeffs at one
@@ -773,13 +793,11 @@ class TestStackedDiagonalStats:
                 xs, ys = random_points(rng, points)
                 stack = series._sum_terms(grid, xs[:, None], ys[:, None],
                                           True)
-                results = series._sum_points(grid, xs[:, None],
-                                             ys[:, None], True)
+                results = judged(grid, xs[:, None], ys[:, None])
                 assert len(results) == points
                 for j, (x, y) in enumerate(zip(xs, ys)):
                     alone = series._sum_terms(grid, x, y, True)
-                    assert repr(series._sum_points(grid, x, y, True)) == \
-                        repr(results[j:j + 1])
+                    assert repr(judged(grid, x, y)) == repr(results[j:j + 1])
                     for got, want in zip(stack, alone):
                         assert got[j].tobytes() == want.tobytes()
 
@@ -897,21 +915,35 @@ def reference_evaluate(p, pol):
         total = sum(block_sums)
     if not (np.isfinite(total.real) and np.isfinite(total.imag)):
         raise OverflowSignalError("partial sum exceeds the floating range")
-    included = abs_blocks[:min(M, N) + 1]
+    return reference_summary(complex(total), abs_blocks, sum(counts), M, N)
+
+
+def reference_growth(abs_blocks):
+    """The divergence rule of one point, list by list: the ratios of its
+    consecutive absolute block sums, their final quartile and the flag,
+    raised when no ratio of the quartile is at most 1 (a NaN ratio, of
+    sums that overflowed, counts as growth)."""
     ratios = [0.0 if prev == 0.0 and cur == 0.0 else
               math.inf if prev == 0.0 else cur / prev
-              for prev, cur in zip(included, included[1:])]
+              for prev, cur in zip(abs_blocks, abs_blocks[1:])]
     quartile = ratios[-max(1, math.ceil(len(ratios) / 4)):] if ratios else []
+    return (ratios, quartile,
+            bool(quartile) and not any(r <= 1.0 for r in quartile))
+
+
+def reference_summary(total, abs_blocks, terms_used, M, N):
+    """One point's result from its sum, its absolute block sums (a list of
+    Python floats) and its nonzero term count, judged alone in Python."""
+    included = abs_blocks[:min(M, N) + 1]
+    ratios, _, flag = reference_growth(included)
     if included[-1] == 0.0:
         tail = 0.0
     elif ratios and ratios[-1] < 1.0:
         tail = included[-1] * ratios[-1] / (1.0 - ratios[-1])
     else:
         tail = math.inf
-    return series.EvaluationResult(
-        complex(total), sum(counts), float(tail),
-        bool(quartile) and all(r > 1.0 for r in quartile),
-        float(max(ratios, default=0.0)))
+    return series.EvaluationResult(total, terms_used, float(tail), flag,
+                                   float(max(ratios, default=0.0)))
 
 
 def argument_corpus(rng, count):
@@ -940,13 +972,15 @@ class TestEvaluateMany:
         for i, (p, _, _) in enumerate(requests):
             yield p, TruncationPolicy(*shapes[i % len(shapes)]), rng
 
-    def assert_matches(self, p, pol, xs, ys):
-        def outcome(results):
-            try:
-                return [repr(r) for r in results()]
-            except OverflowSignalError:
-                return "overflow"
+    @staticmethod
+    def outcome(results):
+        try:
+            return [repr(r) for r in results()]
+        except OverflowSignalError:
+            return "overflow"
 
+    def assert_matches(self, p, pol, xs, ys):
+        outcome = self.outcome
         points = [p.replace(x=x, y=y) for x, y in zip(xs, ys)]
         many = outcome(lambda: evaluate_many(p, xs, ys, pol))
         assert many == outcome(lambda: [evaluate(q, pol) for q in points])
@@ -955,7 +989,7 @@ class TestEvaluateMany:
         # the values alone, all points in one stack
         grid = series._prepared_grid(p, pol)
         columns = np.array([xs, ys], dtype=np.complex128)[:, :, None]
-        assert outcome(lambda: series._sum_points(grid, *columns, False)) \
+        assert outcome(lambda: stack_values(grid, *columns)) \
             == outcome(lambda: [r.value for r in evaluate_many(p, xs, ys,
                                                                 pol)])
 
@@ -994,9 +1028,60 @@ class TestEvaluateMany:
             xs, ys = argument_corpus(rng, rng.choice((4, 9)))
             self.assert_matches(p, pol, xs, ys)
 
+    def assert_grid_matches(self, p, pol, xs, ys):
+        """evaluate_many of a column of xs and a row of ys gives each point
+        of that grid, x by x, the bits of reference_evaluate."""
+        many = self.outcome(lambda: evaluate_many(
+            p, np.array(xs, dtype=np.complex128)[:, None], ys, pol))
+        assert many == self.outcome(lambda: [
+            reference_evaluate(p.replace(x=x, y=y), pol)
+            for x in xs for y in ys])
+        return many
+
+    @pytest.mark.parametrize("chunk", [None, 3 * 13 * 13])
+    def test_column_and_row_on_the_corpus(self, chunk, monkeypatch):
+        # the second stack size cuts each row into stacks of every size
+        if chunk is not None:
+            monkeypatch.setattr(series, "_CHUNK_CELLS", chunk)
+        shapes = set()
+        for p, pol, rng in self.corpus(seed=19):
+            try:
+                series._grid_coeffs(series._without_args(p), pol.max_m,
+                                    pol.max_n)
+            except OverflowSignalError:
+                continue
+            xs = argument_corpus(rng, rng.choice((1, 2, 4)))[0]
+            ys = argument_corpus(rng, rng.choice((1, 3, 9)))[1]
+            if self.assert_grid_matches(p, pol, xs, ys) != "overflow":
+                shapes.add((pol.max_m, pol.max_n))
+        assert len(shapes) >= 8
+
+    def test_stacks_past_the_elision_size(self):
+        # one point of 128 x 128 is a stack of 16,639 complex entries (266
+        # KB), and numpy elides `a * temp` into a temporary operand of 256
+        # KiB or more and of a's shape, where the product rounds as
+        # temp * a.  Complex arguments give every product two nonzero
+        # imaginary parts, which is where complex multiplication rounds its
+        # operands apart.  The grid is read as a column and a row, and as
+        # the pairs of its points
+        pol = TruncationPolicy(127, 127)
+        assert (128 * 128 + 255) * 16 >= 256 * 1024
+        p = F41Params(0.6 + 0.3j, 0.8 - 0.2j, 1.3 + 0.1j, 1.7, 0, 0, 0, 0,
+                      0, 0)
+        rng = np.random.default_rng(23)
+        xs, ys = (10.0 ** rng.uniform(-2, -0.7, (2, 11)) *
+                  np.exp(2j * np.pi * rng.random((2, 11)))).tolist()
+        xs = xs[:2]
+        grid = self.assert_grid_matches(p, pol, xs, ys)
+        assert grid != "overflow"
+        assert self.outcome(lambda: evaluate_many(
+            p, [x for x in xs for _ in ys], ys * len(xs), pol)) == grid
+
     def test_no_points_requests_no_grid(self):
         series._grid_coeffs.cache_clear()
         assert evaluate_many(P41, [], []) == []
+        assert evaluate_many(P41, np.zeros((0, 1)), [0.1]) == []
+        assert evaluate_many(P41, [[0.1]], []) == []
         assert series._grid_coeffs.cache_info().misses == 0
 
     def test_one_grid_for_all_points(self):
@@ -1009,6 +1094,13 @@ class TestEvaluateMany:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             evaluate_many(P41, [0.1, 0.2], [0.1])
+
+    def test_other_shapes_rejected(self):
+        # only pairs of equal length, or a column and a sequence
+        for xs, ys in (([[0.1, 0.2]], [0.1]), ([[0.1]], [[0.1]]),
+                       (0.1, [0.1]), ([0.1], 0.1), ([[[0.1]]], [0.1])):
+            with pytest.raises(ValueError, match="column"):
+                evaluate_many(P41, xs, ys)
 
     def test_overflowing_point_raises_without_warnings(self):
         p = F41Params(1.1, 0.8, 1.7, 2.3, 0, 0, 0, 0, 0.0, 0.0)
@@ -1039,6 +1131,107 @@ class TestEvaluateMany:
             # stack
             with pytest.raises(ValueError, match="^y = .* is not finite"):
                 evaluate_many(p, [1e200] + [0.1] * 20, [0.1] * 20 + [bad])
+
+
+class TestArrayGrowthRule:
+    """series._judge runs the divergence rule over every point of a call
+    at once, and series._growth is its per-diagonal part; each row must
+    give what the list code of reference_summary gives for it alone, bit
+    for bit, NaN included."""
+
+    # absolute block sums along the diagonals of one point, nine for the
+    # nine complete diagonals of 8 x 8; each row is repeated or cut to the
+    # shape's M + N + 1 diagonals
+    ROWS = {
+        "all zero": [0.0] * 9,
+        "zero then nonzero": [0.0, 0.0, 3.0, 1.0, 0.5, 0.2, 0.1, 0.05, 0.01],
+        "leading NaN ratio": [math.nan] + [2.0 ** i for i in range(8)],
+        "leading inf over inf": [math.inf] * 2 + [0.5 ** i for i in range(7)],
+        "later NaN": [1.0, 0.5, 0.25, math.nan, 0.1, 0.05, 0.025, 0.0125,
+                      0.00625],
+        "NaN last": [2.0 ** i for i in range(8)] + [math.nan],
+        "inf blocks": [1.0, math.inf, 2.0, 4.0, math.inf, 1.0, 2.0, 4.0, 8.0],
+        "ratio of exactly 1": [2.0] * 9,
+        "growth": [3.0 ** i for i in range(9)],
+        "decay": [0.5 ** i for i in range(9)],
+        "zeros past a polynomial": [2.0, 1.0, 0.5] + [0.0] * 6,
+        "overflowing ratio": [1e-300, 1e300, 1e-300, 1e300] + [1.0] * 5,
+    }
+    SHAPES = ((8, 8), (12, 12), (8, 3), (3, 8), (5, 17), (0, 8), (8, 0),
+              (0, 0), (1, 1), (2, 2))
+
+    @staticmethod
+    def fitted(row, width):
+        return (row * width)[:width]
+
+    def assert_rows_match(self, rows, M, N):
+        width = M + N + 1
+        rows = [self.fitted(row, width) for row in rows]
+        totals = np.array([complex(i, -i) for i in range(len(rows))])
+        counts = np.arange(len(rows)) * 3
+        got = series._judge(totals, np.array(rows), counts, M, N)
+        want = [reference_summary(complex(i, -i), row, 3 * i, M, N)
+                for i, row in enumerate(rows)]
+        assert list(map(repr, got)) == list(map(repr, want))
+        ratios, tail, flags = series._growth(
+            np.array(rows)[:, :min(M, N) + 1])
+        for i, row in enumerate(rows):
+            ref_ratios, ref_tail, ref_flag = reference_growth(
+                row[:min(M, N) + 1])
+            assert ratios[i].tobytes() == np.array(ref_ratios).tobytes()
+            assert tail[i].tobytes() == np.array(ref_tail).tobytes()
+            assert flags[i] == ref_flag
+            # and each row judged alone
+            assert repr(series._judge(totals[i:i + 1], np.array(rows[i:i + 1]),
+                                      counts[i:i + 1], M, N)) == \
+                repr(want[i:i + 1])
+
+    @pytest.mark.parametrize("M,N", SHAPES)
+    def test_named_rows(self, M, N):
+        self.assert_rows_match(list(self.ROWS.values()), M, N)
+
+    def test_named_rows_take_their_branches(self):
+        # the rows reach each outcome the rule has, on 8 x 8
+        got = dict(zip(self.ROWS, series._judge(
+            np.zeros(len(self.ROWS), complex),
+            np.array([self.fitted(r, 17) for r in self.ROWS.values()]),
+            np.zeros(len(self.ROWS), int), 8, 8)))
+        assert not got["all zero"].divergence_flag
+        assert got["all zero"].tail_estimate == 0.0
+        assert got["all zero"].max_term_ratio == 0.0
+        assert got["zero then nonzero"].max_term_ratio == math.inf
+        assert got["leading NaN ratio"].divergence_flag
+        assert math.isnan(got["leading NaN ratio"].max_term_ratio)
+        assert math.isnan(got["leading inf over inf"].max_term_ratio)
+        assert got["later NaN"].max_term_ratio == 0.5
+        assert got["NaN last"].divergence_flag
+        assert got["NaN last"].tail_estimate == math.inf
+        assert got["NaN last"].max_term_ratio == 2.0
+        assert got["inf blocks"].max_term_ratio == math.inf
+        assert not got["ratio of exactly 1"].divergence_flag
+        assert got["ratio of exactly 1"].tail_estimate == math.inf
+        assert got["growth"].divergence_flag
+        assert got["decay"].tail_estimate == 0.5 ** 8
+        assert got["zeros past a polynomial"].tail_estimate == 0.0
+        assert got["overflowing ratio"].max_term_ratio == math.inf
+
+    def test_seeded_rows(self):
+        # zeros, NaN and inf at every rate, many rows per call
+        rng = np.random.default_rng(31)
+        for M, N in self.SHAPES:
+            width = M + N + 1
+            for rate in (0.0, 0.1, 0.5, 0.9):
+                rows = 10.0 ** rng.uniform(-300, 300, (20, width))
+                hit = rng.random((20, width)) < rate
+                rows[hit] = rng.choice((0.0, math.nan, math.inf),
+                                       int(hit.sum()))
+                self.assert_rows_match(rows.tolist(), M, N)
+
+    def test_a_sum_outside_the_range_raises(self):
+        for bad in (complex(math.inf, 0), complex(0, math.nan)):
+            with pytest.raises(OverflowSignalError):
+                series._judge(np.array([1 + 0j, bad]), np.ones((2, 9)),
+                              np.ones(2, int), 4, 4)
 
 
 class TestCellBudget:

@@ -17,7 +17,9 @@ cached earlier.  Before timing, each side runs the last pool operation of
 each kind once, which builds its quadrature rules.
 
 For the quadcheck kinds the CPU of each side's integral_rep_check call is
-read too and divided by the rule's order: the per-node CPU in us.  Each
+read too and divided by the rule's order: the per-node CPU in us.  For
+sweep the CPU of each side's evaluate_many call is read and divided by the
+number of points it sums: the per-point CPU in us.  Each
 operation of the change is checked against the parent's as the benchmark
 checks it against its references, through summarize and mismatch of
 perfbench/run.py (of the change checkout, loaded from its path): the same
@@ -46,6 +48,8 @@ import statistics
 import sys
 import time
 
+import numpy
+
 from bench_pairs import SIDES, spread, write_record
 
 KINDS = ("quadcheck256", "quadcheck64", "sweep", "eval")
@@ -62,25 +66,39 @@ def load_module(name: str, path: str, package=None):
     return module
 
 
+def timed(fn, readings: list, units):
+    """fn, recording the CPU seconds of each call divided by
+    units(*args) in readings."""
+    def call(*args, **kwargs):
+        start = time.process_time()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            readings.append((time.process_time() - start) / units(*args))
+    return call
+
+
+def sweep_points(p, xs, ys, *args) -> int:
+    """The points of an evaluate_many call: the pairs of two sequences, or
+    each x of a column with each y."""
+    return len(ys) * (len(xs) if numpy.ndim(xs) == 2 else 1)
+
+
 def load_cli(root: str, side: str):
     """The cli module of a checkout's src/appell4, loaded as appell4_<side>,
-    with its integral_rep_check wrapped to record each call's CPU per node
-    in the returned list."""
+    with its integral_rep_check and evaluate_many wrapped to record each
+    call's CPU per node and per point in the returned lists."""
     package = os.path.join(root, "src", "appell4")
     load_module(f"appell4_{side}", os.path.join(package, "__init__.py"),
                 package)
     cli = importlib.import_module(f"appell4_{side}.cli")
-    per_node, check = [], cli.integral_rep_check
-
-    def timed_check(spec, rule, *args, **kwargs):
-        start = time.process_time()
-        try:
-            return check(spec, rule, *args, **kwargs)
-        finally:
-            per_node.append((time.process_time() - start) / rule.order)
-
-    cli.integral_rep_check = timed_check
-    return cli, per_node
+    readings = {"node_us": [], "point_us": []}
+    cli.integral_rep_check = timed(cli.integral_rep_check,
+                                   readings["node_us"],
+                                   lambda spec, rule, *args: rule.order)
+    cli.evaluate_many = timed(cli.evaluate_many, readings["point_us"],
+                              sweep_points)
+    return cli, readings
 
 
 def run_op(cli, argv) -> tuple:
@@ -125,8 +143,9 @@ def main(argv=None) -> int:
     for kind in args.kinds:
         for cli, _ in sides.values():
             run_op(cli, pools[kind][-1])
-    for _, per_node in sides.values():
-        per_node.clear()
+    for _, readings in sides.values():
+        for values in readings.values():
+            values.clear()
 
     command_ms = {kind: {side: [] for side in SIDES} for kind in args.kinds}
     changed = dict.fromkeys(args.kinds, 0)
@@ -144,7 +163,8 @@ def main(argv=None) -> int:
                                  f"the parent: {why}")
             changed[kind] += ops["parent"] != ops["change"]
 
-    node_us = {side: [us * 1e6 for us in sides[side][1]] for side in SIDES}
+    us = {measure: {side: [s * 1e6 for s in sides[side][1][measure]]
+                    for side in SIDES} for measure in ("node_us", "point_us")}
     layers = {}
     for kind in args.kinds:
         layers[kind] = {"command_ms": compare(command_ms[kind])}
@@ -153,7 +173,9 @@ def main(argv=None) -> int:
             quad = [k for k in args.kinds if k.startswith("quadcheck")]
             step, first = len(quad), quad.index(kind)
             layers[kind]["node_us"] = compare(
-                {side: node_us[side][first::step] for side in SIDES})
+                {side: us["node_us"][side][first::step] for side in SIDES})
+        if kind == "sweep":
+            layers[kind]["point_us"] = compare(us["point_us"])
     for kind, measures in layers.items():
         print(f"{kind:13} {changed[kind]} of {args.ops} "
               "operations changed bytes, each within the benchmark's "
@@ -176,7 +198,9 @@ def main(argv=None) -> int:
                       "one interpreter, the side that runs first "
                       "alternating per operation; command_ms is the CPU of "
                       "cli.main, node_us the CPU of integral_rep_check "
-                      "divided by the rule's order. Quartiles are "
+                      "divided by the rule's order, point_us the CPU of "
+                      "the sweep's evaluate_many divided by its points. "
+                      "Quartiles are "
                       "inclusive; median_ratio is the median of change / "
                       "parent over the pairs. ops_changed_bytes counts "
                       "the operations whose exit code or stdout differ, "
