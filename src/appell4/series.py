@@ -56,11 +56,11 @@ numpy adds pairwise as it adds any reduction, and adds the blocks left to
 right.  Points are summed in stacks of at most _CHUNK_CELLS term cells, a
 lone point as a stack of one, and the points of a sweep's |x| row share
 their factors c x^m; each point sums as it does alone, bit for bit.  The
-divergence rule then judges every point of a call in one array pass
-(`_judge`).  `quadrature` sums its inner grid once per check (`_sum_terms`) and
-takes the block sums as the coefficients of a polynomial in its
-integration variable, which each node evaluates by Horner's rule.  A
-truncation rectangle holds at most _MAX_CELLS cells.
+divergence rule then judges the points of a call in array passes of a
+bounded size (`_judge`).  `quadrature` sums its inner grid once per check
+(`_sum_terms`) and takes the block sums as the coefficients of a
+polynomial in its integration variable, which each node evaluates by
+Horner's rule.  A truncation rectangle holds at most _MAX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -912,7 +912,8 @@ def _growth(abs_blocks: np.ndarray):
 def _judge(totals: np.ndarray, abs_blocks: np.ndarray, counts: np.ndarray,
            M: int, N: int) -> list:
     """The results of P points from their sums (P,), absolute block sums
-    (P, M + N + 1) and nonzero term counts (P,): the divergence rule runs
+    (P, min(M, N) + 1 or more, of which the rule reads the first
+    min(M, N) + 1) and nonzero term counts (P,): the divergence rule runs
     once over all points, with the IEEE operations of one point judged
     alone, in its order.  OverflowSignalError if a sum left the floating
     range."""
@@ -1026,9 +1027,10 @@ def evaluate_many(p: SeriesParams, xs, ys,
     The points are summed in stacks of at most _CHUNK_CELLS term cells (one
     point at least), each reduced in one pass; a stack of the column form
     holds y values of one x, whose factors c x^m of the terms it forms
-    once.  All points are then judged in one array pass.  A point whose
-    partial sum leaves the floating range raises OverflowSignalError, as in
-    evaluate.  A NaN or infinite argument is a ValueError instead: it makes
+    once.  The points are judged in array passes over their absolute block
+    sums, each of up to _CHUNK_CELLS of them.  A point whose partial sum
+    leaves the floating range raises OverflowSignalError, as in evaluate,
+    once its pass is judged.  A NaN or infinite argument is a ValueError instead: it makes
     a partial sum non-finite wherever the rectangle holds a power of it
     past the zeroth, and is looked for only then."""
     xs = np.asarray(xs, dtype=np.complex128)
@@ -1039,7 +1041,8 @@ def evaluate_many(p: SeriesParams, xs, ys,
     if not xs.size or not ys.size:
         return []
     grid = _prepared_grid(p, pol)
-    step = max(1, _CHUNK_CELLS // ((pol.max_m + 1) * (pol.max_n + 1)))
+    M, N = pol.max_m, pol.max_n
+    step = max(1, _CHUNK_CELLS // ((M + 1) * (N + 1)))
     column = ys[:, None]
     if xs.ndim == 1:
         stacks = [(xs[i:i + step, None], column[i:i + step])
@@ -1047,18 +1050,29 @@ def evaluate_many(p: SeriesParams, xs, ys,
     else:
         stacks = [(x, column[i:i + step]) for x in xs.ravel().tolist()
                   for i in range(0, len(ys), step)]
-    # each stack's sums in place, its block sums dropped with the stack
-    points = len(ys) * len(xs) if xs.ndim == 2 else len(ys)
-    totals = np.empty(points, dtype=np.complex128)
-    abs_blocks = np.empty((points, pol.max_m + pol.max_n + 1))
-    counts = np.empty(points, dtype=np.intp)
-    end = 0
-    for x, y in stacks:
-        start, end = end, end + len(y)
-        totals[start:end], _, abs_blocks[start:end], counts[start:end] = \
-            _sum_terms(grid, x, y, True)
+    # the points judged in one array pass: their absolute sums of complete
+    # diagonals, the only block sums the rule reads, fill at most
+    # _CHUNK_CELLS doubles (an 11 x 11 sweep of 41 x 41 is one pass), so
+    # neither memory nor the sums before a failed one grow with the points
+    width = min(M, N) + 1
+    points = ys.size * (xs.size if xs.ndim == 2 else 1)
+    batch = min(points, max(step, _CHUNK_CELLS // width))
+    totals = np.empty(batch, dtype=np.complex128)
+    included = np.empty((batch, width))
+    counts = np.empty(batch, dtype=np.intp)
+    results, end = [], 0
     try:
-        return _judge(totals, abs_blocks, counts, pol.max_m, pol.max_n)
+        for x, y in stacks:
+            if end + len(y) > batch:
+                results += _judge(totals[:end], included[:end], counts[:end],
+                                  M, N)
+                end = 0
+            start, end = end, end + len(y)
+            totals[start:end], _, abs_blocks, counts[start:end] = \
+                _sum_terms(grid, x, y, True)
+            included[start:end] = abs_blocks[:, :width]
+        return results + _judge(totals[:end], included[:end], counts[:end],
+                                M, N)
     except OverflowSignalError:
         # refused as divergence_diagnostic and the CLI refuse it, but only
         # once a sum has failed, so a finite call pays nothing

@@ -1011,9 +1011,44 @@ class TestEvaluateMany:
         p = F41Params(1.1 + 0.2j, 0.9, 1.3, 1.7, 2.6, 1.4, 1, 1, 0.0, 0.0)
         for pol in (TruncationPolicy(40, 40), TruncationPolicy(3, 25)):
             chunk = series._CHUNK_CELLS // ((pol.max_m + 1) * (pol.max_n + 1))
-            for count in sorted({0, 1, chunk - 1, chunk, chunk + 1, 256}):
+            # and around the points judged in one pass
+            batch = series._CHUNK_CELLS // (min(pol.max_m, pol.max_n) + 1)
+            for count in sorted({0, 1, chunk - 1, chunk, chunk + 1, 256,
+                                 batch - 1, batch, batch + 1}):
                 xs, ys = argument_corpus(rng, count)
                 self.assert_matches(p, pol, xs, ys)
+
+    def test_memory_does_not_grow_with_the_points(self):
+        # a point's judged block sums are those of its complete diagonals
+        # alone, one on a 0 x 4095 rectangle, and are judged in passes of
+        # at most _CHUNK_CELLS of them; all 4096 of each of 600 points
+        # take 19.7 MB.  The traced peak read 1.93 MB at 6 points, nearly
+        # all of it one stack's arrays, and 2.00 MB at 600
+        p = F41Params(1.1, 0.8, 1.7, 2.3, 0, 0, 0, 0, 0.0, 0.0)
+        pol = TruncationPolicy(0, 4095)
+        rng = np.random.default_rng(8)
+        xs, ys = 0.5 * random_points(rng, 600)
+        # the grid and its plan, cached, are built outside the trace
+        evaluate_many(p, xs[:1], ys[:1], pol)
+        tracemalloc.start()
+        try:
+            results = evaluate_many(p, xs, ys, pol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 600
+        assert peak < 3e6, peak
+
+    def test_an_overflow_stops_the_sums_at_its_pass(self, monkeypatch):
+        # the stacks summed before an overflowing point's pass is judged
+        # are one pass's, not the call's
+        p = F41Params(1.1, 0.8, 1.7, 2.3, 0, 0, 0, 0, 0.0, 0.0)
+        calls, kernel = [], series._sum_terms
+        monkeypatch.setattr(series, "_sum_terms", lambda *args: (
+            calls.append(1), kernel(*args))[1])
+        with pytest.raises(OverflowSignalError):
+            evaluate_many(p, [1e200] + [0.1] * 2000, [0.0] + [0.1] * 2000)
+        assert len(calls) <= series._CHUNK_CELLS // 41 // 8 + 1
 
     def test_small_stacks_on_every_shape(self, monkeypatch):
         # three points' cells per stack at 13 x 13 cuts the corpus into

@@ -19,8 +19,8 @@ each kind once, which builds its quadrature rules.
 For the quadcheck kinds the CPU of each side's integral_rep_check call is
 read too and divided by the rule's order: the per-node CPU in us.  For
 sweep the CPU of each side's evaluate_many call is read and divided by the
-number of points it sums: the per-point CPU in us.  Each
-operation of the change is checked against the parent's as the benchmark
+number of results it returns: the per-point CPU in us.  A call that raises
+is not read.  Each operation of the change is checked against the parent's as the benchmark
 checks it against its references, through summarize and mismatch of
 perfbench/run.py (of the change checkout, loaded from its path): the same
 exit code and pinned fields, values within its relative tolerance.  The
@@ -48,8 +48,6 @@ import statistics
 import sys
 import time
 
-import numpy
-
 from bench_pairs import SIDES, spread, write_record
 
 KINDS = ("quadcheck256", "quadcheck64", "sweep", "eval")
@@ -67,21 +65,14 @@ def load_module(name: str, path: str, package=None):
 
 
 def timed(fn, readings: list, units):
-    """fn, recording the CPU seconds of each call divided by
-    units(*args) in readings."""
+    """fn, recording the CPU seconds of each call that returns divided by
+    units(result, *args) in readings."""
     def call(*args, **kwargs):
         start = time.process_time()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            readings.append((time.process_time() - start) / units(*args))
+        result = fn(*args, **kwargs)
+        readings.append((time.process_time() - start) / units(result, *args))
+        return result
     return call
-
-
-def sweep_points(p, xs, ys, *args) -> int:
-    """The points of an evaluate_many call: the pairs of two sequences, or
-    each x of a column with each y."""
-    return len(ys) * (len(xs) if numpy.ndim(xs) == 2 else 1)
 
 
 def load_cli(root: str, side: str):
@@ -95,9 +86,9 @@ def load_cli(root: str, side: str):
     readings = {"node_us": [], "point_us": []}
     cli.integral_rep_check = timed(cli.integral_rep_check,
                                    readings["node_us"],
-                                   lambda spec, rule, *args: rule.order)
+                                   lambda _, spec, rule, *args: rule.order)
     cli.evaluate_many = timed(cli.evaluate_many, readings["point_us"],
-                              sweep_points)
+                              lambda results, *args: len(results))
     return cli, readings
 
 
