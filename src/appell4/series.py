@@ -1003,10 +1003,10 @@ def _without_args(p: SeriesParams) -> SeriesParams:
 # term cells evaluate_many sums as one stack: 8 points of the default 41 x 41
 # rectangle, whatever the number of points.  A stack holds a few complex
 # arrays of about this many cells (226 KB each).  On a 2-core x86-64 host an
-# 11 x 11 sweep (a stack within one |x| row) took 5.3 ms of CPU one point at
-# a time, 2.9 ms in stacks of 4 and 2.6-2.7 ms in stacks of 8 to 32 points,
-# a row's 11 at most; its traced peak grew from 0.90 MB at 8 points to 1.04
-# MB at 11
+# 11 x 11 sweep (a stack within one |x| row) took 8.0 ms of CPU one point at
+# a time, 4.4 ms in stacks of 4, 4.0 ms in stacks of 8 and 3.5 ms in stacks
+# of 11 to 32 points (a row's 11 at most); its traced peak grew from 0.55 MB
+# at 8 points to 0.71 MB at 11
 _CHUNK_CELLS = 8 * 41 * 41
 
 
