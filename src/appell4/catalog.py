@@ -24,8 +24,9 @@ round-off when a relation holds.
 `audit_catalog` runs its draws in chunks bounded by grid cells: it plans a
 chunk (draws, side terms, compiled operators), builds every grid the chunk
 requests at once (`series.build_grids`), then compares draw by draw on
-those grids, so rows, residuals and errors are those of one draw after
-another.
+those grids, so rows and errors are those of one draw after another.  A
+grid's bytes do not depend on the other grids of its chunk, so neither do
+the residuals.
 """
 
 from __future__ import annotations
@@ -1177,8 +1178,8 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
     The draws are taken in catalog order, in chunks of at most _PLAN_CELLS
     grid cells (one draw at least), each in three phases:
       plan     draw the point, build both sides and compile every term;
-      build    build every grid the chunk requests, as lanes
-               (series.build_grids);
+      build    build every grid the chunk requests, as numpy running
+               products with one row per grid (series.build_grids);
       compare  verify_identity on the planned sides and the built grids.
     Plan and build raise nothing: a draw whose plan raises is verified from
     scratch in its turn and raises there, as a grid build that raises does

@@ -13,19 +13,9 @@ the lattice, the logs and their exact zero flags as two lists, with no
 object per length.  `pochhammer_prefixes`, the grid engine and
 `log_pochhammer`, its one-length case as a `LogPochhammer`, read those
 lists.  A length is an int or a numpy integer, never a bool; any other
-raises ValueError, as does a length below the one before it.
-
-`Lanes` carries one Python complex number per lane as float64 arrays of real
-and imaginary parts, and computes with CPython's scalar complex rules, so
-that a batch of lanes gives each lane's scalar result bit for bit (numpy's
-own complex multiply and divide round differently).  Lanes carry complex
-numbers only; the one mixed rule they repeat, a complex plus an int, adds
-the int to the real part and `_INT_IMAG`, read from the running interpreter
-at import, to the imaginary part.  `pochhammer_prefix_lanes` is
-`pochhammer_prefixes` over lanes; a lane whose scalar routine would leave
-the direct product is marked for the scalar routine instead.  One exact
-lattice predicate, `_is_exact_nonpositive_int`, has an array form
-(`_nonpositive_int_lanes`) and underlies both zero tests of (a)_l.
+raises ValueError, as does a length below the one before it.  One exact
+lattice predicate, `_is_exact_nonpositive_int`, underlies every zero test
+of (a)_l.
 """
 
 from __future__ import annotations
@@ -70,12 +60,6 @@ def _is_exact_nonpositive_int(z: complex) -> bool:
         return False
     re = z.real
     return re <= 0.0 and re == math.floor(re)
-
-
-def _nonpositive_int_lanes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """_is_exact_nonpositive_int elementwise over the real and imaginary
-    parts of finite values."""
-    return (im == 0.0) & (re <= 0.0) & (re == np.floor(re))
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -126,17 +110,6 @@ class LogPochhammer:
 
     log: complex
     is_zero: bool
-
-
-def _poch_is_zero(a: complex, l: int) -> bool:
-    """Exact zero test: (a)_l = 0 iff a is one of 0, -1, ..., -(l-1)."""
-    return l != 0 and _is_exact_nonpositive_int(a) and -(l - 1) <= a.real
-
-
-def _poch_is_zero_lanes(re: np.ndarray, im: np.ndarray, l: int) -> np.ndarray:
-    """_poch_is_zero elementwise over the real and imaginary parts of finite
-    values."""
-    return (l != 0) & _nonpositive_int_lanes(re, im) & (-(l - 1) <= re)
 
 
 def _near_nonpositive_lattice(z: complex) -> bool:
@@ -278,111 +251,3 @@ def pochhammer(a: complex, l: int) -> complex:
 def factorial(m: int) -> complex:
     """m! through the same product machinery ((1)_m)."""
     return pochhammer(1.0, m)
-
-
-# ---------------------------------------------------------------------------
-# lanes: CPython's scalar complex arithmetic over float64 arrays
-# ---------------------------------------------------------------------------
-
-# what a complex plus an int adds to its imaginary part: +0.0 where the int
-# is added as complex(i, 0.0), turning -0.0 into +0.0 (CPython up to 3.13),
-# -0.0 where it goes to the real part alone, leaving every part as it is
-_INT_IMAG = (complex(0.0, -0.0) + 0).imag
-
-
-class Lanes:
-    """One Python complex number per lane, with CPython's scalar rounding.
-
-    `re` and `im` hold the real and imaginary parts per lane.  Arrays
-    broadcast, so a lane's values may run along a second axis.  `bad` (False
-    for none) marks, per lane along the first axis, the lanes whose scalar
-    computation raises or takes another route: an exact zero divisor, a NaN
-    divisor, or a pochhammer_prefix_lanes lane that the scalar routine does
-    not compute by the direct product.  Their values are meaningless.
-    """
-
-    __slots__ = ("re", "im", "bad")
-
-    def __init__(self, re, im, bad=False):
-        self.re, self.im, self.bad = re, im, bad
-
-    @classmethod
-    def of(cls, values, row: bool = False) -> "Lanes":
-        """The lanes of a sequence of complex numbers: one per lane as a
-        column, or with row, one row that every lane shares."""
-        arr = np.array(values, dtype=np.complex128)
-        arr = arr[None, :] if row else arr[:, None]
-        return cls(arr.real, arr.imag)
-
-    def __neg__(self) -> "Lanes":
-        return Lanes(-self.re, -self.im, self.bad)
-
-    def add_int(self, ints) -> "Lanes":
-        """z + i for integers i: the real parts add i, and the imaginary
-        parts add _INT_IMAG."""
-        return Lanes(self.re + ints, self.im + _INT_IMAG, self.bad)
-
-    def __mul__(self, other: "Lanes") -> "Lanes":
-        ar, ai, br, bi = self.re, self.im, other.re, other.im
-        return Lanes(ar * br - ai * bi, ar * bi + ai * br,
-                     self.bad | other.bad)
-
-    def __truediv__(self, other: "Lanes") -> "Lanes":
-        """_Py_c_quot: Smith's two branches, chosen by |br| >= |bi|; a zero
-        divisor (ZeroDivisionError) and a NaN divisor (a NaN quotient) mark
-        their lanes."""
-        ar, ai, br, bi = self.re, self.im, other.re, other.im
-        first = np.abs(br) >= np.abs(bi)
-        second = np.abs(bi) >= np.abs(br)
-        ratio = bi / br
-        denom = br + bi * ratio
-        re1, im1 = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-        ratio = br / bi
-        denom = br * ratio + bi
-        re2, im2 = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
-        bad = ((first & (br == 0.0)) | ~(first | second)).any(axis=-1)
-        return Lanes(np.where(first, re1, re2), np.where(first, im1, im2),
-                     self.bad | other.bad | bad)
-
-
-def pochhammer_prefix_lanes(a: Lanes, lengths) -> Lanes:
-    """pochhammer_prefixes(a, lengths) of every lane of the column a, as
-    columns in the order of lengths.
-
-    Lengths up to _DIRECT_LIMIT come from one running product over all
-    lanes; the longer lengths take the scalar log route, one
-    pochhammer_prefixes call per lane.  Marked
-    bad are the lanes where (a)_l is an exact zero, where a partial product
-    leaves the renormalised range, and where a log-route value raises: the
-    scalar routine short-circuits, switches route or raises there.
-    """
-    re, im = a.re[:, 0], a.im[:, 0]
-    lanes = len(re)
-    top = lengths[-1] if lengths else 0
-    bad = _poch_is_zero_lanes(re, im, top) | a.bad
-    direct = max([l for l in lengths if l <= _DIRECT_LIMIT], default=0)
-    # the running product after 0, 1, ..., direct factors (a + 0) (a + 1) ...
-    acc_re = np.empty((lanes, direct + 1))
-    acc_im = np.empty((lanes, direct + 1))
-    acc_re[:, 0], acc_im[:, 0] = 1.0, 0.0
-    f_im = im + _INT_IMAG
-    for done in range(direct):
-        pr, pi, f_re = acc_re[:, done], acc_im[:, done], re + done
-        acc_re[:, done + 1] = pr * f_re - pi * f_im
-        acc_im[:, done + 1] = pr * f_im + pi * f_re
-    bad |= ~((np.abs(acc_re[:, 1:]) < _RENORM_LIMIT)
-             & (np.abs(acc_im[:, 1:]) < _RENORM_LIMIT)).all(axis=1)
-    direct_cols = [min(l, direct) for l in lengths]
-    out_re, out_im = acc_re[:, direct_cols], acc_im[:, direct_cols]
-    long_cols = [col for col, l in enumerate(lengths) if l > _DIRECT_LIMIT]
-    if long_cols:
-        long = [lengths[col] for col in long_cols]
-        for lane in np.flatnonzero(~bad):
-            try:
-                values = pochhammer_prefixes(complex(re[lane], im[lane]), long)
-            except Exception:
-                bad[lane] = True
-            else:
-                out_re[lane, long_cols] = [v.real for v in values]
-                out_im[lane, long_cols] = [v.imag for v in values]
-    return Lanes(out_re, out_im, bad)

@@ -21,29 +21,31 @@ denominator groups.  A symbol, the rising factorial (v)_i or the t-factor
 (-1)^{ik} (-t)_{ik}, gives its ratios, scratch values (`pochhammer`) and logs
 with exact zero flags (`kernels._log_prefixes`, two lists).  The factorial
 (1)_i depends on the indices alone, so its columns are made once per index
-list and shared by every build (`_Factorial`).  The fold order fixes
-every grid's rounding, signed zeros included: numerators multiply left to
-right from the first symbol (a t-factor's sign is a factor of its own); each
-denominator group is multiplied out and divided by once (F41/F42: (c)_m m!
-together; KdF: each D, E, F entry and the factorial alone); logs add the
-numerator logs from the first and subtract each denominator log in turn;
-only KdF products start from 1.  Every factor is a Python complex, the
-signs, that 1 and the factorial's symbol (1)_i included, so lanes compute in
-complex alone.  A grid is built by the linear route (ratio recurrences from
-the anchors) unless a factor array or the product leaves the double range;
+list and shared by every build (`_Factorial`).  The fold order fixes the
+rounding of every grid built alone, signed zeros included: numerators
+multiply left to right from the first symbol (a t-factor's sign is a factor
+of its own); each denominator group is multiplied out and divided by once
+(F41/F42: (c)_m m! together; KdF: each D, E, F entry and the factorial
+alone); logs add the numerator logs from the first and subtract each
+denominator log in turn; only KdF products start from 1.  Every factor is a
+Python complex, the signs, that 1 and the factorial's symbol (1)_i
+included.  A grid is built by the linear route (ratio recurrences from the
+anchors) unless a factor array or the product leaves the double range;
 then by the log route, which reuses the ratios the linear attempt folded.
 A linear attempt whose anchors are not all finite takes no ratio step.
 
 Grid requests (`_grid_coeffs`) go through a small least-recently-used cache
 keyed by (params, M, N).  `build_grids` builds many grids of one rectangle
-at once for a caller that holds them, without the cache, as lanes
-(`kernels.Lanes`).  The grids of one structure make one set of chains from
-their parameters read as columns (`_Columns`), one complex128 entry per
-grid, and chains of one structure are batched across these groups and
-families.  Each lane is bit for bit the grid that the scalar engine builds
-alone (`_build_grid`); a lane that meets an exact zero, a renormalisation
-break, a zero or NaN divisor or a non-finite grid is built by the scalar
-engine instead.
+at once for a caller that holds them, without the cache, as lanes: numpy
+arrays with one row per grid.  The grids of one structure make one set of
+chains from their parameters read as columns (`_columns`), one complex128
+entry per grid.  Each factor array is a leading 1 and one `np.cumprod` of
+its step ratios, which each symbol gives as an array (`column_ratios`), and
+the grid is the broadcast product.  A lane's bytes do not depend on the
+other lanes, and they are not `_build_grid`'s: a running product rounds
+once per step and stays within a few units of 1e-15 of the exact
+coefficients on audit-like grids, where the scalar chains drift to about
+1e-13.  A lane that is not finite is built by the scalar engine alone.
 
 `evaluate` sums one point; `evaluate_many` sums one grid at many arguments
 (x, y), as the CLI sweep needs.  A call requests its grid once, keyed
@@ -77,9 +79,8 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import OverflowSignalError, PoleError, UnsupportedKError
-from .kernels import (Lanes, _is_exact_nonpositive_int, _log_prefixes,
-                      factorial, pochhammer, pochhammer_prefix_lanes,
-                      pochhammer_prefixes)
+from .kernels import (_is_exact_nonpositive_int, _log_prefixes, factorial,
+                      pochhammer, pochhammer_prefixes)
 # not called here since every grid log comes from _log_prefixes, but kept as
 # a module name: the layer tracer in perfbench wraps it
 from .kernels import log_pochhammer  # noqa: F401
@@ -369,7 +370,9 @@ _IPI = 1j * math.pi
 
 # A symbol gives, over a list of indices i, its ratios (value at i + 1 over
 # value at i), its scratch values as factor columns multiplied in order, and
-# its logs with exact zero flags.
+# its logs with exact zero flags.  Over an array of steps, `column_ratios`
+# gives its ratios as one numpy array, a row per grid where the symbol holds
+# a column of parameters and one row for all where it holds a number.
 
 class _Rising:
     """The rising factorial (v)_i."""
@@ -386,16 +389,8 @@ class _Rising:
     def logs(self, idx):
         return _log_prefixes(self.v, idx)
 
-    def lane_key(self):
-        return _Rising
-
-    @staticmethod
-    def lane_ratios(symbols, idx):
-        return [_lanes([s.v for s in symbols]).add_int(np.array(idx))]
-
-    @staticmethod
-    def lane_values(symbols, idx):
-        return [pochhammer_prefix_lanes(_lanes([s.v for s in symbols]), idx)]
+    def column_ratios(self, steps):
+        return np.add.outer(self.v, steps)
 
 
 class _TFactor:
@@ -426,24 +421,11 @@ class _TFactor:
         logs, zeros = _log_prefixes(-self.t, [i * k for i in idx])
         return [log + _IPI * ((i * k) % 2) for log, i in zip(logs, idx)], zeros
 
-    def lane_key(self):
-        return _TFactor, self.k
-
-    @staticmethod
-    def lane_ratios(symbols, idx):
-        k = symbols[0].k
-        t, ik = -_lanes([s.t for s in symbols]), np.array(idx) * k
-        r = Lanes.of([_sign_pow(k)] * len(idx), row=True)
-        for j in range(k):
-            r = r * t.add_int(ik).add_int(j)
-        return [r]
-
-    @staticmethod
-    def lane_values(symbols, idx):
-        k = symbols[0].k
-        signs = Lanes.of([_sign_pow(i * k) for i in idx], row=True)
-        t = -_lanes([s.t for s in symbols])
-        return [signs, pochhammer_prefix_lanes(t, [i * k for i in idx])]
+    def column_ratios(self, steps):
+        k = self.k
+        return reduce(np.multiply, [np.add.outer(-self.t, steps * k + j)
+                                    for j in range(k)],
+                      np.full(len(steps), _sign_pow(k)))
 
 
 class _One:
@@ -457,14 +439,8 @@ class _One:
     def logs(self, idx):
         return [0.0 + 0.0j] * len(idx), [False] * len(idx)
 
-    def lane_key(self):
-        return _One
-
-    @staticmethod
-    def lane_ratios(symbols, idx):
-        return [Lanes.of([1 + 0j] * len(idx), row=True)]
-
-    lane_values = lane_ratios
+    def column_ratios(self, steps):
+        return np.ones(len(steps), dtype=np.complex128)
 
 
 def _shared(columns):
@@ -495,11 +471,10 @@ _FACTORIAL, _ONE = _Factorial(), _One()
 
 def _chains(p: SeriesParams, M: int, N: int):
     """Factor arrays W (over m + n), U (over m) and V (over n) of p, each
-    (length, numerator symbols, denominator groups).  For the _Columns of a
-    structure group, each symbol holds a column with one entry per grid."""
+    (length, numerator symbols, denominator groups).  For the _columns of a
+    structure group, each symbol but the factorial holds a column with one
+    entry per grid."""
     cls, factorial = type(p), _FACTORIAL
-    if cls is _Columns:
-        cls, factorial = p.cls, p.factorial
     if cls is F41Params:
         return ((M + N, (_Rising(p.a), _Rising(p.b)), ()),
                 (M, (_TFactor(p.t1, p.k1),), ((_Rising(p.c1), factorial),)),
@@ -598,8 +573,8 @@ _KIND = {F41Params: "F41", F42Params: "F42", KdfParams: "KdF"}
 
 
 def _build_grid(p: SeriesParams, M: int, N: int) -> np.ndarray:
-    """The grid of p on [0..M] x [0..N], built alone: the reference that
-    lanes reproduce, and the route of every lane they cannot."""
+    """The grid of p on [0..M] x [0..N], built alone: every grid request,
+    and every lane that is not finite."""
     chains = _chains(p, M, N)
     # each chain's ratios, folded once for both routes
     ratios = [_fold(chain, "ratios", _indices(chain[0])[1])
@@ -637,89 +612,55 @@ def _build_grid(p: SeriesParams, M: int, N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# lanes: many grids built at once, each bit for bit as _build_grid builds it
+# lanes: many grids built at once as numpy arrays, one row per grid
 # ---------------------------------------------------------------------------
 
-class _Columns:
-    """The parameters of one structure group, as _chains reads them: the k
-    fields as the group's ints, every other field as a complex128 column
-    with one entry per grid in group order, and each KdF sequence as one
-    column per position.  The factorial is a ones column, so that every
-    symbol of a lane batch holds a column."""
-
-    def __init__(self, group):
-        self.cls = type(group[0])
-        if self.cls is KdfParams:
-            for name in ("A", "B", "C", "D", "E", "F"):
-                table = np.array([getattr(p, name) for p in group],
-                                 dtype=np.complex128)
-                setattr(self, name, tuple(table.T))
-        else:
-            for name in self.cls._KS:
-                setattr(self, name, getattr(group[0], name))
-            for name in self.cls._FINITE:
-                setattr(self, name, np.array([getattr(p, name) for p in group],
-                                             dtype=np.complex128))
-        self.factorial = _Rising(np.ones(len(group), dtype=np.complex128))
-
-
-def _lanes(columns) -> Lanes:
-    """One lane per entry of the columns, laid end to end."""
-    return Lanes.of(np.concatenate(columns))
+def _columns(group):
+    """The parameters of one structure group as one instance of their type,
+    as _chains reads it: the k fields as the group's ints, every other field
+    but x and y as a complex128 column with one entry per grid in group
+    order, and each KdF sequence as one column per position.  It makes no
+    check and has no hash."""
+    cls = type(group[0])
+    cols = object.__new__(cls)
+    if cls is KdfParams:
+        for name in ("A", "B", "C", "D", "E", "F"):
+            table = np.array([getattr(p, name) for p in group],
+                             dtype=np.complex128)
+            cols.__dict__[name] = tuple(table.T)
+    else:
+        for name in cls._KS:
+            cols.__dict__[name] = getattr(group[0], name)
+        for name in cls._FINITE:
+            cols.__dict__[name] = np.array([getattr(p, name) for p in group],
+                                           dtype=np.complex128)
+    return cols
 
 
-def _product_lanes(positions, kind: str, idx):
-    """_product over lanes: positions hold one symbol per group each, and
-    the symbols' columns laid end to end are the lanes."""
-    acc = None
-    for symbols in positions:
-        for col in getattr(symbols[0], "lane_" + kind)(symbols, idx):
-            acc = col if acc is None else acc * col
-    return acc
-
-
-def _fold_lanes(chains, kind: str, idx) -> Lanes:
-    """_fold of chains of one structure whose symbols hold columns, in
-    _fold's order."""
-    nums = list(zip(*(c[1] for c in chains)))
-    dens = [list(zip(*group)) for group in zip(*(c[2] for c in chains))]
-    acc = _product_lanes(nums, kind, idx) or \
-        Lanes.of([1 + 0j] * len(idx), row=True)
-    for group in dens:
-        acc = acc / _product_lanes(group, kind, idx)
-    return acc
-
-
-def _chain_lanes(chains, lanes: int):
-    """_chain_linear of chains of one structure whose symbols hold columns,
-    `lanes` entries laid end to end: the arrays as rows, one per lane, and
-    the lanes _chain_linear must compute itself."""
-    length = chains[0][0]
-    anchors, steps = _indices(length)
-    values = _fold_lanes(chains, "values", anchors)
-    ratios = _fold_lanes(chains, "ratios", steps)
-    shape = (lanes, length + 1)
-    re, im = np.empty(shape), np.empty(shape)
-    re[:, ::_ANCHOR_STRIDE] = values.re
-    im[:, ::_ANCHOR_STRIDE] = values.im
-    # a step i + 1 = (i mod stride) + 1 follows its predecessor: the steps at
-    # one offset from their anchors run together, offset after offset
-    per_block = _ANCHOR_STRIDE - 1
-    for o in range(per_block):
-        nxt = (Lanes(re[:, o:length:_ANCHOR_STRIDE],
-                     im[:, o:length:_ANCHOR_STRIDE])
-               * Lanes(ratios.re[:, o::per_block], ratios.im[:, o::per_block]))
-        re[:, o + 1::_ANCHOR_STRIDE] = nxt.re
-        im[:, o + 1::_ANCHOR_STRIDE] = nxt.im
-    arr = np.empty(shape, dtype=np.complex128)
-    arr.real, arr.imag = re, im
-    return arr, np.zeros(lanes, dtype=bool) | values.bad | ratios.bad
-
-
-def _chain_key(chain):
+def _chain_rows(chain, lanes: int) -> np.ndarray:
+    """The factor array of a chain whose symbols hold columns, one row per
+    lane: a leading 1, then the running product (np.cumprod) of its step
+    ratios, the numerator symbols' ratio columns multiplied left to right
+    and divided by each denominator group's product in turn.  An exact zero
+    ratio stays an exact zero of the array.  The products are np.multiply
+    calls, which keep their operand order: the * operator may reuse a large
+    temporary right operand as its output and multiply b * a, which numpy
+    can round apart from a * b, so a lane's row would depend on how many
+    lanes there are."""
     length, nums, dens = chain
-    return (length, tuple(s.lane_key() for s in nums),
-            tuple(tuple(s.lane_key() for s in group) for group in dens))
+    steps = np.arange(length)
+
+    def product(symbols):
+        return reduce(np.multiply, [s.column_ratios(steps) for s in symbols])
+
+    ratios = product(nums) if nums else 1.0
+    for group in dens:
+        ratios = np.divide(ratios, product(group))
+    rows = np.empty((lanes, length + 1), dtype=np.complex128)
+    rows[:, 0] = 1.0
+    np.cumprod(np.broadcast_to(ratios, (lanes, length)), axis=1,
+               out=rows[:, 1:])
+    return rows
 
 
 def _structure(p: SeriesParams):
@@ -735,59 +676,36 @@ def _structure(p: SeriesParams):
 _PRODUCT_LANES = 128
 
 
-def _factor_lanes(params, M: int, N: int):
-    """_chain_linear of the three chains of every p of params: W, U and V
-    with one row per p, and the rows that _build_grid must build instead.
-
-    The params of one _structure make one chain set from their _Columns.
-    Chains of one structure (length, symbol kinds, t-factor steps) run as
-    one batch of lanes, across groups and families."""
-    arrays = [np.empty((len(params), length + 1), dtype=np.complex128)
-              for length in (M + N, M, N)]
-    bad = np.zeros(len(params), dtype=bool)
-    alike = {}
-    for g, p in enumerate(params):
-        alike.setdefault(_structure(p), []).append(g)
-    batches = {}
-    for rows in alike.values():
-        chains = _chains(_Columns([params[g] for g in rows]), M, N)
-        for part, chain in enumerate(chains):
-            batch = batches.setdefault(_chain_key(chain), ([], [], []))
-            batch[0].extend(rows)
-            batch[1].extend([part] * len(rows))
-            batch[2].append(chain)
-    for rows, parts, chains in batches.values():
-        arr, chain_bad = _chain_lanes(chains, len(rows))
-        rows, parts = np.array(rows), np.array(parts)
-        for part in set(parts.tolist()):
-            sel = parts == part
-            arrays[part][rows[sel]] = arr[sel]
-            bad[rows[sel]] |= chain_bad[sel]
-    return arrays, bad
-
-
 def _grid_lanes(params, M: int, N: int):
-    """(p, grid) for every p of params on [0..M] x [0..N], grid None where
-    _build_grid must build it instead.  The final product is numpy's,
-    stacked, as _build_grid forms it grid by grid."""
-    with np.errstate(all="ignore"):
-        (W, U, V), bad = _factor_lanes(params, M, N)
+    """(p, grid) for every p of params on [0..M] x [0..N], structure group
+    by structure group, grid None where it is not finite.  The params of
+    one _structure make one chain set from their _columns, and each chain
+    one _chain_rows; the final product is numpy's, stacked, as _build_grid
+    forms it grid by grid."""
+    alike = {}
+    for p in params:
+        alike.setdefault(_structure(p), []).append(p)
     idx = np.arange(M + 1)[:, None] + np.arange(N + 1)[None, :]
-    for lo in range(0, len(params), _PRODUCT_LANES):
-        hi = lo + _PRODUCT_LANES
+    for group in alike.values():
         with np.errstate(all="ignore"):
-            coeffs = W[lo:hi, idx] * U[lo:hi, :, None] * V[lo:hi, None, :]
-        ok = ~bad[lo:hi] & np.isfinite(coeffs).all(axis=(1, 2))
-        for p, grid, good in zip(params[lo:hi], coeffs, ok):
-            yield p, grid if good else None
+            W, U, V = (_chain_rows(chain, len(group))
+                       for chain in _chains(_columns(group), M, N))
+        for lo in range(0, len(group), _PRODUCT_LANES):
+            hi = lo + _PRODUCT_LANES
+            with np.errstate(all="ignore"):
+                coeffs = W[lo:hi, idx] * U[lo:hi, :, None] * V[lo:hi, None, :]
+            finite = np.isfinite(coeffs).all(axis=(1, 2))
+            for p, grid, ok in zip(group[lo:hi], coeffs, finite):
+                yield p, grid if ok else None
 
 
 def build_grids(params, M: int, N: int) -> dict:
     """{p: grid} of the M x N grid of every distinct p in params, each
     read-only; raises nothing and touches no cache.
 
-    The grids are built as lanes, and a lane that fails alone.  A p whose
-    build raises is left out, so that its request raises the same error."""
+    The grids are built as lanes (_grid_lanes), and a grid that is not
+    finite there by _build_grid alone.  A p whose build raises is left out,
+    so that its request raises the same error."""
     params = list(dict.fromkeys(params))
     grids = {}
     for p, grid in _grid_lanes(params, M, N):

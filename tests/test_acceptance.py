@@ -117,9 +117,11 @@ def test_criterion_4_catalog_audit():
     assert set(summary.failing_everywhere) == suspected
     assert summary.status_contradictions == ()
     # every row of all 181 entries at 50 draws, residuals included, bit for
-    # bit
+    # bit; re-recorded when the audit's grids became numpy running products
+    # of their step ratios (residuals moved by rounding, the statuses above
+    # kept)
     assert hashlib.sha256(summary.to_json().encode()).hexdigest() == (
-        "bb00ecec5eee4f1a1ff2ff310e5e350a8da96bc9f2d99db03f1562867f6ac887")
+        "e20ec4766be8dd7ea6750317232b8ef0fc6df0e81af900b2a5f052d94b80ed5c")
     _verdict(4, "50-draw audit: all verified ok, all suspected confirmed")
 
 

@@ -510,17 +510,28 @@ class TestAuditPhases:
 
     def test_chunking_and_lanes_leave_the_rows_alone(self, monkeypatch):
         sampler = ParamSampler(seed=11, draws=6)
-        want = audit_catalog(sampler, identities=self.idents()).to_json()
-        # one draw per chunk and no grid built ahead
-        monkeypatch.setattr(catalog, "_PLAN_CELLS", 1)
-        assert audit_catalog(sampler, identities=self.idents()).to_json() \
-            == want
-        # chunks of about 40 grids, each built alone
+
+        def verdicts(rows):
+            return [(row["id"], row["passes"], row["status"]) for row in rows]
+
+        want = audit_catalog(sampler, identities=self.idents())
+        # chunks of about 40 grids, every draw's grids built in its chunk:
+        # a lane's bytes do not depend on the other lanes
         monkeypatch.setattr(catalog, "_PLAN_CELLS", 40 * 13 * 13)
+        assert audit_catalog(sampler, identities=self.idents()).to_json() \
+            == want.to_json()
+        # grids built alone round otherwise, so residuals move by rounding
+        # and the verdicts stay: chunks of about 40 grids, each built by
+        # _build_grid ...
         monkeypatch.setattr(series, "_grid_lanes",
                             lambda params, M, N: ((p, None) for p in params))
-        assert audit_catalog(sampler, identities=self.idents()).to_json() \
-            == want
+        alone = audit_catalog(sampler, identities=self.idents())
+        assert verdicts(alone.rows) == verdicts(want.rows)
+        # ... and one draw per chunk, no grid built ahead
+        monkeypatch.undo()
+        monkeypatch.setattr(catalog, "_PLAN_CELLS", 1)
+        unplanned = audit_catalog(sampler, identities=self.idents())
+        assert unplanned.to_json() == alone.to_json()
 
     def test_comparisons_make_no_miss(self, monkeypatch):
         # the comparisons read the grids the chunk built: no grid request
@@ -627,9 +638,8 @@ class TestAuditMechanism:
     def test_a_chunk_builds_as_many_lane_batches_as_before(self,
                                                            monkeypatch):
         # the first chunk of the seed-0 acceptance audit: 770 grids of
-        # 13 x 13 in 9 structures and 4 batches of chains (W of every grid
-        # in one, U and V together by their t-factor step), as before
-        # instances kept their hash
+        # 13 x 13 in 9 structures, as before instances kept their hash, and
+        # one batch of rows per chain of each structure's chain set
         def stop(params, M, N):
             chunks.append((list(params), M, N))
             raise _Stop
@@ -642,18 +652,18 @@ class TestAuditMechanism:
         assert len(params) == 770 and (M, N) == (12, 12)
         assert len({series._structure(p) for p in params}) == 9
         batches = []
-        chain_lanes = series._chain_lanes
-        monkeypatch.setattr(series, "_chain_lanes", lambda chains, lanes:
+        chain_rows = series._chain_rows
+        monkeypatch.setattr(series, "_chain_rows", lambda chain, lanes:
                             batches.append(lanes)
-                            or chain_lanes(chains, lanes))
+                            or chain_rows(chain, lanes))
         assert len(list(series._grid_lanes(params, 12, 12))) == 770
-        assert batches == [770, 446, 552, 542]
+        assert len(batches) == 27 and sum(batches) == 3 * 770
 
     def test_a_chunk_makes_its_symbols_once_per_structure(self, monkeypatch):
         # the same chunk makes one chain set per structure group, its
-        # symbols holding columns: at most 7 symbols per group (F41: a, b,
-        # t1, t2, c1, c2 and the factorial), where one chain set per grid
-        # made 6 per grid, 4,620
+        # symbols holding columns: at most 6 symbols per group (F41: a, b,
+        # t1, t2, c1 and c2; the factorial is made once), where one chain
+        # set per grid made 6 per grid, 4,620
         def stop(params, M, N):
             chunks.append(list(params))
             raise _Stop
@@ -676,7 +686,7 @@ class TestAuditMechanism:
         grids = list(series._grid_lanes(params, 12, 12))
         assert sum(grid is not None for _, grid in grids) > 700
         assert made[series._TFactor] > 0
-        assert sum(made.values()) <= 7 * groups
+        assert sum(made.values()) <= 6 * groups
 
     def test_point_to_dict_is_unchanged(self):
         for ident in builtin_catalog()[::7]:

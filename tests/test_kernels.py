@@ -9,7 +9,6 @@ import cmath
 import math
 import random
 import struct
-from operator import mul as operator_mul, truediv as operator_truediv
 
 import mpmath as mp
 import pytest
@@ -19,14 +18,12 @@ import numpy as np
 from appell4 import kernels
 from appell4.errors import OverflowSignalError, PoleError
 from appell4.kernels import (
-    Lanes,
     LogPochhammer,
     factorial,
     gamma,
     log_gamma,
     log_pochhammer,
     pochhammer,
-    pochhammer_prefix_lanes,
     pochhammer_prefixes,
 )
 
@@ -437,291 +434,3 @@ class TestLogPochhammerPrefixes:
             seen["values"] += 1
             assert [exact(v) for v in pochhammer_prefixes(a, lengths)] == want
         assert min(seen.values()) >= 50, seen
-
-
-def lane_operands(count=20000):
-    """Seeded floats: signed zeros, subnormals, magnitudes from 1e-300 to
-    1e300 of either sign, inf, NaN and ordinary values."""
-    rng = random.Random(271828)
-    special = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf,
-               -math.inf, math.nan, 1.0, -1.0)
-    out = []
-    for _ in range(count):
-        kind = rng.random()
-        if kind < 0.3:
-            out.append(rng.choice(special))
-        elif kind < 0.65:
-            out.append(rng.choice((1.0, -1.0)) * rng.uniform(1.0, 10.0)
-                       * 10.0 ** rng.randint(-300, 299))
-        else:
-            out.append(rng.uniform(-8.0, 8.0))
-    return out
-
-
-def lane_values(z: Lanes):
-    """The lanes of a column as Python complex numbers."""
-    return [complex(r, i) for r, i in zip(z.re[:, 0].tolist(),
-                                          z.im[:, 0].tolist())]
-
-
-def lane_bad(z: Lanes, count):
-    return np.broadcast_to(z.bad, (count,)).tolist()
-
-
-def python_op(op, x, y):
-    try:
-        return op(x, y)
-    except ZeroDivisionError:
-        return None
-
-
-class TestLanesAgainstTheInterpreter:
-    """Each lane op against the running interpreter's scalar op, by repr:
-    CPython 3.14 changed the mixed int/complex rule, so a stored table would
-    not do."""
-
-    def operands(self):
-        f = lane_operands()
-        zs = [complex(a, b) for a, b in zip(f[0::4], f[1::4])]
-        ws = [complex(a, b) for a, b in zip(f[2::4], f[3::4])]
-        return zs, ws
-
-    def check(self, op, xs, ys):
-        """Lanes equal the interpreter's results by repr; for a quotient, a
-        lane is marked exactly where the divisor is zero (ZeroDivisionError)
-        or has a NaN part (_Py_c_quot's NaN branch).  The number of lanes
-        compared."""
-        with np.errstate(all="ignore"):
-            got = op(Lanes.of(xs), Lanes.of(ys))
-        bad = lane_bad(got, len(xs))
-        compared = 0
-        for x, y, g, b in zip(xs, ys, lane_values(got), bad):
-            want = python_op(op, x, y)
-            d = complex(y)
-            if op is operator_truediv and (
-                    want is None or math.isnan(d.real) or math.isnan(d.imag)):
-                assert b, (x, y)
-                continue
-            assert not b and repr(g) == repr(want), (x, y, g, want)
-            compared += 1
-        return compared
-
-    def test_mul(self):
-        zs, ws = self.operands()
-        assert self.check(operator_mul, zs, ws) == len(zs)
-
-    def test_div(self):
-        zs, ws = self.operands()
-        ws[::50] = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
-                    complex(-0.0, -0.0)] * (len(ws[::50]) // 4) + \
-            [0j] * (len(ws[::50]) % 4)
-        assert self.check(operator_truediv, zs, ws) > len(zs) // 2
-
-    def test_add_int(self):
-        zs, _ = self.operands()
-        ints = np.array([(i % 201) - 100 for i in range(len(zs))])
-        with np.errstate(all="ignore"):
-            got = Lanes.of(zs).add_int(ints[:, None])
-        assert [repr(g) for g in lane_values(got)] == \
-            [repr(z + int(i)) for z, i in zip(zs, ints)]
-
-    def test_zero_divisor_marks_exactly_its_lanes(self):
-        num = Lanes.of([1 + 2j, 3.0 - 1j, 0j, -2.5 + 0j])
-        den = Lanes.of([0j, complex(-0.0, 0.0), 2.0 + 0j, complex(0.0, -0.0)])
-        with np.errstate(all="ignore"):
-            assert (num / den).bad.tolist() == [True, True, False, True]
-
-    def test_negation(self):
-        zs, _ = self.operands()
-        with np.errstate(all="ignore"):
-            negated = -Lanes.of(zs)
-        assert [repr(g) for g in lane_values(negated)] == \
-            [repr(-z) for z in zs]
-
-
-def add_int_as_on_3_14(z, i):
-    """A complex z plus an int i as CPython 3.14 adds them: i goes to the
-    real part alone."""
-    return complex(z.real + i, z.imag)
-
-
-def direct_prefixes_as_on_3_14(a, lengths):
-    """The direct product of pochhammer_prefixes(a, lengths), lengths up to
-    _DIRECT_LIMIT, with the factors a + d formed by add_int_as_on_3_14;
-    None where the scalar routine leaves the direct product."""
-    if kernels._poch_is_zero(a, lengths[-1]):
-        return None
-    out, acc, done = [], 1.0 + 0.0j, 0
-    for l in lengths:
-        while done < l:
-            acc *= add_int_as_on_3_14(a, done)
-            done += 1
-            if not (abs(acc.real) < kernels._RENORM_LIMIT
-                    and abs(acc.imag) < kernels._RENORM_LIMIT):
-                return None
-        out.append(acc)
-    return out
-
-
-class TestLanesOnTheIntRuleOf3_14:
-    """With _INT_IMAG as CPython 3.14 gives it, -0.0, the lanes equal by
-    repr a scalar model that adds an int to the real part alone, signed
-    zero imaginary parts included.  The other lane ops take complex
-    operands only, which 3.14 treats as before."""
-
-    def test_int_imag_is_the_interpreters(self):
-        want = (complex(0.0, -0.0) + 0).imag
-        assert repr(kernels._INT_IMAG) == repr(want)
-        for z in (complex(1.0, -0.0), complex(-2.5, 0.0),
-                  complex(math.inf, -0.0)):
-            assert repr(z + 3) == repr(complex(
-                z.real + 3, z.imag + kernels._INT_IMAG))
-
-    def test_add_int(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_INT_IMAG", -0.0)
-        f = lane_operands()
-        zs = [complex(a, b) for a, b in zip(f[0::2], f[1::2])]
-        ints = np.array([(i % 201) - 100 for i in range(len(zs))])
-        with np.errstate(all="ignore"):
-            got = Lanes.of(zs).add_int(ints[:, None])
-        assert [repr(g) for g in lane_values(got)] == \
-            [repr(add_int_as_on_3_14(z, int(i))) for z, i in zip(zs, ints)]
-        # the two rules differ on a -0.0 imaginary part, which the corpus
-        # holds
-        assert sum(z.imag == 0.0 and math.copysign(1.0, z.imag) < 0
-                   for z in zs) >= 100
-
-    def test_pochhammer_prefix_lanes(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_INT_IMAG", -0.0)
-        corpus = list(prefix_corpus(1500))
-        values = [a for a, _ in corpus]
-        seen = {"lane": 0, "marked": 0, "negative zero": 0}
-        for _, lengths in corpus[:16]:
-            lengths = [l for l in lengths if l <= kernels._DIRECT_LIMIT]
-            if not lengths:
-                continue
-            with np.errstate(all="ignore"):
-                got = pochhammer_prefix_lanes(Lanes.of(values), lengths)
-            for lane, a in enumerate(values):
-                want = direct_prefixes_as_on_3_14(a, lengths)
-                assert got.bad[lane] == (want is None), (a, lengths)
-                if want is None:
-                    seen["marked"] += 1
-                    continue
-                seen["lane"] += 1
-                seen["negative zero"] += a.imag == 0.0 and \
-                    math.copysign(1.0, a.imag) < 0
-                assert [repr(complex(r, i)) for r, i in
-                        zip(got.re[lane], got.im[lane])] == \
-                    [repr(v) for v in want]
-        assert min(seen.values()) >= 100, seen
-
-
-def leaves_the_direct_route(a, lengths):
-    """Whether pochhammer_prefixes(a, lengths) takes anything but the
-    direct product up to _DIRECT_LIMIT: an exact zero, a partial product
-    out of the renormalised range, or a longer length that raises."""
-    if kernels._poch_is_zero(a, lengths[-1]):
-        return True
-    acc = 1.0 + 0.0j
-    for d in range(max([l for l in lengths if l <= kernels._DIRECT_LIMIT],
-                       default=0)):
-        acc *= a + d
-        if not (abs(acc.real) < kernels._RENORM_LIMIT
-                and abs(acc.imag) < kernels._RENORM_LIMIT):
-            return True
-    try:
-        pochhammer_prefixes(a, lengths)
-    except OverflowSignalError:
-        return True
-    return False
-
-
-class TestPochhammerPrefixLanes:
-    def test_equals_the_scalar_routine_or_marks_the_lane(self):
-        corpus = list(prefix_corpus(1500))
-        values = [a for a, _ in corpus]
-        seen = {"lane": 0, "marked": 0, "long": 0}
-        for _, lengths in corpus[:16]:
-            with np.errstate(all="ignore"):
-                got = pochhammer_prefix_lanes(Lanes.of(values), lengths)
-            for lane, a in enumerate(values):
-                marked = leaves_the_direct_route(a, lengths)
-                assert got.bad[lane] == marked, (a, lengths)
-                if marked:
-                    seen["marked"] += 1
-                    continue
-                seen["lane"] += 1
-                seen["long"] += lengths[-1] > kernels._DIRECT_LIMIT
-                assert [exact(complex(r, i)) for r, i in
-                        zip(got.re[lane], got.im[lane])] == \
-                    [exact(v) for v in pochhammer_prefixes(a, lengths)]
-        assert min(seen.values()) >= 1000, seen
-
-    def test_one_scalar_call_per_lane_past_the_direct_limit(self,
-                                                             monkeypatch):
-        # lengths past _DIRECT_LIMIT take one pochhammer_prefixes call per
-        # lane, not one pochhammer call per lane and length
-        calls = []
-        prefixes = kernels.pochhammer_prefixes
-        monkeypatch.setattr(kernels, "pochhammer_prefixes",
-                            lambda a, lengths: calls.append(list(lengths))
-                            or prefixes(a, lengths))
-        monkeypatch.setattr(kernels, "pochhammer", None)
-        values = [1.5 + 0.5j, 1e200, -3.0 + 0.0j, 2.25 - 1j]
-        lengths = [0, 4, 64, 68, 72, 72, 80]
-        with np.errstate(all="ignore"):
-            got = pochhammer_prefix_lanes(Lanes.of(values), lengths)
-        assert got.bad.tolist() == [False, True, True, False]
-        assert calls == [[68, 72, 72, 80]] * 2
-        for lane in (0, 3):
-            assert [exact(complex(r, i)) for r, i in
-                    zip(got.re[lane], got.im[lane])] == \
-                [exact(v) for v in prefixes(values[lane], lengths)]
-
-
-def lattice_corpus(count=20000):
-    """Seeded values: the nonpositive integers with either zero sign in
-    either part, large negative integers, values within 1e-12 of the
-    lattice, subnormal parts and ordinary values."""
-    rng = random.Random(314159)
-    signed_zero = (0.0, -0.0)
-    for _ in range(count):
-        yield rng.choice((
-            lambda: complex(-rng.randint(0, 40), rng.choice(signed_zero)),
-            lambda: complex(rng.choice(signed_zero), rng.choice(signed_zero)),
-            lambda: complex(-float(rng.randint(1, 2 ** 60)),
-                            rng.choice(signed_zero)),
-            lambda: complex(-rng.randint(0, 40) + rng.choice(
-                (1e-12, -1e-12, 5e-324, -5e-324, 2.0 ** -40)),
-                rng.choice(signed_zero)),
-            lambda: complex(-rng.randint(0, 40), rng.choice(
-                (5e-324, -5e-324, 1e-300, 1e-12))),
-            lambda: complex(rng.choice((5e-324, -5e-324, 2.2e-308)),
-                            rng.choice(signed_zero)),
-            lambda: complex(rng.randint(1, 40), rng.choice(signed_zero)),
-            lambda: complex(rng.uniform(-40.0, 40.0), rng.uniform(-1.0, 1.0)),
-        ))()
-
-
-class TestLatticePredicate:
-    """The scalar predicates and their array forms are one predicate."""
-
-    def test_array_form_agrees(self):
-        zs = list(lattice_corpus())
-        re = np.array([z.real for z in zs])
-        im = np.array([z.imag for z in zs])
-        mask = kernels._nonpositive_int_lanes(re, im).tolist()
-        assert mask == [kernels._is_exact_nonpositive_int(z) for z in zs]
-        assert 2000 < sum(mask) < len(zs) - 2000
-        for l in (0, 1, 2, 7, 41, 10 ** 6, 2 ** 62):
-            got = np.broadcast_to(kernels._poch_is_zero_lanes(re, im, l),
-                                  re.shape).tolist()
-            assert got == [kernels._poch_is_zero(z, l) for z in zs], l
-
-    def test_zero_test_is_the_lattice_test_bounded_by_the_length(self):
-        for z in lattice_corpus(4000):
-            for l in (0, 1, 3, 40):
-                want = (l > 0 and z.imag == 0.0 and z.real <= 0.0
-                        and z.real.is_integer() and z.real > -l)
-                assert kernels._poch_is_zero(z, l) == want, (z, l)

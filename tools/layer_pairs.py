@@ -1,7 +1,7 @@
 """In-process alternating timings of two checkouts' pool commands.
 
     python3 tools/layer_pairs.py --parent DIR --change DIR \\
-        [--kinds quadcheck256 quadcheck64 sweep eval] [--ops 38] \\
+        [--kinds quadcheck256 quadcheck64 sweep eval audit] [--ops 38] \\
         [--record BENCH_<slug>.json]
 
 DIR is the root of an appell4 checkout.  The src/appell4 package of each is
@@ -19,9 +19,15 @@ each kind once, which builds its quadrature rules.
 For the quadcheck kinds the CPU of each side's integral_rep_check call is
 read too and divided by the rule's order: the per-node CPU in us.  For
 sweep the CPU of each side's evaluate_many call is read and divided by the
-number of results it returns: the per-point CPU in us.  A call that raises
-is not read.  Each operation of the change is checked against the parent's as the benchmark
-checks it against its references, through summarize and mismatch of
+number of results it returns: the per-point CPU in us.  For audit the CPU
+of each side's build_grids calls is summed over the audit: build_s, the
+audit's build phase, and grid_us, that sum per grid requested; the worst
+residual of the audit's `ok` rows is read as worst_ok_e15, in units of
+1e-15.  A call that raises is not read.  An audit takes seconds and its
+pool holds 16, so audit runs only when --kinds names it, with an --ops of
+at most 15 (the last operation warms up).  Each operation of the change
+is checked against the parent's as the benchmark checks it against its
+references, through summarize and mismatch of
 perfbench/run.py (of the change checkout, loaded from its path): the same
 exit code and pinned fields, values within its relative tolerance.  The
 tool stops at the first operation that fails that check, and counts the
@@ -50,7 +56,9 @@ import time
 
 from bench_pairs import SIDES, spread, write_record
 
-KINDS = ("quadcheck256", "quadcheck64", "sweep", "eval")
+KINDS = ("quadcheck256", "quadcheck64", "sweep", "eval", "audit")
+# the kinds run when --kinds is not given: all but audit
+DEFAULT_KINDS = KINDS[:4]
 
 
 def load_module(name: str, path: str, package=None):
@@ -78,7 +86,8 @@ def timed(fn, readings: list, units):
 def load_cli(root: str, side: str):
     """The cli module of a checkout's src/appell4, loaded as appell4_<side>,
     with its integral_rep_check and evaluate_many wrapped to record each
-    call's CPU per node and per point in the returned lists."""
+    call's CPU per node and per point in the returned lists, and the
+    catalog's build_grids to record each call's CPU and grid count."""
     package = os.path.join(root, "src", "appell4")
     load_module(f"appell4_{side}", os.path.join(package, "__init__.py"),
                 package)
@@ -89,7 +98,30 @@ def load_cli(root: str, side: str):
                                    lambda _, spec, rule, *args: rule.order)
     cli.evaluate_many = timed(cli.evaluate_many, readings["point_us"],
                               lambda results, *args: len(results))
+    catalog = importlib.import_module(f"appell4_{side}.catalog")
+    builds = readings["builds"] = []
+    build_grids = catalog.build_grids
+
+    def timed_build(params, M, N):
+        start = time.process_time()
+        grids = build_grids(params, M, N)
+        builds.append((time.process_time() - start, len(params)))
+        return grids
+
+    catalog.build_grids = timed_build
     return cli, readings
+
+
+def audit_readings(readings: dict, stdout: str) -> dict:
+    """build_s, grid_us and worst_ok_e15 of the audit just run, its
+    build_grids calls taken from readings."""
+    builds = readings["builds"]
+    cpu, grids = (sum(column) for column in zip(*builds))
+    builds.clear()
+    return {"build_s": cpu, "grid_us": cpu * 1e6 / grids,
+            "worst_ok_e15": 1e15 * max(row["worst_rel_residual"]
+                                       for row in json.loads(stdout)
+                                       if row["status"] == "ok")}
 
 
 def run_op(cli, argv) -> tuple:
@@ -116,7 +148,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--kinds", nargs="+", choices=KINDS, default=KINDS)
+    parser.add_argument("--kinds", nargs="+", choices=KINDS,
+                        default=DEFAULT_KINDS)
     parser.add_argument("--ops", type=int, default=38,
                         help="operations per kind, from the pool's first")
     parser.add_argument("--record",
@@ -139,6 +172,7 @@ def main(argv=None) -> int:
             values.clear()
 
     command_ms = {kind: {side: [] for side in SIDES} for kind in args.kinds}
+    audits = {side: [] for side in SIDES}
     changed = dict.fromkeys(args.kinds, 0)
     for i in range(args.ops):
         for kind in args.kinds:
@@ -146,6 +180,9 @@ def main(argv=None) -> int:
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 cpu, code, stdout = run_op(sides[side][0], pools[kind][i])
                 command_ms[kind][side].append(cpu * 1e3)
+                if kind == "audit":
+                    audits[side].append(audit_readings(sides[side][1],
+                                                       stdout))
                 ops[side] = {"code": code, "stdout": stdout, "error": None}
             why = bench.mismatch(kind, ops["change"],
                                  bench.summarize(kind, ops["parent"]))
@@ -167,6 +204,11 @@ def main(argv=None) -> int:
                 {side: us["node_us"][side][first::step] for side in SIDES})
         if kind == "sweep":
             layers[kind]["point_us"] = compare(us["point_us"])
+        if kind == "audit":
+            for measure in ("build_s", "grid_us", "worst_ok_e15"):
+                layers[kind][measure] = compare(
+                    {side: [a[measure] for a in audits[side]]
+                     for side in SIDES})
     for kind, measures in layers.items():
         print(f"{kind:13} {changed[kind]} of {args.ops} "
               "operations changed bytes, each within the benchmark's "
@@ -190,7 +232,11 @@ def main(argv=None) -> int:
                       "alternating per operation; command_ms is the CPU of "
                       "cli.main, node_us the CPU of integral_rep_check "
                       "divided by the rule's order, point_us the CPU of "
-                      "the sweep's evaluate_many divided by its points. "
+                      "the sweep's evaluate_many divided by its points, "
+                      "build_s the CPU of an audit's build_grids calls, "
+                      "grid_us that CPU per grid requested and "
+                      "worst_ok_e15 the audit's worst residual of an ok "
+                      "row in units of 1e-15. "
                       "Quartiles are "
                       "inclusive; median_ratio is the median of change / "
                       "parent over the pairs. ops_changed_bytes counts "
