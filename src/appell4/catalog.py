@@ -25,8 +25,9 @@ round-off when a relation holds.
 chunk (draws, side terms, compiled operators), builds every grid the chunk
 requests at once (`series.build_grids`), then compares draw by draw on
 those grids, so rows and errors are those of one draw after another.  A
-grid's bytes do not depend on the other grids of its chunk, so neither do
-the residuals.
+grid's bytes do not depend on the other grids of its chunk, and a lone
+`verify_identity` builds its draw's grids the same way, so a residual
+depends neither on the chunk size nor on whether the audit reached it.
 """
 
 from __future__ import annotations
@@ -574,12 +575,15 @@ def _c_entries():
 # family D: recursion sums
 # ---------------------------------------------------------------------------
 
-def _d_scales(p: Params):
-    # per-axis sign/t-factor coefficient and the t-shift of the sum instances
+def _d_scales(p: Params, y_sign_axis: int = 1):
+    # per-axis sign/t-factor coefficient and the t-shift of the sum
+    # instances; the y axis's sign exponent is the k of axis y_sign_axis
+    axes = _AXES[_target_of(p)]
     out = ()
-    for axis in _AXES[_target_of(p)]:
+    for axis, signed in zip(axes, (axes[0], axes[y_sign_axis])):
         t, k = getattr(p, axis.t), getattr(p, axis.k)
-        out += ((-1.0) ** k * pochhammer(-t, k), {axis.t: t - k})
+        out += ((-1.0) ** getattr(p, signed.k) * pochhammer(-t, k),
+                {axis.t: t - k})
     return out
 
 
@@ -594,12 +598,14 @@ def _d_shift_lhs(pname: str, sign: int) -> SideBuilder:
     return lhs
 
 
-def _d_ab_rhs(shift_name: str, coeff_name: str, sign: int) -> SideBuilder:
+def _d_ab_rhs(shift_name: str, coeff_name: str, sign: int,
+              y_sign_axis: int = 1) -> SideBuilder:
     # raising (sign +1, r = 1..s) or lowering (sign -1, r = 0..s-1) one of
-    # a/b while the other parameter supplies the coefficient
+    # a/b while the other parameter supplies the coefficient; the y-sum's
+    # sign exponent is the k of axis y_sign_axis (_d_scales)
     def rhs(pt):
         p, s = pt.params, pt.s
-        sx, shx, sy, shy = _d_scales(p)
+        sx, shx, sy, shy = _d_scales(p, y_sign_axis)
         cpar = getattr(p, coeff_name)
         other = {"a": {"b": p.b + 1}, "b": {"a": p.a + 1}}[shift_name]
         terms = [_plain(p)]
@@ -614,22 +620,6 @@ def _d_ab_rhs(shift_name: str, coeff_name: str, sign: int) -> SideBuilder:
                 p.replace(c2=p.c2 + 1, **moved, **other, **shy)))
         return tuple(terms)
     return rhs
-
-
-def _d4_rhs_f41_printed(pt):
-    # as printed, the y-sum coefficient reuses the first axis's sign exponent
-    p, s = pt.params, pt.s
-    sx, shx, sy, shy = _d_scales(p)
-    sy_printed = (-1.0) ** p.k1 * pochhammer(-p.t2, p.k2)
-    terms = [_plain(p)]
-    for r in range(s):
-        terms.append(SideTerm(
-            -sx * p.a / p.c1, OperatorExpr.of(mul_x),
-            p.replace(a=p.a + 1, b=p.b - r, c1=p.c1 + 1, **shx)))
-        terms.append(SideTerm(
-            -sy_printed * p.a / p.c2, OperatorExpr.of(mul_y),
-            p.replace(a=p.a + 1, b=p.b - r, c2=p.c2 + 1, **shy)))
-    return tuple(terms)
 
 
 def _d5_rhs(printed_extra_sum: bool) -> SideBuilder:
@@ -668,7 +658,8 @@ def _d_entries():
         if target is Target.F41:
             out += _typo_pair(
                 f"{stem}.4", Family.D_RECURSION_SUMS, target, anchor(4),
-                (_d_shift_lhs("b", -1), _d4_rhs_f41_printed,
+                # as printed, the y-sum's sign takes the x axis's exponent
+                (_d_shift_lhs("b", -1), _d_ab_rhs("b", "a", -1, y_sign_axis=0),
                  Constraints(uses_s=True, odd_k_sum=True)),
                 (_d_shift_lhs("b", -1), _d_ab_rhs("b", "a", -1), uses_s),
                 "corrected sign exponent",
@@ -1017,13 +1008,15 @@ def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
     Cellwise comparison is exact up to floating round-off; summed mode
     additionally compares the two sides' numeric sums, which requires every
     instance to terminate inside the rectangle.  Both sides are built and
-    compiled (_plan) before any grid is requested; audit_catalog passes the
-    plan it already made for point and the grids it built for it.
+    compiled (_plan) before any grid is built, and the grids are built as
+    the audit builds them (build_grids); audit_catalog passes the plan it
+    already made for point and the grids it built for it.
     """
     mode = VerificationMode(mode)
     if _planned is None:
         _planned = _plan(ident, point, M, N)
-    grids = _grids or {}
+    grids = build_grids(_planned.instances(), M, N) if _grids is None \
+        else _grids
     lhs, rhs = _planned.lhs, _planned.rhs
     lhs_grids = [_term_grid(t, M, N, c, grids) for t, c in lhs]
     rhs_grids = [_term_grid(t, M, N, c, grids) for t, c in rhs]
@@ -1181,10 +1174,11 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
       build    build every grid the chunk requests, as numpy running
                products with one row per grid (series.build_grids);
       compare  verify_identity on the planned sides and the built grids.
-    Plan and build raise nothing: a draw whose plan raises is verified from
-    scratch in its turn and raises there, as a grid build that raises does
-    when its grid is requested.  A draw too large for a chunk alone requests
-    its grids as it compares.
+    A draw whose plan raises is verified from scratch in its turn and raises
+    there, as a grid build that raises does when its grid is requested.  A
+    draw too large for a chunk makes a chunk alone, whose grids are the ones
+    its lone verify_identity builds, so every residual is that of
+    verify_identity at the same draw, bit for bit.
     """
     _require_tolerance(tolerance)
     if identities is None:
@@ -1198,7 +1192,7 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
     per_chunk = _PLAN_CELLS // max((M + 1) * (N + 1), 13 * 13)
 
     def compare(chunk, keys):
-        grids = build_grids(keys, M, N) if len(keys) <= per_chunk else {}
+        grids = build_grids(keys, M, N)
         for i, ident, j, planned in chunk:
             point = planned.point if planned else sampler.draw(ident, j)
             report = verify_identity(ident, point, M, N, tolerance,

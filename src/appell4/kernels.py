@@ -12,8 +12,10 @@ counterpart: one log_gamma(a) per list and one carried direct log sum near
 the lattice, the logs and their exact zero flags as two lists, with no
 object per length.  `pochhammer_prefixes`, the grid engine and
 `log_pochhammer`, its one-length case as a `LogPochhammer`, read those
-lists.  A length is an int or a numpy integer, never a bool; any other
-raises ValueError, as does a length below the one before it.  One exact
+lists.  A length enters from outside only through `pochhammer` and
+`log_pochhammer`, which check it: an int or a numpy integer, never a bool,
+and not negative; any other raises ValueError.  The prefix functions read
+the nondecreasing int lengths their callers build unchecked.  One exact
 lattice predicate, `_is_exact_nonpositive_int`, underlies every zero test
 of (a)_l.
 """
@@ -120,15 +122,13 @@ def _near_nonpositive_lattice(z: complex) -> bool:
     return math.hypot(z.real - nearest, z.imag) < 0.5
 
 
-def _check_length(l, last) -> None:
+def _check_length(l) -> None:
     """ValueError unless the length l is an int (a numpy integer too, a bool
-    not) and at least `last`, the length before it (0 for the first).  The
-    loops call it only for a length that is not of type int or is below
-    `last`."""
+    not) and not negative."""
     if type(l) is not int and (isinstance(l, bool) or not isinstance(
-            l, (int, np.integer))) or l < last:
-        raise ValueError("pochhammer lengths must be nonnegative and "
-                         f"nondecreasing integers, got {l!r} after {last!r}")
+            l, (int, np.integer))) or l < 0:
+        raise ValueError("a pochhammer length must be a nonnegative "
+                         f"integer, got {l!r}")
 
 
 def _log_prefixes(a: complex, lengths):
@@ -139,16 +139,13 @@ def _log_prefixes(a: complex, lengths):
     computed once, at the first length that takes the log-gamma route.
     Near the lattice the direct sum of factor logs, added left to right
     from the int 0 as Python's sum adds on 3.11, is carried from one length
-    to the next, so each entry is the sum a separate call computes.  A
-    length that fails _check_length raises when it is reached."""
+    to the next, so each entry is the sum a separate call computes.  The
+    lengths are nonnegative ints and do not decrease."""
     logs, zeros = [], []
     lattice = _is_exact_nonpositive_int(a)
     near_a = lg_a = None
-    acc, done, last = 0, 0, 0
+    acc, done = 0, 0
     for l in lengths:
-        if type(l) is not int or l < last:
-            _check_length(l, last)
-        last = l
         if l == 0 or lattice and -(l - 1) <= a.real:
             logs.append(0j)
             zeros.append(bool(l))
@@ -172,6 +169,7 @@ def _log_prefixes(a: complex, lengths):
 
 def log_pochhammer(a: complex, l: int) -> LogPochhammer:
     """log (a)_l with exact zero detection: _log_prefixes of one length."""
+    _check_length(l)
     logs, zeros = _log_prefixes(complex(a), (l,))
     return LogPochhammer(logs[0], zeros[0])
 
@@ -179,26 +177,21 @@ def log_pochhammer(a: complex, l: int) -> LogPochhammer:
 def pochhammer_prefixes(a: complex, lengths) -> list:
     """[pochhammer(a, l) for l in lengths] from one running product.
 
-    lengths must be nonnegative integers and must not decrease.  The direct
-    product (a+0) (a+1) ... is carried from one length to the next, so each
-    value is the prefix that a product started from 1 computes, bit for bit,
-    and the whole list costs O(max length) multiplies.  An exact zero of
-    (a)_l short-circuits; once a partial product leaves the renormalised
-    range, that length and every longer one take the log route
-    (_log_prefixes), as does every length beyond _DIRECT_LIMIT.  Errors
-    surface in the order of lengths: a length that fails the check raises
-    ValueError, and OverflowSignalError is raised at the first value that
-    exceeds the double range.
+    lengths are nonnegative ints and do not decrease.  The direct product
+    (a+0) (a+1) ... is carried from one length to the next, so each value
+    is the prefix that a product started from 1 computes, bit for bit, and
+    the whole list costs O(max length) multiplies.  An exact zero of (a)_l
+    short-circuits; once a partial product leaves the renormalised range,
+    that length and every longer one take the log route (_log_prefixes),
+    as does every length beyond _DIRECT_LIMIT.  OverflowSignalError is
+    raised at the first value that exceeds the double range.
     """
     a = complex(a)
     lattice = _is_exact_nonpositive_int(a)
     out = []
-    acc, done, last = 1.0 + 0.0j, 0, 0
+    acc, done = 1.0 + 0.0j, 0
     lengths = iter(lengths)
     for l in lengths:
-        if type(l) is not int or l < last:
-            _check_length(l, last)
-        last = l
         if l == 0:
             out.append(1.0 + 0.0j)
             continue
@@ -215,16 +208,8 @@ def pochhammer_prefixes(a: complex, lengths) -> list:
             else:
                 out.append(acc)
                 continue
-        # this length and every later one leave the direct product.  The
-        # lengths up to the first that fails the check take the log route,
-        # and that one raises after their values, as it comes after them
-        rest, error = [l], None
-        try:
-            for l in lengths:
-                _check_length(l, rest[-1])
-                rest.append(l)
-        except ValueError as exc:
-            error = exc
+        # this length and every later one leave the direct product
+        rest = [l, *lengths]
         for l, log, zero in zip(rest, *_log_prefixes(a, rest)):
             if zero:
                 out.append(0.0 + 0.0j)
@@ -233,8 +218,6 @@ def pochhammer_prefixes(a: complex, lengths) -> list:
                 raise OverflowSignalError(
                     f"pochhammer({a}, {l}) exceeds double range")
             out.append(cmath.exp(log))
-        if error is not None:
-            raise error
         break
     return out
 
@@ -245,6 +228,7 @@ def pochhammer(a: complex, l: int) -> complex:
     Direct product for l <= 64; exp(log_pochhammer) beyond that.  Raises
     OverflowSignalError when the value exceeds the double range.
     """
+    _check_length(l)
     return pochhammer_prefixes(a, (l,))[0]
 
 

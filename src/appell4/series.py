@@ -35,17 +35,19 @@ then by the log route, which reuses the ratios the linear attempt folded.
 A linear attempt whose anchors are not all finite takes no ratio step.
 
 Grid requests (`_grid_coeffs`) go through a small least-recently-used cache
-keyed by (params, M, N).  `build_grids` builds many grids of one rectangle
-at once for a caller that holds them, without the cache, as lanes: numpy
-arrays with one row per grid.  The grids of one structure make one set of
-chains from their parameters read as columns (`_columns`), one complex128
-entry per grid.  Each factor array is a leading 1 and one `np.cumprod` of
-its step ratios, which each symbol gives as an array (`column_ratios`), and
-the grid is the broadcast product.  A lane's bytes do not depend on the
-other lanes, and they are not `_build_grid`'s: a running product rounds
-once per step and stays within a few units of 1e-15 of the exact
-coefficients on audit-like grids, where the scalar chains drift to about
-1e-13.  A lane that is not finite is built by the scalar engine alone.
+keyed by (params, M, N).  `build_grids`, the grid supply of every catalog
+verdict, builds many grids of one rectangle at once for a caller that
+holds them, without the cache, as lanes: numpy arrays with one row per
+grid.  The grids of one structure make one set of chains from their
+parameters read as columns (`_columns`), one complex128 entry per grid.
+Each factor array is a leading 1 and one `np.cumprod` of its step ratios,
+which each symbol gives as an array (`column_ratios`), and the grid is the
+broadcast product.  A lane's bytes do not depend on the other lanes, and
+they are not `_build_grid`'s: a running product rounds once per step and
+stays within a few units of 1e-15 of the exact coefficients on audit-like
+grids, where the scalar chains drift to about 1e-13.  `build_grids` returns
+the finite lanes alone; a grid that is not finite as a lane is requested,
+and the scalar engine builds it alone.
 
 `evaluate` sums one point; `evaluate_many` sums one grid at many arguments
 (x, y), as the CLI sweep needs.  A call requests its grid once, keyed
@@ -676,16 +678,23 @@ def _structure(p: SeriesParams):
 _PRODUCT_LANES = 128
 
 
-def _grid_lanes(params, M: int, N: int):
-    """(p, grid) for every p of params on [0..M] x [0..N], structure group
-    by structure group, grid None where it is not finite.  The params of
-    one _structure make one chain set from their _columns, and each chain
-    one _chain_rows; the final product is numpy's, stacked, as _build_grid
-    forms it grid by grid."""
+def build_grids(params, M: int, N: int) -> dict:
+    """{p: grid} of the M x N grid of every distinct p in params that is
+    finite as a lane, each read-only; touches no cache.
+
+    The params of one _structure make one chain set from their _columns,
+    and each chain one _chain_rows; the final product is numpy's, stacked,
+    as _build_grid forms it grid by grid.  A p whose lane is not finite is
+    left out: its request (coefficient_grid) builds it alone.  The
+    rectangle is checked as coefficient_grid checks it, once there is a
+    grid to build."""
     alike = {}
-    for p in params:
+    for p in dict.fromkeys(params):
         alike.setdefault(_structure(p), []).append(p)
+    if alike:
+        _require_rectangle(M, N)
     idx = np.arange(M + 1)[:, None] + np.arange(N + 1)[None, :]
+    grids = {}
     for group in alike.values():
         with np.errstate(all="ignore"):
             W, U, V = (_chain_rows(chain, len(group))
@@ -696,36 +705,18 @@ def _grid_lanes(params, M: int, N: int):
                 coeffs = W[lo:hi, idx] * U[lo:hi, :, None] * V[lo:hi, None, :]
             finite = np.isfinite(coeffs).all(axis=(1, 2))
             for p, grid, ok in zip(group[lo:hi], coeffs, finite):
-                yield p, grid if ok else None
-
-
-def build_grids(params, M: int, N: int) -> dict:
-    """{p: grid} of the M x N grid of every distinct p in params, each
-    read-only; raises nothing and touches no cache.
-
-    The grids are built as lanes (_grid_lanes), and a grid that is not
-    finite there by _build_grid alone.  A p whose build raises is left out,
-    so that its request raises the same error."""
-    params = list(dict.fromkeys(params))
-    grids = {}
-    for p, grid in _grid_lanes(params, M, N):
-        if grid is None:
-            try:
-                grid = _build_grid(p, M, N)
-            except Exception:
-                continue
-        grid.flags.writeable = False
-        grids[p] = grid
+                if ok:
+                    grid.flags.writeable = False
+                    grids[p] = grid
     return grids
 
 
 # every grid request goes through this name, which a tracer may wrap.  Its
 # repeats come from one command at a time: eval and sweep request one grid
 # and quadcheck two (its inner KdF grid, once per check, and the direct
-# series' grid), none twice; a verify_identity outside the audit requests
-# its shifted instances, whose repeats fall at reuse distance 0 to 3; the
-# audit's grids come from build_grids.  Four grids keep every such repeat
-# and hold at most 16 MiB (512 x 512)
+# series' grid), none twice; verify_identity and the audit take their grids
+# from build_grids and request only those not finite as lanes.  Four grids
+# keep every such repeat and hold at most 16 MiB (512 x 512)
 _grid_coeffs = lru_cache(maxsize=4)(_build_grid)
 
 

@@ -473,7 +473,7 @@ class TestErrorPaths:
             verify_identity(ident, ParamPoint(pt.params, r=3), M=2, N=2)
 
     def test_rectangle_budget_is_checked(self):
-        # every shifted instance grid is requested through coefficient_grid
+        # build_grids checks the rectangle as coefficient_grid does
         with pytest.raises(ValueError, match="exceeds"):
             verify_identity(BYID["F41.ddeq.1"], ParamPoint(PT41), M=512,
                             N=512)
@@ -510,28 +510,28 @@ class TestAuditPhases:
 
     def test_chunking_and_lanes_leave_the_rows_alone(self, monkeypatch):
         sampler = ParamSampler(seed=11, draws=6)
+        want = audit_catalog(sampler, identities=self.idents()).to_json()
+        # chunks of about 40 grids, and one draw per chunk, each too large
+        # for it: every draw's grids are built as lanes, whose bytes do not
+        # depend on the other lanes, so every byte of the report stays
+        for cells in (40 * 13 * 13, 1):
+            monkeypatch.setattr(catalog, "_PLAN_CELLS", cells)
+            assert audit_catalog(sampler, identities=self.idents()
+                                 ).to_json() == want
 
-        def verdicts(rows):
-            return [(row["id"], row["passes"], row["status"]) for row in rows]
-
-        want = audit_catalog(sampler, identities=self.idents())
-        # chunks of about 40 grids, every draw's grids built in its chunk:
-        # a lane's bytes do not depend on the other lanes
-        monkeypatch.setattr(catalog, "_PLAN_CELLS", 40 * 13 * 13)
-        assert audit_catalog(sampler, identities=self.idents()).to_json() \
-            == want.to_json()
-        # grids built alone round otherwise, so residuals move by rounding
-        # and the verdicts stay: chunks of about 40 grids, each built by
-        # _build_grid ...
-        monkeypatch.setattr(series, "_grid_lanes",
-                            lambda params, M, N: ((p, None) for p in params))
-        alone = audit_catalog(sampler, identities=self.idents())
-        assert verdicts(alone.rows) == verdicts(want.rows)
-        # ... and one draw per chunk, no grid built ahead
-        monkeypatch.undo()
-        monkeypatch.setattr(catalog, "_PLAN_CELLS", 1)
-        unplanned = audit_catalog(sampler, identities=self.idents())
-        assert unplanned.to_json() == alone.to_json()
+    def test_a_lone_verify_gives_each_row_its_residual(self):
+        # verify_identity at each draw, outside the audit, gives the row's
+        # worst residual and its passes bit for bit
+        sampler = ParamSampler(seed=11, draws=4)
+        idents = builtin_catalog()[::4]
+        rows = audit_catalog(sampler, identities=idents).rows
+        for ident, row in zip(idents, rows):
+            reports = [verify_identity(ident, sampler.draw(ident, j))
+                       for j in range(sampler.draws)]
+            assert row["worst_rel_residual"] == \
+                max(report.rel_residual for report in reports), ident.id
+            assert row["passes"] == sum(report.passed for report in reports)
+        assert len(rows) == 46
 
     def test_comparisons_make_no_miss(self, monkeypatch):
         # the comparisons read the grids the chunk built: no grid request
@@ -656,7 +656,7 @@ class TestAuditMechanism:
         monkeypatch.setattr(series, "_chain_rows", lambda chain, lanes:
                             batches.append(lanes)
                             or chain_rows(chain, lanes))
-        assert len(list(series._grid_lanes(params, 12, 12))) == 770
+        assert len(series.build_grids(params, 12, 12)) > 700
         assert len(batches) == 27 and sum(batches) == 3 * 770
 
     def test_a_chunk_makes_its_symbols_once_per_structure(self, monkeypatch):
@@ -683,8 +683,7 @@ class TestAuditMechanism:
                                 lambda self, *a, cls=cls, init=init:
                                 made.__setitem__(cls, made[cls] + 1)
                                 or init(self, *a))
-        grids = list(series._grid_lanes(params, 12, 12))
-        assert sum(grid is not None for _, grid in grids) > 700
+        assert len(series.build_grids(params, 12, 12)) > 700
         assert made[series._TFactor] > 0
         assert sum(made.values()) <= 6 * groups
 

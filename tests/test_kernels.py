@@ -278,12 +278,6 @@ class TestPochhammerPrefixes:
         assert [exact(v) for v in values] == \
             [exact(scalar_pochhammer(a, l)) for l in (1, 2, 3, 4)]
 
-    def test_lengths_must_not_decrease(self):
-        with pytest.raises(ValueError):
-            pochhammer_prefixes(1.5, [3, 2])
-        with pytest.raises(ValueError):
-            pochhammer_prefixes(1.5, [-1])
-
 
 def scalar_log_pochhammer(a, l):
     """The one-length log route that kernels._log_prefixes replaced, kept
@@ -388,33 +382,17 @@ class TestLogPochhammerPrefixes:
         log_prefixes(1.5, [0, 0])
         assert calls == []
 
-    def test_lengths_must_be_nonnegative_and_nondecreasing(self):
+    def test_a_public_length_is_a_nonnegative_int(self):
         # a length is an int or a numpy integer, never a bool: 2.5 was read
         # as 3 by the direct product and as 2.5 by the logs
-        for lengths in ([3, 2], [-1], [0, 5, 4], [2, -2], [2.5], [True],
-                        [1, 2.0], [np.float64(70)], [70, 80.5]):
-            with pytest.raises(ValueError, match="nondecreasing"):
-                log_prefixes(1.5, lengths)
-            with pytest.raises(ValueError, match="nondecreasing"):
-                pochhammer_prefixes(1.5, lengths)
-        for l in (-1, 2.5, True, False):
-            with pytest.raises(ValueError):
+        for l in (-1, -70, 2.5, 70.0, np.float64(70), True, False):
+            with pytest.raises(ValueError, match="nonnegative integer"):
                 log_pochhammer(2.0, l)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="nonnegative integer"):
                 pochhammer(2.0, l)
         for l in (np.int64(3), np.int32(70), np.uint8(0)):
             assert exact(pochhammer(2.0, l)) == exact(pochhammer(2.0, int(l)))
             assert log_pochhammer(2.0, l) == log_pochhammer(2.0, int(l))
-
-    def test_errors_surface_in_the_order_of_lengths(self):
-        # the value at 70 overflows before the length after it fails the
-        # check, and a length that fails it raises before any later value
-        with pytest.raises(OverflowSignalError):
-            pochhammer_prefixes(1e5, [3, 70, 2.5])
-        with pytest.raises(ValueError):
-            pochhammer_prefixes(1.5, [3, 70, 69, 10 ** 6])
-        with pytest.raises(ValueError):
-            pochhammer_prefixes(1e5, [3, 2, 70])
 
     def test_prefixes_keep_values_and_overflow_past_the_direct_limit(self):
         # lengths 60-200 cross _DIRECT_LIMIT; the values and the length at

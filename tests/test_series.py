@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+import appell4.catalog as catalog
 import appell4.kernels as kernels
 import appell4.series as series
 from appell4.errors import OverflowSignalError, PoleError, UnsupportedKError
@@ -1615,33 +1616,24 @@ def check_lane_corpus(count, seed=7):
     and check each grid against the running-product truth
     (tests/test_mpmath_oracle.py): a lane's grid within 1e-13 of the truth
     relative to its largest cell, with every exact zero of the truth; a
-    grid that is not finite as a lane built by _build_grid, and absent from
-    build_grids only where _build_grid raises.  Returns the count of each
+    grid that is not finite as a lane is absent.  Returns the count of each
     kind and outcome, and the worst lane error."""
     by_shape = {}
     for kind, p, M, N in lane_grid_corpus(count, seed):
         by_shape.setdefault((M, N), {})[p] = kind
-    seen = dict.fromkeys(LANE_KINDS + ("lane", "scalar", "absent"), 0)
+    seen = dict.fromkeys(LANE_KINDS + ("lane", "absent"), 0)
     worst = 0.0
     for (M, N), kinds in by_shape.items():
         grids = series.build_grids(kinds, M, N)
-        for p, grid in series._grid_lanes(list(kinds), M, N):
-            seen[kinds[p]] += 1
-            if grid is not None:
-                seen["lane"] += 1
-                err = truth_error(p, grid)
-                assert err <= 1e-13, (p, M, N, err)
-                worst = max(worst, err)
-                assert grids[p].tobytes() == grid.tobytes(), (p, M, N)
-                continue
-            try:
-                want = series._build_grid(p, M, N)
-            except OverflowSignalError:
+        for p, kind in kinds.items():
+            seen[kind] += 1
+            if p not in grids:
                 seen["absent"] += 1
-                assert p not in grids, (p, M, N)
                 continue
-            seen["scalar"] += 1
-            assert grids[p].tobytes() == want.tobytes(), (p, M, N)
+            seen["lane"] += 1
+            err = truth_error(p, grids[p])
+            assert err <= 1e-13, (p, M, N, err)
+            worst = max(worst, err)
     return seen, worst
 
 
@@ -1656,32 +1648,34 @@ class TestGridLanes:
         assert worst <= 1e-13, worst
 
     def test_build_grids_gives_the_scalar_bytes(self):
-        # where a lane is not finite, build_grids gives the grid the scalar
-        # engine builds alone, or leaves p out if that build raises; the
-        # other grids are the lanes'
+        # build_grids holds the finite lanes alone, read-only and outside
+        # the cache; the catalog requests an absent grid, which gives the
+        # grid the scalar engine builds alone or raises as that build does
         params = [p for _, p, _, _ in lane_grid_corpus(1200, 8)]
         series._grid_coeffs.cache_clear()
         grids = series.build_grids(params + params[:5], 12, 12)
         info = series._grid_coeffs.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-        lanes = dict(series._grid_lanes(params, 12, 12))
         seen = {"lane": 0, "scalar": 0, "absent": 0}
         for p in params:
-            if lanes[p] is not None:
-                want = lanes[p]
+            if p in grids:
+                assert not grids[p].flags.writeable
+                assert catalog._instance_grid(p, 12, 12, grids) is grids[p]
                 seen["lane"] += 1
-            else:
-                try:
-                    want = series._build_grid(p, 12, 12)
-                except OverflowSignalError:
-                    assert p not in grids
-                    seen["absent"] += 1
-                    continue
-                seen["scalar"] += 1
-            got = grids[p]
-            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+                continue
+            try:
+                want = series._build_grid(p, 12, 12)
+            except OverflowSignalError as exc:
+                with pytest.raises(OverflowSignalError) as got:
+                    catalog._instance_grid(p, 12, 12, grids)
+                assert str(got.value) == str(exc)
+                seen["absent"] += 1
+                continue
+            got = catalog._instance_grid(p, 12, 12, grids)
+            assert got.tobytes() == want.tobytes()
+            seen["scalar"] += 1
         assert seen["lane"] > 500 and min(seen.values()) >= 10, seen
-        assert len(grids) == seen["lane"] + seen["scalar"]
+        assert len(grids) == seen["lane"]
 
     def test_a_grid_keeps_its_bytes_in_any_batch(self):
         # all params at once, shuffled batches of 7 and one grid alone give
@@ -1761,13 +1755,12 @@ class TestColumns:
         for (M, N), params in by_shape.items():
             assert {type(p) for p in params} == \
                 {F41Params, F42Params, KdfParams}
-            for p, grid in series._grid_lanes(params, M, N):
-                if grid is not None:
-                    lanes += 1
-                    want = series._build_grid(p, M, N)
-                    assert ((grid == 0) == (want == 0)).all(), (p, M, N)
-                    assert np.abs(grid - want).max() <= \
-                        1e-12 * np.abs(want).max(), (p, M, N)
+            for p, grid in series.build_grids(params, M, N).items():
+                lanes += 1
+                want = series._build_grid(p, M, N)
+                assert ((grid == 0) == (want == 0)).all(), (p, M, N)
+                assert np.abs(grid - want).max() <= \
+                    1e-12 * np.abs(want).max(), (p, M, N)
         assert lanes > 500
 
 
