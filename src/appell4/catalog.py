@@ -21,13 +21,17 @@ compares both sides cellwise on a truncation rectangle; every operator is
 applied exactly (no finite differences), so residuals are pure floating
 round-off when a relation holds.
 
-`audit_catalog` runs its draws in chunks bounded by grid cells: it plans a
-chunk (draws, side terms, compiled operators), builds every grid the chunk
-requests at once (`series.build_grids`), then compares draw by draw on
-those grids, so rows and errors are those of one draw after another.  A
-grid's bytes do not depend on the other grids of its chunk, and a lone
-`verify_identity` builds its draw's grids the same way, so a residual
-depends neither on the chunk size nor on whether the audit reached it.
+Side builders read a point whose fields are columns, one entry per draw
+(`series.param_columns`).  `audit_catalog` judges each identity's draws in
+draw groups, the draws that share r, s and the k fields and so share their
+terms and compiled keys: it builds the sides and compiles each term once
+per group, builds the grids of a pass of groups at once as lanes
+(`series.build_stacks`), then compares each term over the group's stack of
+grids.  numpy rounds each draw as it rounds it in a group of one, a lane's
+bytes do not depend on its batch, and a lone `verify_identity` is a group
+of one,
+so a residual depends neither on the grouping nor on whether the audit
+reached it.
 """
 
 from __future__ import annotations
@@ -60,12 +64,14 @@ from .operators import (
     scaled_big_theta_t1,
     scaled_big_theta_t2,
     shift_param,
+    shifted_instance,
     theta_x,
 )
 # not called here since every term is compiled before its grid is built, but
 # kept as a module name: the layer tracer in perfbench wraps it
 from .operators import apply_expr_to_params  # noqa: F401
-from .series import F41Params, F42Params, build_grids, coefficient_grid
+from .series import (F41Params, F42Params, build_stacks, coefficient_grid,
+                     param_columns, param_entry)
 
 Params = Union[F41Params, F42Params]
 
@@ -277,6 +283,21 @@ def _falling_power(op, r: int) -> OperatorExpr:
     return _weight_product(op, [-i for i in range(r)])
 
 
+def _pochhammer(v: np.ndarray, length: int) -> np.ndarray:
+    """pochhammer(v, length) of each entry of the column v, taken by the
+    scalar kernel entry by entry, so each keeps its bytes and its errors."""
+    return np.array([pochhammer(z, length) for z in v.ravel().tolist()],
+                    dtype=np.complex128).reshape(v.shape)
+
+
+def _quotient(num, den):
+    """num / den over columns, with the ZeroDivisionError that Python's
+    complex division raises where den has an exact zero."""
+    if not np.all(den):
+        raise ZeroDivisionError("complex division by zero")
+    return num / den
+
+
 _TARGET_PARAMS = {Target.F41: F41Params, Target.F42: F42Params}
 _WHICH = {Target.F41: "first", Target.F42: "second"}
 
@@ -392,7 +413,7 @@ def _ddeq_rhs(axis: _Axis, target: Target, by_k: bool) -> SideBuilder:
         t, k = getattr(p, axis.t), getattr(p, axis.k)
         e = OperatorExpr.of(axis.mul, *[shift_param(axis.t, -1)] * k) @ \
             (psi + _const(p.a)) @ (psi + _const(p.b))
-        c = (k if by_k else 1) * (-1.0) ** k * pochhammer(-t, k)
+        c = (k if by_k else 1) * (-1.0) ** k * _pochhammer(-t, k)
         return (SideTerm(c, e, p),)
     return rhs
 
@@ -452,7 +473,8 @@ def _difference_power(axis: _Axis):
     def rhs(pt):
         p, r = pt.params, pt.r
         cv = getattr(p, axis.c)
-        c = pochhammer(p.a, r) * pochhammer(p.b, r) / pochhammer(cv, r)
+        c = _quotient(_pochhammer(p.a, r) * _pochhammer(p.b, r),
+                      _pochhammer(cv, r))
         inst = p.replace(a=p.a + r, b=p.b + r, **{axis.c: cv + r})
         return (SideTerm(c, _pow_expr(axis.mul, r), inst),)
     return lhs, rhs
@@ -467,8 +489,9 @@ def _weight_power(axis: _Axis):
     def rhs(pt):
         p, r = pt.params, pt.r
         t, k, cv = (getattr(p, f) for f in (axis.t, axis.k, axis.c))
-        c = (-1.0) ** (r * k) * pochhammer(p.a, r) * pochhammer(p.b, r) * \
-            pochhammer(-t, r * k) / pochhammer(cv, r)
+        c = _quotient((-1.0) ** (r * k) * _pochhammer(p.a, r)
+                      * _pochhammer(p.b, r) * _pochhammer(-t, r * k),
+                      _pochhammer(cv, r))
         inst = p.replace(a=p.a + r, b=p.b + r,
                          **{axis.c: cv + r, axis.t: t - r * k})
         return (SideTerm(c, _pow_expr(axis.mul, r), inst),)
@@ -524,7 +547,7 @@ def _c_raise(op, pname: str, comp: Composition):
         p, r = pt.params, pt.r
         beta = getattr(p, pname)
         inst = p.replace(**{pname: beta + r})
-        return (SideTerm(pochhammer(beta, r), identity_expr, inst, comp),)
+        return (SideTerm(_pochhammer(beta, r), identity_expr, inst, comp),)
 
     return lhs, rhs
 
@@ -541,7 +564,7 @@ def _c_lower(op, pname: str):
         p, r = pt.params, pt.r
         cval = getattr(p, pname)
         inst = p.replace(**{pname: cval - r})
-        c = (-1.0) ** r * pochhammer(1 - cval, r)
+        c = (-1.0) ** r * _pochhammer(1 - cval, r)
         return (SideTerm(c, identity_expr, inst),)
 
     return lhs, rhs
@@ -582,7 +605,7 @@ def _d_scales(p: Params, y_sign_axis: int = 1):
     out = ()
     for axis, signed in zip(axes, (axes[0], axes[y_sign_axis])):
         t, k = getattr(p, axis.t), getattr(p, axis.k)
-        out += ((-1.0) ** getattr(p, signed.k) * pochhammer(-t, k),
+        out += ((-1.0) ** getattr(p, signed.k) * _pochhammer(-t, k),
                 {axis.t: t - k})
     return out
 
@@ -613,10 +636,10 @@ def _d_ab_rhs(shift_name: str, coeff_name: str, sign: int,
         for r in rng:
             moved = {shift_name: getattr(p, shift_name) + sign * r}
             terms.append(SideTerm(
-                sign * sx * cpar / p.c1, OperatorExpr.of(mul_x),
+                _quotient(sign * sx * cpar, p.c1), OperatorExpr.of(mul_x),
                 p.replace(c1=p.c1 + 1, **moved, **other, **shx)))
             terms.append(SideTerm(
-                sign * sy * cpar / p.c2, OperatorExpr.of(mul_y),
+                _quotient(sign * sy * cpar, p.c2), OperatorExpr.of(mul_y),
                 p.replace(c2=p.c2 + 1, **moved, **other, **shy)))
         return tuple(terms)
     return rhs
@@ -630,10 +653,11 @@ def _d5_rhs(printed_extra_sum: bool) -> SideBuilder:
         for r in range(1, s + 1):
             den = (p.c1 - r) * (p.c1 - r + 1)
             inst = p.replace(a=p.a + 1, b=p.b + 1, c1=p.c1 + 2 - r)
-            terms.append(SideTerm(sx * p.a * p.b / den, OperatorExpr.of(mul_x),
-                                  inst.replace(**shx)))
+            terms.append(SideTerm(_quotient(sx * p.a * p.b, den),
+                                  OperatorExpr.of(mul_x), inst.replace(**shx)))
             if printed_extra_sum:
-                terms.append(SideTerm(sy * p.a * p.b / den, OperatorExpr.of(mul_y),
+                terms.append(SideTerm(_quotient(sy * p.a * p.b, den),
+                                      OperatorExpr.of(mul_y),
                                       inst.replace(**shy)))
         return tuple(terms)
     return rhs
@@ -886,50 +910,129 @@ def select_identities(family: Optional[Family] = None,
 # ---------------------------------------------------------------------------
 
 def _compose_grid(arr: np.ndarray, comp: Composition) -> np.ndarray:
-    M, N = arr.shape[0] - 1, arr.shape[1] - 1
+    """The grid, or each grid of a stack, at the composed arguments."""
+    M, N = arr.shape[-2] - 1, arr.shape[-1] - 1
     out = np.zeros_like(arr)
     if comp is Composition.SECOND_IS_XY:
         # F(x, x y): cell (u, v) collects the source cell (u - v, v)
         for v in range(min(M, N) + 1):
-            out[v:M + 1, v] = arr[:M + 1 - v, v]
+            out[..., v:M + 1, v] = arr[..., :M + 1 - v, v]
     else:
         # F(x y, y): cell (u, v) collects the source cell (u, v - u)
         for u in range(min(M, N) + 1):
-            out[u, u:N + 1] = arr[u, :N + 1 - u]
+            out[..., u, u:N + 1] = arr[..., u, :N + 1 - u]
     return out
 
 
-def _compile_term(term: SideTerm, M: int, N: int) -> dict:
+class _Term(NamedTuple):
+    """A side term compiled: the term, its compile_expr result and the
+    instance whose grids each key reads, in key order (a composed term
+    reads its own instance)."""
+
+    term: SideTerm
+    compiled: dict
+    instances: list
+
+
+class _Group(NamedTuple):
+    """A draw group planned: its number of draws, both sides' compiled
+    terms, and every instance the comparison reads, in term order."""
+
+    draws: int
+    lhs: tuple
+    rhs: tuple
+    instances: list
+
+
+_DIAGONAL = ((), 0, 0)
+
+
+def _compile_term(term: SideTerm, M: int, N: int) -> _Term:
     """compile_expr of the term's operator on its instance, checked: every
     index shift fits, and a composed-argument grid takes diagonal factors."""
     compiled = compile_expr(term.expr, term.params, M, N)
     require_margin(compiled, M, N)
-    if term.composition is not Composition.NONE:
-        # a composed-argument grid is no series instance of its own: only
-        # the index-diagonal factors (theta_x, phi_y, scale) act on it
-        diagonal = (term.params, 0, 0)
-        if any(key != diagonal for key in compiled):
-            raise InvalidOperatorError("only index-diagonal factors act on "
-                                       "composed-argument grids")
-    return compiled
-
-
-def _instance_grid(q: Params, M: int, N: int, grids: dict) -> np.ndarray:
-    grid = grids.get(q)
-    return coefficient_grid(q, M, N).coeffs if grid is None else grid
-
-
-def _term_grid(term: SideTerm, M: int, N: int, compiled: dict,
-               grids: dict) -> np.ndarray:
-    """The term's grid; compiled is _compile_term(term, M, N), and grids
-    holds built M x N instance grids by instance, any other one requested."""
     if term.composition is Composition.NONE:
-        instances = [_instance_grid(q, M, N, grids) for q, _, _ in compiled]
-        return complex(term.coeff) * apply_compiled(compiled, instances, M, N)
-    diagonal = (term.params, 0, 0)
-    base = _instance_grid(term.params, M, N, grids)
-    grid = _compose_grid(base, term.composition)
-    return complex(term.coeff) * (compiled.get(diagonal, 0.0) * grid)
+        return _Term(term, compiled, [shifted_instance(term.params, path)
+                                      for path, _, _ in compiled])
+    # a composed-argument grid is no series instance of its own: only the
+    # index-diagonal factors (theta_x, phi_y, scale) act on it
+    if any(key != _DIAGONAL for key in compiled):
+        raise InvalidOperatorError("only index-diagonal factors act on "
+                                   "composed-argument grids")
+    return _Term(term, compiled, [term.params])
+
+
+def _plan(ident: Identity, points: Sequence[ParamPoint], M: int, N: int,
+          ) -> _Group:
+    """Check a draw group (points sharing r, s and the k fields) against
+    ident, build both sides once on the points' fields as columns
+    (series.param_columns) and compile every term once: everything a
+    verdict does before it builds a grid.  numpy rounds each draw's
+    coefficients and weights as it rounds them in a group of one."""
+    _check_point(ident, points[0])
+    point = ParamPoint(param_columns([pt.params for pt in points]),
+                       points[0].r, points[0].s)
+    # the sides' arithmetic does not warn, as Python's on numbers does not;
+    # a division by an exact zero raises (_quotient)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = (tuple(_compile_term(t, M, N) for t in terms)
+                    for terms in (ident.lhs(point), ident.rhs(point)))
+    return _Group(len(points), lhs, rhs,
+                  [q for t in lhs + rhs for q in t.instances])
+
+
+def _instance_grids(q: Params, stack: np.ndarray, finite: np.ndarray,
+                    M: int, N: int) -> np.ndarray:
+    """q's grid per draw: its stack of lanes (build_stacks), where each grid
+    that is not finite as a lane is requested alone (coefficient_grid),
+    which builds it or raises as that build does."""
+    for j in np.flatnonzero(~finite):
+        stack[j] = coefficient_grid(param_entry(q, j), M, N).coeffs
+    return stack
+
+
+def _term_grids(t: _Term, stacks, M: int, N: int) -> np.ndarray:
+    """The term's grid per draw, (D, M+1, N+1), from build_stacks' stack of
+    each of its instances."""
+    grids = [_instance_grids(q, stack, finite, M, N)
+             for q, (stack, finite) in zip(t.instances, stacks)]
+    # np.multiply keeps the operand order: coeff * temp may run as temp *=
+    # coeff on a temporary of 256 KiB or more, which numpy can round apart,
+    # so a draw's bytes would depend on the size of its group
+    if t.term.composition is Composition.NONE:
+        return np.multiply(t.term.coeff,
+                           apply_compiled(t.compiled, grids, M, N))
+    grid = _compose_grid(grids[0], t.term.composition)
+    return np.multiply(t.term.coeff,
+                       np.multiply(t.compiled.get(_DIAGONAL, 0.0), grid))
+
+
+def _fold_max(values: list) -> np.ndarray:
+    """Python's max over values, draw by draw: a value replaces the maximum
+    so far only where it is greater, so a NaN after the first never does."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def _compare(group: _Group, stacks: list, M: int, N: int) -> tuple:
+    """Both sides' term grids and, per draw, the largest residual cell
+    |lhs - rhs| and the scale: the largest cell of any term grid or side
+    total.  stacks are build_stacks' of group.instances."""
+    stacks = iter(stacks)
+    lhs_grids, rhs_grids = (
+        [_term_grids(t, [next(stacks) for _ in t.instances], M, N)
+         for t in terms] for terms in (group.lhs, group.rhs))
+    zero = np.zeros((M + 1, N + 1), dtype=np.complex128)
+    lhs_total = sum(lhs_grids, zero)
+    rhs_total = sum(rhs_grids, zero)
+    cells = (-2, -1)
+    scale = _fold_max([np.abs(g).max(axis=cells) for g in
+                       lhs_grids + rhs_grids + [lhs_total, rhs_total]])
+    max_abs = np.abs(lhs_total - rhs_total).max(axis=cells)
+    return lhs_grids, rhs_grids, max_abs, scale
 
 
 def _poly_value(grid: np.ndarray, x: complex, y: complex) -> complex:
@@ -944,8 +1047,9 @@ _SUMMED_SLACK = 3
 
 
 def _summed_supported(p: Params, M: int, N: int) -> bool:
+    """p holds the columns of one draw."""
     for axis, size in zip(_AXES[_target_of(p)], (M, N)):
-        t, k = getattr(p, axis.t), getattr(p, axis.k)
+        t, k = complex(getattr(p, axis.t).item()), getattr(p, axis.k)
         if k < 1 or not _is_exact_nonpositive_int(-t) or \
                 int(t.real) // k + _SUMMED_SLACK > size:
             return False
@@ -971,77 +1075,38 @@ def _check_point(ident: Identity, point: ParamPoint) -> None:
     ident.constraints.validate(point)
 
 
-@dataclass(frozen=True)
-class _PlannedDraw:
-    """One point with both sides built and every term compiled, as
-    (term, compiled) pairs per side."""
-
-    point: ParamPoint
-    lhs: tuple
-    rhs: tuple
-
-    def instances(self) -> list:
-        """The instances whose grids the comparison requests, in order: the
-        compiled instances of every term, a composed one's being its own."""
-        return [q for _, compiled in self.lhs + self.rhs
-                for q, _, _ in compiled]
-
-
-def _plan(ident: Identity, point: ParamPoint, M: int, N: int,
-          ) -> _PlannedDraw:
-    """Check point against ident, build both sides and compile every term:
-    everything verify_identity does before it requests a grid."""
-    _check_point(ident, point)
-    sides = ident.lhs(point), ident.rhs(point)
-    lhs, rhs = (tuple((t, _compile_term(t, M, N)) for t in terms)
-                for terms in sides)
-    return _PlannedDraw(point, lhs, rhs)
-
-
 def verify_identity(ident: Identity, point: ParamPoint, M: int = 12,
                     N: int = 12, tolerance: float = 1e-10,
                     mode: VerificationMode = VerificationMode.COEFFICIENTWISE,
-                    *, _planned: Optional[_PlannedDraw] = None,
-                    _grids: Optional[dict] = None) -> RelationReport:
+                    ) -> RelationReport:
     """Build both sides on the truncation rectangle and report residuals.
 
     Cellwise comparison is exact up to floating round-off; summed mode
     additionally compares the two sides' numeric sums, which requires every
-    instance to terminate inside the rectangle.  Both sides are built and
-    compiled (_plan) before any grid is built, and the grids are built as
-    the audit builds them (build_grids); audit_catalog passes the plan it
-    already made for point and the grids it built for it.
+    instance to terminate inside the rectangle.  The point is verified as
+    the audit verifies a draw group, as a group of one: plan, build its
+    grids as lanes (series.build_stacks), compare.
     """
     mode = VerificationMode(mode)
-    if _planned is None:
-        _planned = _plan(ident, point, M, N)
-    grids = build_grids(_planned.instances(), M, N) if _grids is None \
-        else _grids
-    lhs, rhs = _planned.lhs, _planned.rhs
-    lhs_grids = [_term_grid(t, M, N, c, grids) for t, c in lhs]
-    rhs_grids = [_term_grid(t, M, N, c, grids) for t, c in rhs]
-    zero = np.zeros((M + 1, N + 1), dtype=np.complex128)
-    lhs_total = sum(lhs_grids, zero)
-    rhs_total = sum(rhs_grids, zero)
-
-    magnitudes = [float(np.abs(g).max()) for g in lhs_grids + rhs_grids]
-    magnitudes += [float(np.abs(lhs_total).max()), float(np.abs(rhs_total).max())]
-    max_abs = float(np.abs(lhs_total - rhs_total).max())
+    group = _plan(ident, [point], M, N)
+    lhs_grids, rhs_grids, max_abs, scale = _compare(
+        group, build_stacks(group.instances, M, N), M, N)
+    max_abs, magnitudes = float(max_abs.flat[0]), [float(scale.flat[0])]
 
     if mode is VerificationMode.SUMMED_TERMINATING:
-        specs = [t.params for t, _ in lhs + rhs]
-        if not all(_summed_supported(p, M, N) for p in specs):
+        if not all(_summed_supported(t.term.params, M, N)
+                   for t in group.lhs + group.rhs):
             raise ConstraintError(
                 "summed mode needs terminating t with support (plus shift "
                 "slack) inside the rectangle for every instance")
         x, y = point.params.x, point.params.y
-        lhs_vals = [_poly_value(g, x, y) for g in lhs_grids]
-        rhs_vals = [_poly_value(g, x, y) for g in rhs_grids]
+        lhs_vals = [_poly_value(g[0], x, y) for g in lhs_grids]
+        rhs_vals = [_poly_value(g[0], x, y) for g in rhs_grids]
         magnitudes += [abs(v) for v in lhs_vals + rhs_vals]
         max_abs = max(max_abs, abs(sum(lhs_vals) - sum(rhs_vals)))
 
     return RelationReport.judged(ident.id, point_to_dict(point), mode,
-                                 max_abs, max(magnitudes, default=0.0),
+                                 max_abs, max(magnitudes),
                                  (M + 1) * (N + 1), tolerance)
 
 
@@ -1155,11 +1220,34 @@ def _row_status(ident: Identity, draws: int, passes: int) -> str:
     return "mixed"
 
 
-# grid cells one audit chunk plans before it compares: 775 grids of 13 x 13,
-# 2 MiB of grids that the chunk holds until its last comparison.  A chunk's
-# plan holds about 9 KB per draw besides its grids; on a 2-core x86-64 host,
-# chunks of 256 to 1,024 grids cut the seed-3 acceptance audit alike
+# grid cells one audit pass plans before it compares: 775 grids of 13 x 13,
+# 2 MiB of grids that the pass holds until its last comparison, beside its
+# groups' weights, which take no more (a draw's weight is at most one grid
+# per grid it reads).  An eighth of a pass also bounds the draws an entry
+# holds before it plans a group.  On a 2-core x86-64 host, in process, the
+# seed-3 acceptance audit took 0.90, 0.84 and 0.82 s of CPU in passes of
+# 512, 775 and 1,024 grids, and 1.03 s in passes of 256, whose entries
+# hold at most 32 draws and so split their groups
 _PLAN_CELLS = 2 ** 17
+
+
+def _draw_groups(sampler: ParamSampler, ident: Identity, most: int):
+    """The sampler's draws of ident in groups that share r, s and the k
+    fields.  At most `most` draws are held: once that many are, the largest
+    group is given (the first of the largest); the others follow the last
+    draw, in the order of their first draws."""
+    groups, held = {}, 0
+    for j in range(sampler.draws):
+        point = sampler.draw(ident, j)
+        p = point.params
+        key = (point.r, point.s) + tuple(getattr(p, k) for k in p._KS)
+        groups.setdefault(key, []).append(point)
+        held += 1
+        if held == most:
+            group = groups.pop(max(groups, key=lambda k: len(groups[k])))
+            held -= len(group)
+            yield group
+    yield from groups.values()
 
 
 def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
@@ -1168,17 +1256,21 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
                   ) -> AuditSummary:
     """Run every identity at the sampler's draws and summarize the outcomes.
 
-    The draws are taken in catalog order, in chunks of at most _PLAN_CELLS
+    An identity's draws are judged in draw groups, the draws that share r,
+    s and the k fields, whose terms and keys are therefore alike.  The
+    groups are taken in catalog order, in passes of at most _PLAN_CELLS
     grid cells (one draw at least), each in three phases:
-      plan     draw the point, build both sides and compile every term;
-      build    build every grid the chunk requests, as numpy running
-               products with one row per grid (series.build_grids);
-      compare  verify_identity on the planned sides and the built grids.
-    A draw whose plan raises is verified from scratch in its turn and raises
-    there, as a grid build that raises does when its grid is requested.  A
-    draw too large for a chunk makes a chunk alone, whose grids are the ones
-    its lone verify_identity builds, so every residual is that of
-    verify_identity at the same draw, bit for bit.
+      plan     draw the points; build both sides of each group once on its
+               fields as columns and compile every term once (_plan);
+      build    build every grid the pass reads as lanes, the instances of
+               one structure in wide batches (series.build_stacks);
+      compare  one apply_compiled per term over the group's stack of
+               grids, and each draw's residual and scale (_compare).
+    Each draw rounds as it does in a group of one, which is what a lone
+    verify_identity judges, so every residual is that of verify_identity
+    at the same draw, bit for bit.  An identity one of whose groups raises,
+    in any phase, is verified draw by draw in its turn, so the error is
+    that of its first failing draw.
     """
     _require_tolerance(tolerance)
     if identities is None:
@@ -1187,34 +1279,75 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
         return AuditSummary((), (), ())
     worst = [0.0] * len(identities)
     passes = [0] * len(identities)
-    # a planned draw also holds a few KB of sides and weights whatever the
-    # rectangle, so a grid counts as at least 13 x 13 cells
-    per_chunk = _PLAN_CELLS // max((M + 1) * (N + 1), 13 * 13)
+    alone = set()
+    # a draw also holds its point and its share of its group's sides and
+    # weights whatever the rectangle, so a grid counts as at least 13 x 13
+    # cells
+    per_pass = max(1, _PLAN_CELLS // max((M + 1) * (N + 1), 13 * 13))
+    # an entry holds at most an eighth of a pass in draws before it plans
+    # its largest group, so its held draws and a group's columns do not
+    # grow with --draws (a catalog draw reads 2 to 9 grids); a group whose
+    # grids exceed a pass is planned again in pieces that fit
+    most = max(1, per_pass // 8)
 
-    def compare(chunk, keys):
-        grids = build_grids(keys, M, N)
-        for i, ident, j, planned in chunk:
-            point = planned.point if planned else sampler.draw(ident, j)
-            report = verify_identity(ident, point, M, N, tolerance,
-                                     _planned=planned, _grids=grids)
+    def verify_alone(i: int) -> None:
+        ident = identities[i]
+        alone.add(i)
+        worst[i], passes[i] = 0.0, 0
+        for j in range(sampler.draws):
+            report = verify_identity(ident, sampler.draw(ident, j), M, N,
+                                     tolerance)
             worst[i] = max(worst[i], report.rel_residual)
             passes[i] += int(report.passed)
 
-    chunk, keys = [], {}
-    for i, ident in enumerate(identities):
-        for j in range(sampler.draws):
+    def compare(planned: list) -> None:
+        stacks = iter(build_stacks(
+            [q for _, group in planned if group for q in group.instances],
+            M, N))
+        for i, group in planned:
+            mine = [next(stacks) for _ in group.instances] if group else ()
+            if i in alone:
+                continue
             try:
-                planned = _plan(ident, sampler.draw(ident, j), M, N)
+                judged = group and _compare(group, mine, M, N)
             except Exception:
-                planned = None  # compare repeats the draw and raises there
-            mine = dict.fromkeys(planned.instances() if planned else ())
-            fresh = sum(key not in keys for key in mine)
-            if chunk and len(keys) + fresh > per_chunk:
-                compare(chunk, list(keys))
-                chunk, keys = [], {}
-            chunk.append((i, ident, j, planned))
-            keys.update(mine)
-    compare(chunk, list(keys))
+                judged = None
+            if not judged:
+                verify_alone(i)  # raises at the first draw that raises
+                continue
+            _, _, max_abs, scale = judged
+            with np.errstate(over="ignore"):
+                rel = max_abs / np.where(1e-300 > scale, 1e-300, scale)
+            worst[i] = max([worst[i], *rel.tolist()])
+            passes[i] += int(np.count_nonzero(rel <= tolerance))
+
+    def plan():
+        """(identity index, planned group) in catalog order; a group of
+        None where planning raised, after which the identity plans no
+        more."""
+        for i, ident in enumerate(identities):
+            try:
+                for points in _draw_groups(sampler, ident, most):
+                    group = _plan(ident, points, M, N)
+                    step = max(1, per_pass // len(group.instances))
+                    if group.draws <= step:
+                        yield i, group
+                        continue
+                    # its grids exceed a pass: planned again in pieces
+                    for lo in range(0, len(points), step):
+                        yield i, _plan(ident, points[lo:lo + step], M, N)
+            except Exception:
+                yield i, None
+
+    planned, grids = [], 0
+    for i, group in plan():
+        more = group.draws * len(group.instances) if group else 0
+        if planned and grids + more > per_pass:
+            compare(planned)
+            planned, grids = [], 0
+        planned.append((i, group))
+        grids += more
+    compare(planned)
 
     rows = []
     failing = []

@@ -14,6 +14,13 @@ moved by the index shifts of mul_x and mul_y, enters once with a weight
 that carries the theta/phi index factors and the t-operator scalars.
 Applying the expression is one multiply-add per shifted instance, so every
 operator acts exactly (no finite differences).
+
+Constants and parameters may be numbers or complex128 columns shaped
+(D, 1, 1), one entry per draw (`series.param_columns`): an expression is
+then compiled once for D instances, its weights broadcast against the
+(M+1, N+1) index columns to (D, M+1, N+1), and applied to a stack of D
+grids.  numpy's elementwise arithmetic rounds each entry as it rounds
+that entry in a column of one.
 """
 
 from __future__ import annotations
@@ -42,6 +49,11 @@ class OpKind(str, Enum):
     MUL_Y = "mul_y"
 
 
+def _number(c):
+    """c as a complex, or as it is if it is a column (an ndarray)."""
+    return c if isinstance(c, np.ndarray) else complex(c)
+
+
 @dataclass(frozen=True)
 class PrimitiveOp:
     kind: OpKind
@@ -56,8 +68,9 @@ class PrimitiveOp:
             if not isinstance(self.offset, int):
                 raise InvalidOperatorError("shift offsets must be integers")
         if self.kind is OpKind.SCALE:
-            c = complex(self.constant)
-            if not cmath.isfinite(c):
+            c = _number(self.constant)
+            if not (cmath.isfinite(c) if type(c) is complex
+                    else np.isfinite(c).all()):
                 raise InvalidOperatorError("scale constants must be finite")
             object.__setattr__(self, "constant", c)
 
@@ -101,7 +114,7 @@ class OperatorExpr:
 
     @staticmethod
     def of(*factors: PrimitiveOp, coeff=1.0) -> "OperatorExpr":
-        return OperatorExpr(((complex(coeff), tuple(factors)),))
+        return OperatorExpr(((_number(coeff), tuple(factors)),))
 
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         return OperatorExpr(self.terms + other.terms)
@@ -110,7 +123,7 @@ class OperatorExpr:
         return self + (-1.0) * other
 
     def __rmul__(self, c) -> "OperatorExpr":
-        return OperatorExpr(tuple((complex(c) * co, fa) for co, fa in self.terms))
+        return OperatorExpr(tuple((_number(c) * co, fa) for co, fa in self.terms))
 
     def __matmul__(self, other: "OperatorExpr") -> "OperatorExpr":
         # operator product: right factor acts first
@@ -131,39 +144,41 @@ def _add(entries: dict, key, w) -> None:
     entries[key] = w if prev is None else prev + w
 
 
-def _step(op: PrimitiveOp, entries: dict, shift, ms, ns) -> dict:
-    """Entries after one more factor, the next one inward; shift(q, name,
-    offset) is the instance q with that field moved by offset."""
+def _step(op: PrimitiveOp, entries: dict, shift, p, ms, ns) -> dict:
+    """Entries after one more factor, the next one inward; shift(path, name,
+    offset) is the key path of the instance at path from p with that field
+    moved by offset."""
     out = {}
     kind = op.kind
-    for (q, dm, dn), w in entries.items():
+    for (path, dm, dn), w in entries.items():
         if kind is OpKind.SCALE:
-            _add(out, (q, dm, dn), op.constant * w)
+            _add(out, (path, dm, dn), op.constant * w)
         elif kind is OpKind.THETA_X:
-            _add(out, (q, dm, dn), w * (ms - dm))
+            _add(out, (path, dm, dn), w * (ms - dm))
         elif kind is OpKind.PHI_Y:
-            _add(out, (q, dm, dn), w * (ns - dn))
+            _add(out, (path, dm, dn), w * (ns - dn))
         elif kind is OpKind.MUL_X:
-            _add(out, (q, dm + 1, dn), w)
+            _add(out, (path, dm + 1, dn), w)
         elif kind is OpKind.MUL_Y:
-            _add(out, (q, dm, dn + 1), w)
+            _add(out, (path, dm, dn + 1), w)
         elif kind is OpKind.SHIFT_PARAM:
-            _add(out, (shift(q, op.name, op.offset), dm, dn), w)
+            _add(out, (shift(path, op.name, op.offset), dm, dn), w)
         elif kind is OpKind.DELTA:
-            _add(out, (shift(q, op.name, 1), dm, dn), w)
-            _add(out, (q, dm, dn), -w)
+            _add(out, (shift(path, op.name, 1), dm, dn), w)
+            _add(out, (path, dm, dn), -w)
         elif kind is OpKind.BIG_THETA or kind is OpKind.SCALED_BIG_THETA:
-            t = getattr(q, op.name)
+            t = _moved(getattr(p, op.name), op.name, path)
             if kind is OpKind.SCALED_BIG_THETA:
                 # k from the field matching t: t1 -> k1, t2 -> k2, t -> k
-                k = int(getattr(q, "k" + op.name[1:]))
+                kname = "k" + op.name[1:]
+                k = int(_moved(getattr(p, kname), kname, path))
                 if k < 1:
                     raise InvalidOperatorError(
                         f"{kind.value}_{op.name} is undefined at k = {k}; "
                         "needs k >= 1")
                 t = t / k
-            _add(out, (q, dm, dn), t * w)
-            _add(out, (shift(q, op.name, -1), dm, dn), -t * w)
+            _add(out, (path, dm, dn), t * w)
+            _add(out, (shift(path, op.name, -1), dm, dn), -t * w)
         else:
             raise InvalidOperatorError(f"unknown primitive kind {kind!r}")
     return out
@@ -180,38 +195,70 @@ def _index_columns(M: int, N: int):
 
 def compile_expr(e: OperatorExpr, p, M: int, N: int) -> dict:
     """The expression applied to the series instance p, as a combination of
-    shifted instances: {(q, dm, dn): weight}, where q are the shifted
-    parameters, (dm, dn) the index shift and weight a scalar, column, row
-    or array that broadcasts to (M+1, N+1), in output coordinates.  The
-    applied grid is the sum over keys of weight times the grid of q moved
-    down by dm rows and right by dn columns.
+    shifted instances: {(path, dm, dn): weight}, where path is the shifted
+    instance as the (field, offset) steps that form it from p
+    (shifted_instance), (dm, dn) the index shift and weight a scalar,
+    column, row or array that broadcasts to (M+1, N+1), in output
+    coordinates.  The applied grid is the sum over keys of weight times the
+    grid of the instance moved down by dm rows and right by dn columns.
 
     Factors are read outermost first.  theta_x and phi_y weigh a cell by the
     index of the function they act on, which is the output index minus the
     mul_x / mul_y shifts met so far; delta and big_theta split an entry into
     two instances with t and k read from the instance they act on.  A
-    shifted instance equal to one met before is that one, so equal keys
-    merge and each distinct shifted grid appears once.
+    shifted instance with the net offsets of one met before is that one and
+    takes its path, so its keys merge and each distinct shifted grid appears
+    once.  The keys are thus structural: they depend on the expression and
+    on the k fields of p, not on its values, and a p whose fields are
+    columns compiles once for all its entries.
     """
     ms, ns = _index_columns(M, N)
-    first = {p: p}
-    shifted = {}
+    # first: net offsets -> the path of the first instance met with them
+    first, shifted = {(): ()}, {}
 
-    def shift(q, name: str, offset):
-        r = shifted.get((q, name, offset))
+    def shift(path, name: str, offset):
+        r = shifted.get((path, name, offset))
         if r is None:
-            r = q.replace(**{name: getattr(q, name) + offset})
-            r = shifted[q, name, offset] = first.setdefault(r, r)
+            moved = path + ((name, offset),)
+            r = shifted[path, name, offset] = first.setdefault(_net(moved),
+                                                               moved)
         return r
 
     total = {}
     for coeff, factors in e.terms:
-        entries = {(p, 0, 0): coeff}
+        entries = {((), 0, 0): coeff}
         for op in factors:
-            entries = _step(op, entries, shift, ms, ns)
+            entries = _step(op, entries, shift, p, ms, ns)
         for key, w in entries.items():
             _add(total, key, w)
     return total
+
+
+def _net(path) -> tuple:
+    """The net offset of each field a path moves, by field name, zeros left
+    out."""
+    net = {}
+    for name, offset in path:
+        net[name] = net.get(name, 0) + offset
+    return tuple(sorted(item for item in net.items() if item[1]))
+
+
+def _moved(v, name: str, path):
+    """The field value v after the steps of path on field name, in order."""
+    for f, offset in path:
+        if f == name:
+            v = v + offset
+    return v
+
+
+def shifted_instance(p, path):
+    """The instance a compile_expr key path names: p with each field moved
+    by its steps, in order, so each value is formed by the same additions
+    whichever order the fields take."""
+    if not path:
+        return p
+    return p.replace(**{name: _moved(getattr(p, name), name, path)
+                        for name in dict(path)})
 
 
 def require_margin(compiled: dict, M: int, N: int) -> None:
@@ -228,19 +275,23 @@ def apply_expr_to_params(e: OperatorExpr, p, M: int, N: int) -> np.ndarray:
     instance p, on the rectangle [0..M] x [0..N]."""
     compiled = compile_expr(e, p, M, N)
     require_margin(compiled, M, N)
-    grids = [_grid_coeffs(q, M, N) for q, _, _ in compiled]
+    grids = [_grid_coeffs(shifted_instance(p, path), M, N)
+             for path, _, _ in compiled]
     return apply_compiled(compiled, grids, M, N)
 
 
 def apply_compiled(compiled: dict, grids: list, M: int, N: int) -> np.ndarray:
     """The applied grid of a compile_expr result that passed
-    require_margin, given the grid of each key's instance q on the
-    rectangle, in key order: one multiply-add per shifted instance."""
-    acc = np.zeros((M + 1, N + 1), dtype=np.complex128)
-    for ((q, dm, dn), w), g in zip(compiled.items(), grids):
+    require_margin, given the grid of each key's instance on the rectangle,
+    in key order: one multiply-add per shifted instance.  For a column
+    instance each grid is a stack (D, M+1, N+1), one grid per entry, and so
+    is the applied grid."""
+    shape = grids[0].shape if grids else (M + 1, N + 1)
+    acc = np.zeros(shape, dtype=np.complex128)
+    for ((_, dm, dn), w), g in zip(compiled.items(), grids):
         if isinstance(w, np.ndarray):
             # the output window of the weight; a row or column keeps its
             # axis of length one (np.broadcast_to costs 5 us more per call)
-            w = w[dm * (w.shape[0] > 1):, dn * (w.shape[1] > 1):]
-        acc[dm:, dn:] += w * g[:M + 1 - dm, :N + 1 - dn]
+            w = w[..., dm * (w.shape[-2] > 1):, dn * (w.shape[-1] > 1):]
+        acc[..., dm:, dn:] += w * g[..., :M + 1 - dm, :N + 1 - dn]
     return acc

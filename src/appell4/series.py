@@ -35,19 +35,21 @@ then by the log route, which reuses the ratios the linear attempt folded.
 A linear attempt whose anchors are not all finite takes no ratio step.
 
 Grid requests (`_grid_coeffs`) go through a small least-recently-used cache
-keyed by (params, M, N).  `build_grids`, the grid supply of every catalog
+keyed by (params, M, N).  `build_stacks`, the grid supply of every catalog
 verdict, builds many grids of one rectangle at once for a caller that
 holds them, without the cache, as lanes: numpy arrays with one row per
-grid.  The grids of one structure make one set of chains from their
-parameters read as columns (`_columns`), one complex128 entry per grid.
+grid.  A params may hold its fields as columns, one entry per draw
+(`param_columns`); its grids are then a stack, one per entry.  The grids
+of one structure make one set of chains from their parameters read as
+columns (`_columns`), one complex128 entry per grid.
 Each factor array is a leading 1 and one `np.cumprod` of its step ratios,
 which each symbol gives as an array (`column_ratios`), and the grid is the
 broadcast product.  A lane's bytes do not depend on the other lanes, and
 they are not `_build_grid`'s: a running product rounds once per step and
 stays within a few units of 1e-15 of the exact coefficients on audit-like
-grids, where the scalar chains drift to about 1e-13.  `build_grids` returns
-the finite lanes alone; a grid that is not finite as a lane is requested,
-and the scalar engine builds it alone.
+grids, where the scalar chains drift to about 1e-13.  A grid that is not
+finite as a lane is flagged; its request builds it alone with the scalar
+engine.
 
 `evaluate` sums one point; `evaluate_many` sums one grid at many arguments
 (x, y), as the CLI sweep needs.  A call requests its grid once, keyed
@@ -112,7 +114,11 @@ class _Params:
     """F41Params and F42Params: one check routine for __init__ and replace,
     in one order (complex conversion of all but the k fields, finiteness
     but for x and y, the k fields, c1 and c2 off the pole lattice), and the
-    dataclass hash, computed once into a slot that vars(p) does not show."""
+    dataclass hash, computed once into a slot that vars(p) does not show.
+
+    An instance made by param_columns holds columns: it is not hashed, and
+    its replace checks every entry of a changed column, raising the error
+    of the first entry that fails."""
 
     __slots__ = ("__dict__", "_hash")
 
@@ -121,6 +127,8 @@ class _Params:
 
     def _check(self, names) -> None:
         d, checked = self.__dict__, names.__contains__
+        if isinstance(d["a"], np.ndarray):
+            return self._check_columns(names)
         for name in filter(checked, self._COMPLEX):
             d[name] = complex(d[name])
         for name in filter(checked, self._FINITE):
@@ -130,6 +138,24 @@ class _Params:
         for name in filter(checked, ("c1", "c2")):
             _require_off_pole(name, d[name])
         object.__setattr__(self, "_hash", hash(self._values(d)))
+
+    def _check_columns(self, names) -> None:
+        """_check of the changed columns: the first entry of a column that
+        fails a check raises that check's error."""
+        d, checked = self.__dict__, names.__contains__
+        for name in filter(checked, self._FINITE):
+            v = d[name]
+            if not np.isfinite(v).all():
+                _require_finite(name, complex(v[~np.isfinite(v)][0]))
+        for name in filter(checked, self._KS):
+            d[name] = _require_k(name, d[name])
+        for name in filter(checked, ("c1", "c2")):
+            c = d[name]
+            if (c.imag == 0.0).any():
+                pole = (c.imag == 0.0) & (c.real <= 0.0) & \
+                    (c.real == np.floor(c.real))
+                if pole.any():
+                    _require_off_pole(name, complex(c[pole][0]))
 
     def replace(self, **changes):
         """dataclasses.replace(self, **changes), with its values, types and
@@ -229,6 +255,29 @@ class KdfParams:
 
 
 SeriesParams = Union[F41Params, F42Params, KdfParams]
+
+
+def param_columns(params):
+    """The F41Params or F42Params in params, which share their k fields, as
+    one instance of their type whose every other field is a complex128
+    column shaped (len(params), 1, 1), one entry per instance in order.
+    It is checked as each entry was, and has no hash."""
+    first = params[0]
+    cols = object.__new__(type(first))
+    cols.__dict__.update(first.__dict__)
+    table = np.array([p._values(p.__dict__) for p in params],
+                     dtype=np.complex128)
+    for i, name in enumerate(first._FIELDS):
+        if name not in first._KS:
+            cols.__dict__[name] = table[:, i, None, None]
+    return cols
+
+
+def param_entry(cols, j: int):
+    """Entry j of an instance that holds columns (param_columns), as an
+    instance of its own."""
+    return type(cols)(**{name: v if name in cols._KS else complex(v[j].item())
+                         for name, v in cols.__dict__.items()})
 
 
 # cells one truncation rectangle may hold: 2**18 complex cells (512 x 512)
@@ -619,10 +668,11 @@ def _build_grid(p: SeriesParams, M: int, N: int) -> np.ndarray:
 
 def _columns(group):
     """The parameters of one structure group as one instance of their type,
-    as _chains reads it: the k fields as the group's ints, every other field
-    but x and y as a complex128 column with one entry per grid in group
-    order, and each KdF sequence as one column per position.  It makes no
-    check and has no hash."""
+    as _chains reads it: the k fields as the group's ints, every other
+    field but x and y as a complex128 column with one entry per lane, the
+    entries of each member in group order (one for a number, each of a
+    param_columns column in turn), and each KdF sequence as one column per
+    position.  It makes no check and has no hash."""
     cls = type(group[0])
     cols = object.__new__(cls)
     if cls is KdfParams:
@@ -630,12 +680,12 @@ def _columns(group):
             table = np.array([getattr(p, name) for p in group],
                              dtype=np.complex128)
             cols.__dict__[name] = tuple(table.T)
-    else:
-        for name in cls._KS:
-            cols.__dict__[name] = getattr(group[0], name)
-        for name in cls._FINITE:
-            cols.__dict__[name] = np.array([getattr(p, name) for p in group],
-                                           dtype=np.complex128)
+        return cols
+    for name in cls._KS:
+        cols.__dict__[name] = getattr(group[0], name)
+    for name in cls._FINITE:
+        cols.__dict__[name] = np.concatenate(
+            [getattr(p, name) for p in group], axis=None)
     return cols
 
 
@@ -678,36 +728,54 @@ def _structure(p: SeriesParams):
 _PRODUCT_LANES = 128
 
 
-def build_grids(params, M: int, N: int) -> dict:
-    """{p: grid} of the M x N grid of every distinct p in params that is
-    finite as a lane, each read-only; touches no cache.
+def build_stacks(params, M: int, N: int) -> list:
+    """The M x N grids of each p in params as lanes: per p, a stack with one
+    grid per entry of its columns (one for a number, see param_columns),
+    and a flag per grid, True where it is finite.  Touches no cache.
 
     The params of one _structure make one chain set from their _columns,
     and each chain one _chain_rows; the final product is numpy's, stacked,
-    as _build_grid forms it grid by grid.  A p whose lane is not finite is
-    left out: its request (coefficient_grid) builds it alone.  The
-    rectangle is checked as coefficient_grid checks it, once there is a
-    grid to build."""
+    as _build_grid forms it grid by grid.  A grid that is not finite as a
+    lane is left to its request (coefficient_grid), which builds it alone.
+    The rectangle is checked as coefficient_grid checks it, once there is
+    a grid to build."""
     alike = {}
-    for p in dict.fromkeys(params):
-        alike.setdefault(_structure(p), []).append(p)
+    for i, p in enumerate(params):
+        alike.setdefault(_structure(p), []).append(i)
     if alike:
         _require_rectangle(M, N)
     idx = np.arange(M + 1)[:, None] + np.arange(N + 1)[None, :]
-    grids = {}
-    for group in alike.values():
+    out = [None] * len(params)
+    for members in alike.values():
+        group = [params[i] for i in members]
+        sizes = [np.size(getattr(p, "a", 0)) for p in group]
+        lanes = sum(sizes)
+        coeffs = np.empty((lanes, M + 1, N + 1), dtype=np.complex128)
         with np.errstate(all="ignore"):
-            W, U, V = (_chain_rows(chain, len(group))
+            W, U, V = (_chain_rows(chain, lanes)
                        for chain in _chains(_columns(group), M, N))
-        for lo in range(0, len(group), _PRODUCT_LANES):
-            hi = lo + _PRODUCT_LANES
-            with np.errstate(all="ignore"):
-                coeffs = W[lo:hi, idx] * U[lo:hi, :, None] * V[lo:hi, None, :]
-            finite = np.isfinite(coeffs).all(axis=(1, 2))
-            for p, grid, ok in zip(group[lo:hi], coeffs, finite):
-                if ok:
-                    grid.flags.writeable = False
-                    grids[p] = grid
+            for lo in range(0, lanes, _PRODUCT_LANES):
+                hi = lo + _PRODUCT_LANES
+                np.multiply(np.multiply(W[lo:hi, idx], U[lo:hi, :, None]),
+                            V[lo:hi, None, :], out=coeffs[lo:hi])
+        finite = np.isfinite(coeffs).all(axis=(1, 2))
+        lo = 0
+        for i, size in zip(members, sizes):
+            out[i] = coeffs[lo:lo + size], finite[lo:lo + size]
+            lo += size
+    return out
+
+
+def build_grids(params, M: int, N: int) -> dict:
+    """{p: grid} of the M x N grid of every distinct p in params that is
+    finite as a lane (build_stacks), each read-only."""
+    params = list(dict.fromkeys(params))
+    grids = {}
+    for p, (stack, finite) in zip(params, build_stacks(params, M, N)):
+        if finite[0]:
+            grid = stack[0]
+            grid.flags.writeable = False
+            grids[p] = grid
     return grids
 
 
@@ -715,7 +783,7 @@ def build_grids(params, M: int, N: int) -> dict:
 # repeats come from one command at a time: eval and sweep request one grid
 # and quadcheck two (its inner KdF grid, once per check, and the direct
 # series' grid), none twice; verify_identity and the audit take their grids
-# from build_grids and request only those not finite as lanes.  Four grids
+# from build_stacks and request only those not finite as lanes.  Four grids
 # keep every such repeat and hold at most 16 MiB (512 x 512)
 _grid_coeffs = lru_cache(maxsize=4)(_build_grid)
 

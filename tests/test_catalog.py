@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from appell4.catalog import (
 from appell4 import catalog, series
 from appell4.errors import ConstraintError, InvalidOperatorError, MarginError
 from appell4.operators import (OperatorExpr, apply_expr_to_params,
-                               compile_expr, mul_x, theta_x)
+                               compile_expr, delta_t1, mul_x,
+                               shifted_instance, theta_x)
 from appell4.series import F41Params, F42Params, coefficient_grid, eval_f41
 
 BYID = catalog_by_id()
@@ -500,8 +502,9 @@ class TestErrorPaths:
 
 
 class TestAuditPhases:
-    """audit_catalog plans a chunk of draws, builds its grids, then
-    compares; the rows and the errors are those of one draw after another."""
+    """audit_catalog plans the draw groups of a pass, builds their grids,
+    then compares; the rows and the errors are those of one draw after
+    another."""
 
     IDS = [ident.id for ident in builtin_catalog()[:40:3]]
 
@@ -511,8 +514,9 @@ class TestAuditPhases:
     def test_chunking_and_lanes_leave_the_rows_alone(self, monkeypatch):
         sampler = ParamSampler(seed=11, draws=6)
         want = audit_catalog(sampler, identities=self.idents()).to_json()
-        # chunks of about 40 grids, and one draw per chunk, each too large
-        # for it: every draw's grids are built as lanes, whose bytes do not
+        # passes of about 40 grids, whose groups hold at most 2 draws, and
+        # one draw per pass, each too large for it: a draw rounds as it does
+        # in a group of one, and its grids are lanes, whose bytes do not
         # depend on the other lanes, so every byte of the report stays
         for cells in (40 * 13 * 13, 1):
             monkeypatch.setattr(catalog, "_PLAN_CELLS", cells)
@@ -534,12 +538,13 @@ class TestAuditPhases:
         assert len(rows) == 46
 
     def test_comparisons_make_no_miss(self, monkeypatch):
-        # the comparisons read the grids the chunk built: no grid request
+        # the comparisons read the grids the pass built: no grid request,
+        # and no pass builds more than _PLAN_CELLS cells of grids
         builds = []
-        build_grids = catalog.build_grids
-        monkeypatch.setattr(catalog, "build_grids",
-                            lambda params, M, N: builds.append(len(params))
-                            or build_grids(params, M, N))
+        build_stacks = catalog.build_stacks
+        monkeypatch.setattr(catalog, "build_stacks", lambda params, M, N:
+                            builds.append(sum(p.a.size for p in params))
+                            or build_stacks(params, M, N))
         series._grid_coeffs.cache_clear()
         summary = audit_catalog(ParamSampler(seed=5, draws=4))
         assert len(builds) >= 3 and max(builds) * 13 * 13 \
@@ -550,36 +555,85 @@ class TestAuditPhases:
             {"ok", "typo_confirmed"}
 
     def test_side_builder_error_is_raised_at_its_draw(self, monkeypatch):
-        # the sixth entry's left side fails at the first draw with Re a > 1;
-        # entries after it are planned in the same chunk but never compared
+        # the sixth entry's left side fails wherever Re a > 1: its group
+        # raises, and the entry is verified draw by draw in its turn, so the
+        # error is that of its first such draw; the entries before it are
+        # judged as groups, with no lone verify_identity, and the entries
+        # after it are planned in the same pass but never compared
         idents = self.idents()
         target = idents[5]
         sampler = ParamSampler(seed=3, draws=8)
 
         def lhs(pt):
-            if pt.params.a.real > 1.0:
-                raise ZeroDivisionError(f"no left side at a = {pt.params.a}")
+            a = pt.params.a
+            if (a.real > 1.0).any():
+                raise ZeroDivisionError(
+                    f"no left side at a = {complex(a[a.real > 1.0][0])}")
             return target.lhs(pt)
 
         idents[5] = dataclasses.replace(target, lhs=lhs)
         first = next(j for j in range(sampler.draws)
                      if sampler.draw(target, j).params.a.real > 1.0)
         a = sampler.draw(target, first).params.a
-        compared = []
-        verify = catalog.verify_identity
+        verified, compared = [], []
+        verify, judge = catalog.verify_identity, catalog._compare
         monkeypatch.setattr(catalog, "verify_identity",
                             lambda ident, point, *args, **kw:
-                            compared.append((ident.id, point_to_dict(point)))
+                            verified.append((ident.id, point_to_dict(point)))
                             or verify(ident, point, *args, **kw))
+        monkeypatch.setattr(catalog, "_compare", lambda group, *args:
+                            compared.append(group.draws)
+                            or judge(group, *args))
         with pytest.raises(ZeroDivisionError) as err:
             audit_catalog(sampler, identities=idents)
         assert str(err.value) == f"no left side at a = {a}"
-        assert compared == [(ident.id, point_to_dict(sampler.draw(ident, j)))
-                            for ident in idents[:5]
-                            for j in range(sampler.draws)] + \
-            [(target.id, point_to_dict(sampler.draw(target, j)))
-             for j in range(first + 1)]
-        assert len(idents) > 6
+        assert verified == [(target.id, point_to_dict(sampler.draw(target, j)))
+                            for j in range(first + 1)]
+        # compared: the first five entries' draws in groups; the target's
+        # groups before its first group that raises, in the order of their
+        # first draws; then its lone draws before the one that raises
+        groups = {}
+        for j in range(sampler.draws):
+            point = sampler.draw(target, j)
+            key = (point.r, point.s, point.params.k1, point.params.k2)
+            groups.setdefault(key, []).append(point.params.a.real > 1.0)
+        before = 0
+        for raises in groups.values():
+            if any(raises):
+                break
+            before += len(raises)
+        assert sum(compared) == 5 * sampler.draws + before + first
+        assert len(idents) > 6 and before > 0 and first > 0
+
+    def test_a_pass_holds_at_most_its_cells(self, monkeypatch):
+        # an entry whose draw reads 24 grids, in passes of 64: it holds at
+        # most 8 draws, so its groups hold at most 8, and a group that
+        # exceeds a pass is planned again in pieces of at most 2 draws; no
+        # pass holds more than _PLAN_CELLS cells of grids, and the rows are
+        # those of the default passes
+        def side(pt):
+            expr = OperatorExpr.of(*[delta_t1] * 5)
+            return tuple(SideTerm(1.0, expr,
+                                  pt.params.replace(a=pt.params.a + i))
+                         for i in range(2))
+
+        wide = Identity("wide", Family.E_FIRST_ORDER, Target.F41, side, side,
+                        anchor="a test entry")
+        sampler = ParamSampler(seed=2, draws=40)
+        want = audit_catalog(sampler, identities=[wide]).to_json()
+        builds, plans = [], []
+        build_stacks, plan = catalog.build_stacks, catalog._plan
+        monkeypatch.setattr(catalog, "build_stacks", lambda params, M, N:
+                            builds.append(sum(p.a.size for p in params))
+                            or build_stacks(params, M, N))
+        monkeypatch.setattr(catalog, "_plan", lambda ident, points, M, N:
+                            plans.append(len(points))
+                            or plan(ident, points, M, N))
+        monkeypatch.setattr(catalog, "_PLAN_CELLS", 64 * 13 * 13)
+        assert audit_catalog(sampler, identities=[wide]).to_json() == want
+        assert max(builds) <= 64 and sum(builds) == 24 * sampler.draws
+        assert 2 < max(plans) <= 8
+        assert sum(n for n in plans if n <= 2) == sampler.draws
 
 
 def point_to_dict_reference(point):
@@ -599,14 +653,14 @@ class _Stop(Exception):
 
 
 class TestAuditMechanism:
-    """What the audit pays per draw: parameter instances through their own
-    replace, one verify_identity per draw, and lane batches keyed by the
-    fields alone."""
+    """What the audit pays per draw group: parameter instances through
+    their own replace, one plan per group and no verify_identity, and lane
+    batches keyed by the fields alone."""
 
-    def test_no_dataclasses_replace_and_one_verify_per_draw(self,
-                                                            monkeypatch):
+    def test_no_dataclasses_replace_and_one_plan_per_group(self,
+                                                           monkeypatch):
         builtin_catalog()
-        counts = {"replace": 0, "init": 0, "verify": 0}
+        counts = {"replace": 0, "init": 0, "verify": 0, "plan": 0}
         replace = dataclasses.replace
 
         def counted_replace(obj, **changes):
@@ -614,68 +668,96 @@ class TestAuditMechanism:
                 counts["replace"] += 1
             return replace(obj, **changes)
 
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
         monkeypatch.setattr(dataclasses, "replace", counted_replace)
         monkeypatch.setattr(catalog, "_dc_replace", counted_replace)
         for cls in (F41Params, F42Params):
-            init = cls.__init__
             monkeypatch.setattr(cls, "__init__",
-                                lambda self, *a, init=init, **kw:
-                                counts.__setitem__("init", counts["init"] + 1)
-                                or init(self, *a, **kw))
-        verify = catalog.verify_identity
+                                counted("init", cls.__init__))
         monkeypatch.setattr(catalog, "verify_identity",
-                            lambda *a, **kw: counts.__setitem__(
-                                "verify", counts["verify"] + 1)
-                            or verify(*a, **kw))
-        summary = audit_catalog(ParamSampler(seed=0, draws=3))
+                            counted("verify", catalog.verify_identity))
+        monkeypatch.setattr(catalog, "_plan", counted("plan", catalog._plan))
+        sampler = ParamSampler(seed=0, draws=3)
+        summary = audit_catalog(sampler)
+        groups = sum(len({(pt.r, pt.s) + tuple(getattr(pt.params, k)
+                                               for k in pt.params._KS)
+                          for pt in (sampler.draw(ident, j)
+                                     for j in range(3))})
+                     for ident in builtin_catalog())
         draws = 3 * len(builtin_catalog())
-        # the sampler constructs one instance per draw; every other instance
-        # comes from F41Params/F42Params.replace, which runs no __init__
-        assert counts == {"replace": 0, "init": draws, "verify": draws}
+        # the sampler constructs one instance per draw (counted above once
+        # more for each draw that makes the groups); every other instance
+        # comes from F41Params/F42Params.replace or param_columns, which
+        # run no __init__
+        assert counts == {"replace": 0, "init": 2 * draws, "verify": 0,
+                          "plan": groups}
+        assert draws > groups > len(builtin_catalog())
         assert {row["status"] for row in summary.rows} == \
             {"ok", "typo_confirmed"}
 
+    def test_the_acceptance_audit_compiles_once_per_group_term(
+            self, monkeypatch):
+        # the seed-0 50-draw audit: 1,370 draw groups of 6.6 draws on
+        # average, each term compiled once per group, where one compile per
+        # draw made 20,529 calls
+        calls = []
+        compile_expr = catalog.compile_expr
+        monkeypatch.setattr(catalog, "compile_expr", lambda *args:
+                            calls.append(1) or compile_expr(*args))
+        summary = audit_catalog(ParamSampler(seed=0, draws=50))
+        assert len(calls) == 3453
+        assert [row["status"] for row in summary.rows].count("ok") == 172
+
     def test_a_chunk_builds_as_many_lane_batches_as_before(self,
                                                            monkeypatch):
-        # the first chunk of the seed-0 acceptance audit: 770 grids of
-        # 13 x 13 in 9 structures, as before instances kept their hash, and
-        # one batch of rows per chain of each structure's chain set
+        # the first pass of the seed-0 acceptance audit: 9 structures, and
+        # one batch of rows per chain of each structure's chain set, as when
+        # grids were built by instance; batches per group would make one
+        # chain set per group
         def stop(params, M, N):
-            chunks.append((list(params), M, N))
+            passes.append((list(params), M, N))
             raise _Stop
 
-        chunks = []
-        monkeypatch.setattr(catalog, "build_grids", stop)
+        passes = []
+        monkeypatch.setattr(catalog, "build_stacks", stop)
         with pytest.raises(_Stop):
             audit_catalog(ParamSampler(seed=0))
-        params, M, N = chunks[0]
-        assert len(params) == 770 and (M, N) == (12, 12)
+        params, M, N = passes[0]
+        grids = sum(p.a.size for p in params)
+        assert 700 < grids <= 775 and (M, N) == (12, 12)
         assert len({series._structure(p) for p in params}) == 9
+        assert len(params) < grids / 5
         batches = []
         chain_rows = series._chain_rows
         monkeypatch.setattr(series, "_chain_rows", lambda chain, lanes:
                             batches.append(lanes)
                             or chain_rows(chain, lanes))
-        assert len(series.build_grids(params, 12, 12)) > 700
-        assert len(batches) == 27 and sum(batches) == 3 * 770
+        stacks = series.build_stacks(params, 12, 12)
+        assert sum(finite.sum() for _, finite in stacks) > 700
+        assert len(batches) == 27 and sum(batches) == 3 * grids
 
     def test_a_chunk_makes_its_symbols_once_per_structure(self, monkeypatch):
-        # the same chunk makes one chain set per structure group, its
+        # the same pass makes one chain set per structure group, its
         # symbols holding columns: at most 6 symbols per group (F41: a, b,
         # t1, t2, c1 and c2; the factorial is made once), where one chain
-        # set per grid made 6 per grid, 4,620
+        # set per grid made 6 per grid
         def stop(params, M, N):
-            chunks.append(list(params))
+            passes.append(list(params))
             raise _Stop
 
-        chunks = []
+        passes = []
         with monkeypatch.context() as patch:
-            patch.setattr(catalog, "build_grids", stop)
+            patch.setattr(catalog, "build_stacks", stop)
             with pytest.raises(_Stop):
                 audit_catalog(ParamSampler(seed=0))
-        params = chunks[0]
+        params = passes[0]
         groups = len({series._structure(p) for p in params})
-        assert (len(params), groups) == (770, 9)
+        assert groups == 9
         made = {series._Rising: 0, series._TFactor: 0}
         for cls in made:
             init = cls.__init__
@@ -683,9 +765,29 @@ class TestAuditMechanism:
                                 lambda self, *a, cls=cls, init=init:
                                 made.__setitem__(cls, made[cls] + 1)
                                 or init(self, *a))
-        assert len(series.build_grids(params, 12, 12)) > 700
+        stacks = series.build_stacks(params, 12, 12)
+        assert sum(finite.sum() for _, finite in stacks) > 700
         assert made[series._TFactor] > 0
         assert sum(made.values()) <= 6 * groups
+
+    def test_memory_does_not_grow_with_the_draws(self):
+        # an entry holds at most an eighth of a pass in draws before it
+        # plans a group, and a pass holds at most _PLAN_CELLS cells of
+        # grids, so nothing grows with the draws once a pass fills, as it
+        # does here before 200 draws: the traced peak read 3.03 MB at 200
+        # draws, 3.31 MB at 800 and 3.35 MB at 1,600
+        ident = BYID["F41.thm4.1"]
+        peaks = []
+        for draws in (200, 800):
+            tracemalloc.start()
+            try:
+                summary = audit_catalog(ParamSampler(seed=6, draws=draws),
+                                        identities=[ident])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert summary.rows[0]["status"] == "ok"
+        assert peaks[1] < 1.2 * peaks[0] and peaks[1] < 4e6, peaks
 
     def test_point_to_dict_is_unchanged(self):
         for ident in builtin_catalog()[::7]:
@@ -701,10 +803,13 @@ class TestAuditMechanism:
 def check_plan_corpus(seeds, draws, terminating, compiled, M=12, N=12):
     """SHA-256 digests of what the audit's plan phase makes, over every
     catalog entry:
-      "compiled"  compile_expr(term.expr, term.params, M, N) of every side
-                  term at the first `compiled` draws of seeds[0]: each key's
-                  point_to_dict, dm, dn and weight shape, then the weight's
-                  bytes, in order;
+      "compiled"  the compiled terms of the first `compiled` draws of
+                  seeds[0], as the audit plans them: the draws that share r,
+                  s and the k fields planned as one group (catalog._plan),
+                  then read for each draw in turn, every side term's keys
+                  in order: the point_to_dict of the key's instance at that
+                  draw, dm, dn and the shape of the weight's row for the
+                  draw, then that row's bytes;
       "draws"     point_to_dict of the first `draws` plain draws, then
                   `terminating` terminating ones, at each seed.
     The digests see a last bit of a weight or a draw that a residual may
@@ -714,16 +819,29 @@ def check_plan_corpus(seeds, draws, terminating, compiled, M=12, N=12):
     terms = count = 0
     sampler = ParamSampler(seed=seeds[0])
     for ident in idents:
+        groups = {}
         for j in range(compiled):
             point = sampler.draw(ident, j)
-            for term in ident.lhs(point) + ident.rhs(point):
+            key = (point.r, point.s) + tuple(getattr(point.params, k)
+                                             for k in point.params._KS)
+            groups.setdefault(key, []).append((j, point))
+        rows = {}
+        for members in groups.values():
+            group = catalog._plan(ident, [pt for _, pt in members], M, N)
+            for d, (j, _) in enumerate(members):
+                rows[j] = (group, d)
+        for j in range(compiled):
+            group, d = rows[j]
+            for t in group.lhs + group.rhs:
                 terms += 1
-                for (q, dm, dn), w in compile_expr(term.expr, term.params,
-                                                   M, N).items():
+                for (path, dm, dn), w in t.compiled.items():
+                    q = series.param_entry(shifted_instance(t.term.params,
+                                                            path), d)
+                    row = w[d] if np.ndim(w) == 3 else w
                     weights.update(json.dumps(
                         [point_to_dict(ParamPoint(q)), dm, dn,
-                         np.shape(w)]).encode())
-                    weights.update(np.asarray(w, np.complex128).tobytes())
+                         np.shape(row)]).encode())
+                    weights.update(np.asarray(row, np.complex128).tobytes())
     for seed in seeds:
         sampler = ParamSampler(seed=seed)
         for ident in idents:
@@ -741,9 +859,12 @@ class TestPlanBits:
     check_plan_corpus(range(16), 50, 3, 50); this slice keeps about a
     second."""
 
-    # check_plan_corpus((0, 1, 42), 8, 2, 6)
-    GOLDEN = {"compiled": "211a58cab44890f822ee7a7cd50a3af3"
-                          "f53a52f96e9984a531d05252e50f63d2",
+    # check_plan_corpus((0, 1, 42), 8, 2, 6); "compiled" re-recorded when
+    # each draw group was compiled once on numpy columns (a quarter of the
+    # weights and coefficients moved by rounding, at most 1.7e-14 relative,
+    # and a column weight's row is (1, 1) where a number was ())
+    GOLDEN = {"compiled": "25e0540042f4220f99345c8fe4b0a943"
+                          "836c4c70f77802675e7041ffff6e33e5",
               "draws": "418270d2f40b1b695903ae1fabf170ea"
                        "4a8934e9ab51be8b3f9e19f9d71ce9aa"}
 

@@ -289,12 +289,14 @@ class TestAuditCommand:
     def test_bad_tolerance_or_draws_exits_two_before_planning(
             self, capsys, monkeypatch, flags):
         # a NaN tolerance used to fail every row (exit 1), and no draws
-        # printed [] with exit 0
-        planned = []
+        # printed [] with exit 0; neither draws a point nor plans a group
+        calls = []
         monkeypatch.setattr(catalog, "_plan",
-                            lambda *a: planned.append(a) or 1 / 0)
+                            lambda *a: calls.append(a) or 1 / 0)
+        monkeypatch.setattr(catalog.ParamSampler, "draw",
+                            lambda *a: calls.append(a) or 1 / 0)
         code, out = run(capsys, "audit", "--family", "A", *flags)
-        assert (code, out, planned) == (2, "", [])
+        assert (code, out, calls) == (2, "", [])
 
     def test_unachievable_tolerance_exits_one(self, capsys):
         code, out = run(capsys, "audit", "--family", "A", "--draws", "1",
@@ -708,9 +710,11 @@ GOLDEN = [
     # 13 x 13 grids of every catalog family; re-recorded when the audit's
     # grids became numpy running products of their step ratios (residuals
     # moved by rounding, every row's passes and status kept; the worst ok
-    # residual fell from 1.7e-13 to 6.1e-15)
+    # residual fell from 1.7e-13 to 6.1e-15), and again when each draw
+    # group's coefficients and weights became numpy columns (residuals
+    # moved by rounding, every row's passes and status kept)
     (["audit", "--draws", "3", "--include-suspected", "--seed", "0"],
-     "d674b4ca7a49814a1f4340ae057a9e830d0877a2c85a6decdb18af3bf0c73512"),
+     "d1cc23c70189e749e4ce83162124256783dd675aedec7c752494a35739b3a9a8"),
     # 256 nodes at k = 0; re-recorded when each node became one Horner step
     # over block sums taken once per check (the quadrature value moved by
     # rounding)
@@ -719,10 +723,12 @@ GOLDEN = [
      "a2ddfa87271efa7e92d60ae6b6f6de0d6522de94340fae182885580901fb602b"),
     # a 14 x 13 rectangle, its grids built as lanes; re-recorded when the
     # audit's grids became numpy running products of their step ratios
-    # (residuals moved by rounding, every row's passes and status kept)
+    # (residuals moved by rounding, every row's passes and status kept),
+    # and again when each draw group's coefficients and weights became
+    # numpy columns (the same)
     (["audit", "--draws", "2", "--include-suspected", "--M", "13", "--N",
       "12", "--seed", "4"],
-     "cefa8fee5305060e142f6ca3e8f30a19da17303c62299d90e7a8333ed9f28161"),
+     "3fd5d0c858c223a0f1b5b7cc031d141b06957d5e8d5a415ca95cdc7e10755411"),
 ]
 
 
@@ -746,8 +752,9 @@ def test_audit_on_a_thin_rectangle_with_and_without_lanes(capsys,
     assert code == 0
     assert {row["status"] for row in json.loads(out)} == \
         {"ok", "typo_confirmed"}
-    # one draw per chunk, each too large for it: its grids are built as
-    # lanes all the same, so every byte stays
+    # one draw per pass, each too large for it: a draw rounds as it does in
+    # a group of one and its grids are lanes all the same, so every byte
+    # stays
     monkeypatch.setattr(catalog, "_PLAN_CELLS", 1)
     assert run(capsys, *argv) == (code, out)
 

@@ -31,10 +31,11 @@ from appell4.operators import (
     scaled_big_theta_t1,
     scaled_big_theta_t2,
     shift_param,
+    shifted_instance,
     theta_x,
 )
 from appell4.series import (F41Params, F42Params, TruncationPolicy,
-                            coefficient_grid, eval_f41)
+                            coefficient_grid, eval_f41, param_columns)
 
 
 def apply_numeric(op, f, p) -> complex:
@@ -229,13 +230,15 @@ class TestTermwise:
 
     def test_rho_shift_descriptor(self):
         compiled = compile_expr(OperatorExpr.of(rho_t1), P, 3, 3)
-        (q, dm, dn), = compiled
+        (path, dm, dn), = compiled
+        q = shifted_instance(P, path)
+        assert path == (("t1", -1),)
         assert q.t1 == P.t1 - 1 and q.t2 == P.t2 and (dm, dn) == (0, 0)
-        assert np.all(compiled[q, 0, 0] == 1)
+        assert np.all(compiled[path, 0, 0] == 1)
 
     def test_mul_x_index_shift(self):
         compiled = compile_expr(OperatorExpr.of(mul_x), P, 3, 3)
-        assert list(compiled) == [(P, 1, 0)]
+        assert list(compiled) == [((), 1, 0)]
 
     def test_delta_weight_k1(self):
         # at k1 = 1, delta_t1 is diagonal with weight m / (t1 - m + 1)
@@ -246,22 +249,46 @@ class TestTermwise:
 
 
 class TestInstanceKeys:
-    """compile_expr keys its entries by the shifted instances themselves,
-    each the first one met among those equal to it."""
+    """compile_expr keys its entries by the shifted instances' paths from
+    p, each the path of the first one met among those with its net offsets:
+    structural keys, the same at every value of p."""
 
     def test_two_shift_orders_meet_in_one_key(self):
         a_then_b = OperatorExpr.of(shift_param("b", 1), shift_param("a", 1))
         b_then_a = OperatorExpr.of(shift_param("a", 1), shift_param("b", 1))
         compiled = compile_expr(a_then_b + 2.0 * b_then_a, P, 3, 3)
-        (q, dm, dn), = compiled
+        (path, dm, dn), = compiled
+        q = shifted_instance(P, path)
+        assert path == (("b", 1), ("a", 1))
         assert (q.a, q.b, q.t1, dm, dn) == (P.a + 1, P.b + 1, P.t1, 0, 0)
-        assert compiled[q, 0, 0] == 3.0
+        assert compiled[path, 0, 0] == 3.0
 
     def test_a_shift_back_to_p_is_p(self):
         compiled = compile_expr(OperatorExpr.of(rho_t1, shift_param("t1", 1)),
                                 P, 3, 3)
-        (q, dm, dn), = compiled
-        assert q is P and (dm, dn) == (0, 0)
+        (path, dm, dn), = compiled
+        assert shifted_instance(P, path) is P and (path, dm, dn) == ((), 0, 0)
+
+    def test_columns_compile_as_each_entry_alone(self):
+        # p with its fields as (D, 1, 1) columns compiles to the same keys
+        # at every D, and entry d of each weight keeps its bytes when entry
+        # d is compiled as a column of one
+        ps = [P, P.replace(a=0.3 - 0.9j, t1=-1.7 + 0.2j),
+              P.replace(b=2.1 + 0.4j, t2=0.6 - 1.1j)]
+
+        def compiled(cols):
+            expr = OperatorExpr.of(big_theta_t1, scaled_big_theta_t2) @ (
+                OperatorExpr.of(theta_x) + OperatorExpr.of(scale(cols.a)))
+            return compile_expr(expr, cols, 5, 4)
+
+        whole = compiled(param_columns(ps))
+        for d, p in enumerate(ps):
+            alone = compiled(param_columns([p]))
+            assert list(alone) == list(whole)
+            for key, w in alone.items():
+                got = np.broadcast_to(whole[key], (3, 6, 5))[d]
+                assert got.tobytes() == np.broadcast_to(w, (1, 6, 5)).tobytes()
+        assert len(whole) == 4
 
 
 class TestApplyGrid:

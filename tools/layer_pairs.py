@@ -20,8 +20,11 @@ For the quadcheck kinds the CPU of each side's integral_rep_check call is
 read too and divided by the rule's order: the per-node CPU in us.  For
 sweep the CPU of each side's evaluate_many call is read and divided by the
 number of results it returns: the per-point CPU in us.  For audit the CPU
-of each side's build_grids calls is summed over the audit: build_s, the
-audit's build phase, and grid_us, that sum per grid requested; the worst
+of each side's three catalog phases is summed over the audit: plan_s
+(`_plan`: sides built and terms compiled), build_s (`build_stacks`, or
+`build_grids` in a checkout that builds grids by instance) and compare_s
+(`_compare`, or `verify_identity` in a checkout that compares draw by
+draw), and grid_us is build_s per grid built; the worst
 residual of the audit's `ok` rows is read as worst_ok_e15, in units of
 1e-15.  A call that raises is not read.  An audit takes seconds and its
 pool holds 16, so audit runs only when --kinds names it, with an --ops of
@@ -53,6 +56,8 @@ import os
 import statistics
 import sys
 import time
+
+import numpy as np
 
 from bench_pairs import SIDES, spread, write_record
 
@@ -87,7 +92,8 @@ def load_cli(root: str, side: str):
     """The cli module of a checkout's src/appell4, loaded as appell4_<side>,
     with its integral_rep_check and evaluate_many wrapped to record each
     call's CPU per node and per point in the returned lists, and the
-    catalog's build_grids to record each call's CPU and grid count."""
+    catalog's plan, build and compare phases to record each call's CPU
+    (timed_phase)."""
     package = os.path.join(root, "src", "appell4")
     load_module(f"appell4_{side}", os.path.join(package, "__init__.py"),
                 package)
@@ -99,29 +105,44 @@ def load_cli(root: str, side: str):
     cli.evaluate_many = timed(cli.evaluate_many, readings["point_us"],
                               lambda results, *args: len(results))
     catalog = importlib.import_module(f"appell4_{side}.catalog")
-    builds = readings["builds"] = []
-    build_grids = catalog.build_grids
-
-    def timed_build(params, M, N):
-        start = time.process_time()
-        grids = build_grids(params, M, N)
-        builds.append((time.process_time() - start, len(params)))
-        return grids
-
-    catalog.build_grids = timed_build
+    phases = readings["phases"] = []
+    for phase, names in (("plan_s", ("_plan",)),
+                         ("build_s", ("build_stacks", "build_grids")),
+                         ("compare_s", ("_compare", "verify_identity"))):
+        name = next(n for n in names if hasattr(catalog, n))
+        setattr(catalog, name, timed_phase(getattr(catalog, name), phase,
+                                           phases))
     return cli, readings
 
 
+def timed_phase(fn, phase: str, phases: list):
+    """fn, recording (phase, CPU seconds, grids) of each call in phases,
+    grids being those a build call builds: one per entry of each params'
+    columns (one for a params of numbers)."""
+    def call(*args, **kwargs):
+        start = time.process_time()
+        result = fn(*args, **kwargs)
+        grids = sum(int(np.size(getattr(p, "a", 0))) for p in args[0]) \
+            if phase == "build_s" else 0
+        phases.append((phase, time.process_time() - start, grids))
+        return result
+    return call
+
+
 def audit_readings(readings: dict, stdout: str) -> dict:
-    """build_s, grid_us and worst_ok_e15 of the audit just run, its
-    build_grids calls taken from readings."""
-    builds = readings["builds"]
-    cpu, grids = (sum(column) for column in zip(*builds))
-    builds.clear()
-    return {"build_s": cpu, "grid_us": cpu * 1e6 / grids,
-            "worst_ok_e15": 1e15 * max(row["worst_rel_residual"]
-                                       for row in json.loads(stdout)
-                                       if row["status"] == "ok")}
+    """plan_s, build_s, compare_s, grid_us and worst_ok_e15 of the audit
+    just run, its phase calls taken from readings."""
+    out = dict.fromkeys(("plan_s", "build_s", "compare_s"), 0.0)
+    grids = 0
+    for phase, cpu, built in readings["phases"]:
+        out[phase] += cpu
+        grids += built
+    readings["phases"].clear()
+    out["grid_us"] = out["build_s"] * 1e6 / grids
+    out["worst_ok_e15"] = 1e15 * max(row["worst_rel_residual"]
+                                     for row in json.loads(stdout)
+                                     if row["status"] == "ok")
+    return out
 
 
 def run_op(cli, argv) -> tuple:
@@ -205,7 +226,8 @@ def main(argv=None) -> int:
         if kind == "sweep":
             layers[kind]["point_us"] = compare(us["point_us"])
         if kind == "audit":
-            for measure in ("build_s", "grid_us", "worst_ok_e15"):
+            for measure in ("plan_s", "build_s", "compare_s", "grid_us",
+                            "worst_ok_e15"):
                 layers[kind][measure] = compare(
                     {side: [a[measure] for a in audits[side]]
                      for side in SIDES})
@@ -233,8 +255,9 @@ def main(argv=None) -> int:
                       "cli.main, node_us the CPU of integral_rep_check "
                       "divided by the rule's order, point_us the CPU of "
                       "the sweep's evaluate_many divided by its points, "
-                      "build_s the CPU of an audit's build_grids calls, "
-                      "grid_us that CPU per grid requested and "
+                      "plan_s, build_s and compare_s the CPU of an audit's "
+                      "plan, build and compare phases, grid_us build_s per "
+                      "grid built and "
                       "worst_ok_e15 the audit's worst residual of an ok "
                       "row in units of 1e-15. "
                       "Quartiles are "
