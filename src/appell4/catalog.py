@@ -1223,31 +1223,26 @@ def _row_status(ident: Identity, draws: int, passes: int) -> str:
 # grid cells one audit pass plans before it compares: 775 grids of 13 x 13,
 # 2 MiB of grids that the pass holds until its last comparison, beside its
 # groups' weights, which take no more (a draw's weight is at most one grid
-# per grid it reads).  An eighth of a pass also bounds the draws an entry
-# holds before it plans a group.  On a 2-core x86-64 host, in process, the
-# seed-3 acceptance audit took 0.90, 0.84 and 0.82 s of CPU in passes of
-# 512, 775 and 1,024 grids, and 1.03 s in passes of 256, whose entries
-# hold at most 32 draws and so split their groups
+# per grid it reads).  An eighth of a pass is also the block of draws an
+# entry groups at a time.  On a 2-core x86-64 host, in process, the seed-3
+# acceptance audit took 0.90, 0.84 and 0.82 s of CPU in passes of 512, 775
+# and 1,024 grids, and 1.03 s in passes of 256, whose entries hold at most
+# 32 draws and so split their groups
 _PLAN_CELLS = 2 ** 17
 
 
 def _draw_groups(sampler: ParamSampler, ident: Identity, most: int):
     """The sampler's draws of ident in groups that share r, s and the k
-    fields.  At most `most` draws are held: once that many are, the largest
-    group is given (the first of the largest); the others follow the last
-    draw, in the order of their first draws."""
-    groups, held = {}, 0
-    for j in range(sampler.draws):
-        point = sampler.draw(ident, j)
-        p = point.params
-        key = (point.r, point.s) + tuple(getattr(p, k) for k in p._KS)
-        groups.setdefault(key, []).append(point)
-        held += 1
-        if held == most:
-            group = groups.pop(max(groups, key=lambda k: len(groups[k])))
-            held -= len(group)
-            yield group
-    yield from groups.values()
+    fields, taken in consecutive blocks of at most `most` draws: each
+    block's groups in the order of their first draws."""
+    for lo in range(0, sampler.draws, most):
+        groups = {}
+        for j in range(lo, min(lo + most, sampler.draws)):
+            point = sampler.draw(ident, j)
+            p = point.params
+            key = (point.r, point.s) + tuple(getattr(p, k) for k in p._KS)
+            groups.setdefault(key, []).append(point)
+        yield from groups.values()
 
 
 def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
@@ -1268,9 +1263,10 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
                grids, and each draw's residual and scale (_compare).
     Each draw rounds as it does in a group of one, which is what a lone
     verify_identity judges, so every residual is that of verify_identity
-    at the same draw, bit for bit.  An identity one of whose groups raises,
-    in any phase, is verified draw by draw in its turn, so the error is
-    that of its first failing draw.
+    at the same draw, bit for bit.  When a pass raises, in any phase, its
+    entries from the first through the one being planned are verified
+    draw by draw with verify_identity, so the error is that of the first
+    draw that raises alone; if none does, the pass's own error is raised.
     """
     _require_tolerance(tolerance)
     if identities is None:
@@ -1279,75 +1275,49 @@ def audit_catalog(sampler: ParamSampler, M: int = 12, N: int = 12,
         return AuditSummary((), (), ())
     worst = [0.0] * len(identities)
     passes = [0] * len(identities)
-    alone = set()
     # a draw also holds its point and its share of its group's sides and
     # weights whatever the rectangle, so a grid counts as at least 13 x 13
     # cells
     per_pass = max(1, _PLAN_CELLS // max((M + 1) * (N + 1), 13 * 13))
-    # an entry holds at most an eighth of a pass in draws before it plans
-    # its largest group, so its held draws and a group's columns do not
-    # grow with --draws (a catalog draw reads 2 to 9 grids); a group whose
-    # grids exceed a pass is planned again in pieces that fit
+    # an entry groups its draws in blocks of an eighth of a pass, so its
+    # held draws and a group's columns do not grow with --draws (a catalog
+    # draw reads 2 to 9 grids)
     most = max(1, per_pass // 8)
-
-    def verify_alone(i: int) -> None:
-        ident = identities[i]
-        alone.add(i)
-        worst[i], passes[i] = 0.0, 0
-        for j in range(sampler.draws):
-            report = verify_identity(ident, sampler.draw(ident, j), M, N,
-                                     tolerance)
-            worst[i] = max(worst[i], report.rel_residual)
-            passes[i] += int(report.passed)
 
     def compare(planned: list) -> None:
         stacks = iter(build_stacks(
-            [q for _, group in planned if group for q in group.instances],
-            M, N))
+            [q for _, group in planned for q in group.instances], M, N))
         for i, group in planned:
-            mine = [next(stacks) for _ in group.instances] if group else ()
-            if i in alone:
-                continue
-            try:
-                judged = group and _compare(group, mine, M, N)
-            except Exception:
-                judged = None
-            if not judged:
-                verify_alone(i)  # raises at the first draw that raises
-                continue
-            _, _, max_abs, scale = judged
+            _, _, max_abs, scale = _compare(
+                group, [next(stacks) for _ in group.instances], M, N)
             with np.errstate(over="ignore"):
                 rel = max_abs / np.where(1e-300 > scale, 1e-300, scale)
             worst[i] = max([worst[i], *rel.tolist()])
             passes[i] += int(np.count_nonzero(rel <= tolerance))
 
-    def plan():
-        """(identity index, planned group) in catalog order; a group of
-        None where planning raised, after which the identity plans no
-        more."""
-        for i, ident in enumerate(identities):
-            try:
-                for points in _draw_groups(sampler, ident, most):
-                    group = _plan(ident, points, M, N)
-                    step = max(1, per_pass // len(group.instances))
-                    if group.draws <= step:
-                        yield i, group
-                        continue
-                    # its grids exceed a pass: planned again in pieces
-                    for lo in range(0, len(points), step):
-                        yield i, _plan(ident, points[lo:lo + step], M, N)
-            except Exception:
-                yield i, None
-
     planned, grids = [], 0
-    for i, group in plan():
-        more = group.draws * len(group.instances) if group else 0
-        if planned and grids + more > per_pass:
-            compare(planned)
-            planned, grids = [], 0
-        planned.append((i, group))
-        grids += more
-    compare(planned)
+    try:
+        for i, ident in enumerate(identities):
+            for points in _draw_groups(sampler, ident, most):
+                whole = _plan(ident, points, M, N)
+                # a group whose grids exceed a pass is planned again in
+                # pieces that fit
+                step = max(1, per_pass // len(whole.instances))
+                for lo in range(0, len(points), step):
+                    group = whole if whole.draws <= step else \
+                        _plan(ident, points[lo:lo + step], M, N)
+                    more = group.draws * len(group.instances)
+                    if planned and grids + more > per_pass:
+                        compare(planned)
+                        planned, grids = [], 0
+                    planned.append((i, group))
+                    grids += more
+        compare(planned)
+    except Exception:
+        for ident in identities[planned[0][0] if planned else i:i + 1]:
+            for j in range(sampler.draws):
+                verify_identity(ident, sampler.draw(ident, j), M, N, tolerance)
+        raise
 
     rows = []
     failing = []

@@ -554,16 +554,9 @@ class TestAuditPhases:
         assert {row["status"] for row in summary.rows} == \
             {"ok", "typo_confirmed"}
 
-    def test_side_builder_error_is_raised_at_its_draw(self, monkeypatch):
-        # the sixth entry's left side fails wherever Re a > 1: its group
-        # raises, and the entry is verified draw by draw in its turn, so the
-        # error is that of its first such draw; the entries before it are
-        # judged as groups, with no lone verify_identity, and the entries
-        # after it are planned in the same pass but never compared
-        idents = self.idents()
-        target = idents[5]
-        sampler = ParamSampler(seed=3, draws=8)
-
+    @staticmethod
+    def failing_lhs(target):
+        """target with a left side that fails wherever Re a > 1."""
         def lhs(pt):
             a = pt.params.a
             if (a.real > 1.0).any():
@@ -571,39 +564,97 @@ class TestAuditPhases:
                     f"no left side at a = {complex(a[a.real > 1.0][0])}")
             return target.lhs(pt)
 
-        idents[5] = dataclasses.replace(target, lhs=lhs)
+        return dataclasses.replace(target, lhs=lhs)
+
+    @staticmethod
+    def record(monkeypatch, name, events, entry):
+        """catalog.name, appending entry(*args) to events at each call."""
+        fn = getattr(catalog, name)
+        monkeypatch.setattr(catalog, name, lambda *args, **kw:
+                            events.append(entry(*args)) or fn(*args, **kw))
+
+    def test_side_builder_error_is_raised_at_its_draw(self, monkeypatch):
+        # the sixth entry's left side fails wherever Re a > 1: its group
+        # raises while the one pass is planned, and the entries the pass
+        # holds are verified draw by draw, so the error is that of the
+        # target's first such draw; nothing is compared as a group, and the
+        # entries after the target are never planned
+        idents = self.idents()
+        target = idents[5]
+        sampler = ParamSampler(seed=3, draws=8)
+        idents[5] = self.failing_lhs(target)
         first = next(j for j in range(sampler.draws)
                      if sampler.draw(target, j).params.a.real > 1.0)
         a = sampler.draw(target, first).params.a
         verified, compared = [], []
-        verify, judge = catalog.verify_identity, catalog._compare
-        monkeypatch.setattr(catalog, "verify_identity",
-                            lambda ident, point, *args, **kw:
-                            verified.append((ident.id, point_to_dict(point)))
-                            or verify(ident, point, *args, **kw))
-        monkeypatch.setattr(catalog, "_compare", lambda group, *args:
-                            compared.append(group.draws)
-                            or judge(group, *args))
+        self.record(monkeypatch, "verify_identity", verified,
+                    lambda ident, point, *args: (ident.id,
+                                                 point_to_dict(point)))
+        self.record(monkeypatch, "_compare", compared,
+                    lambda group, *args: group.draws)
         with pytest.raises(ZeroDivisionError) as err:
             audit_catalog(sampler, identities=idents)
         assert str(err.value) == f"no left side at a = {a}"
-        assert verified == [(target.id, point_to_dict(sampler.draw(target, j)))
-                            for j in range(first + 1)]
-        # compared: the first five entries' draws in groups; the target's
-        # groups before its first group that raises, in the order of their
-        # first draws; then its lone draws before the one that raises
-        groups = {}
-        for j in range(sampler.draws):
-            point = sampler.draw(target, j)
-            key = (point.r, point.s, point.params.k1, point.params.k2)
-            groups.setdefault(key, []).append(point.params.a.real > 1.0)
-        before = 0
-        for raises in groups.values():
-            if any(raises):
-                break
-            before += len(raises)
-        assert sum(compared) == 5 * sampler.draws + before + first
-        assert len(idents) > 6 and before > 0 and first > 0
+        # the lone verifies of the entries before the target, then the
+        # target's draws up to its first failing one, each compared alone
+        assert verified == [
+            (ident.id, point_to_dict(sampler.draw(ident, j)))
+            for ident in idents[:5] for j in range(sampler.draws)] + [
+            (target.id, point_to_dict(sampler.draw(target, j)))
+            for j in range(first + 1)]
+        assert compared == [1] * (5 * sampler.draws + first)
+        assert len(idents) > 6 and first > 0
+
+    def test_a_group_error_no_lone_draw_raises_is_raised(self, monkeypatch):
+        # a comparison that fails only in groups of more than one draw: the
+        # one pass's entries are all verified alone, none raises, and the
+        # group's error is raised, not a row made of lone verifies
+        judge = catalog._compare
+
+        def compare(group, *args):
+            if group.draws > 1:
+                raise FloatingPointError(f"a group of {group.draws}")
+            return judge(group, *args)
+
+        monkeypatch.setattr(catalog, "_compare", compare)
+        verified = []
+        self.record(monkeypatch, "verify_identity", verified,
+                    lambda ident, *args: ident.id)
+        sampler = ParamSampler(seed=3, draws=8)
+        with pytest.raises(FloatingPointError, match="^a group of"):
+            audit_catalog(sampler, identities=self.idents())
+        assert verified == [i for i in self.IDS for _ in range(8)]
+
+    def test_an_error_verifies_only_its_pass_alone(self, monkeypatch):
+        # passes of 64 grids: the target fails in a later pass, and only
+        # the entries that pass holds are verified alone, each from its
+        # first draw; the entries compared in earlier passes alone make no
+        # lone verify
+        idents = self.idents()
+        target = idents[5]
+        idents[5] = self.failing_lhs(target)
+        sampler = ParamSampler(seed=3, draws=8)
+        first = next(j for j in range(sampler.draws)
+                     if sampler.draw(target, j).params.a.real > 1.0)
+        events = []
+        self.record(monkeypatch, "_plan", events,
+                    lambda ident, *args: ident.id)
+        self.record(monkeypatch, "build_stacks", events, lambda *args: None)
+        self.record(monkeypatch, "verify_identity", events,
+                    lambda ident, *args: ("alone", ident.id))
+        monkeypatch.setattr(catalog, "_PLAN_CELLS", 64 * 13 * 13)
+        with pytest.raises(ZeroDivisionError):
+            audit_catalog(sampler, identities=idents)
+        # the failing pass holds the group whose arrival made the last build
+        # before the lone verifies, and every group planned after it
+        alone = [n for n, event in enumerate(events)
+                 if isinstance(event, tuple)]
+        builds = [n for n in range(alone[0]) if events[n] is None]
+        held = self.IDS.index([e for e in events[:builds[-1]] if e][-1])
+        assert 0 < held < 5 and len(builds) > 1
+        assert [events[n][1] for n in alone] == \
+            [i for i in self.IDS[held:5] for _ in range(sampler.draws)] + \
+            [target.id] * (first + 1)
 
     def test_a_pass_holds_at_most_its_cells(self, monkeypatch):
         # an entry whose draw reads 24 grids, in passes of 64: it holds at

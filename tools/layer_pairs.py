@@ -21,10 +21,8 @@ read too and divided by the rule's order: the per-node CPU in us.  For
 sweep the CPU of each side's evaluate_many call is read and divided by the
 number of results it returns: the per-point CPU in us.  For audit the CPU
 of each side's three catalog phases is summed over the audit: plan_s
-(`_plan`: sides built and terms compiled), build_s (`build_stacks`, or
-`build_grids` in a checkout that builds grids by instance) and compare_s
-(`_compare`, or `verify_identity` in a checkout that compares draw by
-draw), and grid_us is build_s per grid built; the worst
+(`_plan`: sides built and terms compiled), build_s (`build_stacks`) and
+compare_s (`_compare`), and grid_us is build_s per grid built; the worst
 residual of the audit's `ok` rows is read as worst_ok_e15, in units of
 1e-15.  A call that raises is not read.  An audit takes seconds and its
 pool holds 16, so audit runs only when --kinds names it, with an --ops of
@@ -106,10 +104,8 @@ def load_cli(root: str, side: str):
                               lambda results, *args: len(results))
     catalog = importlib.import_module(f"appell4_{side}.catalog")
     phases = readings["phases"] = []
-    for phase, names in (("plan_s", ("_plan",)),
-                         ("build_s", ("build_stacks", "build_grids")),
-                         ("compare_s", ("_compare", "verify_identity"))):
-        name = next(n for n in names if hasattr(catalog, n))
+    for phase, name in (("plan_s", "_plan"), ("build_s", "build_stacks"),
+                        ("compare_s", "_compare")):
         setattr(catalog, name, timed_phase(getattr(catalog, name), phase,
                                            phases))
     return cli, readings
